@@ -28,6 +28,8 @@ from .learner import HyperParams, LearnerState, alpha_at
 
 # Regime guards tolerate one ulp of rounding in p = beta1/sqrt(beta2).
 _P_TOL = 1e-12
+# theorem1 terms this far (relative) below the largest never lead again: ~40 ulps.
+_TIE_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -60,25 +62,53 @@ def _require(cond: bool, exc: type[Exception], msg: str) -> None:
         raise exc(msg)
 
 
+class Theorem1Coefficient:
+    """``alpha_{T+1}`` and ``coeff = max_{1<=t<=T} alpha_t p^(T-t)``, carried from T to T + 1.
+
+    Terms keep their ratios as T grows, so rounds ``_TIE_TOL`` below the largest are
+    dropped for good; the rest (usually one) are re-evaluated as a full scan would, so
+    ``coeff`` equals that scan bit for bit while the terms stay normal floats.
+    """
+
+    def __init__(self, params: HyperParams):
+        self.schedule, self.p, self.T, self.coeff = params.alpha, params.p, 0, 0.0
+        self.alpha_next = alpha_at(params.alpha, 1)
+        self.kept: list[tuple[int, float]] = []   # (t, alpha_t) that may still lead
+
+    def advance_to(self, T: int) -> None:
+        _require(T >= self.T, ValueError, f"cannot move back from T={self.T} to {T}")
+        while self.T < T:
+            self.T += 1
+            a_t, self.alpha_next = self.alpha_next, alpha_at(self.schedule, self.T + 1)
+            _require(self.alpha_next <= a_t, ScheduleError,
+                     f"alpha must be non-increasing, got {a_t} -> {self.alpha_next}")
+            self.kept.append((self.T, a_t))
+            terms = [a * self.p ** (self.T - t) for t, a in self.kept]
+            self.coeff = max(terms)
+            self.kept = [k for k, term in zip(self.kept, terms)
+                         if term >= self.coeff * (1.0 - _TIE_TOL)]
+            if self.p == 1.0:  # each term is then its alpha at every T, and the first leads
+                del self.kept[1:]
+
+
 def bound_theorem1_discounted(params: HyperParams, stats: TraceStats, u: float,
-                              T: int) -> BoundReport:
+                              T: int, running: Theorem1Coefficient | None = None) -> BoundReport:
     """General discounted bound for ``p <= 1`` and any non-increasing alpha.
 
     total = (u^2 / alpha_{T+1}) sqrt(q)
           + (sqrt(6 beta2) / (2 beta1)) (max_{1<=t<=T} alpha_t p^(T-t)) sqrt(q)
           + 7 d_max max_v
+
+    ``running`` carries the coefficient across one run's rows; without it a call costs O(T).
     """
     _require(params.p <= 1.0 + _P_TOL, RegimeError,
              f"general bound needs p <= 1, got p = {params.p}")
     _require(T >= 1, ValueError, f"need T >= 1, got {T}")
-    alphas = [alpha_at(params.alpha, t) for t in range(1, T + 2)]
-    for prev, nxt in zip(alphas, alphas[1:]):
-        _require(nxt <= prev, ScheduleError,
-                 f"alpha must be non-increasing, got {prev} -> {nxt}")
+    running = running or Theorem1Coefficient(params)
+    running.advance_to(T)
     root_q = math.sqrt(stats.q)
-    coeff = max(alphas[t - 1] * params.p ** (T - t) for t in range(1, T + 1))
-    comparator = u * u / alphas[T] * root_q
-    variance = math.sqrt(6.0 * params.beta2) / (2.0 * params.beta1) * coeff * root_q
+    comparator = u * u / running.alpha_next * root_q
+    variance = math.sqrt(6.0 * params.beta2) / (2.0 * params.beta1) * running.coeff * root_q
     term_max = 7.0 * stats.d_max * stats.max_v
     return BoundReport(
         kind="theorem1",

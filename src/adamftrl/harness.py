@@ -29,7 +29,9 @@ from .adversaries import (
     run_tightness_experiment,
 )
 from .bounds import (
+    _P_TOL,
     BoundReport,
+    Theorem1Coefficient,
     TraceStats,
     bound_b_from_stats,
     bound_b_undiscounted,
@@ -171,19 +173,19 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         for name in self.bounds:
-            if name in ("theorem1", "corollary1") and params.p > 1.0 + 1e-12:
+            if name in ("theorem1", "corollary1") and params.p > 1.0 + _P_TOL:
                 raise ConfigError(f"bound {name!r} needs p <= 1, got p = {params.p}")
             if name == "corollary1" and self.alpha_kind != "constant":
                 raise ConfigError("bound 'corollary1' needs a constant alpha")
             if name == "theorem3":
-                if params.p < 1.0 - 1e-12:
+                if params.p < 1.0 - _P_TOL:
                     raise ConfigError(f"bound 'theorem3' needs p >= 1, got p = {params.p}")
                 if self.alpha_kind != "exponential_decay":
                     raise ConfigError("bound 'theorem3' needs alpha_kind 'exponential_decay'")
             if name == "B":
                 if self.domain is None:
                     raise ConfigError("bound 'B' needs a bounded domain")
-                if params.p > 1.0 + 1e-12 or self.alpha_kind != "constant":
+                if params.p > 1.0 + _P_TOL or self.alpha_kind != "constant":
                     raise ConfigError("bound 'B' needs p <= 1 and constant alpha")
                 if self.T > self.oracle_horizon:
                     raise ConfigError(
@@ -295,14 +297,14 @@ class ExperimentResult:
         return bool(self.summary.get("contracts_ok", True))
 
 
-def _evaluate_bounds(config: ExperimentConfig, params: HyperParams,
-                     stats: TraceStats, u: float, t: int) -> dict[str, BoundReport]:
+def _evaluate_bounds(config: ExperimentConfig, params: HyperParams, stats: TraceStats, u: float,
+                     t: int, theorem1: Theorem1Coefficient | None) -> dict[str, BoundReport]:
     reports = {}
     for name in BOUND_ORDER:
         if name not in config.bounds:
             continue
         if name == "theorem1":
-            reports[name] = bound_theorem1_discounted(params, stats, u, t)
+            reports[name] = bound_theorem1_discounted(params, stats, u, t, theorem1)
         elif name == "corollary1":
             reports[name] = bound_corollary1_discounted(params, stats, u, t)
         elif name == "theorem3":
@@ -334,8 +336,9 @@ def _run_gradient_stream(config: ExperimentConfig) -> ExperimentResult:
 
     gradients = config.adversary_spec().gradient_stream(config.T)
     state = LearnerState(horizon=config.oracle_horizon)
-    ledger = RegretLedger(u=u, horizon=config.oracle_horizon)
+    ledger = RegretLedger(u=u)
     ingest_gradient(state, gradients[0], params)
+    theorem1 = Theorem1Coefficient(params) if "theorem1" in requested else None  # O(1) per row
 
     rows = []
     clip_count = 0
@@ -354,7 +357,7 @@ def _run_gradient_stream(config: ExperimentConfig) -> ExperimentResult:
         ]
         if t >= 2:
             final_reports = _evaluate_bounds(
-                config, params, TraceStats.from_state(state), u, t)
+                config, params, TraceStats.from_state(state), u, t, theorem1)
             row.extend(final_reports[n].total for n in requested)
         else:
             row.extend(math.nan for _ in requested)

@@ -14,7 +14,7 @@ horizon.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import NotApplicableError, OracleHorizonError
 from .learner import (
@@ -29,17 +29,11 @@ from .learner import (
 
 @dataclass
 class RegretLedger:
-    """Running discounted regret against a fixed comparator.
-
-    Keeps the raw per-round ``(g_t, delta_t)`` pairs while within the oracle
-    horizon so the discount identity can be cross-checked literally.
-    """
+    """Running discounted regret against a fixed comparator after ``T`` rounds."""
 
     u: float
     r_disc: float = 0.0
     T: int = 0
-    horizon: int = DEFAULT_ORACLE_HORIZON
-    round_log: list[tuple[float, float]] = field(default_factory=list)
 
 
 def accumulate_discounted_regret(ledger: RegretLedger, g: float, delta: float,
@@ -49,8 +43,6 @@ def accumulate_discounted_regret(ledger: RegretLedger, g: float, delta: float,
     ``delta`` is the update that was emitted before ``g`` was revealed.
     """
     ledger.r_disc = beta1 * ledger.r_disc + g * (delta - ledger.u)
-    if ledger.T < ledger.horizon:
-        ledger.round_log.append((g, delta))
     ledger.T += 1
     return ledger
 

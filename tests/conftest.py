@@ -42,7 +42,7 @@ def drive(gradients, params: HyperParams, u: float = 0.0,
           horizon: int = 60) -> TraceRun:
     """Run the learner over rounds 1..T with T = len(gradients) - 1."""
     state = LearnerState(horizon=horizon)
-    ledger = RegretLedger(u=u, horizon=horizon)
+    ledger = RegretLedger(u=u)
     ingest_gradient(state, gradients[0], params)
     deltas, delta_bars, clipped = [], [], []
     for t in range(1, len(gradients)):

@@ -14,7 +14,9 @@ from adamftrl import (
     bound_theorem3_discounted,
     dominance_holds,
 )
+from adamftrl.bounds import Theorem1Coefficient
 from adamftrl.errors import RegimeError, ScheduleError
+from adamftrl.learner import alpha_at
 from conftest import (
     constant_params,
     decaying_params,
@@ -100,6 +102,49 @@ def test_theorem1_matches_literal_formula():
         got = bound_theorem1_discounted(params, TraceStats.from_state(run.state), u, T)
         want = literal_theorem1_discounted(gs, run.deltas, params, u, T)
         assert math.isclose(got.total, want, rel_tol=1e-9)
+
+
+def _near_tie_schedules():
+    """(params, label) pairs whose theorem1 terms tie to within a few ulps."""
+    rng = random.Random(23)
+    cases = []
+    for b1, b2 in ((0.9, 0.99), (0.5, 0.3), (0.7, 0.6), (0.25, 0.25), (0.9, 0.81)):
+        p = b1 / math.sqrt(b2)
+        # ratio 1/p makes every term alpha p^(T-1) up to rounding
+        cases.append((HyperParams(beta1=b1, beta2=b2,
+                                  alpha=AlphaSchedule.exponential_decay(0.5, 1.0 / p)),
+                      f"decay 1/p, p={p}"))
+        cases.append((constant_params(b1, b2, alpha=0.5), f"constant, p={p}"))
+        vals = [0.5]
+        for t in range(2, 303):
+            vals.append(min(vals[-1], 0.5 * p ** (t - 1) * (1 + rng.uniform(-1e-15, 1e-15))))
+        cases.append((HyperParams(beta1=b1, beta2=b2, alpha=AlphaSchedule.explicit(vals)),
+                      f"explicit near-tie, p={p}"))
+    return cases
+
+
+@pytest.mark.parametrize("params,label", _near_tie_schedules())
+def test_theorem1_coefficient_is_bit_identical_to_full_scan(params, label):
+    running = Theorem1Coefficient(params)
+    for T in range(1, 301):
+        running.advance_to(T)
+        scan = max(alpha_at(params.alpha, t) * params.p ** (T - t) for t in range(1, T + 1))
+        assert running.coeff == scan, (label, T)
+        assert running.alpha_next == alpha_at(params.alpha, T + 1)
+        if label.startswith("constant"):   # only genuine near-ties are kept
+            assert len(running.kept) == 1, (label, T)
+
+
+def test_theorem1_carried_coefficient_matches_fresh_calls():
+    params = HyperParams(beta1=0.5, beta2=0.3,
+                         alpha=AlphaSchedule.explicit([1.0 / (1 + t // 7) for t in range(41)]))
+    stats = TraceStats(q=2.0, max_v=0.5, d_max=1.5)
+    running = Theorem1Coefficient(params)
+    for T in range(1, 40):
+        assert (bound_theorem1_discounted(params, stats, 0.7, T, running)
+                == bound_theorem1_discounted(params, stats, 0.7, T))
+    with pytest.raises(ValueError):
+        running.advance_to(3)
 
 
 def test_theorem1_wrong_regime():

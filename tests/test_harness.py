@@ -4,7 +4,10 @@ from pathlib import Path
 
 import pytest
 
+import adamftrl.bounds
 import adamftrl.cli as cli
+import adamftrl.harness
+import adamftrl.learner
 from adamftrl import ExperimentConfig, run_experiment, sweep, write_outputs
 from adamftrl.errors import ConfigError
 from adamftrl.harness import PAIR_COLUMNS, TRACE_COLUMNS, render_csv, render_json
@@ -22,6 +25,29 @@ SIMULATE_EXAMPLE = {
     "u": 0.0,
     "T": 2,
     "bounds": ["corollary1"],
+}
+
+# simulate runs pinned by golden fixtures: every row's bound is checked bit for bit
+SIMULATE_GOLDENS = {
+    "simulate_constant": {
+        "adversary": "random", "beta1": 0.9, "beta2": 0.99, "alpha_kind": "constant",
+        "alpha": 0.5, "domain": 1.0, "u": 0.5, "T": 200, "seed": 3,
+        "bounds": ["theorem1", "corollary1"],
+    },
+    # decay ratio 1/p: every theorem1 term ties up to rounding
+    "simulate_decay": {
+        "adversary": "random", "beta1": 0.7, "beta2": 0.6,
+        "alpha_kind": "exponential_decay", "alpha": 0.5,
+        "alpha_ratio": 1.1065666703449764, "domain": 1.0, "u": 0.25, "T": 200,
+        "seed": 5, "bounds": ["theorem1"],
+    },
+    # a staircase schedule moves the round that leads the theorem1 max
+    "simulate_explicit": {
+        "adversary": "fixed", "gradients": [((37 * t) % 19 - 9) / 8 for t in range(201)],
+        "beta1": 0.5, "beta2": 0.3, "alpha_kind": "explicit",
+        "alpha_values": [0.5 / (1 + (t - 1) // 25) ** 2 for t in range(1, 202)],
+        "domain": 2.0, "u": -1.0, "bounds": ["theorem1"],
+    },
 }
 
 
@@ -327,6 +353,18 @@ def test_cli_contract_violation_exit_one(monkeypatch, tmp_path):
     assert cli.main(["tightness", "--out", str(tmp_path / "x")]) == 1
 
 
+def test_cli_increasing_schedule_exit_two(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"adversary": "random", "beta1": 0.5, "beta2": 0.3, "T": 5,
+                               "alpha_kind": "exponential_decay", "alpha": 0.5,
+                               "alpha_ratio": 1 - 1e-13, "bounds": ["theorem1"]}))
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err == ("config error: alpha must be non-increasing, "
+                   "got 0.5 -> 0.5000000000000501\n")
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_cli_verify_lemmas(tmp_path):
     code = cli.main(["verify-lemmas", "--out", str(tmp_path / "lemmas")])
     assert code == 0
@@ -359,3 +397,32 @@ def test_golden_fixtures(preset, stem, tmp_path):
     res = run_experiment(ExperimentConfig.from_dict(preset))
     assert render_csv(res) == (FIXTURES / f"{stem}.csv").read_text()
     assert render_json(res) == (FIXTURES / f"{stem}.json").read_text()
+
+
+@pytest.mark.parametrize("stem", sorted(SIMULATE_GOLDENS))
+def test_simulate_golden_fixtures(stem):
+    res = run_experiment(ExperimentConfig.from_dict(SIMULATE_GOLDENS[stem]))
+    assert res.summary["contracts_ok"]
+    assert render_csv(res) == (FIXTURES / f"{stem}.csv").read_text()
+    assert render_json(res) == (FIXTURES / f"{stem}.json").read_text()
+
+
+def test_theorem1_run_makes_linearly_many_alpha_calls(monkeypatch):
+    calls = [0]
+    original = adamftrl.learner.alpha_at
+
+    def counting(schedule, t):
+        calls[0] += 1
+        return original(schedule, t)
+
+    for module in (adamftrl.learner, adamftrl.bounds, adamftrl.harness):
+        monkeypatch.setattr(module, "alpha_at", counting)
+    counts = {}
+    for T in (500, 1000):
+        calls[0] = 0
+        run_experiment(ExperimentConfig.from_dict(
+            {"adversary": "random", "beta1": 0.9, "beta2": 0.99, "alpha": 0.5, "T": T,
+             "seed": 1, "bounds": ["theorem1"]}))
+        counts[T] = calls[0]
+    assert counts[1000] <= 2 * counts[500] + 8
+    assert counts[1000] <= 4 * 1000
