@@ -33,6 +33,7 @@ from .errors import (
 )
 from .learner import (
     DEFAULT_ORACLE_HORIZON,
+    REGIME_TOL,
     AlphaSchedule,
     HyperParams,
     LearnerState,
@@ -178,6 +179,25 @@ class TightnessResult:
     rounds: tuple[TightnessRound, ...]
 
 
+def _check_rounds(run: str, T: int, horizon: int) -> None:
+    if T < 2:
+        raise RegimeError(f"{run} runs need T >= 2, got {T}")
+    if T > horizon:
+        raise OracleHorizonError(f"T={T} exceeds the oracle horizon {horizon}")
+
+
+def check_tightness_regime(ratio: float, D: float, kappa: float, v0: float, T: int,
+                           horizon: int = DEFAULT_ORACLE_HORIZON) -> None:
+    """Raise unless the tightness construction applies: the one statement of its regime."""
+    if not (0.4 - REGIME_TOL <= ratio <= 0.6 + REGIME_TOL):
+        raise RegimeError(f"tightness runs need p in [0.4, 0.6], got {ratio}")
+    if kappa < (1.0 - REGIME_TOL) / ratio**2:
+        raise RegimeError(f"tightness runs need kappa >= 1/p^2, got {kappa}")
+    if not (v0 > 0 and D > 0):
+        raise RegimeError(f"need v0 > 0 and D > 0, got v0={v0}, D={D}")
+    _check_rounds("tightness", T, horizon)
+
+
 def run_tightness_experiment(ratio: float, D: float, kappa: float, v0: float,
                              T: int, horizon: int = DEFAULT_ORACLE_HORIZON) -> TightnessResult:
     """Run the FTRL recursion on ``v_t = kappa^t v0`` with ``alpha = D/4``, ``u = -D``.
@@ -187,19 +207,7 @@ def run_tightness_experiment(ratio: float, D: float, kappa: float, v0: float,
     ``v0 D kappa (kappa^T - 1) / (2 (kappa - 1))``, and the regret-to-bound
     ratio stays bounded below by a constant.
     """
-    if not (0.4 - 1e-12 <= ratio <= 0.6 + 1e-12):
-        raise RegimeError(f"tightness construction needs ratio in [0.4, 0.6], got {ratio}")
-    if kappa < (1.0 - 1e-12) / ratio**2:
-        raise RegimeError(
-            f"tightness construction needs kappa >= 1/ratio^2 = {1.0 / ratio**2}, got {kappa}"
-        )
-    if not (v0 > 0 and D > 0):
-        raise RegimeError(f"need v0 > 0 and D > 0, got v0={v0}, D={D}")
-    if T < 2:
-        raise RegimeError(f"need T >= 2, got {T}")
-    if T > horizon:
-        raise OracleHorizonError(f"T={T} exceeds the oracle horizon {horizon}")
-
+    check_tightness_regime(ratio, D, kappa, v0, T, horizon)
     alpha = D / 4.0
     losses = geometric_losses(v0, kappa, T)
     u = -D
@@ -271,6 +279,29 @@ class NonObliviousResult:
     rounds: tuple[NonObliviousRound, ...]
 
 
+def check_nonoblivious_regime(a: float, b: float, v: float, ratio: float, T: int,
+                              beta1: float | None = None,
+                              horizon: int = DEFAULT_ORACLE_HORIZON) -> float:
+    """Raise unless the paired-instance run applies; return the shared ``beta1``.
+
+    ``beta1`` defaults to ``ratio^2`` and must lie in ``(0, ratio)`` for both instances.
+    """
+    try:
+        NonObliviousPair(a, b, v)
+    except ValueError as exc:
+        raise RegimeError(str(exc)) from None
+    if not (0.0 < ratio < 1.0):
+        raise RegimeError(f"nonoblivious runs need p in (0, 1), got {ratio}")
+    _check_rounds("nonoblivious", T, horizon)
+    if beta1 is None:
+        beta1 = ratio * ratio
+    if not (0.0 < beta1 < ratio):
+        raise RegimeError(
+            f"shared beta1 must lie in (0, ratio) so both instances are valid, got {beta1}"
+        )
+    return beta1
+
+
 def run_nonoblivious_experiment(a: float, b: float, v: float, ratio: float, T: int,
                                 beta1: float | None = None,
                                 horizon: int = DEFAULT_ORACLE_HORIZON) -> NonObliviousResult:
@@ -286,22 +317,7 @@ def run_nonoblivious_experiment(a: float, b: float, v: float, ratio: float, T: i
     and in total, with no clipping in either instance; ``a >= b^2`` only
     triggers a warning and the strictness flags report what happened.
     """
-    if not (0.0 < a < 1.0 and 0.0 < b < 1.0):
-        raise RegimeError(f"need a, b in (0, 1), got a={a}, b={b}")
-    if not (0.0 < ratio < 1.0):
-        raise RegimeError(f"need ratio in (0, 1), got {ratio}")
-    if T < 2:
-        raise RegimeError(f"need T >= 2, got {T}")
-    if T > horizon:
-        raise OracleHorizonError(f"T={T} exceeds the oracle horizon {horizon}")
-    if beta1 is None:
-        beta1 = ratio * ratio
-    if not (0.0 < beta1 < ratio):
-        raise RegimeError(
-            f"shared beta1 must lie in (0, ratio) so both instances are valid, got {beta1}"
-        )
-    if not (v > 0):
-        raise RegimeError(f"need v > 0, got {v}")
+    beta1 = check_nonoblivious_regime(a, b, v, ratio, T, beta1, horizon)
     if a >= b * b:
         warnings.warn(
             f"a = {a} >= b^2 = {b * b}: strict per-round dominance is not guaranteed",
@@ -316,7 +332,7 @@ def run_nonoblivious_experiment(a: float, b: float, v: float, ratio: float, T: i
     def run_instance(rate: float, inst_ratio: float):
         params = HyperParams(beta1=beta1, beta2=(beta1 / inst_ratio) ** 2,
                              alpha=alpha, D=D)
-        state = LearnerState(horizon=horizon)
+        state = LearnerState()
         ingest_gradient(state, v, params)  # g_0 = beta1^0 * rate^0 * v
         out_rows = []
         for t in range(1, T + 1):
@@ -376,7 +392,7 @@ def verify_lemma_a1(points, slack: float = 1e-12) -> LemmaReport:
     """
     best, best_point, count = -math.inf, (), 0
     for x, y, t in points:
-        if not (0.0 < x <= 1.0) or y < (1.0 - 1e-12) / (x * x) or t < 1 or t != int(t):
+        if not (0.0 < x <= 1.0) or y < (1.0 - REGIME_TOL) / (x * x) or t < 1 or t != int(t):
             raise ValueError(f"point outside the inequality's domain: {(x, y, t)}")
         if x * y <= 1.0:
             raise ValueError(f"expression is singular at {(x, y, t)} (x*y <= 1)")
@@ -398,7 +414,7 @@ def verify_lemma_a2(points, slack: float = 1e-12) -> LemmaReport:
     """
     best, best_point, count = -math.inf, (), 0
     for x, y in points:
-        if not (0.0 < x <= 0.6) or y < (1.0 - 1e-12) / (x * x):
+        if not (0.0 < x <= 0.6) or y < (1.0 - REGIME_TOL) / (x * x):
             raise ValueError(f"point outside the inequality's domain: {(x, y)}")
         val = _lemma_a2_value(x, y)
         if val > 2.0 + slack:

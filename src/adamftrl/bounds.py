@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .errors import RegimeError, ScheduleError
-from .learner import HyperParams, LearnerState, alpha_at
+from .learner import REGIME_TOL, HyperParams, LearnerState, alpha_at
 
-# Regime guards tolerate one ulp of rounding in p = beta1/sqrt(beta2).
-_P_TOL = 1e-12
 # theorem1 terms this far (relative) below the largest never lead again: ~40 ulps.
 _TIE_TOL = 1e-14
 
@@ -57,9 +56,50 @@ class BoundReport:
     scale: str
 
 
+def _report(kind, comparator, variance, term_max, scale) -> BoundReport:
+    return BoundReport(kind, comparator + variance + term_max, comparator, variance,
+                       term_max, scale)
+
+
 def _require(cond: bool, exc: type[Exception], msg: str) -> None:
     if not cond:
         raise exc(msg)
+
+
+# Regime checks: the one place each bound's rule is written.  Validation runs them
+# before a run starts; each bound function runs its own on every call.
+
+def _check_p_at_most_one(name: str, params: HyperParams) -> None:
+    _require(params.p <= 1.0 + REGIME_TOL, RegimeError,
+             f"bound {name!r} needs p <= 1, got p = {params.p}")
+
+
+def check_theorem1(params: HyperParams) -> None:
+    _check_p_at_most_one("theorem1", params)
+
+
+def check_corollary1(params: HyperParams) -> None:
+    _check_p_at_most_one("corollary1", params)
+    _require(params.alpha.kind == "constant", ScheduleError,
+             "bound 'corollary1' needs a constant alpha")
+
+
+def check_theorem3(params: HyperParams) -> None:
+    _require(params.p >= 1.0 - REGIME_TOL, RegimeError,
+             f"bound 'theorem3' needs p >= 1, got p = {params.p}")
+    _require(params.alpha.kind == "exponential_decay", ScheduleError,
+             "bound 'theorem3' needs alpha_kind 'exponential_decay'")
+    _require(abs(params.alpha.ratio - params.p) <= REGIME_TOL * max(1.0, params.p),
+             ScheduleError,
+             f"schedule decay ratio {params.alpha.ratio} must equal p = {params.p}")
+
+
+def check_b(params: HyperParams) -> None:
+    _require(params.D is not None, RegimeError, "bound 'B' needs a bounded domain")
+    _require(params.p <= 1.0 + REGIME_TOL, RegimeError,
+             "bound 'B' needs p <= 1 and constant alpha")
+    _require(params.alpha.kind == "constant", ScheduleError,
+             "bound 'B' needs p <= 1 and constant alpha")
 
 
 class Theorem1Coefficient:
@@ -101,23 +141,15 @@ def bound_theorem1_discounted(params: HyperParams, stats: TraceStats, u: float,
 
     ``running`` carries the coefficient across one run's rows; without it a call costs O(T).
     """
-    _require(params.p <= 1.0 + _P_TOL, RegimeError,
-             f"general bound needs p <= 1, got p = {params.p}")
+    check_theorem1(params)
     _require(T >= 1, ValueError, f"need T >= 1, got {T}")
     running = running or Theorem1Coefficient(params)
     running.advance_to(T)
     root_q = math.sqrt(stats.q)
     comparator = u * u / running.alpha_next * root_q
     variance = math.sqrt(6.0 * params.beta2) / (2.0 * params.beta1) * running.coeff * root_q
-    term_max = 7.0 * stats.d_max * stats.max_v
-    return BoundReport(
-        kind="theorem1",
-        total=comparator + variance + term_max,
-        term_comparator=comparator,
-        term_variance=variance,
-        term_max=term_max,
-        scale="discounted",
-    )
+    return _report("theorem1", comparator, variance, 7.0 * stats.d_max * stats.max_v,
+                   "discounted")
 
 
 def bound_corollary1_discounted(params: HyperParams, stats: TraceStats, u: float,
@@ -126,24 +158,14 @@ def bound_corollary1_discounted(params: HyperParams, stats: TraceStats, u: float
 
     total = (u^2/alpha + alpha sqrt(6 beta2) / (2 beta1)) sqrt(q) + 7 d_max max_v
     """
-    _require(params.p <= 1.0 + _P_TOL, RegimeError,
-             f"constant-alpha bound needs p <= 1, got p = {params.p}")
-    _require(params.alpha.kind == "constant", ScheduleError,
-             f"constant-alpha bound needs a constant schedule, got {params.alpha.kind!r}")
+    check_corollary1(params)
     _require(T >= 1, ValueError, f"need T >= 1, got {T}")
     a = params.alpha.alpha
     root_q = math.sqrt(stats.q)
     comparator = u * u / a * root_q
     variance = a * math.sqrt(6.0 * params.beta2) / (2.0 * params.beta1) * root_q
-    term_max = 7.0 * stats.d_max * stats.max_v
-    return BoundReport(
-        kind="corollary1",
-        total=comparator + variance + term_max,
-        term_comparator=comparator,
-        term_variance=variance,
-        term_max=term_max,
-        scale="discounted",
-    )
+    return _report("corollary1", comparator, variance, 7.0 * stats.d_max * stats.max_v,
+                   "discounted")
 
 
 def bound_theorem3_discounted(params: HyperParams, stats: TraceStats, u: float,
@@ -152,28 +174,18 @@ def bound_theorem3_discounted(params: HyperParams, stats: TraceStats, u: float,
 
     total = (u^2/alpha + alpha sqrt(6)/2) p^T sqrt(q) + 7 d_max max_v
     """
-    _require(params.p >= 1.0 - _P_TOL, RegimeError,
-             f"decaying-alpha bound needs p >= 1, got p = {params.p}")
-    _require(params.alpha.kind == "exponential_decay", ScheduleError,
-             "decaying-alpha bound needs an exponential_decay schedule, "
-             f"got {params.alpha.kind!r}")
-    _require(abs(params.alpha.ratio - params.p) <= _P_TOL * max(1.0, params.p),
-             ScheduleError,
-             f"schedule decay ratio {params.alpha.ratio} must equal p = {params.p}")
+    check_theorem3(params)
     _require(T >= 1, ValueError, f"need T >= 1, got {T}")
     a = params.alpha.alpha
-    root = params.p ** T * math.sqrt(stats.q)
+    try:
+        root = params.p ** T * math.sqrt(stats.q)
+    except OverflowError:
+        raise RegimeError(f"bound 'theorem3' overflows: p^T leaves the float range "
+                          f"at p = {params.p}, T = {T}") from None
     comparator = u * u / a * root
     variance = a * math.sqrt(6.0) / 2.0 * root
-    term_max = 7.0 * stats.d_max * stats.max_v
-    return BoundReport(
-        kind="theorem3",
-        total=comparator + variance + term_max,
-        term_comparator=comparator,
-        term_variance=variance,
-        term_max=term_max,
-        scale="discounted",
-    )
+    return _report("theorem3", comparator, variance, 7.0 * stats.d_max * stats.max_v,
+                   "discounted")
 
 
 def bound_b_undiscounted(losses, ratio: float, u: float, alpha: float,
@@ -188,22 +200,14 @@ def bound_b_undiscounted(losses, ratio: float, u: float, alpha: float,
     the realized ``d_max``.
     """
     _require(len(losses) >= 1, ValueError, "need at least the round-0 loss")
-    _require(0.0 < ratio <= 1.0 + _P_TOL, RegimeError,
+    _require(0.0 < ratio <= 1.0 + REGIME_TOL, RegimeError,
              f"order-level bound needs 0 < ratio <= 1, got {ratio}")
     _require(D > 0, ValueError, f"domain half-width must be positive, got {D}")
     T = len(losses) - 1
     radical = math.sqrt(math.fsum((ratio**t * v) ** 2 for t, v in enumerate(losses)))
     comparator = u * u / alpha * ratio ** (-T) * radical
     variance = alpha / ratio * ratio ** (-T) * radical
-    term_max = D * max(abs(v) for v in losses)
-    return BoundReport(
-        kind="B",
-        total=comparator + variance + term_max,
-        term_comparator=comparator,
-        term_variance=variance,
-        term_max=term_max,
-        scale="undiscounted",
-    )
+    return _report("B", comparator, variance, D * max(abs(v) for v in losses), "undiscounted")
 
 
 def bound_b_from_stats(params: HyperParams, stats: TraceStats, u: float,
@@ -214,25 +218,37 @@ def bound_b_from_stats(params: HyperParams, stats: TraceStats, u: float,
     ``max |v_t| = beta1^(-T) max_v``; only meaningful at small ``T`` where
     ``beta1^(-T)`` is benign.
     """
-    _require(params.D is not None, RegimeError, "order-level bound needs a bounded domain")
-    _require(params.p <= 1.0 + _P_TOL, RegimeError,
-             f"order-level bound needs p <= 1, got p = {params.p}")
-    _require(params.alpha.kind == "constant", ScheduleError,
-             f"order-level bound needs a constant schedule, got {params.alpha.kind!r}")
+    check_b(params)
     a = params.alpha.alpha
     scale = params.beta1 ** -T
     radical = scale * math.sqrt(stats.q)
     comparator = u * u / a * radical
     variance = a / params.p * radical
-    term_max = params.D * scale * stats.max_v
-    return BoundReport(
-        kind="B",
-        total=comparator + variance + term_max,
-        term_comparator=comparator,
-        term_variance=variance,
-        term_max=term_max,
-        scale="undiscounted",
-    )
+    return _report("B", comparator, variance, params.D * scale * stats.max_v, "undiscounted")
+
+
+class BoundSpec(NamedTuple):
+    """A bound's regime check and its per-run evaluator ``(params, u) -> (stats, T) -> report``."""
+
+    check: Callable[[HyperParams], None]
+    per_run: Callable[[HyperParams, float], Callable[[TraceStats, int], BoundReport]]
+
+
+def _theorem1_per_run(params: HyperParams, u: float):
+    running = Theorem1Coefficient(params)   # carried across the run's rows: O(1) per row
+    return lambda stats, T: bound_theorem1_discounted(params, stats, u, T, running)
+
+
+# Every bound a run can request, in output column order.
+BOUNDS = {
+    "theorem1": BoundSpec(check_theorem1, _theorem1_per_run),
+    "corollary1": BoundSpec(check_corollary1, lambda params, u: lambda stats, T:
+                            bound_corollary1_discounted(params, stats, u, T)),
+    "theorem3": BoundSpec(check_theorem3, lambda params, u: lambda stats, T:
+                          bound_theorem3_discounted(params, stats, u, T)),
+    "B": BoundSpec(check_b, lambda params, u: lambda stats, T:
+                   bound_b_from_stats(params, stats, u, T)),
+}
 
 
 def dominance_holds(regret_discounted: float, report: BoundReport,

@@ -25,21 +25,12 @@ from .adversaries import (
     GeometricSequence,
     NonObliviousPair,
     RandomUniform,
+    check_nonoblivious_regime,
+    check_tightness_regime,
     run_nonoblivious_experiment,
     run_tightness_experiment,
 )
-from .bounds import (
-    _P_TOL,
-    BoundReport,
-    Theorem1Coefficient,
-    TraceStats,
-    bound_b_from_stats,
-    bound_b_undiscounted,
-    bound_corollary1_discounted,
-    bound_theorem1_discounted,
-    bound_theorem3_discounted,
-    dominance_holds,
-)
+from .bounds import BOUNDS, BoundReport, TraceStats, bound_b_undiscounted, dominance_holds
 from .errors import AdamFtrlError, ConfigError
 from .learner import (
     DEFAULT_ORACLE_HORIZON,
@@ -53,7 +44,6 @@ from .learner import (
 from .regret import RegretLedger, accumulate_discounted_regret
 
 RNG_NAME = "numpy-pcg64"
-BOUND_ORDER = ("theorem1", "corollary1", "theorem3", "B")
 TRACE_COLUMNS = (
     "t", "alpha_t", "g_t", "m_t", "q_t", "delta_bar_t", "delta_t", "clipped",
     "loss_discounted", "regret_discounted", "maxV_t", "D_t",
@@ -140,7 +130,7 @@ class ExperimentConfig:
             raise ConfigError(f"oracle_horizon must be >= 1, got {self.oracle_horizon}")
         if self.domain is not None and not self.domain > 0:
             raise ConfigError(f"domain must be positive or 'unbounded', got {self.domain}")
-        unknown_bounds = set(self.bounds) - set(BOUND_ORDER)
+        unknown_bounds = set(self.bounds) - set(BOUNDS)
         if unknown_bounds:
             raise ConfigError(f"unknown bounds requested: {sorted(unknown_bounds)}")
         if self.adversary in ("fixed", "random"):
@@ -173,24 +163,14 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         for name in self.bounds:
-            if name in ("theorem1", "corollary1") and params.p > 1.0 + _P_TOL:
-                raise ConfigError(f"bound {name!r} needs p <= 1, got p = {params.p}")
-            if name == "corollary1" and self.alpha_kind != "constant":
-                raise ConfigError("bound 'corollary1' needs a constant alpha")
-            if name == "theorem3":
-                if params.p < 1.0 - _P_TOL:
-                    raise ConfigError(f"bound 'theorem3' needs p >= 1, got p = {params.p}")
-                if self.alpha_kind != "exponential_decay":
-                    raise ConfigError("bound 'theorem3' needs alpha_kind 'exponential_decay'")
-            if name == "B":
-                if self.domain is None:
-                    raise ConfigError("bound 'B' needs a bounded domain")
-                if params.p > 1.0 + _P_TOL or self.alpha_kind != "constant":
-                    raise ConfigError("bound 'B' needs p <= 1 and constant alpha")
-                if self.T > self.oracle_horizon:
-                    raise ConfigError(
-                        f"bound 'B' is undiscounted and needs T <= horizon ({self.oracle_horizon})"
-                    )
+            try:
+                BOUNDS[name].check(params)
+            except AdamFtrlError as exc:
+                raise ConfigError(str(exc)) from exc
+            if name == "B" and self.T > self.oracle_horizon:
+                raise ConfigError(
+                    f"bound 'B' is undiscounted and needs T <= horizon ({self.oracle_horizon})"
+                )
 
     def _validate_geometric(self) -> None:
         if self.domain is None:
@@ -199,33 +179,20 @@ class ExperimentConfig:
             raise ConfigError("geometric adversary needs 'kappa' and 'v0'")
         try:
             self.adversary_spec()
-        except ValueError as exc:
+            check_tightness_regime(self.ratio(), self.domain, self.kappa, self.v0, self.T,
+                                   self.oracle_horizon)
+        except (ValueError, AdamFtrlError) as exc:
             raise ConfigError(str(exc)) from exc
-        ratio = self.ratio()
-        if not (0.4 - 1e-12 <= ratio <= 0.6 + 1e-12):
-            raise ConfigError(f"tightness runs need p in [0.4, 0.6], got {ratio}")
-        if self.kappa < (1.0 - 1e-12) / ratio**2:
-            raise ConfigError(f"tightness runs need kappa >= 1/p^2, got {self.kappa}")
-        if self.T < 2:
-            raise ConfigError(f"tightness runs need T >= 2, got {self.T}")
-        if self.T > self.oracle_horizon:
-            raise ConfigError(f"T={self.T} exceeds the oracle horizon {self.oracle_horizon}")
 
     def _validate_nonoblivious(self) -> None:
         for name in ("a", "b", "v"):
             if getattr(self, name) is None:
                 raise ConfigError(f"nonoblivious adversary needs {name!r}")
         try:
-            self.adversary_spec()
-        except ValueError as exc:
+            check_nonoblivious_regime(self.a, self.b, self.v, self.ratio(), self.T,
+                                      self.beta1, self.oracle_horizon)
+        except (ValueError, AdamFtrlError) as exc:
             raise ConfigError(str(exc)) from exc
-        ratio = self.ratio()
-        if not (0.0 < ratio < 1.0):
-            raise ConfigError(f"nonoblivious runs need p in (0, 1), got {ratio}")
-        if self.T < 2:
-            raise ConfigError(f"nonoblivious runs need T >= 2, got {self.T}")
-        if self.T > self.oracle_horizon:
-            raise ConfigError(f"T={self.T} exceeds the oracle horizon {self.oracle_horizon}")
 
     # -- derived objects --------------------------------------------------
 
@@ -297,27 +264,10 @@ class ExperimentResult:
         return bool(self.summary.get("contracts_ok", True))
 
 
-def _evaluate_bounds(config: ExperimentConfig, params: HyperParams, stats: TraceStats, u: float,
-                     t: int, theorem1: Theorem1Coefficient | None) -> dict[str, BoundReport]:
-    reports = {}
-    for name in BOUND_ORDER:
-        if name not in config.bounds:
-            continue
-        if name == "theorem1":
-            reports[name] = bound_theorem1_discounted(params, stats, u, t, theorem1)
-        elif name == "corollary1":
-            reports[name] = bound_corollary1_discounted(params, stats, u, t)
-        elif name == "theorem3":
-            reports[name] = bound_theorem3_discounted(params, stats, u, t)
-        else:
-            reports[name] = bound_b_from_stats(params, stats, u, t)
-    return reports
-
-
 def _run_gradient_stream(config: ExperimentConfig) -> ExperimentResult:
     params = config.hyper_params()
     u = config.comparator()
-    requested = [n for n in BOUND_ORDER if n in config.bounds]
+    requested = [n for n in BOUNDS if n in config.bounds]
     header = TRACE_COLUMNS + tuple(f"bound_{n}" for n in requested)
 
     if config.T == 0:
@@ -335,14 +285,14 @@ def _run_gradient_stream(config: ExperimentConfig) -> ExperimentResult:
         return ExperimentResult(csv_header=header, csv_rows=(), summary=summary)
 
     gradients = config.adversary_spec().gradient_stream(config.T)
-    state = LearnerState(horizon=config.oracle_horizon)
+    state = LearnerState()
     ledger = RegretLedger(u=u)
     ingest_gradient(state, gradients[0], params)
-    theorem1 = Theorem1Coefficient(params) if "theorem1" in requested else None  # O(1) per row
+    evaluators = [BOUNDS[n].per_run(params, u) for n in requested]
 
     rows = []
     clip_count = 0
-    final_reports: dict[str, BoundReport] = {}
+    final_reports: list[BoundReport] = []
     for t in range(1, config.T + 1):
         m_t, q_t = state.m, state.q
         out = propose_update(state, params)
@@ -356,32 +306,21 @@ def _run_gradient_stream(config: ExperimentConfig) -> ExperimentResult:
             g_t * out.delta, ledger.r_disc, state.max_v, state.d_max,
         ]
         if t >= 2:
-            final_reports = _evaluate_bounds(
-                config, params, TraceStats.from_state(state), u, t, theorem1)
-            row.extend(final_reports[n].total for n in requested)
+            stats = TraceStats.from_state(state)
+            final_reports = [evaluate(stats, t) for evaluate in evaluators]
+            row.extend(rep.total for rep in final_reports)
         else:
             row.extend(math.nan for _ in requested)
         rows.append(tuple(row))
 
-    bounds_summary = {}
+    bounds_summary = {name: None for name in requested}   # stays None when T < 2
     dominance_flags = []
-    for name in requested:
-        if config.T >= 2:
-            rep = final_reports[name]
-            entry = {
-                "total": rep.total,
-                "term_comparator": rep.term_comparator,
-                "term_variance": rep.term_variance,
-                "term_max": rep.term_max,
-                "scale": rep.scale,
-            }
-            if rep.scale == "discounted":
-                ok = dominance_holds(ledger.r_disc, rep)
-                entry["dominates"] = ok
-                dominance_flags.append(ok)
-            bounds_summary[name] = entry
-        else:
-            bounds_summary[name] = None
+    for name, rep in zip(requested, final_reports):
+        entry = {key: val for key, val in vars(rep).items() if key != "kind"}
+        if rep.scale == "discounted":
+            entry["dominates"] = dominance_holds(ledger.r_disc, rep)
+            dominance_flags.append(entry["dominates"])
+        bounds_summary[name] = entry
 
     summary = {
         "adversary": config.adversary,
@@ -560,7 +499,7 @@ def sweep(config: ExperimentConfig) -> ExperimentResult:
 def _sweep_metric_columns(adversary: str) -> tuple[str, ...]:
     if adversary in ("fixed", "random"):
         return ("regret_discounted",) + tuple(
-            f"bound_{n}" for n in BOUND_ORDER) + ("dominance_ok",)
+            f"bound_{n}" for n in BOUNDS) + ("dominance_ok",)
     if adversary == "geometric":
         return ("regret", "lower_bound", "b_total", "ratio_regret_to_b", "any_clipped")
     return ("regret_a", "regret_aprime", "per_round_strict", "any_clipped")
@@ -569,7 +508,7 @@ def _sweep_metric_columns(adversary: str) -> tuple[str, ...]:
 def _sweep_metrics(adversary: str, summary: dict, cols: tuple[str, ...]) -> tuple:
     if adversary in ("fixed", "random"):
         vals = [summary["regret_discounted"]]
-        for name in BOUND_ORDER:
+        for name in BOUNDS:
             entry = summary["bounds"].get(name)
             vals.append(entry["total"] if entry else math.nan)
         vals.append(summary["contracts_ok"])

@@ -40,6 +40,8 @@ from .errors import (
 )
 
 DEFAULT_ORACLE_HORIZON = 60
+# Slack at every regime boundary, for the rounding in p = beta1 / sqrt(beta2).
+REGIME_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +76,7 @@ class AlphaSchedule:
     def exponential_decay(cls, alpha: float, ratio: float) -> "AlphaSchedule":
         if not (alpha > 0):
             raise ScheduleError(f"alpha must be positive, got {alpha}")
-        if not (ratio >= 1.0 - 1e-12):  # one ulp of slack at the ratio-1 boundary
+        if not (ratio >= 1.0 - REGIME_TOL):
             raise ScheduleError(
                 f"exponential decay needs ratio >= 1 to be non-increasing, got {ratio}"
             )
@@ -99,14 +101,21 @@ def alpha_at(schedule: AlphaSchedule, t: int) -> float:
     """Value of ``alpha_t`` for round ``t >= 1``.
 
     Values up to ``T + 1`` must be obtainable because the comparator term of
-    the general bound is priced at ``alpha_{T+1}``.
+    the general bound is priced at ``alpha_{T+1}``.  A decaying value that
+    leaves the float range raises :class:`ScheduleError` instead of reaching 0.
     """
     if t < 1:
         raise ValueError(f"round index must be >= 1, got {t}")
     if schedule.kind == "constant":
         return schedule.alpha
     if schedule.kind == "exponential_decay":
-        return schedule.alpha / schedule.ratio ** (t - 1)
+        try:
+            a_t = schedule.alpha / schedule.ratio ** (t - 1)
+        except OverflowError:
+            a_t = 0.0
+        if a_t == 0.0:
+            raise ScheduleError(f"exponential decay alpha_t underflows to zero at t={t}")
+        return a_t
     if schedule.kind == "explicit":
         if t > len(schedule.values):
             raise ScheduleExhaustedError(
@@ -147,13 +156,12 @@ class HyperParams:
 
 @dataclass
 class LearnerState:
-    """Discounted accumulators plus a short raw-gradient log for the oracles.
+    """Discounted accumulators of the stable path after ``t`` ingested gradients.
 
     ``m`` and ``q`` are the first- and second-moment discounted sums, ``max_v``
     the discounted running maximum ``max_s beta1^(t-1-s) |g_s|``, and ``d_max``
-    the largest update magnitude emitted so far.  ``raw_log`` keeps the
-    gradients verbatim while ``t <= horizon`` so the literal FTRL formulas can
-    be replayed against the stable path.
+    the largest update magnitude emitted so far.  The literal FTRL oracles
+    replay the caller's own gradient list; the state keeps no raw gradients.
     """
 
     t: int = 0
@@ -161,8 +169,6 @@ class LearnerState:
     q: float = 0.0
     max_v: float = 0.0
     d_max: float = 0.0
-    horizon: int = DEFAULT_ORACLE_HORIZON
-    raw_log: list[float] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -198,8 +204,6 @@ def ingest_gradient(state: LearnerState, g: float, params: HyperParams) -> Learn
     state.m = params.beta1 * state.m + g
     state.q = params.beta2 * state.q + g * g
     state.max_v = max(params.beta1 * state.max_v, abs(g))
-    if state.t < state.horizon:
-        state.raw_log.append(g)
     state.t += 1
     return state
 

@@ -38,10 +38,9 @@ class TraceRun:
         return any(self.clipped)
 
 
-def drive(gradients, params: HyperParams, u: float = 0.0,
-          horizon: int = 60) -> TraceRun:
+def drive(gradients, params: HyperParams, u: float = 0.0) -> TraceRun:
     """Run the learner over rounds 1..T with T = len(gradients) - 1."""
-    state = LearnerState(horizon=horizon)
+    state = LearnerState()
     ledger = RegretLedger(u=u)
     ingest_gradient(state, gradients[0], params)
     deltas, delta_bars, clipped = [], [], []

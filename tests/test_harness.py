@@ -73,26 +73,79 @@ def test_fixed_T_defaults_to_sequence_length():
     assert cfg.T == 2
 
 
-@pytest.mark.parametrize("patch,msg", [
-    ({"bounds": ["theorem3"]}, "p <= 1 cannot request theorem3"),
-    ({"beta1": 0.9, "bounds": ["corollary1"]}, "p > 1 cannot request corollary1"),
-    ({"bounds": ["B"]}, "B needs a bounded domain"),
-    ({"u": "negD"}, "negD needs a bounded domain"),
-    ({"domain": 1.0, "u": 5.0}, "comparator outside the domain"),
-    ({"bounds": ["nope"]}, "unknown bound"),
-    ({"gradients": [0.0, 1.0]}, "zero seed gradient"),
-    ({"T": 9}, "too few gradients"),
-])
-def test_regime_and_shape_validation(patch, msg):
-    raw = dict(SIMULATE_EXAMPLE)
+GEOMETRIC_EXAMPLE = {"adversary": "geometric", "p": 0.5, "kappa": 4.0, "v0": 1.0,
+                     "domain": 1.0, "T": 2}
+NONOBLIVIOUS_EXAMPLE = {"adversary": "nonoblivious", "a": 0.2, "b": 0.5, "v": 1.0,
+                        "p": 0.5, "T": 2}
+DECAY_AT_P_1_125 = {"beta1": 0.9, "beta2": 0.64, "alpha_kind": "exponential_decay"}  # p = 1.125
+
+# (label, base config, patch, exact ConfigError text); one case per regime rule
+REGIME_CASES = [
+    ("p <= 1 cannot request theorem3", SIMULATE_EXAMPLE, {"bounds": ["theorem3"]},
+     "bound 'theorem3' needs alpha_kind 'exponential_decay'"),
+    ("p > 1 cannot request corollary1", SIMULATE_EXAMPLE,
+     {"beta1": 0.9, "bounds": ["corollary1"]}, "bound 'corollary1' needs p <= 1, got p = 1.8"),
+    ("B needs a bounded domain", SIMULATE_EXAMPLE, {"bounds": ["B"]},
+     "bound 'B' needs a bounded domain"),
+    ("negD needs a bounded domain", SIMULATE_EXAMPLE, {"u": "negD"},
+     "'negD' comparator needs a bounded domain"),
+    ("comparator outside the domain", SIMULATE_EXAMPLE, {"domain": 1.0, "u": 5.0},
+     "comparator u=5.0 outside [-1.0, 1.0]"),
+    ("unknown bound", SIMULATE_EXAMPLE, {"bounds": ["nope"]},
+     "unknown bounds requested: ['nope']"),
+    ("zero seed gradient", SIMULATE_EXAMPLE, {"gradients": [0.0, 1.0]},
+     "seed gradient must be nonzero"),
+    ("too few gradients", SIMULATE_EXAMPLE, {"T": 9}, "T=9 needs 10 gradients, got 3"),
+    ("p > 1 cannot request theorem1", SIMULATE_EXAMPLE, {"beta1": 0.9, "bounds": ["theorem1"]},
+     "bound 'theorem1' needs p <= 1, got p = 1.8"),
+    ("corollary1 needs constant alpha", SIMULATE_EXAMPLE,
+     {"alpha_kind": "exponential_decay", "bounds": ["corollary1"]},
+     "bound 'corollary1' needs a constant alpha"),
+    ("p < 1 cannot request theorem3", SIMULATE_EXAMPLE, {"beta1": 0.4, "bounds": ["theorem3"]},
+     "bound 'theorem3' needs p >= 1, got p = 0.8"),
+    ("theorem3 decay ratio must equal p", SIMULATE_EXAMPLE,
+     {**DECAY_AT_P_1_125, "alpha_ratio": 1.3, "T": 1, "bounds": ["theorem3"]},
+     "schedule decay ratio 1.3 must equal p = 1.125"),
+    ("p > 1 cannot request B", SIMULATE_EXAMPLE, {"beta1": 0.9, "domain": 1.0, "bounds": ["B"]},
+     "bound 'B' needs p <= 1 and constant alpha"),
+    ("B needs constant alpha", SIMULATE_EXAMPLE,
+     {"alpha_kind": "exponential_decay", "domain": 1.0, "bounds": ["B"]},
+     "bound 'B' needs p <= 1 and constant alpha"),
+    ("B needs T within the horizon", SIMULATE_EXAMPLE,
+     {"domain": 1.0, "bounds": ["B"], "oracle_horizon": 1},
+     "bound 'B' is undiscounted and needs T <= horizon (1)"),
+    ("first failing bound in request order", SIMULATE_EXAMPLE,
+     {**DECAY_AT_P_1_125, "alpha_ratio": 1.3, "bounds": ["corollary1", "theorem3"]},
+     "bound 'corollary1' needs p <= 1, got p = 1.125"),
+    ("tightness p window", GEOMETRIC_EXAMPLE, {"p": 0.7},
+     "tightness runs need p in [0.4, 0.6], got 0.7"),
+    ("tightness kappa", GEOMETRIC_EXAMPLE, {"kappa": 2.0},
+     "tightness runs need kappa >= 1/p^2, got 2.0"),
+    ("tightness T >= 2", GEOMETRIC_EXAMPLE, {"T": 1}, "tightness runs need T >= 2, got 1"),
+    ("tightness horizon", GEOMETRIC_EXAMPLE, {"T": 99}, "T=99 exceeds the oracle horizon 60"),
+    ("tightness domain", GEOMETRIC_EXAMPLE, {"domain": "unbounded"},
+     "tightness runs need a bounded domain"),
+    ("nonoblivious p", NONOBLIVIOUS_EXAMPLE, {"p": 1.5},
+     "nonoblivious runs need p in (0, 1), got 1.5"),
+    ("nonoblivious T >= 2", NONOBLIVIOUS_EXAMPLE, {"T": 1},
+     "nonoblivious runs need T >= 2, got 1"),
+    ("nonoblivious shared beta1", NONOBLIVIOUS_EXAMPLE, {"beta1": 0.8},
+     "shared beta1 must lie in (0, ratio) so both instances are valid, got 0.8"),
+]
+
+
+@pytest.mark.parametrize("base,patch,msg", [case[1:] for case in REGIME_CASES],
+                         ids=[f"patch{i}-{case[0]}" for i, case in enumerate(REGIME_CASES)])
+def test_regime_and_shape_validation(base, patch, msg):
+    raw = dict(base)
     raw.update(patch)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as info:
         ExperimentConfig.from_dict(raw)
+    assert str(info.value) == msg
 
 
 def test_geometric_validation():
-    base = {"adversary": "geometric", "p": 0.5, "kappa": 4.0, "v0": 1.0,
-            "domain": 1.0, "T": 2}
+    base = GEOMETRIC_EXAMPLE
     ExperimentConfig.from_dict(base)
     for patch in ({"domain": "unbounded"}, {"p": 0.7}, {"kappa": 2.0}, {"T": 1},
                   {"T": 99}):
@@ -114,8 +167,7 @@ def test_explicit_alpha_must_cover_horizon():
 
 
 def test_nonoblivious_validation():
-    base = {"adversary": "nonoblivious", "a": 0.2, "b": 0.5, "v": 1.0,
-            "p": 0.5, "T": 2}
+    base = NONOBLIVIOUS_EXAMPLE
     ExperimentConfig.from_dict(base)
     for patch in ({"a": None}, {"p": 1.5}, {"T": 1}, {"b": 1.5}):
         raw = dict(base)
@@ -363,6 +415,33 @@ def test_cli_increasing_schedule_exit_two(tmp_path, capsys):
     assert err == ("config error: alpha must be non-increasing, "
                    "got 0.5 -> 0.5000000000000501\n")
     assert not (tmp_path / "x.json").exists()
+
+
+RANDOM_DECAY = {"adversary": "random", "beta1": 0.9, "beta2": 0.99,
+                "alpha_kind": "exponential_decay"}
+
+
+@pytest.mark.parametrize("patch,err", [
+    # alpha_136 rounds to 0.0, and theorem1's comparator divides by alpha_{T+1}
+    ({"alpha": 1e-300, "alpha_ratio": 1.5, "T": 200, "bounds": ["theorem1"]},
+     "exponential decay alpha_t underflows to zero at t=136"),
+    # ratio ** (t - 1) overflows at t=1025
+    ({"alpha": 0.5, "alpha_ratio": 2.0, "T": 1100, "bounds": ["theorem1"]},
+     "exponential decay alpha_t underflows to zero at t=1025"),
+    # p ** T overflows before T = 8000
+    ({"beta2": 0.64, "T": 8000, "bounds": ["theorem3"]},
+     "bound 'theorem3' overflows: p^T leaves the float range at p = 1.125, T = 6027"),
+    # with no bound, updates alpha_t * m / sqrt(q) would silently be 0 from t=136
+    ({"alpha": 1e-300, "alpha_ratio": 1.5, "T": 200},
+     "exponential decay alpha_t underflows to zero at t=136"),
+], ids=["theorem1-alpha-underflow", "theorem1-ratio-overflow", "theorem3-pT-overflow",
+        "no-bound-alpha-underflow"])
+def test_cli_range_errors_exit_two(patch, err, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**RANDOM_DECAY, **patch}))
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == f"config error: {err}\n"
+    assert not list(tmp_path.glob("x.*"))
 
 
 def test_cli_verify_lemmas(tmp_path):

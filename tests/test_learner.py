@@ -143,7 +143,7 @@ def test_replay_is_bit_exact():
     gs = random_gradients(rng, 50)
     run = drive(gs, params)
     replay = LearnerState()
-    for g in run.state.raw_log:
+    for g in run.gradients:
         ingest_gradient(replay, g, params)
     assert replay.m == run.state.m
     assert replay.q == run.state.q
