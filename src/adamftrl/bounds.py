@@ -140,6 +140,8 @@ def bound_theorem1_discounted(params: HyperParams, stats: TraceStats, u: float,
           + 7 d_max max_v
 
     ``running`` carries the coefficient across one run's rows; without it a call costs O(T).
+    A comparator that leaves the float range (``alpha_{T+1}`` near the subnormals) raises
+    :class:`RegimeError` instead of reporting ``inf``.
     """
     check_theorem1(params)
     _require(T >= 1, ValueError, f"need T >= 1, got {T}")
@@ -147,6 +149,9 @@ def bound_theorem1_discounted(params: HyperParams, stats: TraceStats, u: float,
     running.advance_to(T)
     root_q = math.sqrt(stats.q)
     comparator = u * u / running.alpha_next * root_q
+    _require(math.isfinite(comparator), RegimeError,
+             f"bound 'theorem1' overflows: u^2 sqrt(q) / alpha_{{T+1}} leaves the float range "
+             f"at alpha_{{T+1}} = {running.alpha_next}, T = {T}")
     variance = math.sqrt(6.0 * params.beta2) / (2.0 * params.beta1) * running.coeff * root_q
     return _report("theorem1", comparator, variance, 7.0 * stats.d_max * stats.max_v,
                    "discounted")

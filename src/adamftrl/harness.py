@@ -16,8 +16,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .adversaries import (
@@ -31,7 +33,7 @@ from .adversaries import (
     run_tightness_experiment,
 )
 from .bounds import BOUNDS, BoundReport, TraceStats, bound_b_undiscounted, dominance_holds
-from .errors import AdamFtrlError, ConfigError
+from .errors import AdamFtrlError, ConfigError, DegenerateStateError, InvalidGradientError
 from .learner import (
     DEFAULT_ORACLE_HORIZON,
     AlphaSchedule,
@@ -264,25 +266,39 @@ class ExperimentResult:
         return bool(self.summary.get("contracts_ok", True))
 
 
+def _stream_summary(config: ExperimentConfig, r_disc: float, clip_count: int,
+                    reports: list[BoundReport]) -> dict:
+    """A gradient-stream run's summary; ``reports`` are the round-``T`` bounds, empty when T < 2."""
+    requested = [n for n in BOUNDS if n in config.bounds]
+    bounds_summary = {name: None for name in requested}
+    dominance_flags = []
+    for name, rep in zip(requested, reports):
+        entry = {key: val for key, val in vars(rep).items() if key != "kind"}
+        if rep.scale == "discounted":
+            entry["dominates"] = dominance_holds(r_disc, rep)
+            dominance_flags.append(entry["dominates"])
+        bounds_summary[name] = entry
+    return {
+        "adversary": config.adversary,
+        "T": config.T,
+        "u": config.comparator(),
+        "regret_discounted": r_disc,
+        "clip_count": clip_count,
+        "bounds": bounds_summary,
+        "contracts_ok": all(dominance_flags) if dominance_flags else True,
+        "config": config.echo(),
+        "version": __version__,
+    }
+
+
 def _run_gradient_stream(config: ExperimentConfig) -> ExperimentResult:
     params = config.hyper_params()
     u = config.comparator()
     requested = [n for n in BOUNDS if n in config.bounds]
     header = TRACE_COLUMNS + tuple(f"bound_{n}" for n in requested)
-
     if config.T == 0:
-        summary = {
-            "adversary": config.adversary,
-            "T": 0,
-            "u": u,
-            "regret_discounted": 0.0,
-            "clip_count": 0,
-            "bounds": {n: None for n in requested},
-            "contracts_ok": True,
-            "config": config.echo(),
-            "version": __version__,
-        }
-        return ExperimentResult(csv_header=header, csv_rows=(), summary=summary)
+        return ExperimentResult(csv_header=header, csv_rows=(),
+                                summary=_stream_summary(config, 0.0, 0, []))
 
     gradients = config.adversary_spec().gradient_stream(config.T)
     state = LearnerState()
@@ -313,27 +329,87 @@ def _run_gradient_stream(config: ExperimentConfig) -> ExperimentResult:
             row.extend(math.nan for _ in requested)
         rows.append(tuple(row))
 
-    bounds_summary = {name: None for name in requested}   # stays None when T < 2
-    dominance_flags = []
-    for name, rep in zip(requested, final_reports):
-        entry = {key: val for key, val in vars(rep).items() if key != "kind"}
-        if rep.scale == "discounted":
-            entry["dominates"] = dominance_holds(ledger.r_disc, rep)
-            dominance_flags.append(entry["dominates"])
-        bounds_summary[name] = entry
+    return ExperimentResult(csv_header=header, csv_rows=tuple(rows),
+                            summary=_stream_summary(config, ledger.r_disc, clip_count,
+                                                    final_reports))
 
-    summary = {
-        "adversary": config.adversary,
-        "T": config.T,
-        "u": u,
-        "regret_discounted": ledger.r_disc,
-        "clip_count": clip_count,
-        "bounds": bounds_summary,
-        "contracts_ok": all(dominance_flags) if dominance_flags else True,
-        "config": config.echo(),
-        "version": __version__,
-    }
-    return ExperimentResult(csv_header=header, csv_rows=tuple(rows), summary=summary)
+
+def _shared_run(config: ExperimentConfig) -> ExperimentConfig:
+    """What points of one learner-axis batch share: the config less its betas."""
+    return replace(config, beta1=None, beta2=None)
+
+
+def _run_stream_batch(points: list[ExperimentConfig]) -> ExperimentResult:
+    """Gradient-stream points that differ only in ``beta1``/``beta2``, run on one learner axis.
+
+    The stream is generated and checked once; one time loop then advances float64 arrays
+    indexed by learner.  numpy's ``* + / sqrt abs maximum fmax copysign`` round exactly as
+    Python floats do, and ``alpha_at`` (``pow``) stays scalar, once per round and distinct
+    schedule, so each point's summary equals that of its own ``_run_gradient_stream`` bit for
+    bit.
+    Bounds are evaluated once per point, at ``T``.  Whenever a point's own run would raise,
+    so does the batch, though maybe with another message; callers that need the exact error
+    rerun the points one by one.  Rows are the points' sweep metrics; ``summary["points"]``
+    holds their summaries.
+    """
+    if not points or any(c.adversary not in ("fixed", "random") for c in points):
+        raise ConfigError("a learner-axis batch needs one or more fixed or random points")
+    first = points[0]
+    if any(_shared_run(c) != _shared_run(first) for c in points):
+        raise ConfigError("points of a learner-axis batch may differ only in beta1 and beta2")
+    params = [c.hyper_params() for c in points]
+    u, T, D = first.comparator(), first.T, first.domain
+    requested = [n for n in BOUNDS if n in first.bounds]
+    n = len(points)
+    b1 = np.array([p.beta1 for p in params])
+    b2 = np.array([p.beta2 for p in params])
+    # float64 clip counts are exact below 2^53; an int64 += bool loop adds ~0.3 MB of peak RSS
+    m, q, max_v, d_max, r_disc, clips = (np.zeros(n) for _ in range(6))
+    if T > 0:
+        gradients = first.adversary_spec().gradient_stream(T)
+        if not (np.isfinite(gradients).all() and gradients[0] != 0.0):
+            raise InvalidGradientError("gradients must be finite, the first one nonzero")
+        schedules = list(dict.fromkeys(p.alpha for p in params))
+        which = np.array([schedules.index(p.alpha) for p in params])
+        q_peak = np.zeros(n) if "theorem1" in requested else None
+        with np.errstate(all="ignore"):   # Python floats overflow to inf silently too
+            for t in range(T + 1):
+                g_t = gradients[t]
+                if t >= 1:
+                    if np.any(q <= 0.0):
+                        raise DegenerateStateError("second-moment accumulator is zero")
+                    alphas = [alpha_at(s, t) for s in schedules]
+                    a_t = alphas[0] if len(alphas) == 1 else np.array(alphas)[which]
+                    delta = delta_bar = -a_t * m / np.sqrt(q)
+                    if D is not None:
+                        size = np.abs(delta_bar)
+                        delta = np.where(size <= D, delta_bar, np.copysign(D, delta_bar))
+                        clips += size > D
+                    d_max = np.fmax(d_max, np.abs(delta))   # like max(), never takes a NaN
+                    r_disc = b1 * r_disc + g_t * (delta - u)
+                m = b1 * m + g_t
+                q = b2 * q + g_t * g_t
+                max_v = np.maximum(b1 * max_v, abs(g_t))
+                if q_peak is not None:
+                    np.maximum(q_peak, q, out=q_peak)
+
+    rows, summaries = [], []
+    for i, (config, hp) in enumerate(zip(points, params)):
+        reports = []
+        if T >= 2:
+            evaluators = {name: BOUNDS[name].per_run(hp, u) for name in requested}
+            if q_peak is not None:
+                # theorem1's comparator only grows as alpha_{T+1} falls, so priced at the
+                # largest q of any row it overflows if some row's did
+                evaluators["theorem1"](TraceStats(float(q_peak[i]), 0.0, 0.0), T)
+            stats = TraceStats(float(q[i]), float(max_v[i]), float(d_max[i]))
+            reports = [evaluate(stats, T) for evaluate in evaluators.values()]
+        summary = _stream_summary(config, float(r_disc[i]), int(clips[i]), reports)
+        rows.append(_sweep_metrics(config.adversary, summary))
+        summaries.append(summary)
+    return ExperimentResult(
+        csv_header=_sweep_metric_columns(first.adversary), csv_rows=tuple(rows),
+        summary={"points": summaries, "contracts_ok": all(s["contracts_ok"] for s in summaries)})
 
 
 def _run_geometric(config: ExperimentConfig) -> ExperimentResult:
@@ -428,8 +504,15 @@ def _run_nonoblivious(config: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(csv_header=PAIR_COLUMNS, csv_rows=rows, summary=summary)
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Drive one experiment to completion; deterministic given (config, seed)."""
+def run_experiment(config: ExperimentConfig | list[ExperimentConfig]) -> ExperimentResult:
+    """Drive one experiment to completion; deterministic given (config, seed).
+
+    A list of ``fixed`` or ``random`` configs that differ only in ``beta1``/``beta2`` is a
+    vector run: one learner-axis batch on their shared stream (``_run_stream_batch``), whose
+    rows hold each point's sweep metrics and ``summary["points"]`` each point's summary.
+    """
+    if isinstance(config, list):
+        return _run_stream_batch(config)
     if config.adversary in ("fixed", "random"):
         return _run_gradient_stream(config)
     if config.adversary == "geometric":
@@ -450,6 +533,8 @@ def sweep(config: ExperimentConfig) -> ExperimentResult:
     Points whose derived config is invalid are reported as skipped with the
     reason, not errors.  Row order follows the cartesian product of the grid
     values in the order given, keyed by the sorted grid-field names.
+    Gradient-stream points that differ only in ``beta1``/``beta2`` run as one
+    learner-axis batch; see :func:`_run_points`.
     """
     if not config.grid:
         raise ConfigError("sweep needs a non-empty 'grid'")
@@ -464,23 +549,35 @@ def sweep(config: ExperimentConfig) -> ExperimentResult:
         raise ConfigError("grid value lists must be non-empty")
 
     base = {k: v for k, v in config.__dict__.items() if k != "grid"}
+    combos = list(itertools.product(*value_lists))
+    outcomes: list = [None] * len(combos)   # per point: (metrics, summary), or why it skips
+    batches: dict[str, list[tuple[int, ExperimentConfig]]] = {}
+    stream = config.adversary in ("fixed", "random")
+    for i, combo in enumerate(combos):
+        try:
+            derived = ExperimentConfig(**{**base, **dict(zip(keys, combo))})
+            derived.validate()
+        except (AdamFtrlError, ValueError) as exc:
+            outcomes[i] = exc
+            continue
+        batches.setdefault(repr(_shared_run(derived)) if stream else "", []).append((i, derived))
+    for members in batches.values():
+        points = [point for _, point in members]
+        for (i, _), outcome in zip(members, _run_points(config.adversary, points)):
+            outcomes[i] = outcome
+
     metric_cols = _sweep_metric_columns(config.adversary)
     header = tuple(keys) + ("status",) + metric_cols
     rows = []
     ok_points = []
-    for combo in itertools.product(*value_lists):
-        derived_dict = dict(base)
-        derived_dict.update(dict(zip(keys, combo)))
-        try:
-            derived = ExperimentConfig(**derived_dict)
-            derived.validate()
-            result = run_experiment(derived)
-        except (AdamFtrlError, ValueError) as exc:
-            rows.append(tuple(combo) + (f"skipped: {exc}",) + tuple(math.nan for _ in metric_cols))
+    for combo, outcome in zip(combos, outcomes):
+        if isinstance(outcome, Exception):
+            rows.append(tuple(combo) + (f"skipped: {outcome}",)
+                        + tuple(math.nan for _ in metric_cols))
             continue
-        metrics = _sweep_metrics(config.adversary, result.summary, metric_cols)
+        metrics, summary = outcome
         rows.append(tuple(combo) + ("ok",) + metrics)
-        ok_points.append((dict(zip(keys, combo)), result.summary))
+        ok_points.append((dict(zip(keys, combo)), summary))
 
     summary = {
         "sweep_keys": keys,
@@ -496,6 +593,30 @@ def sweep(config: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(csv_header=header, csv_rows=tuple(rows), summary=summary)
 
 
+def _run_points(adversary: str, points: list[ExperimentConfig]) -> list:
+    """Each point's ``(metrics, summary)``, or the error that skips it.
+
+    Gradient-stream points, which share all but their betas, run as one batch.  A batch
+    that raises is rerun one point at a time, so every skip reason is the point's own: only
+    a point's own run sees, e.g., the first row at which a bound overflows.
+    """
+    if adversary in ("fixed", "random"):
+        try:
+            batch = run_experiment(points)
+            return list(zip(batch.csv_rows, batch.summary["points"]))
+        except (AdamFtrlError, ValueError):
+            pass
+    outcomes = []
+    for point in points:
+        try:
+            summary = run_experiment(point).summary
+        except (AdamFtrlError, ValueError) as exc:
+            outcomes.append(exc)
+            continue
+        outcomes.append((_sweep_metrics(adversary, summary), summary))
+    return outcomes
+
+
 def _sweep_metric_columns(adversary: str) -> tuple[str, ...]:
     if adversary in ("fixed", "random"):
         return ("regret_discounted",) + tuple(
@@ -505,7 +626,7 @@ def _sweep_metric_columns(adversary: str) -> tuple[str, ...]:
     return ("regret_a", "regret_aprime", "per_round_strict", "any_clipped")
 
 
-def _sweep_metrics(adversary: str, summary: dict, cols: tuple[str, ...]) -> tuple:
+def _sweep_metrics(adversary: str, summary: dict) -> tuple:
     if adversary in ("fixed", "random"):
         vals = [summary["regret_discounted"]]
         for name in BOUNDS:
@@ -513,7 +634,7 @@ def _sweep_metrics(adversary: str, summary: dict, cols: tuple[str, ...]) -> tupl
             vals.append(entry["total"] if entry else math.nan)
         vals.append(summary["contracts_ok"])
         return tuple(vals)
-    return tuple(summary[c] for c in cols)
+    return tuple(summary[c] for c in _sweep_metric_columns(adversary))
 
 
 def _argmin_annotations(config: ExperimentConfig, keys, ok_points):

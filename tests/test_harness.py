@@ -1,16 +1,26 @@
+import itertools
 import json
 import math
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import adamftrl.bounds
 import adamftrl.cli as cli
 import adamftrl.harness
 import adamftrl.learner
 from adamftrl import ExperimentConfig, run_experiment, sweep, write_outputs
-from adamftrl.errors import ConfigError
-from adamftrl.harness import PAIR_COLUMNS, TRACE_COLUMNS, render_csv, render_json
+from adamftrl.bounds import BOUNDS
+from adamftrl.errors import AdamFtrlError, ConfigError
+from adamftrl.harness import (
+    PAIR_COLUMNS,
+    TRACE_COLUMNS,
+    ExperimentResult,
+    render_csv,
+    render_json,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -47,6 +57,23 @@ SIMULATE_GOLDENS = {
         "beta1": 0.5, "beta2": 0.3, "alpha_kind": "explicit",
         "alpha_values": [0.5 / (1 + (t - 1) // 25) ** 2 for t in range(1, 202)],
         "domain": 2.0, "u": -1.0, "bounds": ["theorem1"],
+    },
+}
+
+# gradient-stream sweeps pinned by golden fixtures, recorded with every point run on its own
+SWEEP_GOLDENS = {
+    # six points at p > 1 are skipped
+    "sweep_random": {
+        "adversary": "random", "beta1": 0.9, "beta2": 0.99, "alpha": 0.5, "domain": 1.0,
+        "u": 0.5, "T": 300, "seed": 11, "bounds": ["theorem1", "corollary1"],
+        "grid": {"beta1": [0.5, 0.7, 0.8, 0.9, 0.95], "beta2": [0.6, 0.8, 0.9, 0.99, 0.999]},
+    },
+    # per-point decay ratio p, clipping at D = 0.3, and T < 2 in three T groups
+    "sweep_decay": {
+        "adversary": "fixed", "gradients": [((37 * t) % 19 - 9) / 8 for t in range(51)],
+        "beta1": 0.9, "beta2": 0.64, "alpha_kind": "exponential_decay", "alpha": 0.5,
+        "domain": 0.3, "u": 0.2, "T": 50, "bounds": ["theorem3"],
+        "grid": {"beta1": [0.6, 0.8, 0.9], "beta2": [0.25, 0.36, 0.64], "T": [1, 2, 50]},
     },
 }
 
@@ -277,14 +304,113 @@ def test_csv_cells_with_commas_are_quoted(tmp_path):
     assert any(cell.startswith("skipped:") for row in parsed for cell in row)
 
 
-def test_sweep_single_point_matches_run_experiment():
-    raw = dict(SIMULATE_EXAMPLE)
-    raw["grid"] = {"T": [2]}
+def _check_sweep_matches_point_runs(raw) -> int:
+    """Each sweep row equals its point's own run (or skip reason), and each batched summary
+    equals that run's summary, bit for bit; returns how many learner-axis batches raised."""
     res = sweep(ExperimentConfig.from_dict(raw))
-    assert res.summary["points_ok"] == 1
-    single = run_experiment(ExperimentConfig.from_dict(SIMULATE_EXAMPLE))
-    regret_col = res.csv_header.index("regret_discounted")
-    assert res.csv_rows[0][regret_col] == single.summary["regret_discounted"]
+    keys = sorted(raw["grid"])
+    base = {k: v for k, v in ExperimentConfig.from_dict(raw).__dict__.items() if k != "grid"}
+    expected, batches = [], {}
+    for combo in itertools.product(*(raw["grid"][k] for k in keys)):
+        point = ExperimentConfig(**{**base, **dict(zip(keys, combo))})
+        try:
+            point.validate()
+        except (AdamFtrlError, ValueError) as exc:
+            expected.append(combo + (f"skipped: {exc}",) + (math.nan,) * (len(BOUNDS) + 2))
+            continue
+        members = batches.setdefault(point.T, [])   # the sweep's batches: one per T
+        try:
+            single = run_experiment(point).summary
+        except (AdamFtrlError, ValueError) as exc:
+            expected.append(combo + (f"skipped: {exc}",) + (math.nan,) * (len(BOUNDS) + 2))
+            members.append((point, None))
+            continue
+        members.append((point, single))
+        expected.append(combo + ("ok", single["regret_discounted"]) + tuple(
+            single["bounds"][n]["total"] if single["bounds"].get(n) else math.nan
+            for n in BOUNDS) + (single["contracts_ok"],))
+    assert render_csv(res) == render_csv(ExperimentResult(res.csv_header, tuple(expected), {}))
+    raised = 0
+    for members in batches.values():
+        try:
+            batch = run_experiment([point for point, _ in members])
+        except (AdamFtrlError, ValueError):
+            raised += 1
+            continue
+        for (_, single), summary in zip(members, batch.summary["points"]):
+            # a batch that does not raise holds only points whose own runs do not either
+            assert json.dumps(summary, sort_keys=True) == json.dumps(single, sort_keys=True)
+    return raised
+
+
+@st.composite
+def stream_sweeps(draw):
+    """A fixed or random beta1 x beta2 sweep, over one T or a T grid of up to three."""
+    unit = st.floats(0.01, 0.999)
+    T_values = draw(st.lists(st.integers(0, 200), min_size=1, max_size=3, unique=True))
+    T = max(T_values)
+    raw = {"adversary": draw(st.sampled_from(["fixed", "random"])), "T": T,
+           "seed": draw(st.integers(0, 2**32 - 1)),
+           "alpha": draw(st.sampled_from([0.5, 2.0, 1e-300])),
+           "alpha_kind": draw(st.sampled_from(["constant", "exponential_decay", "explicit"])),
+           "domain": draw(st.sampled_from(["unbounded", 0.05, 0.5, 3.0])),
+           "bounds": draw(st.lists(st.sampled_from(sorted(BOUNDS)), max_size=3, unique=True)),
+           "grid": {"beta1": draw(st.lists(unit, min_size=1, max_size=3)),
+                    "beta2": draw(st.lists(unit, min_size=1, max_size=3))}}
+    if len(T_values) > 1:
+        raw["grid"]["T"] = T_values
+    if raw["adversary"] == "fixed":
+        # g^2 and m overflow at 1.7e308 and q underflows at 1e-170: inf, NaN and zero states
+        extreme = st.sampled_from([1.7e308, -1e200, 1e-170])
+        raw["gradients"] = [draw(st.sampled_from([-1.5, 0.25, 2.0, 1e-170]))] + draw(st.lists(
+            st.one_of(st.floats(-4.0, 4.0), extreme), min_size=T, max_size=T))
+    if raw["alpha_kind"] == "exponential_decay" and draw(st.booleans()):
+        raw["alpha_ratio"] = draw(st.floats(1.0, 3.0))   # otherwise each point decays at its p
+    if raw["alpha_kind"] == "explicit":
+        raw["alpha_values"] = sorted(draw(st.lists(st.floats(1e-3, 2.0), min_size=T + 1,
+                                                   max_size=T + 1)), reverse=True)
+    if raw["domain"] != "unbounded":
+        raw["u"] = draw(st.sampled_from([0.0, 0.5, 1.0, -1.0])) * raw["domain"]
+    return raw
+
+
+# m and q overflow at round 2, so -alpha m / sqrt(q) is NaN: max(d_max, NaN) keeps d_max on
+# the whole line, and clipping turns NaN into +-D
+NAN_UPDATES = {"adversary": "fixed", "gradients": [1.0, 1.7e308, 1.7e308, -1.0, 0.5],
+               "beta1": 0.5, "beta2": 0.5, "alpha": 0.5, "u": 0.0, "bounds": ["corollary1"],
+               "grid": {"beta1": [0.3, 0.6], "beta2": [0.5, 0.9]}}
+
+
+@given(stream_sweeps())
+@example({**NAN_UPDATES, "domain": "unbounded"})
+@example({**NAN_UPDATES, "domain": 0.5})
+@settings(max_examples=60, deadline=None)
+def test_sweep_points_match_run_experiment(raw):
+    _check_sweep_matches_point_runs(raw)
+
+
+def test_sweep_batch_falls_back_to_point_runs():
+    # each point decays alpha = 1e-300 at its own p; alpha_t underflows before T = 200 only
+    # at p = 1.34 (t = 186) and p = 1.40 (t = 163).  The batch stops at t = 163, so the
+    # points rerun one by one and the p = 1.34 row still names its own round.
+    raw = {"adversary": "random", "beta1": 0.9, "beta2": 0.5, "T": 200, "seed": 2,
+           "alpha_kind": "exponential_decay", "alpha": 1e-300, "bounds": ["theorem3"],
+           "grid": {"beta1": [0.9, 0.95, 0.99], "beta2": [0.5, 0.6]}}
+    assert _check_sweep_matches_point_runs(raw) == 1
+    statuses = [row[2] for row in sweep(ExperimentConfig.from_dict(raw)).csv_rows]
+    underflow = "skipped: exponential decay alpha_t underflows to zero at t="
+    assert statuses == ["ok", "ok", underflow + "186", "ok", underflow + "163", "ok"]
+
+
+def test_sweep_batch_sees_theorem1_overflow_at_an_early_row():
+    # u^2 sqrt(q) / alpha overflows at T = 2 only: q then decays, so the round-9 bound is finite
+    raw = {"adversary": "fixed", "gradients": [1.0, 3.0] + [0.0] * 8, "beta1": 0.5,
+           "beta2": 0.5, "alpha": 1e-308, "domain": 1.0, "u": 1.0, "bounds": ["theorem1"],
+           "grid": {"beta2": [0.5, 0.6]}}
+    assert _check_sweep_matches_point_runs(raw) == 1
+    assert {row[1] for row in sweep(ExperimentConfig.from_dict(raw)).csv_rows} == {
+        "skipped: bound 'theorem1' overflows: u^2 sqrt(q) / alpha_{T+1} leaves the float range "
+        "at alpha_{T+1} = 1e-308, T = 2"}
 
 
 def test_sweep_nonoblivious_grid_strictness():
@@ -434,8 +560,13 @@ RANDOM_DECAY = {"adversary": "random", "beta1": 0.9, "beta2": 0.99,
     # with no bound, updates alpha_t * m / sqrt(q) would silently be 0 from t=136
     ({"alpha": 1e-300, "alpha_ratio": 1.5, "T": 200},
      "exponential decay alpha_t underflows to zero at t=136"),
+    # alpha_49 is subnormal and the comparator u^2 sqrt(q) / alpha_49 would be inf
+    ({"alpha": 1e-300, "alpha_ratio": 1.5, "u": 0.5, "domain": 1.0, "T": 120,
+      "bounds": ["theorem1"]},
+     "bound 'theorem1' overflows: u^2 sqrt(q) / alpha_{T+1} leaves the float range "
+     "at alpha_{T+1} = 3.528739227338907e-309, T = 48"),
 ], ids=["theorem1-alpha-underflow", "theorem1-ratio-overflow", "theorem3-pT-overflow",
-        "no-bound-alpha-underflow"])
+        "no-bound-alpha-underflow", "theorem1-comparator-overflow"])
 def test_cli_range_errors_exit_two(patch, err, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**RANDOM_DECAY, **patch}))
@@ -482,6 +613,13 @@ def test_golden_fixtures(preset, stem, tmp_path):
 def test_simulate_golden_fixtures(stem):
     res = run_experiment(ExperimentConfig.from_dict(SIMULATE_GOLDENS[stem]))
     assert res.summary["contracts_ok"]
+    assert render_csv(res) == (FIXTURES / f"{stem}.csv").read_text()
+    assert render_json(res) == (FIXTURES / f"{stem}.json").read_text()
+
+
+@pytest.mark.parametrize("stem", sorted(SWEEP_GOLDENS))
+def test_sweep_golden_fixtures(stem):
+    res = sweep(ExperimentConfig.from_dict(SWEEP_GOLDENS[stem]))
     assert render_csv(res) == (FIXTURES / f"{stem}.csv").read_text()
     assert render_json(res) == (FIXTURES / f"{stem}.json").read_text()
 
