@@ -25,6 +25,7 @@ from .regret import (  # noqa: F401
     PerRoundInequality,
     RegretLedger,
     accumulate_discounted_regret,
+    drive,
     per_round_ftrl_inequality,
     undiscounted_regret,
 )

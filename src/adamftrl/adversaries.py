@@ -36,12 +36,10 @@ from .learner import (
     REGIME_TOL,
     AlphaSchedule,
     HyperParams,
-    LearnerState,
     clip_to_domain,
     ftrl_eta_from_losses,
-    ingest_gradient,
-    propose_update,
 )
+from .regret import drive
 
 
 def geometric_losses(v0: float, kappa: float, T: int) -> list[float]:
@@ -332,16 +330,10 @@ def run_nonoblivious_experiment(a: float, b: float, v: float, ratio: float, T: i
     def run_instance(rate: float, inst_ratio: float):
         params = HyperParams(beta1=beta1, beta2=(beta1 / inst_ratio) ** 2,
                              alpha=alpha, D=D)
-        state = LearnerState()
-        ingest_gradient(state, v, params)  # g_0 = beta1^0 * rate^0 * v
-        out_rows = []
-        for t in range(1, T + 1):
-            out = propose_update(state, params)
-            loss_t = rate**t * v
-            out_rows.append((loss_t, out.delta_bar, out.delta, out.clipped,
-                             loss_t * (out.delta - u)))
-            ingest_gradient(state, beta1**t * loss_t, params)
-        return out_rows
+        losses = [rate**t * v for t in range(1, T + 1)]
+        gradients = [v] + [beta1**t * loss_t for t, loss_t in enumerate(losses, start=1)]
+        return [(loss_t, out.delta, out.clipped, loss_t * (out.delta - u))
+                for loss_t, (_, _, _, out, _, _) in zip(losses, drive(gradients, params, u))]
 
     rows_a = run_instance(a, ratio)
     rows_b = run_instance(b, 1.0)
@@ -349,15 +341,15 @@ def run_nonoblivious_experiment(a: float, b: float, v: float, ratio: float, T: i
     rounds = []
     for t, (ra, rb) in enumerate(zip(rows_a, rows_b), start=1):
         rounds.append(NonObliviousRound(
-            t=t, loss_a=ra[0], delta_a=ra[2], f_a=ra[4],
-            loss_aprime=rb[0], delta_aprime=rb[2], f_aprime=rb[4],
-            strict=ra[4] < rb[4],
+            t=t, loss_a=ra[0], delta_a=ra[1], f_a=ra[3],
+            loss_aprime=rb[0], delta_aprime=rb[1], f_aprime=rb[3],
+            strict=ra[3] < rb[3],
         ))
     return NonObliviousResult(
         regret_a=math.fsum(r.f_a for r in rounds),
         regret_aprime=math.fsum(r.f_aprime for r in rounds),
         per_round_strict=all(r.strict for r in rounds),
-        any_clipped=any(ra[3] or rb[3] for ra, rb in zip(rows_a, rows_b)),
+        any_clipped=any(ra[2] or rb[2] for ra, rb in zip(rows_a, rows_b)),
         rounds=tuple(rounds),
     )
 

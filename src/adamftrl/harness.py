@@ -33,17 +33,15 @@ from .adversaries import (
     run_tightness_experiment,
 )
 from .bounds import BOUNDS, BoundReport, TraceStats, bound_b_undiscounted, dominance_holds
-from .errors import AdamFtrlError, ConfigError, DegenerateStateError, InvalidGradientError
-from .learner import (
-    DEFAULT_ORACLE_HORIZON,
-    AlphaSchedule,
-    HyperParams,
-    LearnerState,
-    alpha_at,
-    ingest_gradient,
-    propose_update,
+from .errors import (
+    AdamFtrlError,
+    ConfigError,
+    DegenerateStateError,
+    InvalidGradientError,
+    RegimeError,
 )
-from .regret import RegretLedger, accumulate_discounted_regret
+from .learner import DEFAULT_ORACLE_HORIZON, AlphaSchedule, HyperParams, alpha_at
+from .regret import drive
 
 RNG_NAME = "numpy-pcg64"
 TRACE_COLUMNS = (
@@ -273,6 +271,9 @@ def _stream_summary(config: ExperimentConfig, r_disc: float, clip_count: int,
     bounds_summary = {name: None for name in requested}
     dominance_flags = []
     for name, rep in zip(requested, reports):
+        if not math.isfinite(rep.total):   # both paths check here: a batch raises iff a point does
+            raise RegimeError(f"bound {name!r} overflows: its total leaves the float range "
+                              f"at T = {config.T}")
         entry = {key: val for key, val in vars(rep).items() if key != "kind"}
         if rep.scale == "discounted":
             entry["dominates"] = dominance_holds(r_disc, rep)
@@ -296,30 +297,21 @@ def _run_gradient_stream(config: ExperimentConfig) -> ExperimentResult:
     u = config.comparator()
     requested = [n for n in BOUNDS if n in config.bounds]
     header = TRACE_COLUMNS + tuple(f"bound_{n}" for n in requested)
-    if config.T == 0:
-        return ExperimentResult(csv_header=header, csv_rows=(),
-                                summary=_stream_summary(config, 0.0, 0, []))
-
     gradients = config.adversary_spec().gradient_stream(config.T)
-    state = LearnerState()
-    ledger = RegretLedger(u=u)
-    ingest_gradient(state, gradients[0], params)
     evaluators = [BOUNDS[n].per_run(params, u) for n in requested]
 
     rows = []
     clip_count = 0
+    r_disc = 0.0
     final_reports: list[BoundReport] = []
-    for t in range(1, config.T + 1):
-        m_t, q_t = state.m, state.q
-        out = propose_update(state, params)
+    for t, m_t, q_t, out, state, ledger in drive(gradients, params, u):
         clip_count += int(out.clipped)
         g_t = gradients[t]
-        ingest_gradient(state, g_t, params)
-        accumulate_discounted_regret(ledger, g_t, out.delta, params.beta1)
+        r_disc = ledger.r_disc
         row = [
             t, alpha_at(params.alpha, t), g_t, m_t, q_t,
             out.delta_bar, out.delta, out.clipped,
-            g_t * out.delta, ledger.r_disc, state.max_v, state.d_max,
+            g_t * out.delta, r_disc, state.max_v, state.d_max,
         ]
         if t >= 2:
             stats = TraceStats.from_state(state)
@@ -330,8 +322,7 @@ def _run_gradient_stream(config: ExperimentConfig) -> ExperimentResult:
         rows.append(tuple(row))
 
     return ExperimentResult(csv_header=header, csv_rows=tuple(rows),
-                            summary=_stream_summary(config, ledger.r_disc, clip_count,
-                                                    final_reports))
+                            summary=_stream_summary(config, r_disc, clip_count, final_reports))
 
 
 def _shared_run(config: ExperimentConfig) -> ExperimentConfig:
@@ -342,6 +333,7 @@ def _shared_run(config: ExperimentConfig) -> ExperimentConfig:
 def _run_stream_batch(points: list[ExperimentConfig]) -> ExperimentResult:
     """Gradient-stream points that differ only in ``beta1``/``beta2``, run on one learner axis.
 
+    The numpy twin of :func:`regret.drive`, which is the reference it must match bit for bit.
     The stream is generated and checked once; one time loop then advances float64 arrays
     indexed by learner.  numpy's ``* + / sqrt abs maximum fmax copysign`` round exactly as
     Python floats do, and ``alpha_at`` (``pow``) stays scalar, once per round and distinct
@@ -365,33 +357,34 @@ def _run_stream_batch(points: list[ExperimentConfig]) -> ExperimentResult:
     b2 = np.array([p.beta2 for p in params])
     # float64 clip counts are exact below 2^53; an int64 += bool loop adds ~0.3 MB of peak RSS
     m, q, max_v, d_max, r_disc, clips = (np.zeros(n) for _ in range(6))
-    if T > 0:
-        gradients = first.adversary_spec().gradient_stream(T)
-        if not (np.isfinite(gradients).all() and gradients[0] != 0.0):
-            raise InvalidGradientError("gradients must be finite, the first one nonzero")
-        schedules = list(dict.fromkeys(p.alpha for p in params))
-        which = np.array([schedules.index(p.alpha) for p in params])
-        q_peak = np.zeros(n) if "theorem1" in requested else None
-        with np.errstate(all="ignore"):   # Python floats overflow to inf silently too
-            for t in range(T + 1):
-                g_t = gradients[t]
-                if t >= 1:
-                    if np.any(q <= 0.0):
-                        raise DegenerateStateError("second-moment accumulator is zero")
-                    alphas = [alpha_at(s, t) for s in schedules]
-                    a_t = alphas[0] if len(alphas) == 1 else np.array(alphas)[which]
-                    delta = delta_bar = -a_t * m / np.sqrt(q)
-                    if D is not None:
-                        size = np.abs(delta_bar)
-                        delta = np.where(size <= D, delta_bar, np.copysign(D, delta_bar))
-                        clips += size > D
-                    d_max = np.fmax(d_max, np.abs(delta))   # like max(), never takes a NaN
-                    r_disc = b1 * r_disc + g_t * (delta - u)
-                m = b1 * m + g_t
-                q = b2 * q + g_t * g_t
-                max_v = np.maximum(b1 * max_v, abs(g_t))
-                if q_peak is not None:
-                    np.maximum(q_peak, q, out=q_peak)
+    gradients = first.adversary_spec().gradient_stream(T)
+    if not (np.isfinite(gradients).all() and gradients[0] != 0.0):
+        raise InvalidGradientError("gradients must be finite, the first one nonzero")
+    schedules = list(dict.fromkeys(p.alpha for p in params))
+    which = np.array([schedules.index(p.alpha) for p in params])
+    q_peak = np.zeros(n) if "theorem1" in requested else None
+    with np.errstate(all="ignore"):   # Python floats overflow to inf silently too
+        for t in range(T + 1):
+            g_t = gradients[t]
+            if t >= 1:
+                if np.any(q <= 0.0):
+                    raise DegenerateStateError("second-moment accumulator is zero")
+                alphas = [alpha_at(s, t) for s in schedules]
+                a_t = alphas[0] if len(alphas) == 1 else np.array(alphas)[which]
+                delta = delta_bar = -a_t * m / np.sqrt(q)
+                if D is not None:
+                    size = np.abs(delta_bar)
+                    delta = np.where(size <= D, delta_bar, np.copysign(D, delta_bar))
+                    clips += size > D
+                d_max = np.fmax(d_max, np.abs(delta))   # like max(), never takes a NaN
+                r_disc = b1 * r_disc + g_t * (delta - u)
+            m = b1 * m + g_t
+            q = b2 * q + g_t * g_t
+            max_v = np.maximum(b1 * max_v, abs(g_t))
+            if q_peak is not None:
+                np.maximum(q_peak, q, out=q_peak)
+    if not np.isfinite(q).all():   # sticky: beta2 * inf + g^2 stays inf
+        raise DegenerateStateError("second-moment accumulator overflows")
 
     rows, summaries = [], []
     for i, (config, hp) in enumerate(zip(points, params)):

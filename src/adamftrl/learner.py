@@ -194,15 +194,20 @@ def clip_to_domain(x: float, D: float | None) -> float:
 def ingest_gradient(state: LearnerState, g: float, params: HyperParams) -> LearnerState:
     """Feed one gradient through the discounted recurrences.
 
-    The very first gradient must be nonzero; afterwards zeros are fine.
+    The very first gradient must be nonzero; afterwards zeros are fine.  A gradient
+    ``g_t`` that makes the second moment overflow raises :class:`DegenerateStateError`
+    (the updates ``m / sqrt(q)`` would be 0 or NaN from then on).
     Mutates ``state`` in place and returns it.
     """
     if not math.isfinite(g):
         raise InvalidGradientError(f"gradient must be finite, got {g}")
     if state.t == 0 and g == 0.0:
         raise InvalidGradientError("first gradient must be nonzero")
+    q = params.beta2 * state.q + g * g
+    if q == math.inf:
+        raise DegenerateStateError(f"second-moment accumulator overflows at t={state.t}")
     state.m = params.beta1 * state.m + g
-    state.q = params.beta2 * state.q + g * g
+    state.q = q
     state.max_v = max(params.beta1 * state.max_v, abs(g))
     state.t += 1
     return state

@@ -20,9 +20,12 @@ from .errors import NotApplicableError, OracleHorizonError
 from .learner import (
     DEFAULT_ORACLE_HORIZON,
     HyperParams,
+    LearnerState,
     alpha_at,
     ftrl_eta_from_losses,
     ftrl_update_from_losses,
+    ingest_gradient,
+    propose_update,
     undiscounted_losses,
 )
 
@@ -45,6 +48,25 @@ def accumulate_discounted_regret(ledger: RegretLedger, g: float, delta: float,
     ledger.r_disc = beta1 * ledger.r_disc + g * (delta - ledger.u)
     ledger.T += 1
     return ledger
+
+
+def drive(gradients, params: HyperParams, u: float = 0.0):
+    """The stable learner's rounds ``t = 1..T``, ``T = len(gradients) - 1``: the one driver loop.
+
+    Each round proposes from ``g_0..g_{t-1}``, ingests ``g_t`` and folds the regret against
+    ``u``, then yields ``(t, m_t, q_t, outcome, state, ledger)``: the accumulators the update
+    was computed from and the live :class:`LearnerState` and :class:`RegretLedger`.
+    """
+    state = LearnerState()
+    ledger = RegretLedger(u=u)
+    ingest_gradient(state, gradients[0], params)
+    for t in range(1, len(gradients)):
+        m_t, q_t = state.m, state.q
+        outcome = propose_update(state, params)
+        g_t = gradients[t]
+        ingest_gradient(state, g_t, params)
+        accumulate_discounted_regret(ledger, g_t, outcome.delta, params.beta1)
+        yield t, m_t, q_t, outcome, state, ledger
 
 
 def undiscounted_regret(loss_gradients, deltas, u: float, beta1: float,

@@ -17,10 +17,8 @@ from adamftrl import (
     HyperParams,
     LearnerState,
     RegretLedger,
-    accumulate_discounted_regret,
     alpha_at,
-    ingest_gradient,
-    propose_update,
+    drive as drive_rounds,
 )
 
 
@@ -39,20 +37,13 @@ class TraceRun:
 
 
 def drive(gradients, params: HyperParams, u: float = 0.0) -> TraceRun:
-    """Run the learner over rounds 1..T with T = len(gradients) - 1."""
-    state = LearnerState()
-    ledger = RegretLedger(u=u)
-    ingest_gradient(state, gradients[0], params)
-    deltas, delta_bars, clipped = [], [], []
-    for t in range(1, len(gradients)):
-        out = propose_update(state, params)
-        deltas.append(out.delta)
-        delta_bars.append(out.delta_bar)
-        clipped.append(out.clipped)
-        ingest_gradient(state, gradients[t], params)
-        accumulate_discounted_regret(ledger, gradients[t], out.delta, params.beta1)
-    return TraceRun(gradients=list(gradients), deltas=deltas, delta_bars=delta_bars,
-                    clipped=clipped, state=state, ledger=ledger)
+    """Collect the rounds 1..T of ``regret.drive``, T = len(gradients) - 1 >= 1."""
+    rounds = list(drive_rounds(gradients, params, u))
+    *_, state, ledger = rounds[-1]
+    outs = [out for _, _, _, out, _, _ in rounds]
+    return TraceRun(gradients=list(gradients), deltas=[o.delta for o in outs],
+                    delta_bars=[o.delta_bar for o in outs], clipped=[o.clipped for o in outs],
+                    state=state, ledger=ledger)
 
 
 def random_gradients(rng: random.Random, T: int, scale: float = 10.0) -> list[float]:

@@ -18,14 +18,12 @@ from adamftrl import (
     AlphaSchedule,
     ExperimentConfig,
     HyperParams,
-    LearnerState,
     TraceStats,
     bound_corollary1_discounted,
     bound_theorem1_discounted,
     bound_theorem3_discounted,
+    drive as drive_rounds,
     ftrl_oracle_update,
-    ingest_gradient,
-    propose_update,
     run_experiment,
     run_nonoblivious_experiment,
     run_tightness_experiment,
@@ -88,14 +86,11 @@ def test_criterion_1_form_equivalence():
                 params = HyperParams(beta1=b1, beta2=b2, alpha=sched,
                                      D=None if k % 3 else 1.0)
                 gs = random_gradients(rng, rng.randint(1, 40), scale=10.0)
-                state = LearnerState()
-                ingest_gradient(state, gs[0], params)
-                for t in range(1, len(gs)):
-                    stable = propose_update(state, params).delta
+                for t, _, _, out, _, _ in drive_rounds(gs, params):
+                    stable = out.delta
                     literal = ftrl_oracle_update(gs[:t], params, t)
                     assert math.isclose(stable, literal, rel_tol=1e-10, abs_tol=1e-12), (
                         b1, b2, t, stable, literal)
-                    ingest_gradient(state, gs[t], params)
                     rounds += 1
                 traces += 1
     elapsed = time.monotonic() - start
@@ -121,15 +116,10 @@ def test_criterion_2_dominance_p_le_1():
             sched = AlphaSchedule.explicit(vals)
         params = HyperParams(beta1=b1, beta2=b2, alpha=sched, D=D)
         gs = random_gradients(rng, T, scale=10.0)
-        state = LearnerState()
-        ingest_gradient(state, gs[0], params)
-        regret = 0.0
-        for t in range(1, T + 1):
-            out = propose_update(state, params)
-            ingest_gradient(state, gs[t], params)
-            regret = b1 * regret + gs[t] * (out.delta - u)
+        for t, _, _, _, state, ledger in drive_rounds(gs, params, u):
             if t < 2:
                 continue
+            regret = ledger.r_disc
             stats = TraceStats.from_state(state)
             rep = bound_theorem1_discounted(params, stats, u, t)
             slack = 1e-9 * max(1.0, abs(regret), abs(rep.total))
@@ -160,15 +150,10 @@ def test_criterion_3_dominance_p_ge_1():
         u = rng.uniform(-1.0, 1.0)
         T = rng.randint(2, 40)
         gs = random_gradients(rng, T, scale=10.0)
-        state = LearnerState()
-        ingest_gradient(state, gs[0], params)
-        regret = 0.0
-        for t in range(1, T + 1):
-            out = propose_update(state, params)
-            ingest_gradient(state, gs[t], params)
-            regret = b1 * regret + gs[t] * (out.delta - u)
+        for t, _, _, _, state, ledger in drive_rounds(gs, params, u):
             if t < 2:
                 continue
+            regret = ledger.r_disc
             rep = bound_theorem3_discounted(params, TraceStats.from_state(state), u, t)
             slack = 1e-9 * max(1.0, abs(regret), abs(rep.total))
             assert regret <= rep.total + slack, (trial, t)

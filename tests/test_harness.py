@@ -1,6 +1,9 @@
+import contextlib
+import io
 import itertools
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -360,7 +363,7 @@ def stream_sweeps(draw):
     if len(T_values) > 1:
         raw["grid"]["T"] = T_values
     if raw["adversary"] == "fixed":
-        # g^2 and m overflow at 1.7e308 and q underflows at 1e-170: inf, NaN and zero states
+        # g^2 overflows at 1.7e308 and -1e200, and q underflows at 1e-170: both states raise
         extreme = st.sampled_from([1.7e308, -1e200, 1e-170])
         raw["gradients"] = [draw(st.sampled_from([-1.5, 0.25, 2.0, 1e-170]))] + draw(st.lists(
             st.one_of(st.floats(-4.0, 4.0), extreme), min_size=T, max_size=T))
@@ -374,16 +377,15 @@ def stream_sweeps(draw):
     return raw
 
 
-# m and q overflow at round 2, so -alpha m / sqrt(q) is NaN: max(d_max, NaN) keeps d_max on
-# the whole line, and clipping turns NaN into +-D
-NAN_UPDATES = {"adversary": "fixed", "gradients": [1.0, 1.7e308, 1.7e308, -1.0, 0.5],
-               "beta1": 0.5, "beta2": 0.5, "alpha": 0.5, "u": 0.0, "bounds": ["corollary1"],
-               "grid": {"beta1": [0.3, 0.6], "beta2": [0.5, 0.9]}}
+# q overflows when g_1 is ingested, so every point's own run raises and the batch must too
+Q_OVERFLOW = {"adversary": "fixed", "gradients": [1.0, 1.7e308, 1.7e308, -1.0, 0.5],
+              "beta1": 0.5, "beta2": 0.5, "alpha": 0.5, "u": 0.0, "bounds": ["corollary1"],
+              "grid": {"beta1": [0.3, 0.6], "beta2": [0.5, 0.9]}}
 
 
 @given(stream_sweeps())
-@example({**NAN_UPDATES, "domain": "unbounded"})
-@example({**NAN_UPDATES, "domain": 0.5})
+@example({**Q_OVERFLOW, "domain": "unbounded"})
+@example({**Q_OVERFLOW, "domain": 0.5})
 @settings(max_examples=60, deadline=None)
 def test_sweep_points_match_run_experiment(raw):
     _check_sweep_matches_point_runs(raw)
@@ -400,6 +402,12 @@ def test_sweep_batch_falls_back_to_point_runs():
     statuses = [row[2] for row in sweep(ExperimentConfig.from_dict(raw)).csv_rows]
     underflow = "skipped: exponential decay alpha_t underflows to zero at t="
     assert statuses == ["ok", "ok", underflow + "186", "ok", underflow + "163", "ok"]
+
+
+def test_sweep_skips_points_whose_second_moment_overflows():
+    assert _check_sweep_matches_point_runs(Q_OVERFLOW) == 1
+    rows = sweep(ExperimentConfig.from_dict(Q_OVERFLOW)).csv_rows
+    assert [row[2] for row in rows] == ["skipped: second-moment accumulator overflows at t=1"] * 4
 
 
 def test_sweep_batch_sees_theorem1_overflow_at_an_early_row():
@@ -565,14 +573,94 @@ RANDOM_DECAY = {"adversary": "random", "beta1": 0.9, "beta2": 0.99,
       "bounds": ["theorem1"]},
      "bound 'theorem1' overflows: u^2 sqrt(q) / alpha_{T+1} leaves the float range "
      "at alpha_{T+1} = 3.528739227338907e-309, T = 48"),
+    # u^2 sqrt(q) / alpha overflows at round T; these totals used to reach the JSON as inf
+    ({"alpha_kind": "constant", "alpha": 1e-308, "u": 1.0, "domain": 1.0, "T": 50,
+      "bounds": ["corollary1"]},
+     "bound 'corollary1' overflows: its total leaves the float range at T = 50"),
+    ({"beta2": 0.64, "alpha": 1e-300, "u": 1.0, "domain": 1.0, "T": 200, "bounds": ["theorem3"]},
+     "bound 'theorem3' overflows: its total leaves the float range at T = 200"),
+    # g_1^2 overflows q; the updates m / sqrt(q) were NaN and the run exited 1
+    ({"adversary": "fixed", "gradients": [1.0, 1.7e308, 1.7e308, -1.0, 0.5], "beta1": 0.5,
+      "beta2": 0.5, "alpha_kind": "constant", "alpha": 0.5, "bounds": ["corollary1"]},
+     "second-moment accumulator overflows at t=1"),
 ], ids=["theorem1-alpha-underflow", "theorem1-ratio-overflow", "theorem3-pT-overflow",
-        "no-bound-alpha-underflow", "theorem1-comparator-overflow"])
+        "no-bound-alpha-underflow", "theorem1-comparator-overflow",
+        "corollary1-total-overflow", "theorem3-total-overflow", "second-moment-overflow"])
 def test_cli_range_errors_exit_two(patch, err, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**RANDOM_DECAY, **patch}))
     assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
     assert capsys.readouterr().err == f"config error: {err}\n"
     assert not list(tmp_path.glob("x.*"))
+
+
+def _reject_constant(name):
+    raise ValueError(f"output holds {name}, which strict JSON forbids")
+
+
+def _log_uniform(low_exp: int, high_exp: int):
+    return st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.99),
+                     st.integers(low_exp, high_exp))
+
+
+@st.composite
+def edge_of_range_runs(draw):
+    """A ``simulate`` or ``sweep`` on ``fixed`` gradients from 1e-300 to 1e300, with bounds that
+    fit the regime of its (first) point."""
+    T = draw(st.integers(0, 120))
+    top = draw(st.integers(-300, 299))   # one run's gradients span at most 40 decades
+    magnitude = st.builds(lambda sign, x: sign * x, st.sampled_from([-1.0, 1.0]),
+                          _log_uniform(max(-300, top - draw(st.integers(0, 40))), top))
+    gradients = [draw(magnitude)] + draw(st.lists(st.one_of(st.just(0.0), magnitude),
+                                                  min_size=T, max_size=T))
+    beta1, beta2 = draw(st.floats(0.01, 0.99)), draw(st.floats(0.01, 0.99))
+    domain = draw(st.sampled_from(["unbounded", 0.05, 1.0, 3.0]))
+    raw = {"adversary": "fixed", "gradients": gradients, "T": T, "beta1": beta1,
+           "beta2": beta2, "alpha": draw(_log_uniform(-308, 4)), "domain": domain,
+           "u": draw(st.floats(-1.0, 1.0)) * (3.0 if domain == "unbounded" else domain)}
+    if beta1 / math.sqrt(beta2) > 1.0:
+        raw["alpha_kind"] = draw(st.sampled_from(["constant", "exponential_decay"]))
+        fitting = ["theorem3"] if raw["alpha_kind"] == "exponential_decay" else []
+    elif draw(st.booleans()):
+        raw.update(alpha_kind="exponential_decay", alpha_ratio=draw(st.floats(1.0, 2.0)))
+        fitting = ["theorem1"]
+    else:
+        fitting = ["theorem1", "corollary1"] + (["B"] if domain != "unbounded" and T <= 60
+                                                else [])
+    raw["bounds"] = (draw(st.lists(st.sampled_from(fitting), min_size=1, unique=True))
+                     if fitting else [])
+    if draw(st.booleans()):
+        raw["grid"] = {"beta1": [beta1, draw(st.floats(0.01, 0.99))],
+                       "beta2": [beta2, draw(st.floats(0.01, 0.99))]}
+    return raw
+
+
+@given(edge_of_range_runs())
+@settings(max_examples=100, deadline=None)
+def test_cli_output_is_strict_at_the_edge_of_the_float_range(raw):
+    # every input ends as a finite result (exit 0, or 1 for a finite failed dominance check)
+    # or a typed error (exit 2); no NaN or Infinity ever reaches the JSON
+    command = "sweep" if "grid" in raw else "simulate"
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([command, "--config", str(cfg)])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("config error: ")
+        return
+    summary = json.loads(out.getvalue(), parse_constant=_reject_constant)
+    if command == "simulate":
+        failed = [e for e in summary["bounds"].values() if e and e.get("dominates") is False]
+    else:   # the sweep summary holds no per-point values: read them from its rows
+        res = sweep(ExperimentConfig.from_dict(raw))
+        columns = ["regret_discounted"] + [f"bound_{n}" for n in raw["bounds"] if raw["T"] >= 2]
+        ok = [row for row in res.csv_rows if row[2] == "ok"]
+        assert all(math.isfinite(row[res.csv_header.index(c)]) for row in ok for c in columns)
+        failed = [row for row in ok if row[-1] is False]
+    assert summary["contracts_ok"] == (code == 0) == (not failed)
 
 
 def test_cli_verify_lemmas(tmp_path):

@@ -11,6 +11,7 @@ from adamftrl import (
     LearnerState,
     alpha_at,
     clip_to_domain,
+    drive as drive_rounds,
     evaluate_objective,
     ftrl_oracle_update,
     ingest_gradient,
@@ -215,15 +216,11 @@ def test_d_max_stays_within_domain():
 def test_eta_anchored_matches_literal_learning_rate():
     params = decaying_params(0.5, 0.16)  # p = 1.25
     gs = [2.0, 1.0, -0.5, 0.25]
-    s = LearnerState()
-    ingest_gradient(s, gs[0], params)
-    for t in range(1, 4):
-        out = propose_update(s, params)
+    for t, _, _, out, _, _ in drive_rounds(gs, params):
         vs = [gs[i] / params.beta1**i for i in range(t)]
         eta_lit = (alpha_at(params.alpha, t) * params.p ** (t - 1)
                    / math.sqrt(sum((params.p**s_ * v) ** 2 for s_, v in enumerate(vs))))
         assert math.isclose(out.eta_anchored, eta_lit, rel_tol=1e-12)
-        ingest_gradient(s, gs[t], params)
 
 
 # ---------------------------------------------------------------------------
@@ -264,13 +261,10 @@ def test_equivalence_on_random_traces(seed):
         D=rng.choice([None, 1.0]),
     )
     gs = random_gradients(rng, rng.randint(1, 40))
-    s = LearnerState()
-    ingest_gradient(s, gs[0], params)
-    for t in range(1, len(gs)):
-        stable = propose_update(s, params).delta
+    for t, _, _, out, _, _ in drive_rounds(gs, params):
+        stable = out.delta
         literal = ftrl_oracle_update(gs[:t], params, t)
         assert math.isclose(stable, literal, rel_tol=1e-10, abs_tol=1e-12)
-        ingest_gradient(s, gs[t], params)
 
 
 def test_objective_at_zero_is_zero():
@@ -299,12 +293,7 @@ def test_learning_rate_monotone_p_below_one():
     params = constant_params(0.5, 0.36)  # p < 1
     rng = random.Random(5)
     gs = random_gradients(rng, 25)
-    s = LearnerState()
-    ingest_gradient(s, gs[0], params)
-    etas = []
-    for t in range(1, 26):
-        etas.append(propose_update(s, params).eta_anchored)
-        ingest_gradient(s, gs[t], params)
+    etas = [out.eta_anchored for _, _, _, out, _, _ in drive_rounds(gs, params)]
     assert all(b <= a * (1 + 1e-12) for a, b in zip(etas, etas[1:]))
 
 
@@ -312,12 +301,7 @@ def test_learning_rate_monotone_p_above_one_with_decay():
     params = decaying_params(0.9, 0.5)  # p > 1, alpha_t = alpha / p^(t-1)
     rng = random.Random(6)
     gs = random_gradients(rng, 25)
-    s = LearnerState()
-    ingest_gradient(s, gs[0], params)
-    etas = []
-    for t in range(1, 26):
-        etas.append(propose_update(s, params).eta_anchored)
-        ingest_gradient(s, gs[t], params)
+    etas = [out.eta_anchored for _, _, _, out, _, _ in drive_rounds(gs, params)]
     assert all(b <= a * (1 + 1e-12) for a, b in zip(etas, etas[1:]))
 
 
