@@ -38,6 +38,7 @@ from .learner import (
     HyperParams,
     clip_to_domain,
     ftrl_eta_from_losses,
+    pow_or_inf,
 )
 from .regret import drive
 
@@ -194,6 +195,8 @@ def check_tightness_regime(ratio: float, D: float, kappa: float, v0: float, T: i
     if not (v0 > 0 and D > 0):
         raise RegimeError(f"need v0 > 0 and D > 0, got v0={v0}, D={D}")
     _check_rounds("tightness", T, horizon)
+    if not math.isfinite(v0 * pow_or_inf(kappa, T)):
+        raise RegimeError(f"tightness runs need v0 kappa^T finite, got kappa={kappa}, T={T}")
 
 
 def run_tightness_experiment(ratio: float, D: float, kappa: float, v0: float,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .errors import RegimeError, ScheduleError
-from .learner import REGIME_TOL, HyperParams, LearnerState, alpha_at
+from .learner import REGIME_TOL, HyperParams, LearnerState, alpha_at, pow_or_inf
 
 # theorem1 terms this far (relative) below the largest never lead again: ~40 ulps.
 _TIE_TOL = 1e-14
@@ -33,11 +33,16 @@ _TIE_TOL = 1e-14
 
 @dataclass(frozen=True)
 class TraceStats:
-    """Discounted trace statistics a bound needs: ``q``, ``max_v``, ``d_max``."""
+    """Discounted trace statistics a bound needs: ``q``, ``max_v``, ``d_max``.
+
+    ``peak`` marks running maxima over a run's rows; theorem1 then takes its coefficient at
+    its running maximum too.
+    """
 
     q: float
     max_v: float
     d_max: float
+    peak: bool = False
 
     @classmethod
     def from_state(cls, state: LearnerState) -> "TraceStats":
@@ -56,9 +61,12 @@ class BoundReport:
     scale: str
 
 
-def _report(kind, comparator, variance, term_max, scale) -> BoundReport:
-    return BoundReport(kind, comparator + variance + term_max, comparator, variance,
-                       term_max, scale)
+def _report(kind, T, comparator, variance, term_max, scale) -> BoundReport:
+    """The one overflow rule: a total that is not finite raises, at the row ``T`` priced."""
+    total = comparator + variance + term_max
+    _require(math.isfinite(total), RegimeError,
+             f"bound {kind!r} overflows: its total leaves the float range at T = {T}")
+    return BoundReport(kind, total, comparator, variance, term_max, scale)
 
 
 def _require(cond: bool, exc: type[Exception], msg: str) -> None:
@@ -107,11 +115,13 @@ class Theorem1Coefficient:
 
     Terms keep their ratios as T grows, so rounds ``_TIE_TOL`` below the largest are
     dropped for good; the rest (usually one) are re-evaluated as a full scan would, so
-    ``coeff`` equals that scan bit for bit while the terms stay normal floats.
+    ``coeff`` equals that scan bit for bit while the terms stay normal floats.  ``peak`` is
+    the largest ``coeff`` at any T so far, as ``coeff`` falls while alpha decays at p < 1.
     """
 
     def __init__(self, params: HyperParams):
-        self.schedule, self.p, self.T, self.coeff = params.alpha, params.p, 0, 0.0
+        self.schedule, self.p, self.T = params.alpha, params.p, 0
+        self.coeff = self.peak = 0.0
         self.alpha_next = alpha_at(params.alpha, 1)
         self.kept: list[tuple[int, float]] = []   # (t, alpha_t) that may still lead
 
@@ -125,6 +135,7 @@ class Theorem1Coefficient:
             self.kept.append((self.T, a_t))
             terms = [a * self.p ** (self.T - t) for t, a in self.kept]
             self.coeff = max(terms)
+            self.peak = max(self.peak, self.coeff)
             self.kept = [k for k, term in zip(self.kept, terms)
                          if term >= self.coeff * (1.0 - _TIE_TOL)]
             if self.p == 1.0:  # each term is then its alpha at every T, and the first leads
@@ -140,8 +151,6 @@ def bound_theorem1_discounted(params: HyperParams, stats: TraceStats, u: float,
           + 7 d_max max_v
 
     ``running`` carries the coefficient across one run's rows; without it a call costs O(T).
-    A comparator that leaves the float range (``alpha_{T+1}`` near the subnormals) raises
-    :class:`RegimeError` instead of reporting ``inf``.
     """
     check_theorem1(params)
     _require(T >= 1, ValueError, f"need T >= 1, got {T}")
@@ -149,11 +158,9 @@ def bound_theorem1_discounted(params: HyperParams, stats: TraceStats, u: float,
     running.advance_to(T)
     root_q = math.sqrt(stats.q)
     comparator = u * u / running.alpha_next * root_q
-    _require(math.isfinite(comparator), RegimeError,
-             f"bound 'theorem1' overflows: u^2 sqrt(q) / alpha_{{T+1}} leaves the float range "
-             f"at alpha_{{T+1}} = {running.alpha_next}, T = {T}")
-    variance = math.sqrt(6.0 * params.beta2) / (2.0 * params.beta1) * running.coeff * root_q
-    return _report("theorem1", comparator, variance, 7.0 * stats.d_max * stats.max_v,
+    coeff = running.peak if stats.peak else running.coeff
+    variance = math.sqrt(6.0 * params.beta2) / (2.0 * params.beta1) * coeff * root_q
+    return _report("theorem1", T, comparator, variance, 7.0 * stats.d_max * stats.max_v,
                    "discounted")
 
 
@@ -169,7 +176,7 @@ def bound_corollary1_discounted(params: HyperParams, stats: TraceStats, u: float
     root_q = math.sqrt(stats.q)
     comparator = u * u / a * root_q
     variance = a * math.sqrt(6.0 * params.beta2) / (2.0 * params.beta1) * root_q
-    return _report("corollary1", comparator, variance, 7.0 * stats.d_max * stats.max_v,
+    return _report("corollary1", T, comparator, variance, 7.0 * stats.d_max * stats.max_v,
                    "discounted")
 
 
@@ -182,14 +189,10 @@ def bound_theorem3_discounted(params: HyperParams, stats: TraceStats, u: float,
     check_theorem3(params)
     _require(T >= 1, ValueError, f"need T >= 1, got {T}")
     a = params.alpha.alpha
-    try:
-        root = params.p ** T * math.sqrt(stats.q)
-    except OverflowError:
-        raise RegimeError(f"bound 'theorem3' overflows: p^T leaves the float range "
-                          f"at p = {params.p}, T = {T}") from None
+    root = pow_or_inf(params.p, T) * math.sqrt(stats.q)
     comparator = u * u / a * root
     variance = a * math.sqrt(6.0) / 2.0 * root
-    return _report("theorem3", comparator, variance, 7.0 * stats.d_max * stats.max_v,
+    return _report("theorem3", T, comparator, variance, 7.0 * stats.d_max * stats.max_v,
                    "discounted")
 
 
@@ -210,9 +213,10 @@ def bound_b_undiscounted(losses, ratio: float, u: float, alpha: float,
     _require(D > 0, ValueError, f"domain half-width must be positive, got {D}")
     T = len(losses) - 1
     radical = math.sqrt(math.fsum((ratio**t * v) ** 2 for t, v in enumerate(losses)))
-    comparator = u * u / alpha * ratio ** (-T) * radical
-    variance = alpha / ratio * ratio ** (-T) * radical
-    return _report("B", comparator, variance, D * max(abs(v) for v in losses), "undiscounted")
+    comparator = u * u / alpha * pow_or_inf(ratio, -T) * radical
+    variance = alpha / ratio * pow_or_inf(ratio, -T) * radical
+    return _report("B", T, comparator, variance, D * max(abs(v) for v in losses),
+                   "undiscounted")
 
 
 def bound_b_from_stats(params: HyperParams, stats: TraceStats, u: float,
@@ -225,11 +229,11 @@ def bound_b_from_stats(params: HyperParams, stats: TraceStats, u: float,
     """
     check_b(params)
     a = params.alpha.alpha
-    scale = params.beta1 ** -T
+    scale = pow_or_inf(params.beta1, -T)
     radical = scale * math.sqrt(stats.q)
     comparator = u * u / a * radical
     variance = a / params.p * radical
-    return _report("B", comparator, variance, params.D * scale * stats.max_v, "undiscounted")
+    return _report("B", T, comparator, variance, params.D * scale * stats.max_v, "undiscounted")
 
 
 class BoundSpec(NamedTuple):

@@ -21,7 +21,8 @@ from .adversaries import (
     verify_lemma_a2,
 )
 from .errors import AdamFtrlError, ConfigError, ContractViolation
-from .harness import ExperimentConfig, render_json, run_experiment, sweep, write_outputs
+from .harness import (ExperimentConfig, ExperimentResult, render_json, run_experiment, sweep,
+                      write_outputs)
 
 TIGHTNESS_PRESET = {
     "adversary": "geometric",
@@ -91,9 +92,9 @@ def _load_config(args, preset: dict | None = None) -> ExperimentConfig:
     return ExperimentConfig.from_dict(raw)
 
 
-def _emit(result, config: ExperimentConfig) -> None:
-    if config.out:
-        for path in write_outputs(result, config.out, config.format):
+def _emit(result: ExperimentResult, out: str | Path | None, fmt: str) -> None:
+    if out:
+        for path in write_outputs(result, out, fmt):
             print(f"wrote {path}")
     else:
         sys.stdout.write(render_json(result))
@@ -102,46 +103,29 @@ def _emit(result, config: ExperimentConfig) -> None:
 def _cmd_experiment(args, preset: dict | None = None) -> int:
     config = _load_config(args, preset)
     result = run_experiment(config)
-    _emit(result, config)
+    _emit(result, config.out, config.format)
     return 0 if result.contracts_ok() else 1
 
 
 def _cmd_sweep(args) -> int:
     config = _load_config(args)
     result = sweep(config)
-    _emit(result, config)
+    _emit(result, config.out, config.format)
     return 0 if result.contracts_ok() else 1
 
 
 def _cmd_verify_lemmas(args) -> int:
-    code = 0
     report: dict = {"version": __version__}
-    try:
-        a1 = verify_lemma_a1(default_lemma_a1_grid())
-        report["lemma_a1"] = {
-            "max_value": a1.max_value, "bound": a1.bound,
-            "points_checked": a1.points_checked, "holds": True,
-        }
-    except ContractViolation as exc:
-        report["lemma_a1"] = {"holds": False, "detail": str(exc)}
-        code = 1
-    try:
-        a2 = verify_lemma_a2(default_lemma_a2_grid())
-        report["lemma_a2"] = {
-            "max_value": a2.max_value, "bound": a2.bound,
-            "points_checked": a2.points_checked, "holds": True,
-        }
-    except ContractViolation as exc:
-        report["lemma_a2"] = {"holds": False, "detail": str(exc)}
-        code = 1
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if args.out is not None:
-        path = Path(args.out).with_suffix(".json")
-        path.write_text(text, encoding="utf-8")
-        print(f"wrote {path}")
-    else:
-        sys.stdout.write(text)
-    return code
+    for name, verify, grid in (("lemma_a1", verify_lemma_a1, default_lemma_a1_grid),
+                               ("lemma_a2", verify_lemma_a2, default_lemma_a2_grid)):
+        try:
+            lemma = verify(grid())
+            report[name] = {"max_value": lemma.max_value, "bound": lemma.bound,
+                            "points_checked": lemma.points_checked, "holds": True}
+        except ContractViolation as exc:
+            report[name] = {"holds": False, "detail": str(exc)}
+    _emit(ExperimentResult(csv_header=(), csv_rows=(), summary=report), args.out, "json")
+    return 0 if report["lemma_a1"]["holds"] and report["lemma_a2"]["holds"] else 1
 
 
 def main(argv=None) -> int:

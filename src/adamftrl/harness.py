@@ -271,9 +271,6 @@ def _stream_summary(config: ExperimentConfig, r_disc: float, clip_count: int,
     bounds_summary = {name: None for name in requested}
     dominance_flags = []
     for name, rep in zip(requested, reports):
-        if not math.isfinite(rep.total):   # both paths check here: a batch raises iff a point does
-            raise RegimeError(f"bound {name!r} overflows: its total leaves the float range "
-                              f"at T = {config.T}")
         entry = {key: val for key, val in vars(rep).items() if key != "kind"}
         if rep.scale == "discounted":
             entry["dominates"] = dominance_holds(r_disc, rep)
@@ -309,7 +306,7 @@ def _run_gradient_stream(config: ExperimentConfig) -> ExperimentResult:
         g_t = gradients[t]
         r_disc = ledger.r_disc
         row = [
-            t, alpha_at(params.alpha, t), g_t, m_t, q_t,
+            t, out.alpha_t, g_t, m_t, q_t,
             out.delta_bar, out.delta, out.clipped,
             g_t * out.delta, r_disc, state.max_v, state.d_max,
         ]
@@ -339,10 +336,10 @@ def _run_stream_batch(points: list[ExperimentConfig]) -> ExperimentResult:
     Python floats do, and ``alpha_at`` (``pow``) stays scalar, once per round and distinct
     schedule, so each point's summary equals that of its own ``_run_gradient_stream`` bit for
     bit.
-    Bounds are evaluated once per point, at ``T``.  Whenever a point's own run would raise,
-    so does the batch, though maybe with another message; callers that need the exact error
-    rerun the points one by one.  Rows are the points' sweep metrics; ``summary["points"]``
-    holds their summaries.
+    Bounds are evaluated once per point, at ``T``, and probed once at the statistics' running
+    peaks.  Whenever a point's own run would raise, so does the batch, though maybe with
+    another message; callers that need the exact error rerun the points one by one.  Rows are
+    the points' sweep metrics; ``summary["points"]`` holds their summaries.
     """
     if not points or any(c.adversary not in ("fixed", "random") for c in points):
         raise ConfigError("a learner-axis batch needs one or more fixed or random points")
@@ -356,13 +353,12 @@ def _run_stream_batch(points: list[ExperimentConfig]) -> ExperimentResult:
     b1 = np.array([p.beta1 for p in params])
     b2 = np.array([p.beta2 for p in params])
     # float64 clip counts are exact below 2^53; an int64 += bool loop adds ~0.3 MB of peak RSS
-    m, q, max_v, d_max, r_disc, clips = (np.zeros(n) for _ in range(6))
+    m, q, max_v, d_max, r_disc, clips, q_peak, v_peak = (np.zeros(n) for _ in range(8))
     gradients = first.adversary_spec().gradient_stream(T)
     if not (np.isfinite(gradients).all() and gradients[0] != 0.0):
         raise InvalidGradientError("gradients must be finite, the first one nonzero")
     schedules = list(dict.fromkeys(p.alpha for p in params))
     which = np.array([schedules.index(p.alpha) for p in params])
-    q_peak = np.zeros(n) if "theorem1" in requested else None
     with np.errstate(all="ignore"):   # Python floats overflow to inf silently too
         for t in range(T + 1):
             g_t = gradients[t]
@@ -381,22 +377,27 @@ def _run_stream_batch(points: list[ExperimentConfig]) -> ExperimentResult:
             m = b1 * m + g_t
             q = b2 * q + g_t * g_t
             max_v = np.maximum(b1 * max_v, abs(g_t))
-            if q_peak is not None:
-                np.maximum(q_peak, q, out=q_peak)
-    if not np.isfinite(q).all():   # sticky: beta2 * inf + g^2 stays inf
+            np.maximum(q_peak, q, out=q_peak)
+            np.maximum(v_peak, max_v, out=v_peak)
+    # both are sticky: beta2 * inf + g^2 stays inf, and beta1 * r_disc + finite stays non-finite
+    if not np.isfinite(q).all():
         raise DegenerateStateError("second-moment accumulator overflows")
+    if not np.isfinite(r_disc).all():
+        raise RegimeError("discounted regret overflows")
 
     rows, summaries = [], []
     for i, (config, hp) in enumerate(zip(points, params)):
         reports = []
         if T >= 2:
-            evaluators = {name: BOUNDS[name].per_run(hp, u) for name in requested}
-            if q_peak is not None:
-                # theorem1's comparator only grows as alpha_{T+1} falls, so priced at the
-                # largest q of any row it overflows if some row's did
-                evaluators["theorem1"](TraceStats(float(q_peak[i]), 0.0, 0.0), T)
+            evaluators = [BOUNDS[name].per_run(hp, u) for name in requested]
             stats = TraceStats(float(q[i]), float(max_v[i]), float(d_max[i]))
-            reports = [evaluate(stats, T) for evaluate in evaluators.values()]
+            reports = [evaluate(stats, T) for evaluate in evaluators]
+            # Each total grows with q, max_v, d_max and t (theorem3's p^t, B's beta1^-t and
+            # theorem1's 1/alpha_{t+1}; theorem1's coefficient is taken at its peak), so priced
+            # at T with every statistic at its running peak it overflows if some row's did.
+            peak = TraceStats(float(q_peak[i]), float(v_peak[i]), float(d_max[i]), peak=True)
+            for evaluate in evaluators:
+                evaluate(peak, T)
         summary = _stream_summary(config, float(r_disc[i]), int(clips[i]), reports)
         rows.append(_sweep_metrics(config.adversary, summary))
         summaries.append(summary)
@@ -672,7 +673,7 @@ def render_csv(result: ExperimentResult) -> str:
 
 
 def render_json(result: ExperimentResult) -> str:
-    return json.dumps(result.summary, sort_keys=True, indent=2) + "\n"
+    return json.dumps(result.summary, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def write_outputs(result: ExperimentResult, out_base: str | Path,

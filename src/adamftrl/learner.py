@@ -19,8 +19,8 @@ clipped to the decision interval ``[-D, D]``.  The undiscounted sums inside
 ``eta_t`` blow up exponentially with ``t``, so this FTRL form is kept only as
 a short-horizon oracle for cross-checking; all long-horizon state lives in the
 discounted accumulators ``m`` and ``q``, which the FTRL form reduces to
-algebraically.  In particular ``eta_t == alpha_t * beta1^(t-1) / sqrt(q_t)``
-holds exactly, which is how the stable path reports the learning rate.
+algebraically.  In particular ``eta_t == alpha_t * beta1^(t-1) / sqrt(q_t)``,
+so the stable path never forms the undiscounted sums.
 
 Rounds are indexed so that the update of round ``t`` sees ``g_0..g_{t-1}`` and
 the loss of round ``t`` is paid against ``g_t``.
@@ -42,6 +42,14 @@ from .errors import (
 DEFAULT_ORACLE_HORIZON = 60
 # Slack at every regime boundary, for the rounding in p = beta1 / sqrt(beta2).
 REGIME_TOL = 1e-12
+
+
+def pow_or_inf(base: float, exp: float) -> float:
+    """``base ** exp``, but ``inf`` where Python's float ``pow`` raises ``OverflowError``."""
+    try:
+        return base ** exp
+    except OverflowError:
+        return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -109,10 +117,7 @@ def alpha_at(schedule: AlphaSchedule, t: int) -> float:
     if schedule.kind == "constant":
         return schedule.alpha
     if schedule.kind == "exponential_decay":
-        try:
-            a_t = schedule.alpha / schedule.ratio ** (t - 1)
-        except OverflowError:
-            a_t = 0.0
+        a_t = schedule.alpha / pow_or_inf(schedule.ratio, t - 1)
         if a_t == 0.0:
             raise ScheduleError(f"exponential decay alpha_t underflows to zero at t={t}")
         return a_t
@@ -173,12 +178,12 @@ class LearnerState:
 
 @dataclass(frozen=True)
 class UpdateOutcome:
-    """One proposed update: pre-clipping value, emitted value, and ``eta_t``."""
+    """One proposed update: pre-clipping value, emitted value, and the ``alpha_t`` used."""
 
     delta_bar: float
     delta: float
     clipped: bool
-    eta_anchored: float
+    alpha_t: float
 
 
 def clip_to_domain(x: float, D: float | None) -> float:
@@ -227,9 +232,8 @@ def propose_update(state: LearnerState, params: HyperParams) -> UpdateOutcome:
     delta_bar = -a_t * state.m / math.sqrt(state.q)
     delta = clip_to_domain(delta_bar, params.D)
     clipped = params.D is not None and abs(delta_bar) > params.D
-    eta = a_t * params.beta1 ** (state.t - 1) / math.sqrt(state.q)
     state.d_max = max(state.d_max, abs(delta))
-    return UpdateOutcome(delta_bar=delta_bar, delta=delta, clipped=clipped, eta_anchored=eta)
+    return UpdateOutcome(delta_bar=delta_bar, delta=delta, clipped=clipped, alpha_t=a_t)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NotApplicableError, OracleHorizonError
+from .errors import NotApplicableError, OracleHorizonError, RegimeError
 from .learner import (
     DEFAULT_ORACLE_HORIZON,
     HyperParams,
@@ -32,11 +32,10 @@ from .learner import (
 
 @dataclass
 class RegretLedger:
-    """Running discounted regret against a fixed comparator after ``T`` rounds."""
+    """Running discounted regret against a fixed comparator."""
 
     u: float
     r_disc: float = 0.0
-    T: int = 0
 
 
 def accumulate_discounted_regret(ledger: RegretLedger, g: float, delta: float,
@@ -46,7 +45,6 @@ def accumulate_discounted_regret(ledger: RegretLedger, g: float, delta: float,
     ``delta`` is the update that was emitted before ``g`` was revealed.
     """
     ledger.r_disc = beta1 * ledger.r_disc + g * (delta - ledger.u)
-    ledger.T += 1
     return ledger
 
 
@@ -56,6 +54,7 @@ def drive(gradients, params: HyperParams, u: float = 0.0):
     Each round proposes from ``g_0..g_{t-1}``, ingests ``g_t`` and folds the regret against
     ``u``, then yields ``(t, m_t, q_t, outcome, state, ledger)``: the accumulators the update
     was computed from and the live :class:`LearnerState` and :class:`RegretLedger`.
+    A regret that overflows raises :class:`RegimeError` naming its round.
     """
     state = LearnerState()
     ledger = RegretLedger(u=u)
@@ -66,6 +65,8 @@ def drive(gradients, params: HyperParams, u: float = 0.0):
         g_t = gradients[t]
         ingest_gradient(state, g_t, params)
         accumulate_discounted_regret(ledger, g_t, outcome.delta, params.beta1)
+        if not math.isfinite(ledger.r_disc):
+            raise RegimeError(f"discounted regret overflows at t={t}")
         yield t, m_t, q_t, outcome, state, ledger
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import itertools
 import json
@@ -417,8 +418,39 @@ def test_sweep_batch_sees_theorem1_overflow_at_an_early_row():
            "grid": {"beta2": [0.5, 0.6]}}
     assert _check_sweep_matches_point_runs(raw) == 1
     assert {row[1] for row in sweep(ExperimentConfig.from_dict(raw)).csv_rows} == {
-        "skipped: bound 'theorem1' overflows: u^2 sqrt(q) / alpha_{T+1} leaves the float range "
-        "at alpha_{T+1} = 1e-308, T = 2"}
+        "skipped: bound 'theorem1' overflows: its total leaves the float range at T = 2"}
+
+
+# The first row whose total is not finite: N = 2, 2 and 51.  The corollary1 and theorem1
+# totals are finite again at T, so only the probe at the running peaks makes a batch raise;
+# theorem1's coefficient falls ~2^499-fold by T, so its variance overflows only at its peak.
+EARLY_OVERFLOWS = {
+    "corollary1": ({"adversary": "fixed", "gradients": [1.0, 3.0] + [0.0] * 8, "beta1": 0.5,
+                    "beta2": 0.5, "alpha": 1e-308, "u": 1.0, "domain": 1.0}, 2),
+    "theorem1": ({"adversary": "fixed", "gradients": [1e9, 1e9] + [0.0] * 998, "beta1": 0.5,
+                  "beta2": 0.5, "alpha_kind": "exponential_decay", "alpha": 1e300,
+                  "alpha_ratio": 2.0, "u": 0.0, "domain": 1.0}, 2),
+    "B": ({"adversary": "random", "seed": 0, "beta1": 1e-6, "beta2": 0.5, "T": 60,
+           "alpha": 0.5, "domain": 1.0}, 51),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EARLY_OVERFLOWS))
+def test_sweep_batch_sees_every_bound_overflow_at_an_early_row(name):
+    raw, N = EARLY_OVERFLOWS[name]
+    raw = {**raw, "bounds": [name], "grid": {"beta2": [0.5, 0.6]}}
+    assert _check_sweep_matches_point_runs(raw) == 1
+    assert [row[1] for row in sweep(ExperimentConfig.from_dict(raw)).csv_rows] == [
+        f"skipped: bound {name!r} overflows: its total leaves the float range at T = {N}"] * 2
+
+
+def test_sweep_skips_tightness_points_that_leave_the_float_range():
+    # B's total overflows at T = 511, and kappa^512 itself does: both used to be tracebacks
+    raw = {**cli.TIGHTNESS_PRESET, "oracle_horizon": 512, "grid": {"T": [60, 511, 512]}}
+    statuses = [row[1] for row in sweep(ExperimentConfig.from_dict(raw)).csv_rows]
+    assert statuses == [
+        "ok", "skipped: bound 'B' overflows: its total leaves the float range at T = 511",
+        "skipped: tightness runs need v0 kappa^T finite, got kappa=4.0, T=512"]
 
 
 def test_sweep_nonoblivious_grid_strictness():
@@ -564,32 +596,56 @@ RANDOM_DECAY = {"adversary": "random", "beta1": 0.9, "beta2": 0.99,
      "exponential decay alpha_t underflows to zero at t=1025"),
     # p ** T overflows before T = 8000
     ({"beta2": 0.64, "T": 8000, "bounds": ["theorem3"]},
-     "bound 'theorem3' overflows: p^T leaves the float range at p = 1.125, T = 6027"),
+     "bound 'theorem3' overflows: its total leaves the float range at T = 6024"),
     # with no bound, updates alpha_t * m / sqrt(q) would silently be 0 from t=136
     ({"alpha": 1e-300, "alpha_ratio": 1.5, "T": 200},
      "exponential decay alpha_t underflows to zero at t=136"),
     # alpha_49 is subnormal and the comparator u^2 sqrt(q) / alpha_49 would be inf
     ({"alpha": 1e-300, "alpha_ratio": 1.5, "u": 0.5, "domain": 1.0, "T": 120,
       "bounds": ["theorem1"]},
-     "bound 'theorem1' overflows: u^2 sqrt(q) / alpha_{T+1} leaves the float range "
-     "at alpha_{T+1} = 3.528739227338907e-309, T = 48"),
-    # u^2 sqrt(q) / alpha overflows at round T; these totals used to reach the JSON as inf
+     "bound 'theorem1' overflows: its total leaves the float range at T = 48"),
+    # u^2 sqrt(q) / alpha overflows before round T; these totals used to reach the JSON as inf
     ({"alpha_kind": "constant", "alpha": 1e-308, "u": 1.0, "domain": 1.0, "T": 50,
       "bounds": ["corollary1"]},
-     "bound 'corollary1' overflows: its total leaves the float range at T = 50"),
+     "bound 'corollary1' overflows: its total leaves the float range at T = 7"),
     ({"beta2": 0.64, "alpha": 1e-300, "u": 1.0, "domain": 1.0, "T": 200, "bounds": ["theorem3"]},
-     "bound 'theorem3' overflows: its total leaves the float range at T = 200"),
+     "bound 'theorem3' overflows: its total leaves the float range at T = 163"),
     # g_1^2 overflows q; the updates m / sqrt(q) were NaN and the run exited 1
     ({"adversary": "fixed", "gradients": [1.0, 1.7e308, 1.7e308, -1.0, 0.5], "beta1": 0.5,
       "beta2": 0.5, "alpha_kind": "constant", "alpha": 0.5, "bounds": ["corollary1"]},
      "second-moment accumulator overflows at t=1"),
+    # the first rows whose totals overflow; each used to reach the CSV as inf or die
+    # with an OverflowError traceback
+    *[({"alpha_kind": "constant", **raw, "bounds": [name]},
+       f"bound {name!r} overflows: its total leaves the float range at T = {N}")
+      for name, (raw, N) in sorted(EARLY_OVERFLOWS.items())],
+    # g_1 (delta_1 - u) overflows; the JSON held "regret_discounted": Infinity
+    ({"adversary": "fixed", "gradients": [1.0, -2.0, 0.0, 3.0], "alpha_kind": "constant",
+      "alpha": 1e308}, "discounted regret overflows at t=1"),
 ], ids=["theorem1-alpha-underflow", "theorem1-ratio-overflow", "theorem3-pT-overflow",
         "no-bound-alpha-underflow", "theorem1-comparator-overflow",
-        "corollary1-total-overflow", "theorem3-total-overflow", "second-moment-overflow"])
+        "corollary1-total-overflow", "theorem3-total-overflow", "second-moment-overflow",
+        "B-early-row-overflow", "corollary1-early-row-overflow", "theorem1-variance-overflow",
+        "regret-overflow"])
 def test_cli_range_errors_exit_two(patch, err, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**RANDOM_DECAY, **patch}))
     assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == f"config error: {err}\n"
+    assert not list(tmp_path.glob("x.*"))
+
+
+@pytest.mark.parametrize("T,err", [
+    # B's round-T total overflows; the JSON held "b_total": Infinity and the run exited 1
+    (511, "bound 'B' overflows: its total leaves the float range at T = 511"),
+    # v0 kappa^T itself overflows; the losses died with an OverflowError traceback
+    (512, "tightness runs need v0 kappa^T finite, got kappa=4.0, T=512"),
+])
+def test_cli_tightness_range_errors_exit_two(T, err, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"T": T}))
+    assert cli.main(["tightness", "--config", str(cfg), "--horizon", str(T),
+                     "--out", str(tmp_path / "x")]) == 2
     assert capsys.readouterr().err == f"config error: {err}\n"
     assert not list(tmp_path.glob("x.*"))
 
@@ -616,7 +672,7 @@ def edge_of_range_runs(draw):
     beta1, beta2 = draw(st.floats(0.01, 0.99)), draw(st.floats(0.01, 0.99))
     domain = draw(st.sampled_from(["unbounded", 0.05, 1.0, 3.0]))
     raw = {"adversary": "fixed", "gradients": gradients, "T": T, "beta1": beta1,
-           "beta2": beta2, "alpha": draw(_log_uniform(-308, 4)), "domain": domain,
+           "beta2": beta2, "alpha": draw(_log_uniform(-308, 307)), "domain": domain,
            "u": draw(st.floats(-1.0, 1.0)) * (3.0 if domain == "unbounded" else domain)}
     if beta1 / math.sqrt(beta2) > 1.0:
         raw["alpha_kind"] = draw(st.sampled_from(["constant", "exponential_decay"]))
@@ -636,6 +692,8 @@ def edge_of_range_runs(draw):
 
 
 @given(edge_of_range_runs())
+@example({"adversary": "fixed", "gradients": [1.0, -2.0, 0.0, 3.0], "T": 3, "beta1": 0.9,
+          "beta2": 0.99, "alpha": 1e308, "domain": "unbounded", "u": 0.0, "bounds": []})
 @settings(max_examples=100, deadline=None)
 def test_cli_output_is_strict_at_the_edge_of_the_float_range(raw):
     # every input ends as a finite result (exit 0, or 1 for a finite failed dominance check)
@@ -670,6 +728,12 @@ def test_cli_verify_lemmas(tmp_path):
     assert report["lemma_a1"]["holds"] and report["lemma_a2"]["holds"]
     assert report["lemma_a1"]["points_checked"] >= 10_000
     assert report["lemma_a2"]["points_checked"] >= 10_000
+
+
+@pytest.mark.parametrize("command", ["tightness", "nonoblivious", "verify-lemmas"])
+def test_cli_missing_output_directory_exits_two(command, tmp_path, capsys):
+    assert cli.main([command, "--out", str(tmp_path / "missing" / "x")]) == 2
+    assert capsys.readouterr().err.startswith("config error: output directory does not exist")
 
 
 def test_cli_sweep(tmp_path):
@@ -731,3 +795,18 @@ def test_theorem1_run_makes_linearly_many_alpha_calls(monkeypatch):
         counts[T] = calls[0]
     assert counts[1000] <= 2 * counts[500] + 8
     assert counts[1000] <= 4 * 1000
+
+
+def test_benchmark_traced_names_resolve():
+    # perfbench/run.py --trace 1 wraps each (module, owner, attribute) of this table by name
+    path = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for _, module, owner, attr, _ in tracer.TRACED:
+        target = importlib.import_module(f"adamftrl.{module}")
+        if owner is not None:
+            target = vars(getattr(target, owner))
+            assert attr in target, f"{module}.{owner}.{attr}"
+        else:
+            assert callable(getattr(target, attr, None)), f"{module}.{attr}"

@@ -213,14 +213,19 @@ def test_d_max_stays_within_domain():
         assert clip == (abs(bar) > 0.5)
 
 
+def anchored_eta(t, q_t, out, params):
+    """``eta_t = alpha_t beta1^(t-1) / sqrt(q_t)``, from the accumulator the update used."""
+    return out.alpha_t * params.beta1 ** (t - 1) / math.sqrt(q_t)
+
+
 def test_eta_anchored_matches_literal_learning_rate():
     params = decaying_params(0.5, 0.16)  # p = 1.25
     gs = [2.0, 1.0, -0.5, 0.25]
-    for t, _, _, out, _, _ in drive_rounds(gs, params):
+    for t, _, q_t, out, _, _ in drive_rounds(gs, params):
         vs = [gs[i] / params.beta1**i for i in range(t)]
         eta_lit = (alpha_at(params.alpha, t) * params.p ** (t - 1)
                    / math.sqrt(sum((params.p**s_ * v) ** 2 for s_, v in enumerate(vs))))
-        assert math.isclose(out.eta_anchored, eta_lit, rel_tol=1e-12)
+        assert math.isclose(anchored_eta(t, q_t, out, params), eta_lit, rel_tol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +298,7 @@ def test_learning_rate_monotone_p_below_one():
     params = constant_params(0.5, 0.36)  # p < 1
     rng = random.Random(5)
     gs = random_gradients(rng, 25)
-    etas = [out.eta_anchored for _, _, _, out, _, _ in drive_rounds(gs, params)]
+    etas = [anchored_eta(t, q_t, out, params) for t, _, q_t, out, _, _ in drive_rounds(gs, params)]
     assert all(b <= a * (1 + 1e-12) for a, b in zip(etas, etas[1:]))
 
 
@@ -301,7 +306,7 @@ def test_learning_rate_monotone_p_above_one_with_decay():
     params = decaying_params(0.9, 0.5)  # p > 1, alpha_t = alpha / p^(t-1)
     rng = random.Random(6)
     gs = random_gradients(rng, 25)
-    etas = [out.eta_anchored for _, _, _, out, _, _ in drive_rounds(gs, params)]
+    etas = [anchored_eta(t, q_t, out, params) for t, _, q_t, out, _, _ in drive_rounds(gs, params)]
     assert all(b <= a * (1 + 1e-12) for a, b in zip(etas, etas[1:]))
 
 

@@ -19,7 +19,6 @@ def test_single_round():
     led = RegretLedger(u=0.0)
     accumulate_discounted_regret(led, 1.0, -1.0, 0.5)
     assert led.r_disc == -1.0
-    assert led.T == 1
 
 
 def test_two_round_worked_example():
