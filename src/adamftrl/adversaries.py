@@ -37,7 +37,7 @@ from .learner import (
     AlphaSchedule,
     HyperParams,
     clip_to_domain,
-    ftrl_eta_from_losses,
+    ftrl_update_from_losses,
     pow_or_inf,
 )
 from .regret import drive
@@ -161,7 +161,6 @@ def closed_form_prebar_delta(alpha: float, ratio: float, kappa: float, t: int) -
 class TightnessRound:
     t: int
     loss: float
-    eta: float
     delta_bar: float
     delta: float
     clipped: bool
@@ -215,16 +214,16 @@ def run_tightness_experiment(ratio: float, D: float, kappa: float, v0: float,
     rounds = []
     regret = 0.0
     for t in range(1, T + 1):
-        eta = ftrl_eta_from_losses(losses, ratio, alpha, t)
-        delta_bar = -eta * math.fsum(losses[:t])
+        delta_bar = ftrl_update_from_losses(losses, ratio, alpha, t, None)
         delta = clip_to_domain(delta_bar, D)
         clipped = abs(delta_bar) > D
         regret += losses[t] * (delta - u)
-        rounds.append(TightnessRound(t=t, loss=losses[t], eta=eta,
-                                     delta_bar=delta_bar, delta=delta, clipped=clipped))
+        rounds.append(TightnessRound(t, losses[t], delta_bar, delta, clipped))
 
     lower = v0 * D * kappa * (kappa**T - 1.0) / (2.0 * (kappa - 1.0))
     b_total = bound_b_undiscounted(losses, ratio, u, alpha, D).total
+    if not math.isfinite(lower):
+        raise RegimeError(f"tightness lower bound overflows at T = {T}")
     return TightnessResult(
         regret=regret,
         lower_bound=lower,
@@ -366,17 +365,38 @@ class LemmaReport:
     max_value: float
     bound: float
     points_checked: int
-    argmax: tuple
 
 
-def _lemma_a1_value(x: float, y: float, t: int) -> float:
+def _lemma_a1_value(point) -> float:
+    x, y, t = point
+    if not (0.0 < x <= 1.0) or y < (1.0 - REGIME_TOL) / (x * x) or t < 1 or t != int(t):
+        raise ValueError(f"point outside the inequality's domain: {(x, y, t)}")
+    if x * y <= 1.0:
+        raise ValueError(f"expression is singular at {(x, y, t)} (x*y <= 1)")
     # x^t (y^t - 1) / sqrt((x^2 y^2)^t - 1), rewritten with (xy)^(-t) factored
     # out so huge y^t never overflows: (1 - y^-t) / sqrt(1 - (xy)^(-2t)).
+    t = int(t)
     return (1.0 - y ** (-t)) / math.sqrt(1.0 - (x * y) ** (-2 * t))
 
 
-def _lemma_a2_value(x: float, y: float) -> float:
+def _lemma_a2_value(point) -> float:
+    x, y = point
+    if not (0.0 < x <= 0.6) or y < (1.0 - REGIME_TOL) / (x * x):
+        raise ValueError(f"point outside the inequality's domain: {(x, y)}")
     return math.sqrt(x * x * y * y - 1.0) / (x * (y - 1.0))
+
+
+def _verify_on_grid(points, value, bound: float, slack: float, name: str) -> LemmaReport:
+    """Check ``value(point) <= bound + slack`` at every point; the one grid loop of both lemmas."""
+    best, count = -math.inf, 0
+    for count, point in enumerate(points, start=1):
+        val = value(point)
+        if val > bound + slack:
+            raise ContractViolation(f"{name} inequality fails at {tuple(point)}: "
+                                    f"{val} > {bound:g} + {slack}")
+        if val > best:
+            best = val
+    return LemmaReport(max_value=best, bound=bound, points_checked=count)
 
 
 def verify_lemma_a1(points, slack: float = 1e-12) -> LemmaReport:
@@ -385,21 +405,7 @@ def verify_lemma_a1(points, slack: float = 1e-12) -> LemmaReport:
     Domain: ``x in (0, 1]``, ``y >= 1/x^2``, integer ``t >= 1``; the corner
     ``x = y = 1`` makes the expression 0/0 and is rejected.
     """
-    best, best_point, count = -math.inf, (), 0
-    for x, y, t in points:
-        if not (0.0 < x <= 1.0) or y < (1.0 - REGIME_TOL) / (x * x) or t < 1 or t != int(t):
-            raise ValueError(f"point outside the inequality's domain: {(x, y, t)}")
-        if x * y <= 1.0:
-            raise ValueError(f"expression is singular at {(x, y, t)} (x*y <= 1)")
-        val = _lemma_a1_value(x, y, int(t))
-        if val > 1.0 + slack:
-            raise ContractViolation(
-                f"ratio inequality fails at {(x, y, t)}: {val} > 1 + {slack}"
-            )
-        count += 1
-        if val > best:
-            best, best_point = val, (x, y, int(t))
-    return LemmaReport(max_value=best, bound=1.0, points_checked=count, argmax=best_point)
+    return _verify_on_grid(points, _lemma_a1_value, 1.0, slack, "ratio")
 
 
 def verify_lemma_a2(points, slack: float = 1e-12) -> LemmaReport:
@@ -407,43 +413,28 @@ def verify_lemma_a2(points, slack: float = 1e-12) -> LemmaReport:
 
     Domain: ``x in (0, 0.6]``, ``y >= 1/x^2``.
     """
-    best, best_point, count = -math.inf, (), 0
-    for x, y in points:
-        if not (0.0 < x <= 0.6) or y < (1.0 - REGIME_TOL) / (x * x):
-            raise ValueError(f"point outside the inequality's domain: {(x, y)}")
-        val = _lemma_a2_value(x, y)
-        if val > 2.0 + slack:
-            raise ContractViolation(
-                f"coefficient inequality fails at {(x, y)}: {val} > 2 + {slack}"
-            )
-        count += 1
-        if val > best:
-            best, best_point = val, (x, y)
-    return LemmaReport(max_value=best, bound=2.0, points_checked=count, argmax=best_point)
+    return _verify_on_grid(points, _lemma_a2_value, 2.0, slack, "coefficient")
 
 
-def default_lemma_a1_grid(x_step: float = 0.01, t_max: int = 50,
-                          y_factors=(1.0, 2.0, 10.0), y_fixed=(1e6,)):
-    """In-domain (x, y, t) grid, ~20k points at the defaults."""
-    n = round(1.0 / x_step)
-    for i in range(1, n + 1):
+def _lemma_grid_xy(x_max: float, x_step: float):
+    """``x = x_step .. x_max`` with ``y`` at 1, 2 and 10 times ``1/x^2``, and 1e6 once in domain."""
+    for i in range(1, round(x_max / x_step) + 1):
         x = i * x_step
-        ys = [f / (x * x) for f in y_factors]
-        ys += [y for y in y_fixed if y >= 1.0 / (x * x)]
+        ys = [f / (x * x) for f in (1.0, 2.0, 10.0)]
+        if 1e6 >= 1.0 / (x * x):
+            ys.append(1e6)
         for y in ys:
-            if x * y <= 1.0:  # the singular corner x = y = 1
-                continue
-            for t in range(1, t_max + 1):
+            yield x, y
+
+
+def default_lemma_a1_grid():
+    """In-domain (x, y, t) grid, t = 1..50: ~20k points."""
+    for x, y in _lemma_grid_xy(1.0, 0.01):
+        if x * y > 1.0:  # skips the singular corner x = y = 1
+            for t in range(1, 51):
                 yield (x, y, t)
 
 
-def default_lemma_a2_grid(x_step: float = 0.0001,
-                          y_factors=(1.0, 2.0, 10.0), y_fixed=(1e6,)):
+def default_lemma_a2_grid():
     """In-domain (x, y) grid; the fine x step keeps it above 10^4 points."""
-    n = round(0.6 / x_step)
-    for i in range(1, n + 1):
-        x = i * x_step
-        ys = [f / (x * x) for f in y_factors]
-        ys += [y for y in y_fixed if y >= 1.0 / (x * x)]
-        for y in ys:
-            yield (x, y)
+    return _lemma_grid_xy(0.6, 0.0001)

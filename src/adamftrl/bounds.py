@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .errors import RegimeError, ScheduleError
-from .learner import REGIME_TOL, HyperParams, LearnerState, alpha_at, pow_or_inf
+from .learner import (REGIME_TOL, HyperParams, LearnerState, alpha_at, at_most, pow_or_inf,
+                      root_sum_of_squares)
 
 # theorem1 terms this far (relative) below the largest never lead again: ~40 ulps.
 _TIE_TOL = 1e-14
@@ -212,7 +213,7 @@ def bound_b_undiscounted(losses, ratio: float, u: float, alpha: float,
              f"order-level bound needs 0 < ratio <= 1, got {ratio}")
     _require(D > 0, ValueError, f"domain half-width must be positive, got {D}")
     T = len(losses) - 1
-    radical = math.sqrt(math.fsum((ratio**t * v) ** 2 for t, v in enumerate(losses)))
+    radical = root_sum_of_squares(losses, ratio, len(losses))
     comparator = u * u / alpha * pow_or_inf(ratio, -T) * radical
     variance = alpha / ratio * pow_or_inf(ratio, -T) * radical
     return _report("B", T, comparator, variance, D * max(abs(v) for v in losses),
@@ -260,9 +261,6 @@ BOUNDS = {
 }
 
 
-def dominance_holds(regret_discounted: float, report: BoundReport,
-                    slack: float = 1e-9) -> bool:
-    """One-sided check ``regret <= total`` with relative slack."""
-    return regret_discounted <= report.total + slack * max(
-        1.0, abs(regret_discounted), abs(report.total)
-    )
+def dominance_holds(regret_discounted: float, report: BoundReport) -> bool:
+    """One-sided check ``regret <= total``, by :func:`learner.at_most`."""
+    return at_most(regret_discounted, report.total)

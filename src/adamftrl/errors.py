@@ -18,7 +18,8 @@ class InvalidGradientError(AdamFtrlError):
 
 
 class DegenerateStateError(AdamFtrlError):
-    """Learner state cannot produce an update (no gradients, or zero second moment)."""
+    """Learner state cannot produce an update (no gradients, a second moment out of range,
+    or an update that overflows)."""
 
 
 class OracleHorizonError(AdamFtrlError):

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +40,7 @@ from .errors import (
     InvalidGradientError,
     RegimeError,
 )
-from .learner import DEFAULT_ORACLE_HORIZON, AlphaSchedule, HyperParams, alpha_at
+from .learner import DEFAULT_ORACLE_HORIZON, AlphaSchedule, HyperParams, alpha_at, at_most
 from .regret import drive
 
 RNG_NAME = "numpy-pcg64"
@@ -51,13 +51,6 @@ TRACE_COLUMNS = (
 PAIR_COLUMNS = (
     "t", "loss_a", "delta_a", "f_a", "loss_aprime", "delta_aprime", "f_aprime", "strict",
 )
-
-_KNOWN_KEYS = {
-    "beta1", "beta2", "alpha_kind", "alpha", "alpha_ratio", "alpha_values",
-    "domain", "T", "u", "adversary", "gradients", "distribution", "v0",
-    "kappa", "a", "b", "v", "p", "seed", "bounds", "out", "format",
-    "oracle_horizon", "grid",
-}
 
 
 @dataclass
@@ -252,6 +245,9 @@ class ExperimentConfig:
         return out
 
 
+_KNOWN_KEYS = {f.name for f in fields(ExperimentConfig)}
+
+
 @dataclass(frozen=True)
 class ExperimentResult:
     """Rows ready for CSV plus a JSON-safe summary."""
@@ -353,7 +349,7 @@ def _run_stream_batch(points: list[ExperimentConfig]) -> ExperimentResult:
     b1 = np.array([p.beta1 for p in params])
     b2 = np.array([p.beta2 for p in params])
     # float64 clip counts are exact below 2^53; an int64 += bool loop adds ~0.3 MB of peak RSS
-    m, q, max_v, d_max, r_disc, clips, q_peak, v_peak = (np.zeros(n) for _ in range(8))
+    m, q, max_v, d_max, r_disc, clips, q_peak, v_peak, bar_peak = (np.zeros(n) for _ in range(9))
     gradients = first.adversary_spec().gradient_stream(T)
     if not (np.isfinite(gradients).all() and gradients[0] != 0.0):
         raise InvalidGradientError("gradients must be finite, the first one nonzero")
@@ -364,12 +360,14 @@ def _run_stream_batch(points: list[ExperimentConfig]) -> ExperimentResult:
             g_t = gradients[t]
             if t >= 1:
                 if np.any(q <= 0.0):
-                    raise DegenerateStateError("second-moment accumulator is zero")
+                    raise DegenerateStateError(
+                        f"second-moment accumulator underflows to zero after g_{t - 1}")
                 alphas = [alpha_at(s, t) for s in schedules]
                 a_t = alphas[0] if len(alphas) == 1 else np.array(alphas)[which]
                 delta = delta_bar = -a_t * m / np.sqrt(q)
                 if D is not None:
                     size = np.abs(delta_bar)
+                    np.maximum(bar_peak, size, out=bar_peak)
                     delta = np.where(size <= D, delta_bar, np.copysign(D, delta_bar))
                     clips += size > D
                 d_max = np.fmax(d_max, np.abs(delta))   # like max(), never takes a NaN
@@ -379,9 +377,12 @@ def _run_stream_batch(points: list[ExperimentConfig]) -> ExperimentResult:
             max_v = np.maximum(b1 * max_v, abs(g_t))
             np.maximum(q_peak, q, out=q_peak)
             np.maximum(v_peak, max_v, out=v_peak)
-    # both are sticky: beta2 * inf + g^2 stays inf, and beta1 * r_disc + finite stays non-finite
+    # all are sticky: beta2 * inf + g^2 stays inf, a running max keeps inf, and beta1 * r_disc
+    # + finite stays non-finite.  Unclipped, an infinite delta_bar makes r_disc non-finite too.
     if not np.isfinite(q).all():
         raise DegenerateStateError("second-moment accumulator overflows")
+    if not np.isfinite(bar_peak).all():
+        raise DegenerateStateError("update delta_bar overflows")
     if not np.isfinite(r_disc).all():
         raise RegimeError("discounted regret overflows")
 
@@ -416,7 +417,9 @@ def _run_geometric(config: ExperimentConfig) -> ExperimentResult:
     losses = config.adversary_spec().losses(config.T)
     running_regret = 0.0
     running_num = 0.0      # sum of raw losses seen by the minimizer
-    running_den = 0.0      # sum of (ratio^s v_s)^2
+    # sum of (ratio^s v_s)^2 for the q_t column: a running float sum, not
+    # learner.root_sum_of_squares (a sqrt of an fsum), whose rounding would change the CSV
+    running_den = 0.0
     running_maxv = abs(losses[0])
     running_dmax = 0.0
 
@@ -434,11 +437,10 @@ def _run_geometric(config: ExperimentConfig) -> ExperimentResult:
             b_here,
         ))
 
-    slack = 1e-9 * max(1.0, abs(result.regret), abs(result.lower_bound))
     contracts = {
         "no_clipping": not result.any_clipped,
         "prebar_within_half_domain": result.max_prebar <= D / 2.0 + 1e-12 * D,
-        "regret_at_least_lower_bound": result.regret >= result.lower_bound - slack,
+        "regret_at_least_lower_bound": at_most(result.lower_bound, result.regret),
     }
     summary = {
         "adversary": "geometric",
@@ -501,12 +503,15 @@ def _run_nonoblivious(config: ExperimentConfig) -> ExperimentResult:
 def run_experiment(config: ExperimentConfig | list[ExperimentConfig]) -> ExperimentResult:
     """Drive one experiment to completion; deterministic given (config, seed).
 
+    A config with a ``grid`` is a sweep template and is rejected: see :func:`sweep`.
     A list of ``fixed`` or ``random`` configs that differ only in ``beta1``/``beta2`` is a
     vector run: one learner-axis batch on their shared stream (``_run_stream_batch``), whose
     rows hold each point's sweep metrics and ``summary["points"]`` each point's summary.
     """
     if isinstance(config, list):
         return _run_stream_batch(config)
+    if config.grid:
+        raise ConfigError("a config with a 'grid' runs only as a sweep")
     if config.adversary in ("fixed", "random"):
         return _run_gradient_stream(config)
     if config.adversary == "geometric":

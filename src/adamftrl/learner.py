@@ -7,8 +7,9 @@ The learner ingests a stream of gradients ``g_0, g_1, ...`` and, in round
 
 with both sums over ``s = 0..t-1``.  This is Adam without bias correction and
 without a denominator epsilon: the first gradient is required to be nonzero,
-which keeps the second-moment accumulator strictly positive, and no ``m_hat``
-or ``v_hat`` rescaling is ever applied.
+which keeps the second-moment accumulator positive in exact arithmetic (a float
+``q`` that underflows to 0 stops the run), and no ``m_hat`` or ``v_hat``
+rescaling is ever applied.
 
 The same update is the minimizer of a regularized linear objective
 
@@ -42,6 +43,13 @@ from .errors import (
 DEFAULT_ORACLE_HORIZON = 60
 # Slack at every regime boundary, for the rounding in p = beta1 / sqrt(beta2).
 REGIME_TOL = 1e-12
+# Relative slack of every numeric contract ``a <= b``: dominance, tightness, per-round FTRL.
+CONTRACT_TOL = 1e-9
+
+
+def at_most(a: float, b: float) -> bool:
+    """``a <= b`` up to a relative ``CONTRACT_TOL``: the one rule every contract check uses."""
+    return a <= b + CONTRACT_TOL * max(1.0, abs(a), abs(b))
 
 
 def pow_or_inf(base: float, exp: float) -> float:
@@ -222,14 +230,18 @@ def propose_update(state: LearnerState, params: HyperParams) -> UpdateOutcome:
     """Update for round ``t = state.t`` from the stable discounted form.
 
     ``delta_bar = -alpha_t * m / sqrt(q)`` exactly, then clipped to the
-    domain.  Records the emitted magnitude in ``state.d_max``.
+    domain.  Records the emitted magnitude in ``state.d_max``.  A ``q`` that
+    underflowed to 0, or a ``delta_bar`` that overflows, raises :class:`DegenerateStateError`.
     """
     if state.t < 1:
         raise DegenerateStateError("no gradient ingested yet")
     if state.q <= 0.0:
-        raise DegenerateStateError("second-moment accumulator is zero")
+        raise DegenerateStateError(
+            f"second-moment accumulator underflows to zero after g_{state.t - 1}")
     a_t = alpha_at(params.alpha, state.t)
     delta_bar = -a_t * state.m / math.sqrt(state.q)
+    if not math.isfinite(delta_bar):
+        raise DegenerateStateError(f"update delta_bar overflows at t={state.t}")
     delta = clip_to_domain(delta_bar, params.D)
     clipped = params.D is not None and abs(delta_bar) > params.D
     state.d_max = max(state.d_max, abs(delta))
@@ -245,11 +257,22 @@ def undiscounted_losses(raw_gradients, beta1: float) -> list[float]:
     return [g / beta1**s for s, g in enumerate(raw_gradients)]
 
 
+def root_sum_of_squares(losses, ratio: float, n: int) -> float:
+    """``sqrt(sum_{s<n} (ratio^s v_s)^2)``, or ``inf`` where a square or the sum leaves the float
+    range (Python's float ``**`` and ``fsum`` raise ``OverflowError`` there)."""
+    try:
+        return math.sqrt(math.fsum((ratio**s * losses[s]) ** 2 for s in range(n)))
+    except OverflowError:
+        return math.inf
+
+
 def ftrl_eta_from_losses(losses, ratio: float, a_t: float, t: int) -> float:
     """``eta_t`` of the literal FTRL recursion on a raw loss sequence."""
-    denom = math.sqrt(math.fsum((ratio**s * losses[s]) ** 2 for s in range(t)))
+    denom = root_sum_of_squares(losses, ratio, t)
     if denom == 0.0:
         raise DegenerateStateError("all loss coefficients through round t are zero")
+    if denom == math.inf:
+        raise DegenerateStateError(f"FTRL second-moment sum overflows at t={t}")
     return a_t * ratio ** (t - 1) / denom
 
 

@@ -22,6 +22,8 @@ from .learner import (
     HyperParams,
     LearnerState,
     alpha_at,
+    at_most,
+    evaluate_objective,
     ftrl_eta_from_losses,
     ftrl_update_from_losses,
     ingest_gradient,
@@ -96,9 +98,8 @@ class PerRoundInequality:
     stability_bound: float
     range_bound: float
 
-    def holds(self, slack: float = 1e-9) -> bool:
-        rhs = min(self.stability_bound, self.range_bound)
-        return self.lhs <= rhs + slack * max(1.0, abs(self.lhs), abs(rhs))
+    def holds(self) -> bool:
+        return at_most(self.lhs, min(self.stability_bound, self.range_bound))
 
 
 def per_round_ftrl_inequality(raw_gradients, params: HyperParams, t: int,
@@ -132,14 +133,12 @@ def per_round_ftrl_inequality(raw_gradients, params: HyperParams, t: int,
         deltas.append(raw)
     d_T = max(abs(d) for d in deltas)
 
-    def objective(s: int, x: float) -> float:
-        eta = ftrl_eta_from_losses(losses, params.p, alpha_at(params.alpha, s), s)
-        return x * x / (2.0 * eta) + math.fsum(losses[:s]) * x
-
     a_next = alpha_at(params.alpha, t + 1)
     delta_next = ftrl_update_from_losses(losses, params.p, a_next, t + 1, None)
     v_t = losses[t]
-    lhs = objective(t, deltas[t - 1]) - objective(t + 1, delta_next) + v_t * deltas[t - 1]
+    lhs = (evaluate_objective(raw_gradients, params, t, deltas[t - 1], horizon)
+           - evaluate_objective(raw_gradients, params, t + 1, delta_next, horizon)
+           + v_t * deltas[t - 1])
     eta_t = ftrl_eta_from_losses(losses, params.p, alpha_at(params.alpha, t), t)
     return PerRoundInequality(
         lhs=lhs,

@@ -383,6 +383,13 @@ Q_OVERFLOW = {"adversary": "fixed", "gradients": [1.0, 1.7e308, 1.7e308, -1.0, 0
               "beta1": 0.5, "beta2": 0.5, "alpha": 0.5, "u": 0.0, "bounds": ["corollary1"],
               "grid": {"beta1": [0.3, 0.6], "beta2": [0.5, 0.9]}}
 
+# alpha m overflows before the division by sqrt(q), and g_0^2 underflows: each point raises
+UPDATE_OVERFLOW = {"adversary": "fixed", "gradients": [1.0, 5.0, 0.0, 3.0], "beta1": 0.9,
+                   "beta2": 0.99, "alpha_kind": "constant", "alpha": 1e308, "domain": 1.0,
+                   "u": 0.5}
+Q_UNDERFLOW = {"adversary": "fixed", "gradients": [1e-170, 1.0, 2.0], "beta1": 0.9,
+               "beta2": 0.99, "alpha_kind": "constant"}
+
 
 @given(stream_sweeps())
 @example({**Q_OVERFLOW, "domain": "unbounded"})
@@ -427,7 +434,7 @@ def test_sweep_batch_sees_theorem1_overflow_at_an_early_row():
 EARLY_OVERFLOWS = {
     "corollary1": ({"adversary": "fixed", "gradients": [1.0, 3.0] + [0.0] * 8, "beta1": 0.5,
                     "beta2": 0.5, "alpha": 1e-308, "u": 1.0, "domain": 1.0}, 2),
-    "theorem1": ({"adversary": "fixed", "gradients": [1e9, 1e9] + [0.0] * 998, "beta1": 0.5,
+    "theorem1": ({"adversary": "fixed", "gradients": [1.0, 1.0, 2e8] + [0.0] * 997, "beta1": 0.5,
                   "beta2": 0.5, "alpha_kind": "exponential_decay", "alpha": 1e300,
                   "alpha_ratio": 2.0, "u": 0.0, "domain": 1.0}, 2),
     "B": ({"adversary": "random", "seed": 0, "beta1": 1e-6, "beta2": 0.5, "T": 60,
@@ -451,6 +458,38 @@ def test_sweep_skips_tightness_points_that_leave_the_float_range():
     assert statuses == [
         "ok", "skipped: bound 'B' overflows: its total leaves the float range at T = 511",
         "skipped: tightness runs need v0 kappa^T finite, got kappa=4.0, T=512"]
+
+
+def test_sweep_skips_tightness_points_whose_squares_overflow():
+    # (1e100^s)^2 overflows in B's radical at T = 2 and in eta_3 at T = 3; both were tracebacks
+    raw = {**cli.TIGHTNESS_PRESET, "grid": {"kappa": [4.0, 1e100], "T": [2, 3]}}
+    statuses = [row[2] for row in sweep(ExperimentConfig.from_dict(raw)).csv_rows]
+    assert statuses == [
+        "ok", "skipped: bound 'B' overflows: its total leaves the float range at T = 2",
+        "ok", "skipped: FTRL second-moment sum overflows at t=3"]
+
+
+def test_sweep_skips_tightness_points_whose_lower_bound_overflows():
+    # v0 D kappa (kappa^T - 1) overflows at kappa = 7.6e69; the row read ok with contracts_ok
+    # false, since the lower-bound contract compared the regret with inf
+    raw = {**cli.TIGHTNESS_PRESET, "domain": 7.8e129, "T": 2, "grid": {"kappa": [4.0, 7.6e69]}}
+    result = sweep(ExperimentConfig.from_dict(raw))
+    assert [row[1] for row in result.csv_rows] == [
+        "ok", "skipped: tightness lower bound overflows at T = 2"]
+
+
+@pytest.mark.parametrize("raw,reason", [
+    (UPDATE_OVERFLOW, "update delta_bar overflows at t=2"),
+    (Q_UNDERFLOW, "second-moment accumulator underflows to zero after g_0"),
+    # q = 1e-320, then beta2 q rounds to a subnormal and beta2^2 q to 0
+    ({**Q_UNDERFLOW, "gradients": [1e-160, 0.0, 0.0, 1.0]},
+     "second-moment accumulator underflows to zero after g_2"),
+], ids=["update-overflow", "underflow-after-g0", "underflow-after-g2"])
+def test_sweep_skips_points_whose_update_leaves_the_float_range(raw, reason):
+    raw = {**raw, "grid": {"beta2": [0.001, 0.01]}}
+    assert _check_sweep_matches_point_runs(raw) == 1
+    assert [row[1] for row in sweep(ExperimentConfig.from_dict(raw)).csv_rows] == [
+        f"skipped: {reason}"] * 2
 
 
 def test_sweep_nonoblivious_grid_strictness():
@@ -622,11 +661,16 @@ RANDOM_DECAY = {"adversary": "random", "beta1": 0.9, "beta2": 0.99,
     # g_1 (delta_1 - u) overflows; the JSON held "regret_discounted": Infinity
     ({"adversary": "fixed", "gradients": [1.0, -2.0, 0.0, 3.0], "alpha_kind": "constant",
       "alpha": 1e308}, "discounted regret overflows at t=1"),
+    # alpha_2 m_2 overflows before the division by sqrt(q); clipped, the run exited 0 with
+    # delta_bar_t = -inf in the CSV
+    (UPDATE_OVERFLOW, "update delta_bar overflows at t=2"),
+    # g_0^2 rounds to 0; the message said only "second-moment accumulator is zero"
+    (Q_UNDERFLOW, "second-moment accumulator underflows to zero after g_0"),
 ], ids=["theorem1-alpha-underflow", "theorem1-ratio-overflow", "theorem3-pT-overflow",
         "no-bound-alpha-underflow", "theorem1-comparator-overflow",
         "corollary1-total-overflow", "theorem3-total-overflow", "second-moment-overflow",
         "B-early-row-overflow", "corollary1-early-row-overflow", "theorem1-variance-overflow",
-        "regret-overflow"])
+        "regret-overflow", "update-overflow", "second-moment-underflow"])
 def test_cli_range_errors_exit_two(patch, err, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**RANDOM_DECAY, **patch}))
@@ -635,18 +679,51 @@ def test_cli_range_errors_exit_two(patch, err, tmp_path, capsys):
     assert not list(tmp_path.glob("x.*"))
 
 
-@pytest.mark.parametrize("T,err", [
+@pytest.mark.parametrize("patch,argv,err", [
     # B's round-T total overflows; the JSON held "b_total": Infinity and the run exited 1
-    (511, "bound 'B' overflows: its total leaves the float range at T = 511"),
+    ({"T": 511}, ["--horizon", "511"],
+     "bound 'B' overflows: its total leaves the float range at T = 511"),
     # v0 kappa^T itself overflows; the losses died with an OverflowError traceback
-    (512, "tightness runs need v0 kappa^T finite, got kappa=4.0, T=512"),
-])
-def test_cli_tightness_range_errors_exit_two(T, err, tmp_path, capsys):
+    ({"T": 512}, ["--horizon", "512"],
+     "tightness runs need v0 kappa^T finite, got kappa=4.0, T=512"),
+    # a square (p^s v_s)^2 in eta_t overflows; both died with an OverflowError traceback
+    ({"v0": 1e200}, [], "FTRL second-moment sum overflows at t=1"),
+    ({"v0": 1, "kappa": 1e100, "T": 3}, [], "FTRL second-moment sum overflows at t=3"),
+    # only the round-T square overflows, in B's radical; also an OverflowError traceback
+    ({"v0": 1, "kappa": 1e100, "T": 2}, [],
+     "bound 'B' overflows: its total leaves the float range at T = 2"),
+    # the lower bound v0 D kappa (kappa^T - 1) / (2 (kappa - 1)) overflows; the CSV-only run
+    # exited 1, and the JSON run exited 2 after writing its CSV
+    ({"kappa": 7.6e69, "T": 2, "domain": 7.8e129}, ["--format", "csv"],
+     "tightness lower bound overflows at T = 2"),
+    ({"kappa": 7.6e69, "T": 2, "domain": 7.8e129}, [],
+     "tightness lower bound overflows at T = 2"),
+], ids=["B-total-overflow", "kappa-power-overflow", "eta-overflow-at-1", "eta-overflow-at-3",
+        "B-radical-overflow", "lower-bound-overflow-csv", "lower-bound-overflow-json"])
+def test_cli_tightness_range_errors_exit_two(patch, argv, err, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"T": T}))
-    assert cli.main(["tightness", "--config", str(cfg), "--horizon", str(T),
+    cfg.write_text(json.dumps(patch))
+    assert cli.main(["tightness", "--config", str(cfg), *argv,
                      "--out", str(tmp_path / "x")]) == 2
     assert capsys.readouterr().err == f"config error: {err}\n"
+    assert not list(tmp_path.glob("x.*"))
+
+
+@pytest.mark.parametrize("command,raw", [
+    # u lies outside the domain and B is past the horizon, yet the run exited 0
+    ("simulate", {"adversary": "random", "beta1": 0.9, "beta2": 0.99, "T": 20, "u": 5,
+                  "domain": 1, "bounds": ["B"], "oracle_horizon": 5,
+                  "grid": {"beta2": [0.5, 0.99]}}),
+    # exited 2 with numpy's "negative dimensions are not allowed"
+    ("simulate", {"adversary": "random", "beta1": 0.9, "beta2": 0.99, "T": -3,
+                  "grid": {"beta2": [0.5, 0.99]}}),
+    ("tightness", {"grid": {"T": [2, 3]}}),
+], ids=["simulate-incoherent", "simulate-negative-T", "tightness"])
+def test_cli_single_runs_reject_a_grid(command, raw, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == "config error: a config with a 'grid' runs only as a sweep\n"
     assert not list(tmp_path.glob("x.*"))
 
 
@@ -694,10 +771,13 @@ def edge_of_range_runs(draw):
 @given(edge_of_range_runs())
 @example({"adversary": "fixed", "gradients": [1.0, -2.0, 0.0, 3.0], "T": 3, "beta1": 0.9,
           "beta2": 0.99, "alpha": 1e308, "domain": "unbounded", "u": 0.0, "bounds": []})
+@example({"adversary": "fixed", "gradients": [1.0, 5.0, 0.0, 3.0], "T": 3, "beta1": 0.9,
+          "beta2": 0.99, "alpha": 1e308, "domain": 1.0, "u": 0.5, "bounds": []})
 @settings(max_examples=100, deadline=None)
 def test_cli_output_is_strict_at_the_edge_of_the_float_range(raw):
     # every input ends as a finite result (exit 0, or 1 for a finite failed dominance check)
-    # or a typed error (exit 2); no NaN or Infinity ever reaches the JSON
+    # or a typed error (exit 2); no NaN or Infinity ever reaches the JSON, and the CSV holds
+    # NaN only in the bound cells of rows t < 2
     command = "sweep" if "grid" in raw else "simulate"
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "cfg.json"
@@ -711,6 +791,10 @@ def test_cli_output_is_strict_at_the_edge_of_the_float_range(raw):
         return
     summary = json.loads(out.getvalue(), parse_constant=_reject_constant)
     if command == "simulate":
+        res = run_experiment(ExperimentConfig.from_dict(raw))
+        assert all(math.isfinite(v) or (math.isnan(v) and c.startswith("bound_") and row[0] < 2)
+                   for row in res.csv_rows for c, v in zip(res.csv_header, row)
+                   if isinstance(v, float))
         failed = [e for e in summary["bounds"].values() if e and e.get("dominates") is False]
     else:   # the sweep summary holds no per-point values: read them from its rows
         res = sweep(ExperimentConfig.from_dict(raw))
