@@ -16,15 +16,24 @@ Stable re-anchorings used here, all exact algebra:
   ``(max_t alpha_t p^(-t)) p^T = max_t alpha_t p^(T-t)``;
 * exponential-decay bound, ``p >= 1``:
   ``sqrt(sum beta1^(2T) beta2^(-t) g_t^2) = p^T sqrt(q)``.
+
+Each bound from statistics prices one round ``T`` from float statistics, or every row of a run
+at once from columns: ``T`` is then a rising int array and the statistics are float64 arrays of
+the same length.  The same code does both.  numpy's elementwise ``+ * / sqrt`` round exactly as
+Python floats do, and the powers ``p^T`` and ``beta1^-T`` stay Python's ``pow``, so a column
+holds the per-row totals bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
-from .errors import RegimeError, ScheduleError
+import numpy as np
+
+from .errors import AdamFtrlError, RegimeError, ScheduleError
 from .learner import (REGIME_TOL, HyperParams, LearnerState, alpha_at, at_most, pow_or_inf,
                       root_sum_of_squares)
 
@@ -36,38 +45,93 @@ _TIE_TOL = 1e-14
 class TraceStats:
     """Discounted trace statistics a bound needs: ``q``, ``max_v``, ``d_max``.
 
-    ``peak`` marks running maxima over a run's rows; theorem1 then takes its coefficient at
-    its running maximum too.
+    Each is a float, or a float64 column with one entry per row priced.  ``peak`` marks
+    running maxima over a run's rows; theorem1 then takes its coefficient at its running
+    maximum too.
     """
 
-    q: float
-    max_v: float
-    d_max: float
+    q: float | np.ndarray
+    max_v: float | np.ndarray
+    d_max: float | np.ndarray
     peak: bool = False
 
     @classmethod
     def from_state(cls, state: LearnerState) -> "TraceStats":
         return cls(q=state.q, max_v=state.max_v, d_max=state.d_max)
 
+    def head(self, n: int) -> "TraceStats":
+        """The first ``n`` rows of column statistics."""
+        return replace(self, q=self.q[:n], max_v=self.max_v[:n], d_max=self.d_max[:n])
+
 
 @dataclass(frozen=True)
 class BoundReport:
-    """One evaluated bound: total plus its comparator/variance/max split."""
+    """One evaluated bound: total plus its comparator/variance/max split.
+
+    Priced over a column of rows, each value is a float64 column; :meth:`row` takes one row.
+    """
 
     kind: str
-    total: float
-    term_comparator: float
-    term_variance: float
-    term_max: float
+    total: float | np.ndarray
+    term_comparator: float | np.ndarray
+    term_variance: float | np.ndarray
+    term_max: float | np.ndarray
     scale: str
 
+    def row(self, i: int) -> "BoundReport":
+        """Row ``i`` of a column report, as floats."""
+        return BoundReport(self.kind, float(self.total[i]), float(self.term_comparator[i]),
+                           float(self.term_variance[i]), float(self.term_max[i]), self.scale)
 
-def _report(kind, T, comparator, variance, term_max, scale) -> BoundReport:
-    """The one overflow rule: a total that is not finite raises, at the row ``T`` priced."""
+
+def _report(kind, T, comparator, variance, term_max, scale, stop=None) -> BoundReport:
+    """The one overflow rule: a total that is not finite raises, at the first row ``T`` priced
+    (one round, or a column of them).
+
+    ``stop`` is an error met at the row after the last one priced; it raises once the rows
+    before it are found finite.  Either error carries its row as ``row``, so that
+    :func:`price_columns` can order the errors of several bounds.
+    """
     total = comparator + variance + term_max
-    _require(math.isfinite(total), RegimeError,
-             f"bound {kind!r} overflows: its total leaves the float range at T = {T}")
+    if isinstance(total, np.ndarray):
+        bad = np.flatnonzero(~np.isfinite(total))
+    else:   # math.isfinite: this runs once per row of a tightness run
+        bad = [] if math.isfinite(total) else [0]
+    if len(bad):
+        row = np.ravel(T)[bad[0]]
+        stop = RegimeError(
+            f"bound {kind!r} overflows: its total leaves the float range at T = {row}")
+        stop.row = row
+    if stop is not None:
+        raise stop
     return BoundReport(kind, total, comparator, variance, term_max, scale)
+
+
+def _sqrt(x):
+    """``sqrt`` of a float or of a column; both round correctly, so alike."""
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def _powers(base: float, T):
+    """``base ** T`` for a round or each round of a column by Python's ``pow``, which numpy's
+    ``power`` need not match bit for bit; ``inf`` where it overflows."""
+    if isinstance(T, np.ndarray):
+        return np.array([pow_or_inf(base, t) for t in T.tolist()])
+    return pow_or_inf(base, T)
+
+
+def _priced(bound):
+    """Checks a bound's round ``T``, and prices a column of rounds with numpy's overflow and
+    invalid warnings off: as Python floats overflow to ``inf``, and give ``0 * inf = nan``,
+    silently."""
+    @functools.wraps(bound)
+    def price(params: HyperParams, stats: TraceStats, u: float, T, *args) -> BoundReport:
+        if isinstance(T, np.ndarray):   # a rising column of rounds >= 1
+            with np.errstate(all="ignore"):
+                return bound(params, stats, u, T, *args)
+        _require(T >= 1, ValueError, f"need T >= 1, got {T}")
+        return bound(params, stats, u, T, *args)
+    return price
 
 
 def _require(cond: bool, exc: type[Exception], msg: str) -> None:
@@ -142,9 +206,15 @@ class Theorem1Coefficient:
             if self.p == 1.0:  # each term is then its alpha at every T, and the first leads
                 del self.kept[1:]
 
+    def at(self, T: int, peak: bool = False) -> tuple[float, float]:
+        """``alpha_{T+1}`` and the coefficient at ``T``, or its largest value so far if ``peak``."""
+        self.advance_to(T)
+        return self.alpha_next, self.peak if peak else self.coeff
 
+
+@_priced
 def bound_theorem1_discounted(params: HyperParams, stats: TraceStats, u: float,
-                              T: int, running: Theorem1Coefficient | None = None) -> BoundReport:
+                              T, running: Theorem1Coefficient | None = None) -> BoundReport:
     """General discounted bound for ``p <= 1`` and any non-increasing alpha.
 
     total = (u^2 / alpha_{T+1}) sqrt(q)
@@ -152,45 +222,55 @@ def bound_theorem1_discounted(params: HyperParams, stats: TraceStats, u: float,
           + 7 d_max max_v
 
     ``running`` carries the coefficient across one run's rows; without it a call costs O(T).
+    A schedule error at some row is raised once the rows before it are priced.
     """
     check_theorem1(params)
-    _require(T >= 1, ValueError, f"need T >= 1, got {T}")
     running = running or Theorem1Coefficient(params)
-    running.advance_to(T)
-    root_q = math.sqrt(stats.q)
-    comparator = u * u / running.alpha_next * root_q
-    coeff = running.peak if stats.peak else running.coeff
+    stop = None
+    if isinstance(T, np.ndarray):
+        alpha_next, coeff = np.empty(len(T)), np.empty(len(T))
+        for i, t in enumerate(T.tolist()):
+            try:
+                alpha_next[i], coeff[i] = running.at(t, stats.peak)
+            except AdamFtrlError as exc:
+                stop, exc.row = exc, t
+                T, stats, alpha_next, coeff = T[:i], stats.head(i), alpha_next[:i], coeff[:i]
+                break
+    else:
+        alpha_next, coeff = running.at(T, stats.peak)
+    root_q = _sqrt(stats.q)
+    comparator = u * u / alpha_next * root_q
     variance = math.sqrt(6.0 * params.beta2) / (2.0 * params.beta1) * coeff * root_q
     return _report("theorem1", T, comparator, variance, 7.0 * stats.d_max * stats.max_v,
-                   "discounted")
+                   "discounted", stop)
 
 
+@_priced
 def bound_corollary1_discounted(params: HyperParams, stats: TraceStats, u: float,
-                                T: int) -> BoundReport:
+                                T) -> BoundReport:
     """Constant-alpha specialization of the general ``p <= 1`` bound.
 
     total = (u^2/alpha + alpha sqrt(6 beta2) / (2 beta1)) sqrt(q) + 7 d_max max_v
     """
     check_corollary1(params)
-    _require(T >= 1, ValueError, f"need T >= 1, got {T}")
     a = params.alpha.alpha
-    root_q = math.sqrt(stats.q)
+    root_q = _sqrt(stats.q)
     comparator = u * u / a * root_q
     variance = a * math.sqrt(6.0 * params.beta2) / (2.0 * params.beta1) * root_q
     return _report("corollary1", T, comparator, variance, 7.0 * stats.d_max * stats.max_v,
                    "discounted")
 
 
+@_priced
 def bound_theorem3_discounted(params: HyperParams, stats: TraceStats, u: float,
-                              T: int) -> BoundReport:
+                              T) -> BoundReport:
     """Discounted bound for ``p >= 1`` with ``alpha_t = alpha / p^(t-1)``.
 
     total = (u^2/alpha + alpha sqrt(6)/2) p^T sqrt(q) + 7 d_max max_v
     """
     check_theorem3(params)
-    _require(T >= 1, ValueError, f"need T >= 1, got {T}")
     a = params.alpha.alpha
-    root = pow_or_inf(params.p, T) * math.sqrt(stats.q)
+    root = _powers(params.p, T) * _sqrt(stats.q)
     comparator = u * u / a * root
     variance = a * math.sqrt(6.0) / 2.0 * root
     return _report("theorem3", T, comparator, variance, 7.0 * stats.d_max * stats.max_v,
@@ -220,8 +300,9 @@ def bound_b_undiscounted(losses, ratio: float, u: float, alpha: float,
                    "undiscounted")
 
 
+@_priced
 def bound_b_from_stats(params: HyperParams, stats: TraceStats, u: float,
-                       T: int) -> BoundReport:
+                       T) -> BoundReport:
     """The same order-level bound recovered from discounted statistics.
 
     Uses ``sqrt(sum (p^t v_t)^2) = beta1^(-T) sqrt(q)`` and
@@ -230,15 +311,18 @@ def bound_b_from_stats(params: HyperParams, stats: TraceStats, u: float,
     """
     check_b(params)
     a = params.alpha.alpha
-    scale = pow_or_inf(params.beta1, -T)
-    radical = scale * math.sqrt(stats.q)
+    scale = _powers(params.beta1, -T)
+    radical = scale * _sqrt(stats.q)
     comparator = u * u / a * radical
     variance = a / params.p * radical
     return _report("B", T, comparator, variance, params.D * scale * stats.max_v, "undiscounted")
 
 
 class BoundSpec(NamedTuple):
-    """A bound's regime check and its per-run evaluator ``(params, u) -> (stats, T) -> report``."""
+    """A bound's regime check and its per-run evaluator ``(params, u) -> (stats, T) -> report``.
+
+    An evaluator prices one round, or a run's rows at once as columns (see the module doc).
+    """
 
     check: Callable[[HyperParams], None]
     per_run: Callable[[HyperParams, float], Callable[[TraceStats, int], BoundReport]]
@@ -259,6 +343,26 @@ BOUNDS = {
     "B": BoundSpec(check_b, lambda params, u: lambda stats, T:
                    bound_b_from_stats(params, stats, u, T)),
 }
+
+
+def price_columns(evaluators, stats: TraceStats, T: np.ndarray, stop=None) -> list[BoundReport]:
+    """Each per-run evaluator's column report over the rows ``T`` (a rising int column).
+
+    Raises what pricing row by row, every evaluator in turn at each row, would raise first:
+    the error at the earliest row, of the first evaluator at that row; else ``stop``, an
+    error met after the last row (the driver's).
+    """
+    reports, n = [], len(T)
+    for evaluate in evaluators:
+        try:
+            reports.append(evaluate(stats.head(n), T[:n]))
+        except AdamFtrlError as exc:
+            # later evaluators lose at its row, so they price only the rows before it; an error
+            # with no row (a regime check) comes at the first row
+            stop, n = exc, int(np.searchsorted(T, exc.row)) if hasattr(exc, "row") else 0
+    if stop is not None:
+        raise stop
+    return reports
 
 
 def dominance_holds(regret_discounted: float, report: BoundReport) -> bool:

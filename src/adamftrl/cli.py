@@ -51,14 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--config", type=Path, help="JSON config file (flat key set)")
-        p.add_argument("--out", type=Path, help="output base path (suffixes are added)")
-        p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--format", choices=("csv", "json", "both"),
-                       help="which output files to write")
-        p.add_argument("--horizon", type=int, help="override the oracle horizon")
-
     for name, doc in (
         ("simulate", "run one experiment from a config file"),
         ("sweep", "run a config once per grid point"),
@@ -66,7 +58,15 @@ def _build_parser() -> argparse.ArgumentParser:
         ("nonoblivious", "paired-instance separation run (worked-pair preset by default)"),
         ("verify-lemmas", "check the two technical inequalities on dense grids"),
     ):
-        add_common(sub.add_parser(name, help=doc))
+        p = sub.add_parser(name, help=doc)
+        p.add_argument("--out", type=Path, help="output base path (suffixes are added)")
+        if name == "verify-lemmas":   # fixed grids and a JSON report: nothing else to set
+            continue
+        p.add_argument("--config", type=Path, help="JSON config file (flat key set)")
+        p.add_argument("--seed", type=int, help="override the config seed")
+        p.add_argument("--format", choices=("csv", "json", "both"),
+                       help="which output files to write")
+        p.add_argument("--horizon", type=int, help="override the oracle horizon")
     return parser
 
 

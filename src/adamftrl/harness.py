@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -32,7 +33,8 @@ from .adversaries import (
     run_nonoblivious_experiment,
     run_tightness_experiment,
 )
-from .bounds import BOUNDS, BoundReport, TraceStats, bound_b_undiscounted, dominance_holds
+from .bounds import (BOUNDS, BoundReport, TraceStats, bound_b_undiscounted, dominance_holds,
+                     price_columns)
 from .errors import (
     AdamFtrlError,
     ConfigError,
@@ -286,36 +288,44 @@ def _stream_summary(config: ExperimentConfig, r_disc: float, clip_count: int,
 
 
 def _run_gradient_stream(config: ExperimentConfig) -> ExperimentResult:
+    """One learner's trace: :func:`regret.drive` gives the per-round columns, then each
+    requested bound prices the rows ``t >= 2`` as one column, after one regime check."""
     params = config.hyper_params()
     u = config.comparator()
     requested = [n for n in BOUNDS if n in config.bounds]
     header = TRACE_COLUMNS + tuple(f"bound_{n}" for n in requested)
     gradients = config.adversary_spec().gradient_stream(config.T)
-    evaluators = [BOUNDS[n].per_run(params, u) for n in requested]
 
-    rows = []
-    clip_count = 0
-    r_disc = 0.0
-    final_reports: list[BoundReport] = []
-    for t, m_t, q_t, out, state, ledger in drive(gradients, params, u):
-        clip_count += int(out.clipped)
-        g_t = gradients[t]
-        r_disc = ledger.r_disc
-        row = [
-            t, out.alpha_t, g_t, m_t, q_t,
-            out.delta_bar, out.delta, out.clipped,
-            g_t * out.delta, r_disc, state.max_v, state.d_max,
-        ]
-        if t >= 2:
-            stats = TraceStats.from_state(state)
-            final_reports = [evaluate(stats, t) for evaluate in evaluators]
-            row.extend(rep.total for rep in final_reports)
-        else:
-            row.extend(math.nan for _ in requested)
-        rows.append(tuple(row))
+    alpha, m, q, delta_bar, delta, clipped, regret, max_v, d_max, q_after = (
+        [] for _ in range(10))
+    stop = None
+    try:
+        for _, m_t, q_t, out, state, ledger in drive(gradients, params, u):
+            alpha.append(out.alpha_t)
+            m.append(m_t)
+            q.append(q_t)
+            delta_bar.append(out.delta_bar)
+            delta.append(out.delta)
+            clipped.append(out.clipped)
+            regret.append(ledger.r_disc)
+            max_v.append(state.max_v)
+            d_max.append(state.d_max)
+            q_after.append(state.q)
+    except AdamFtrlError as exc:   # raised unless a bound fails at an earlier row
+        stop = exc
+    n = len(alpha)
+    # a bound at row t reads the statistics after g_t: q_after, not the row's q_t
+    stats = TraceStats(np.array(q_after[1:]), np.array(max_v[1:]), np.array(d_max[1:]))
+    reports = price_columns([BOUNDS[name].per_run(params, u) for name in requested], stats,
+                            np.arange(2, n + 1), stop)
 
-    return ExperimentResult(csv_header=header, csv_rows=tuple(rows),
-                            summary=_stream_summary(config, r_disc, clip_count, final_reports))
+    g = gradients[1:n + 1]
+    bound_cells = [[math.nan] + rep.total.tolist() for rep in reports]
+    rows = tuple(zip(range(1, n + 1), alpha, g, m, q, delta_bar, delta, clipped,
+                     map(operator.mul, g, delta), regret, max_v, d_max, *bound_cells))
+    summary = _stream_summary(config, regret[-1] if n else 0.0, sum(clipped),
+                              [rep.row(-1) for rep in reports] if n >= 2 else [])
+    return ExperimentResult(csv_header=header, csv_rows=rows, summary=summary)
 
 
 def _shared_run(config: ExperimentConfig) -> ExperimentConfig:
@@ -670,11 +680,28 @@ def _format_cell(value) -> str:
     return text
 
 
+# Cells of these types go straight into a row's %-format; any other cell (bools, strings that
+# may need quoting) is formatted by _format_cell first and passed as %s.
+_CELL_FORMATS = {int: "%d", float: "%.17g", np.float64: "%.17g"}
+
+
 def render_csv(result: ExperimentResult) -> str:
-    lines = [",".join(result.csv_header)]
+    """The CSV text, one line per row, each by the one %-format of its row's cell types."""
+    lines, formats = [",".join(result.csv_header)], {}
     for row in result.csv_rows:
-        lines.append(",".join(_format_cell(v) for v in row))
-    return "\n".join(lines) + "\n"
+        types = tuple(map(type, row))
+        if types not in formats:
+            formats[types] = (",".join(_CELL_FORMATS.get(t, "%s") for t in types),
+                              [i for i, t in enumerate(types) if t not in _CELL_FORMATS])
+        text, slow = formats[types]
+        if slow:
+            row = list(row)
+            for i in slow:
+                row[i] = _format_cell(row[i])
+            row = tuple(row)
+        lines.append(text % row)
+    lines.append("")
+    return "\n".join(lines)
 
 
 def render_json(result: ExperimentResult) -> str:

@@ -3,7 +3,8 @@
 The oracles here recompute every bound exactly as displayed, with fresh
 ``beta1**-t`` / ``beta2**(T-t)`` power loops and no reuse of the package's
 discounted recurrences, so that stable-path results are checked against a
-genuinely independent evaluation.
+genuinely independent evaluation.  ``simulate_row_by_row`` is the per-row
+reference for ``simulate``'s column pricing.
 """
 
 from __future__ import annotations
@@ -14,12 +15,17 @@ from dataclasses import dataclass
 
 from adamftrl import (
     AlphaSchedule,
+    ExperimentConfig,
+    ExperimentResult,
     HyperParams,
     LearnerState,
     RegretLedger,
+    TraceStats,
     alpha_at,
     drive as drive_rounds,
 )
+from adamftrl.bounds import BOUNDS
+from adamftrl.harness import TRACE_COLUMNS, _stream_summary
 
 
 @dataclass
@@ -44,6 +50,37 @@ def drive(gradients, params: HyperParams, u: float = 0.0) -> TraceRun:
     return TraceRun(gradients=list(gradients), deltas=[o.delta for o in outs],
                     delta_bars=[o.delta_bar for o in outs], clipped=[o.clipped for o in outs],
                     state=state, ledger=ledger)
+
+
+def simulate_row_by_row(config: ExperimentConfig) -> ExperimentResult:
+    """``simulate`` of a fixed or random stream, pricing every bound at every row ``t >= 2``.
+
+    Each row builds ``TraceStats.from_state`` and calls each requested bound's
+    ``BOUNDS[n].per_run`` evaluator in turn, so the first row and bound that cannot be priced
+    raises, before any later round of the driver runs.
+    """
+    params = config.hyper_params()
+    u = config.comparator()
+    requested = [n for n in BOUNDS if n in config.bounds]
+    gradients = config.adversary_spec().gradient_stream(config.T)
+    evaluators = [BOUNDS[n].per_run(params, u) for n in requested]
+    rows, clip_count, r_disc, final_reports = [], 0, 0.0, []
+    for t, m_t, q_t, out, state, ledger in drive_rounds(gradients, params, u):
+        clip_count += int(out.clipped)
+        g_t = gradients[t]
+        r_disc = ledger.r_disc
+        row = [t, out.alpha_t, g_t, m_t, q_t, out.delta_bar, out.delta, out.clipped,
+               g_t * out.delta, r_disc, state.max_v, state.d_max]
+        if t >= 2:
+            stats = TraceStats.from_state(state)
+            final_reports = [evaluate(stats, t) for evaluate in evaluators]
+            row.extend(rep.total for rep in final_reports)
+        else:
+            row.extend(math.nan for _ in requested)
+        rows.append(tuple(row))
+    return ExperimentResult(
+        csv_header=TRACE_COLUMNS + tuple(f"bound_{n}" for n in requested), csv_rows=tuple(rows),
+        summary=_stream_summary(config, r_disc, clip_count, final_reports))
 
 
 def random_gradients(rng: random.Random, T: int, scale: float = 10.0) -> list[float]:

@@ -1,12 +1,15 @@
 import contextlib
+import csv
 import importlib.util
 import io
 import itertools
 import json
 import math
+import random
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -22,9 +25,11 @@ from adamftrl.harness import (
     PAIR_COLUMNS,
     TRACE_COLUMNS,
     ExperimentResult,
+    _format_cell,
     render_csv,
     render_json,
 )
+from conftest import simulate_row_by_row
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -625,6 +630,19 @@ def test_cli_increasing_schedule_exit_two(tmp_path, capsys):
 RANDOM_DECAY = {"adversary": "random", "beta1": 0.9, "beta2": 0.99,
                 "alpha_kind": "exponential_decay"}
 
+# fixed streams whose driver fails at round N = 4, 4 and 6: alpha_4 m_4 overflows, then
+# g_4 (delta_4 - u) does, then g_6^2 does
+BOUND_BEFORE_DRIVER = {
+    "update": {"adversary": "fixed", "gradients": [1.0, 0.5, 0.5, 1.0, 0.2, 5.0],
+               "alpha_kind": "constant", "alpha": 1e308, "u": 0.0, "domain": 1.0},
+    "regret": {"adversary": "fixed", "gradients": [1.0, 0.5, 0.5, 0.01, 1.0, 0.2],
+               "alpha_kind": "constant", "alpha": 1e308, "u": 0.0, "domain": "unbounded"},
+    "second-moment": {"adversary": "fixed", "gradients": [1.0, 1.0, 1.0, 3.0, 0.0, 0.0,
+                                                          1.7e308, 1.0],
+                      "beta1": 0.5, "beta2": 0.5, "alpha_kind": "constant",
+                      "alpha": 1e-308, "u": 1.0, "domain": 1.0},
+}
+
 
 @pytest.mark.parametrize("patch,err", [
     # alpha_136 rounds to 0.0, and theorem1's comparator divides by alpha_{T+1}
@@ -666,11 +684,23 @@ RANDOM_DECAY = {"adversary": "random", "beta1": 0.9, "beta2": 0.99,
     (UPDATE_OVERFLOW, "update delta_bar overflows at t=2"),
     # g_0^2 rounds to 0; the message said only "second-moment accumulator is zero"
     (Q_UNDERFLOW, "second-moment accumulator underflows to zero after g_0"),
+    # a bound's total leaves the float range at row k before the driver fails at N > k: the
+    # rows are priced in order, so the bound's error names k (alone, each run fails at N:
+    # update and regret overflow at t=4, q overflow at t=6)
+    *[({**BOUND_BEFORE_DRIVER[name], "bounds": ["corollary1"]},
+       f"bound 'corollary1' overflows: its total leaves the float range at T = {k}")
+      for name, k in (("update", 2), ("regret", 2), ("second-moment", 3))],
+    # alpha_463 underflows to 0 and stops the driver; the theorem3 total, p^T (u^2/alpha)
+    # sqrt(q) with u^2/alpha = 1e274, would leave the float range near T = 670 only
+    ({"beta2": 0.64, "alpha": 1e-300, "u": 1e-13, "T": 1000, "bounds": ["theorem3"]},
+     "exponential decay alpha_t underflows to zero at t=463"),
 ], ids=["theorem1-alpha-underflow", "theorem1-ratio-overflow", "theorem3-pT-overflow",
         "no-bound-alpha-underflow", "theorem1-comparator-overflow",
         "corollary1-total-overflow", "theorem3-total-overflow", "second-moment-overflow",
         "B-early-row-overflow", "corollary1-early-row-overflow", "theorem1-variance-overflow",
-        "regret-overflow", "update-overflow", "second-moment-underflow"])
+        "regret-overflow", "update-overflow", "second-moment-underflow",
+        "bound-before-update-overflow", "bound-before-regret-overflow",
+        "bound-before-second-moment-overflow", "driver-before-bound-overflow"])
 def test_cli_range_errors_exit_two(patch, err, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**RANDOM_DECAY, **patch}))
@@ -727,6 +757,83 @@ def test_cli_single_runs_reject_a_grid(command, raw, tmp_path, capsys):
     assert not list(tmp_path.glob("x.*"))
 
 
+def _outputs_or_error(run, config: ExperimentConfig):
+    try:
+        result = run(config)
+        return render_csv(result), render_json(result)
+    except (AdamFtrlError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def referee_runs(draw):
+    """A fixed or random ``simulate`` with any bound set that fits its regime, any schedule kind
+    and domain, and magnitudes at which a bound or the driver may leave the float range."""
+    T = draw(st.one_of(st.integers(0, 3), st.integers(0, 300)))
+    domain = draw(st.sampled_from(["unbounded", 0.05, 1.0]))
+    u = draw(st.sampled_from([0.0, 0.5, -1.0]))
+    raw = {"adversary": draw(st.sampled_from(["fixed", "random"])), "T": T,
+           "seed": draw(st.integers(0, 2**32 - 1)), "domain": domain,
+           "u": u * domain if domain != "unbounded" else u * draw(st.sampled_from([1.0, 1e150])),
+           "alpha": draw(st.sampled_from([0.5, 2.0, 1e-300, 1e-308, 1e300]))}
+    kind = draw(st.sampled_from(["constant", "exponential_decay", "explicit", "p>=1"]))
+    if kind == "p>=1":   # p = 1 exactly at (0.5, 0.25), where theorem1 fits too
+        raw["beta1"], raw["beta2"] = draw(st.sampled_from([(0.5, 0.25), (0.9, 0.64), (0.6, 0.3)]))
+        raw["alpha_kind"] = "exponential_decay"
+        fitting = ["theorem3"] + (["theorem1"] if raw["beta1"] == 0.5 else [])
+    else:
+        raw["beta2"] = draw(st.floats(0.01, 0.999))
+        raw["beta1"] = min(0.99, math.sqrt(raw["beta2"]) * draw(
+            st.one_of(st.floats(0.05, 1.0), st.just(1e-6))))   # beta1^-T overflows B by T = 60
+        raw["alpha_kind"] = kind
+        fitting = ["theorem1"]
+        if kind == "constant":
+            fitting += ["corollary1"] + (["B"] if domain != "unbounded" and T <= 60 else [])
+        elif kind == "exponential_decay":
+            raw["alpha_ratio"] = draw(st.floats(1.0, 3.0))
+        else:
+            fall, step = draw(st.floats(0.5, 1.0)), draw(st.integers(1, 50))
+            raw["alpha_values"] = [max(raw["alpha"] * fall ** ((t - 1) // step), 5e-324)
+                                   for t in range(1, T + 2)]
+    raw["bounds"] = draw(st.lists(st.sampled_from(fitting), unique=True))
+    if raw["adversary"] == "fixed":
+        extreme = st.sampled_from([1e150, -1.7e308, 1e-170, 0.0])
+        raw["gradients"] = [draw(st.sampled_from([-1.5, 0.25, 3.0]))] + draw(st.lists(
+            st.one_of(st.floats(-4.0, 4.0), extreme), min_size=T, max_size=T))
+    return raw
+
+
+@given(referee_runs())
+@example({**BOUND_BEFORE_DRIVER["second-moment"], "beta1": 0.5, "beta2": 0.5,
+          "bounds": ["theorem1", "corollary1", "B"]})
+@settings(max_examples=80, deadline=None)
+def test_simulate_matches_the_row_by_row_reference(raw):
+    # the bound columns priced after the driver loop give the same CSV and JSON bytes, or the
+    # same typed error and message, as pricing every bound at every row inside it
+    config = ExperimentConfig.from_dict(raw)
+    assert (_outputs_or_error(run_experiment, config)
+            == _outputs_or_error(simulate_row_by_row, config))
+
+
+_EDGE_CELLS = st.one_of(
+    st.integers(-2**70, 2**70), st.booleans(), st.floats(),
+    st.sampled_from([-0.0, math.nan, -math.inf, 5e-324, 1.7976931348623157e308]),
+    st.floats().map(np.float64), st.text(',"\n %dab', max_size=5))
+
+
+@given(st.lists(st.one_of(st.lists(_EDGE_CELLS, max_size=6).map(tuple),
+                          st.sampled_from([(1, True, 0.5), (0, False, -0.0), ("ok", True)])),
+                max_size=8))
+@example([(1, True, False, 0), (True, 1, 1.0), (np.float64(-0.0), "a,\"b\"")])
+@settings(max_examples=50)
+def test_render_csv_formats_each_cell_as_format_cell(rows):
+    # one %-format per row of cell types prints what a per-cell _format_cell join prints;
+    # bools never become 1/0, and only strings that need it are quoted
+    result = ExperimentResult(csv_header=("a", "b"), csv_rows=tuple(rows), summary={})
+    expected = "".join(",".join(map(_format_cell, row)) + "\n" for row in rows)
+    assert render_csv(result) == "a,b\n" + expected
+
+
 def _reject_constant(name):
     raise ValueError(f"output holds {name}, which strict JSON forbids")
 
@@ -739,13 +846,16 @@ def _log_uniform(low_exp: int, high_exp: int):
 @st.composite
 def edge_of_range_runs(draw):
     """A ``simulate`` or ``sweep`` on ``fixed`` gradients from 1e-300 to 1e300, with bounds that
-    fit the regime of its (first) point."""
-    T = draw(st.integers(0, 120))
+    fit the regime of its (first) point.  ``T + 1`` is log-uniform up to 1e4; past round 100
+    the gradients are drawn again, at random, from rounds 1..100."""
+    T = int(10.0 ** draw(st.floats(0.0, 4.0))) - 1
     top = draw(st.integers(-300, 299))   # one run's gradients span at most 40 decades
     magnitude = st.builds(lambda sign, x: sign * x, st.sampled_from([-1.0, 1.0]),
                           _log_uniform(max(-300, top - draw(st.integers(0, 40))), top))
-    gradients = [draw(magnitude)] + draw(st.lists(st.one_of(st.just(0.0), magnitude),
-                                                  min_size=T, max_size=T))
+    head = draw(st.lists(st.one_of(st.just(0.0), magnitude), min_size=min(T, 100),
+                         max_size=min(T, 100)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    gradients = [draw(magnitude)] + head + [rng.choice(head) for _ in range(T - len(head))]
     beta1, beta2 = draw(st.floats(0.01, 0.99)), draw(st.floats(0.01, 0.99))
     domain = draw(st.sampled_from(["unbounded", 0.05, 1.0, 3.0]))
     raw = {"adversary": "fixed", "gradients": gradients, "T": T, "beta1": beta1,
@@ -780,28 +890,31 @@ def test_cli_output_is_strict_at_the_edge_of_the_float_range(raw):
     # NaN only in the bound cells of rows t < 2
     command = "sweep" if "grid" in raw else "simulate"
     with tempfile.TemporaryDirectory() as tmp:
-        cfg = Path(tmp) / "cfg.json"
+        cfg, base = Path(tmp) / "cfg.json", Path(tmp) / "o"
         cfg.write_text(json.dumps(raw))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main([command, "--config", str(cfg)])
-    assert code in (0, 1, 2)
-    if code == 2:
-        assert out.getvalue() == "" and err.getvalue().startswith("config error: ")
-        return
-    summary = json.loads(out.getvalue(), parse_constant=_reject_constant)
+            code = cli.main([command, "--config", str(cfg), "--out", str(base)])
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert out.getvalue() == "" and err.getvalue().startswith("config error: ")
+            assert not list(Path(tmp).glob("o.*"))
+            return
+        summary = json.loads(base.with_suffix(".json").read_text(),
+                             parse_constant=_reject_constant)
+        header, *rows = csv.reader(base.with_suffix(".csv").read_text().splitlines())
     if command == "simulate":
-        res = run_experiment(ExperimentConfig.from_dict(raw))
-        assert all(math.isfinite(v) or (math.isnan(v) and c.startswith("bound_") and row[0] < 2)
-                   for row in res.csv_rows for c, v in zip(res.csv_header, row)
-                   if isinstance(v, float))
+        # a float cell prints as %.17g, so a non-finite one reads inf, -inf or nan
+        assert all(cell not in ("inf", "-inf", "nan")
+                   or (cell == "nan" and c.startswith("bound_") and int(row[0]) < 2)
+                   for row in rows for c, cell in zip(header, row))
         failed = [e for e in summary["bounds"].values() if e and e.get("dominates") is False]
     else:   # the sweep summary holds no per-point values: read them from its rows
-        res = sweep(ExperimentConfig.from_dict(raw))
-        columns = ["regret_discounted"] + [f"bound_{n}" for n in raw["bounds"] if raw["T"] >= 2]
-        ok = [row for row in res.csv_rows if row[2] == "ok"]
-        assert all(math.isfinite(row[res.csv_header.index(c)]) for row in ok for c in columns)
-        failed = [row for row in ok if row[-1] is False]
+        columns = [header.index(c) for c in ["regret_discounted"]
+                   + [f"bound_{n}" for n in raw["bounds"] if raw["T"] >= 2]]
+        ok = [row for row in rows if row[2] == "ok"]
+        assert all(math.isfinite(float(row[i])) for row in ok for i in columns)
+        failed = [row for row in ok if row[-1] == "false"]
     assert summary["contracts_ok"] == (code == 0) == (not failed)
 
 
@@ -812,6 +925,19 @@ def test_cli_verify_lemmas(tmp_path):
     assert report["lemma_a1"]["holds"] and report["lemma_a2"]["holds"]
     assert report["lemma_a1"]["points_checked"] >= 10_000
     assert report["lemma_a2"]["points_checked"] >= 10_000
+
+
+@pytest.mark.parametrize("flags", [
+    ["--config", "/nonexistent.json", "--format", "csv", "--seed", "3", "--horizon", "0"],
+    ["--config", "/nonexistent.json"], ["--format", "csv"], ["--seed", "3"], ["--horizon", "0"],
+], ids=["all", "config", "format", "seed", "horizon"])
+def test_cli_verify_lemmas_rejects_flags_it_would_ignore(flags, tmp_path, capsys):
+    # its grids and its JSON report are fixed: these flags used to be accepted and ignored
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify-lemmas", *flags, "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + " ".join(flags) in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("command", ["tightness", "nonoblivious", "verify-lemmas"])
