@@ -54,6 +54,10 @@ def geometric_losses(v0: float, kappa: float, T: int) -> list[float]:
 # Adversary descriptions
 # ---------------------------------------------------------------------------
 
+class CheckedGradients(tuple):
+    """Gradients a :class:`FixedSequence` has checked, which another accepts without a rescan."""
+
+
 @dataclass(frozen=True)
 class FixedSequence:
     """A verbatim gradient list, seed gradient included at index 0."""
@@ -61,12 +65,15 @@ class FixedSequence:
     gradients: tuple[float, ...]
 
     def __post_init__(self):
+        if isinstance(self.gradients, CheckedGradients):
+            return
         if not self.gradients:
             raise ValueError("need at least the seed gradient")
         if self.gradients[0] == 0.0:
             raise ValueError("seed gradient must be nonzero")
         if any(not math.isfinite(g) for g in self.gradients):
             raise ValueError("gradients must be finite")
+        object.__setattr__(self, "gradients", CheckedGradients(self.gradients))
 
     def gradient_stream(self, T: int) -> list[float]:
         if T + 1 > len(self.gradients):
@@ -334,8 +341,9 @@ def run_nonoblivious_experiment(a: float, b: float, v: float, ratio: float, T: i
                              alpha=alpha, D=D)
         losses = [rate**t * v for t in range(1, T + 1)]
         gradients = [v] + [beta1**t * loss_t for t, loss_t in enumerate(losses, start=1)]
-        return [(loss_t, out.delta, out.clipped, loss_t * (out.delta - u))
-                for loss_t, (_, _, _, out, _, _) in zip(losses, drive(gradients, params, u))]
+        return [(loss_t, delta, clipped, loss_t * (delta - u))
+                for loss_t, (_, _, _, _, _, delta, clipped, *_)
+                in zip(losses, drive(gradients, params, u))]
 
     rows_a = run_instance(a, ratio)
     rows_b = run_instance(b, 1.0)

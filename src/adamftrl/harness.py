@@ -13,6 +13,7 @@ sorted keys and round-trip floats.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
@@ -296,24 +297,15 @@ def _run_gradient_stream(config: ExperimentConfig) -> ExperimentResult:
     header = TRACE_COLUMNS + tuple(f"bound_{n}" for n in requested)
     gradients = config.adversary_spec().gradient_stream(config.T)
 
-    alpha, m, q, delta_bar, delta, clipped, regret, max_v, d_max, q_after = (
-        [] for _ in range(10))
-    stop = None
+    rounds, stop = [], None
     try:
-        for _, m_t, q_t, out, state, ledger in drive(gradients, params, u):
-            alpha.append(out.alpha_t)
-            m.append(m_t)
-            q.append(q_t)
-            delta_bar.append(out.delta_bar)
-            delta.append(out.delta)
-            clipped.append(out.clipped)
-            regret.append(ledger.r_disc)
-            max_v.append(state.max_v)
-            d_max.append(state.d_max)
-            q_after.append(state.q)
+        rounds.extend(drive(gradients, params, u))
     except AdamFtrlError as exc:   # raised unless a bound fails at an earlier row
         stop = exc
-    n = len(alpha)
+    n = len(rounds)
+    t, alpha, m, q, delta_bar, delta, clipped, regret, max_v, d_max, _, q_after = (
+        zip(*rounds) if n else ((),) * 12)
+    del rounds   # the columns hold the values; the round tuples would only add to peak RSS
     # a bound at row t reads the statistics after g_t: q_after, not the row's q_t
     stats = TraceStats(np.array(q_after[1:]), np.array(max_v[1:]), np.array(d_max[1:]))
     reports = price_columns([BOUNDS[name].per_run(params, u) for name in requested], stats,
@@ -321,16 +313,11 @@ def _run_gradient_stream(config: ExperimentConfig) -> ExperimentResult:
 
     g = gradients[1:n + 1]
     bound_cells = [[math.nan] + rep.total.tolist() for rep in reports]
-    rows = tuple(zip(range(1, n + 1), alpha, g, m, q, delta_bar, delta, clipped,
+    rows = tuple(zip(t, alpha, g, m, q, delta_bar, delta, clipped,
                      map(operator.mul, g, delta), regret, max_v, d_max, *bound_cells))
     summary = _stream_summary(config, regret[-1] if n else 0.0, sum(clipped),
                               [rep.row(-1) for rep in reports] if n >= 2 else [])
     return ExperimentResult(csv_header=header, csv_rows=rows, summary=summary)
-
-
-def _shared_run(config: ExperimentConfig) -> ExperimentConfig:
-    """What points of one learner-axis batch share: the config less its betas."""
-    return replace(config, beta1=None, beta2=None)
 
 
 def _run_stream_batch(points: list[ExperimentConfig]) -> ExperimentResult:
@@ -350,7 +337,8 @@ def _run_stream_batch(points: list[ExperimentConfig]) -> ExperimentResult:
     if not points or any(c.adversary not in ("fixed", "random") for c in points):
         raise ConfigError("a learner-axis batch needs one or more fixed or random points")
     first = points[0]
-    if any(_shared_run(c) != _shared_run(first) for c in points):
+    shared = replace(first, beta1=None, beta2=None)   # what the points share: all but the betas
+    if any(replace(c, beta1=None, beta2=None) != shared for c in points):
         raise ConfigError("points of a learner-axis batch may differ only in beta1 and beta2")
     params = [c.hyper_params() for c in points]
     u, T, D = first.comparator(), first.T, first.domain
@@ -558,6 +546,9 @@ def sweep(config: ExperimentConfig) -> ExperimentResult:
         raise ConfigError("grid value lists must be non-empty")
 
     base = {k: v for k, v in config.__dict__.items() if k != "grid"}
+    if config.adversary == "fixed":   # checked once here, the gradients are not rescanned per point
+        with contextlib.suppress(ValueError):   # else each point is skipped with its own reason
+            base["gradients"] = config.adversary_spec().gradients
     combos = list(itertools.product(*value_lists))
     outcomes: list = [None] * len(combos)   # per point: (metrics, summary), or why it skips
     batches: dict[str, list[tuple[int, ExperimentConfig]]] = {}
@@ -569,7 +560,9 @@ def sweep(config: ExperimentConfig) -> ExperimentResult:
         except (AdamFtrlError, ValueError) as exc:
             outcomes[i] = exc
             continue
-        batches.setdefault(repr(_shared_run(derived)) if stream else "", []).append((i, derived))
+        # a batch's points agree in every grid value but the betas, and all else is ``base``
+        key = repr([v for k, v in zip(keys, combo) if k not in ("beta1", "beta2")])
+        batches.setdefault(key if stream else "", []).append((i, derived))
     for members in batches.values():
         points = [point for _, point in members]
         for (i, _), outcome in zip(members, _run_points(config.adversary, points)):

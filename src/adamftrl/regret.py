@@ -16,20 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NotApplicableError, OracleHorizonError, RegimeError
-from .learner import (
-    DEFAULT_ORACLE_HORIZON,
-    HyperParams,
-    LearnerState,
-    alpha_at,
-    at_most,
-    evaluate_objective,
-    ftrl_eta_from_losses,
-    ftrl_update_from_losses,
-    ingest_gradient,
-    propose_update,
-    undiscounted_losses,
-)
+from .errors import (DegenerateStateError, InvalidGradientError, NotApplicableError,
+                     OracleHorizonError, RegimeError)
+from .learner import (DEFAULT_ORACLE_HORIZON, HyperParams, alpha_at, at_most, evaluate_objective,
+                      ftrl_eta_from_losses, ftrl_update_from_losses, undiscounted_losses)
 
 
 @dataclass
@@ -53,23 +43,46 @@ def accumulate_discounted_regret(ledger: RegretLedger, g: float, delta: float,
 def drive(gradients, params: HyperParams, u: float = 0.0):
     """The stable learner's rounds ``t = 1..T``, ``T = len(gradients) - 1``: the one driver loop.
 
-    Each round proposes from ``g_0..g_{t-1}``, ingests ``g_t`` and folds the regret against
-    ``u``, then yields ``(t, m_t, q_t, outcome, state, ledger)``: the accumulators the update
-    was computed from and the live :class:`LearnerState` and :class:`RegretLedger`.
-    A regret that overflows raises :class:`RegimeError` naming its round.
+    Ingests ``g_0``, then per round proposes the update, ingests ``g_t`` and folds the regret:
+    :func:`propose_update`, :func:`ingest_gradient` and :func:`accumulate_discounted_regret`
+    inlined on local floats, with the same operations and checks in the same order.  Yields
+    ``(t, alpha_t, m_t, q_t, delta_bar, delta, clipped, r_disc, max_v, d_max, m, q)``: the
+    accumulators the update used, the update, then the regret and the state after ``g_t``.
     """
-    state = LearnerState()
-    ledger = RegretLedger(u=u)
-    ingest_gradient(state, gradients[0], params)
-    for t in range(1, len(gradients)):
-        m_t, q_t = state.m, state.q
-        outcome = propose_update(state, params)
-        g_t = gradients[t]
-        ingest_gradient(state, g_t, params)
-        accumulate_discounted_regret(ledger, g_t, outcome.delta, params.beta1)
-        if not math.isfinite(ledger.r_disc):
-            raise RegimeError(f"discounted regret overflows at t={t}")
-        yield t, m_t, q_t, outcome, state, ledger
+    b1, b2, schedule = params.beta1, params.beta2, params.alpha
+    D = math.inf if params.D is None else params.D   # a finite update never exceeds inf
+    isfinite, sqrt, copysign, inf = math.isfinite, math.sqrt, math.copysign, math.inf
+    if gradients[0] == 0.0:   # no zero fails the finiteness check, so this may come first
+        raise InvalidGradientError("first gradient must be nonzero")
+    m = q = max_v = d_max = r_disc = 0.0
+    for t, g in enumerate(gradients):
+        if t:   # propose the round-t update from g_0..g_{t-1}
+            if q <= 0.0:
+                raise DegenerateStateError(
+                    f"second-moment accumulator underflows to zero after g_{t - 1}")
+            a_t = alpha_at(schedule, t)
+            delta_bar = -a_t * m / sqrt(q)
+            if not isfinite(delta_bar):
+                raise DegenerateStateError(f"update delta_bar overflows at t={t}")
+            clipped = abs(delta_bar) > D
+            delta = copysign(D, delta_bar) if clipped else delta_bar
+            if abs(delta) > d_max:   # max() keeps its first argument on ties, and so does this
+                d_max = abs(delta)
+        if not isfinite(g):
+            raise InvalidGradientError(f"gradient must be finite, got {g}")
+        m_t, q_t = m, q
+        q = b2 * q + g * g
+        if q == inf:
+            raise DegenerateStateError(f"second-moment accumulator overflows at t={t}")
+        m = b1 * m + g
+        max_v *= b1
+        if abs(g) > max_v:
+            max_v = abs(g)
+        if t:   # fold round t into the regret
+            r_disc = b1 * r_disc + g * (delta - u)
+            if not isfinite(r_disc):
+                raise RegimeError(f"discounted regret overflows at t={t}")
+            yield t, a_t, m_t, q_t, delta_bar, delta, clipped, r_disc, max_v, d_max, m, q
 
 
 def undiscounted_regret(loss_gradients, deltas, u: float, beta1: float,

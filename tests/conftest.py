@@ -4,7 +4,8 @@ The oracles here recompute every bound exactly as displayed, with fresh
 ``beta1**-t`` / ``beta2**(T-t)`` power loops and no reuse of the package's
 discounted recurrences, so that stable-path results are checked against a
 genuinely independent evaluation.  ``simulate_row_by_row`` is the per-row
-reference for ``simulate``'s column pricing.
+reference for ``simulate``'s column pricing, and ``drive_one_step`` the one-step
+reference for ``regret.drive``'s inlined loop.
 """
 
 from __future__ import annotations
@@ -21,10 +22,14 @@ from adamftrl import (
     LearnerState,
     RegretLedger,
     TraceStats,
+    accumulate_discounted_regret,
     alpha_at,
     drive as drive_rounds,
+    ingest_gradient,
+    propose_update,
 )
 from adamftrl.bounds import BOUNDS
+from adamftrl.errors import RegimeError
 from adamftrl.harness import TRACE_COLUMNS, _stream_summary
 
 
@@ -42,14 +47,41 @@ class TraceRun:
         return any(self.clipped)
 
 
+def state_after(round_) -> LearnerState:
+    """The learner state after round ``t``, from the round ``regret.drive`` yielded."""
+    t, *_, max_v, d_max, m, q = round_
+    return LearnerState(t=t + 1, m=m, q=q, max_v=max_v, d_max=d_max)
+
+
 def drive(gradients, params: HyperParams, u: float = 0.0) -> TraceRun:
     """Collect the rounds 1..T of ``regret.drive``, T = len(gradients) - 1 >= 1."""
     rounds = list(drive_rounds(gradients, params, u))
-    *_, state, ledger = rounds[-1]
-    outs = [out for _, _, _, out, _, _ in rounds]
-    return TraceRun(gradients=list(gradients), deltas=[o.delta for o in outs],
-                    delta_bars=[o.delta_bar for o in outs], clipped=[o.clipped for o in outs],
-                    state=state, ledger=ledger)
+    _, _, _, _, delta_bars, deltas, clipped, r_disc, *_ = zip(*rounds)
+    return TraceRun(gradients=list(gradients), deltas=list(deltas),
+                    delta_bars=list(delta_bars), clipped=list(clipped),
+                    state=state_after(rounds[-1]), ledger=RegretLedger(u=u, r_disc=r_disc[-1]))
+
+
+def drive_one_step(gradients, params: HyperParams, u: float = 0.0):
+    """``regret.drive`` rebuilt from the one-step API: the referee its inlined loop must match.
+
+    :func:`ingest_gradient` of ``g_0``, then per round :func:`propose_update`,
+    :func:`ingest_gradient` of ``g_t`` and :func:`accumulate_discounted_regret`, yielding the
+    same round tuples.
+    """
+    state = LearnerState()
+    ledger = RegretLedger(u=u)
+    ingest_gradient(state, gradients[0], params)
+    for t in range(1, len(gradients)):
+        m_t, q_t = state.m, state.q
+        out = propose_update(state, params)
+        g_t = gradients[t]
+        ingest_gradient(state, g_t, params)
+        accumulate_discounted_regret(ledger, g_t, out.delta, params.beta1)
+        if not math.isfinite(ledger.r_disc):
+            raise RegimeError(f"discounted regret overflows at t={t}")
+        yield (t, out.alpha_t, m_t, q_t, out.delta_bar, out.delta, out.clipped, ledger.r_disc,
+               state.max_v, state.d_max, state.m, state.q)
 
 
 def simulate_row_by_row(config: ExperimentConfig) -> ExperimentResult:
@@ -65,14 +97,14 @@ def simulate_row_by_row(config: ExperimentConfig) -> ExperimentResult:
     gradients = config.adversary_spec().gradient_stream(config.T)
     evaluators = [BOUNDS[n].per_run(params, u) for n in requested]
     rows, clip_count, r_disc, final_reports = [], 0, 0.0, []
-    for t, m_t, q_t, out, state, ledger in drive_rounds(gradients, params, u):
-        clip_count += int(out.clipped)
+    for round_ in drive_rounds(gradients, params, u):
+        t, alpha_t, m_t, q_t, delta_bar, delta, clipped, r_disc, max_v, d_max, _, _ = round_
+        clip_count += int(clipped)
         g_t = gradients[t]
-        r_disc = ledger.r_disc
-        row = [t, out.alpha_t, g_t, m_t, q_t, out.delta_bar, out.delta, out.clipped,
-               g_t * out.delta, r_disc, state.max_v, state.d_max]
+        row = [t, alpha_t, g_t, m_t, q_t, delta_bar, delta, clipped,
+               g_t * delta, r_disc, max_v, d_max]
         if t >= 2:
-            stats = TraceStats.from_state(state)
+            stats = TraceStats.from_state(state_after(round_))
             final_reports = [evaluate(stats, t) for evaluate in evaluators]
             row.extend(rep.total for rep in final_reports)
         else:

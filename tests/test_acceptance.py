@@ -40,6 +40,7 @@ from conftest import (
     drive,
     literal_theorem3_discounted,
     random_gradients,
+    state_after,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -86,8 +87,7 @@ def test_criterion_1_form_equivalence():
                 params = HyperParams(beta1=b1, beta2=b2, alpha=sched,
                                      D=None if k % 3 else 1.0)
                 gs = random_gradients(rng, rng.randint(1, 40), scale=10.0)
-                for t, _, _, out, _, _ in drive_rounds(gs, params):
-                    stable = out.delta
+                for t, _, _, _, _, stable, *_ in drive_rounds(gs, params):
                     literal = ftrl_oracle_update(gs[:t], params, t)
                     assert math.isclose(stable, literal, rel_tol=1e-10, abs_tol=1e-12), (
                         b1, b2, t, stable, literal)
@@ -116,11 +116,11 @@ def test_criterion_2_dominance_p_le_1():
             sched = AlphaSchedule.explicit(vals)
         params = HyperParams(beta1=b1, beta2=b2, alpha=sched, D=D)
         gs = random_gradients(rng, T, scale=10.0)
-        for t, _, _, _, state, ledger in drive_rounds(gs, params, u):
+        for round_ in drive_rounds(gs, params, u):
+            t, regret = round_[0], round_[7]
             if t < 2:
                 continue
-            regret = ledger.r_disc
-            stats = TraceStats.from_state(state)
+            stats = TraceStats.from_state(state_after(round_))
             rep = bound_theorem1_discounted(params, stats, u, t)
             slack = 1e-9 * max(1.0, abs(regret), abs(rep.total))
             assert regret <= rep.total + slack, (trial, t)
@@ -150,11 +150,12 @@ def test_criterion_3_dominance_p_ge_1():
         u = rng.uniform(-1.0, 1.0)
         T = rng.randint(2, 40)
         gs = random_gradients(rng, T, scale=10.0)
-        for t, _, _, _, state, ledger in drive_rounds(gs, params, u):
+        for round_ in drive_rounds(gs, params, u):
+            t, regret = round_[0], round_[7]
             if t < 2:
                 continue
-            regret = ledger.r_disc
-            rep = bound_theorem3_discounted(params, TraceStats.from_state(state), u, t)
+            rep = bound_theorem3_discounted(params, TraceStats.from_state(state_after(round_)),
+                                            u, t)
             slack = 1e-9 * max(1.0, abs(regret), abs(rep.total))
             assert regret <= rep.total + slack, (trial, t)
         traces += 1

@@ -7,6 +7,7 @@ import json
 import math
 import random
 import tempfile
+import types
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import adamftrl.adversaries
 import adamftrl.bounds
 import adamftrl.cli as cli
 import adamftrl.harness
@@ -415,6 +417,33 @@ def test_sweep_batch_falls_back_to_point_runs():
     statuses = [row[2] for row in sweep(ExperimentConfig.from_dict(raw)).csv_rows]
     underflow = "skipped: exponential decay alpha_t underflows to zero at t="
     assert statuses == ["ok", "ok", underflow + "186", "ok", underflow + "163", "ok"]
+
+
+def test_fixed_sweep_scans_its_gradients_once(monkeypatch):
+    # the points share their template's gradients, which are checked once per sweep however
+    # large the grid: over several T batches, and when a batch reruns point by point.  The
+    # scan is counted by the finiteness checks made in the adversaries module.
+    scanned = []
+
+    def isfinite(g):
+        scanned.append(g)
+        return math.isfinite(g)
+
+    monkeypatch.setattr(adamftrl.adversaries, "math",
+                        types.SimpleNamespace(**{**vars(math), "isfinite": isfinite}))
+    rng = random.Random(4)
+    for betas, horizons in (([0.8, 0.9], [20]), ([0.7, 0.8, 0.9], [10, 15, 20])):
+        raw = {"adversary": "fixed", "gradients": [rng.uniform(-1.0, 1.0) for _ in range(21)],
+               "beta1": 0.9, "beta2": 0.99, "alpha": 0.5, "domain": 1.0, "u": 0.5,
+               "bounds": ["corollary1"],
+               "grid": {"beta1": betas, "beta2": [0.99, 0.999], "T": horizons}}
+        scanned.clear()
+        result = sweep(ExperimentConfig.from_dict(raw))
+        assert result.summary["points_ok"] == 2 * len(betas) * len(horizons)
+        assert scanned == raw["gradients"]
+    scanned.clear()
+    assert sweep(ExperimentConfig.from_dict(Q_OVERFLOW)).summary["points_ok"] == 0
+    assert scanned == Q_OVERFLOW["gradients"]
 
 
 def test_sweep_skips_points_whose_second_moment_overflows():

@@ -2,17 +2,20 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adamftrl import (
+    AlphaSchedule,
+    HyperParams,
     RegretLedger,
     accumulate_discounted_regret,
     per_round_ftrl_inequality,
     undiscounted_regret,
 )
+from adamftrl import drive as drive_rounds
 from adamftrl.errors import NotApplicableError, OracleHorizonError
-from conftest import constant_params, decaying_params, drive, random_gradients
+from conftest import constant_params, decaying_params, drive, drive_one_step, random_gradients
 
 
 def test_single_round():
@@ -135,3 +138,56 @@ def test_per_round_property_sweep(regime):
         for t in range(1, len(gs) - 1):
             rec = per_round_ftrl_inequality(gs, params, t)
             assert rec.holds(), (regime, t, rec)
+
+
+# gradients at the edges of the float range: q = g^2 underflows to 0 near 1e-170 and is
+# subnormal near 1e-160; q overflows near 1e154; and the non-finite ones are rejected.
+# Integer gradients are drawn too, so the two drivers must agree on types, not only values.
+_EDGE_GRADIENTS = st.sampled_from([0.0, -0.0, 1e-170, -1e-170, 1e-160, 1e154, -1e154, 1.7e308,
+                                   math.inf, -math.inf, math.nan])
+
+
+@st.composite
+def _driver_cases(draw):
+    T = draw(st.integers(0, 25))
+    if draw(st.booleans()):
+        gradient = st.one_of(st.floats(-10.0, 10.0), st.integers(-10, 10), _EDGE_GRADIENTS)
+        gradients = draw(st.lists(gradient, min_size=T + 1, max_size=T + 1))
+    else:   # a seed well clear of 0, so that most of these runs reach round T
+        gradients = [draw(st.floats(1e-3, 10.0)) * draw(st.sampled_from([-1.0, 1.0]))]
+        gradients += draw(st.lists(st.floats(-10.0, 10.0), min_size=T, max_size=T))
+    alpha = draw(st.one_of(st.floats(1e-3, 1e3), st.floats(1e-300, 1e308), st.just(1e308)))
+    kind = draw(st.sampled_from(["constant", "exponential_decay", "explicit"]))
+    if kind == "constant":
+        schedule = AlphaSchedule.constant(alpha)
+    elif kind == "exponential_decay":   # a steep decay underflows to 0 within a few rounds
+        schedule = AlphaSchedule.exponential_decay(alpha, draw(st.floats(1.0, 1e100)))
+    else:   # may run out before round T
+        values = draw(st.lists(st.floats(1e-300, 1e308), min_size=1, max_size=T + 2))
+        schedule = AlphaSchedule.explicit(sorted(values, reverse=True))
+    params = HyperParams(beta1=draw(st.floats(0.01, 0.99)), beta2=draw(st.floats(0.01, 0.99)),
+                         alpha=schedule, D=draw(st.one_of(st.none(), st.floats(1e-3, 1e3))))
+    return gradients, params, draw(st.floats(-2.0, 2.0))
+
+
+def _run_to_end(rounds):
+    """The rounds a driver yields, as reprs (which tell -0.0 from 0.0), and what stopped it."""
+    seen = []
+    try:
+        for round_ in rounds:
+            seen.append(tuple(map(repr, round_)))
+    except Exception as exc:   # the two drivers must raise alike, whatever it is
+        return seen, (type(exc), str(exc))
+    return seen, None
+
+
+@given(_driver_cases())
+@example(([1.0, 5.0, 0.0, 3.0], HyperParams(0.9, 0.99, AlphaSchedule.constant(1e308), D=1.0),
+          0.5))
+@settings(max_examples=400, deadline=None)
+def test_drive_matches_the_one_step_referee_bit_for_bit(case):
+    # the inlined loop yields every value of the one-step API's rounds, bit for bit, and stops
+    # after as many rounds with the same error type and message
+    gradients, params, u = case
+    assert _run_to_end(drive_rounds(gradients, params, u)) == _run_to_end(
+        drive_one_step(gradients, params, u))
