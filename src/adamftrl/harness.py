@@ -43,7 +43,8 @@ from .errors import (
     InvalidGradientError,
     RegimeError,
 )
-from .learner import DEFAULT_ORACLE_HORIZON, AlphaSchedule, HyperParams, alpha_at, at_most
+from .learner import (DEFAULT_ORACLE_HORIZON, AlphaSchedule, CheckedAlphas, HyperParams, alpha_at,
+                      at_most)
 from .regret import drive
 
 RNG_NAME = "numpy-pcg64"
@@ -221,6 +222,9 @@ class ExperimentConfig:
         if self.alpha_kind == "explicit":
             if not self.alpha_values:
                 raise ConfigError("explicit alpha needs 'alpha_values'")
+            if isinstance(self.alpha_values, CheckedAlphas):   # a sweep point's, checked once
+                return AlphaSchedule(kind="explicit", alpha=self.alpha_values[0],
+                                     values=self.alpha_values)
             return AlphaSchedule.explicit(self.alpha_values)
         raise ConfigError(f"unknown alpha_kind {self.alpha_kind!r}")
 
@@ -320,15 +324,25 @@ def _run_gradient_stream(config: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(csv_header=header, csv_rows=rows, summary=summary)
 
 
+# Rounds per block of a learner-axis batch: its per-round loop advances only the recurrences, into
+# (_BLOCK + 1) x n arrays, and all work elementwise in t runs once per block on the block's rows.
+_BLOCK = 128
+
+
 def _run_stream_batch(points: list[ExperimentConfig]) -> ExperimentResult:
     """Gradient-stream points that differ only in ``beta1``/``beta2``, run on one learner axis.
 
     The numpy twin of :func:`regret.drive`, which is the reference it must match bit for bit.
-    The stream is generated and checked once; one time loop then advances float64 arrays
-    indexed by learner.  numpy's ``* + / sqrt abs maximum fmax copysign`` round exactly as
-    Python floats do, and ``alpha_at`` (``pow``) stays scalar, once per round and distinct
-    schedule, so each point's summary equals that of its own ``_run_gradient_stream`` bit for
-    bit.
+    The stream is generated and checked once, then run in blocks of ``_BLOCK`` rounds over
+    float64 arrays with one column per learner.  In a block, a per-round loop advances only the
+    recurrences ``m = b1 m + g``, ``q = b2 q + g^2`` and ``maxV = max(b1 maxV, |g|)``, one row
+    per round; the updates ``-a m / sqrt(q)``, their clip, ``D``, the running peaks and the
+    regret terms ``g (delta - u)`` are then computed on all the block's rows at once, and a
+    second per-round loop folds the terms into the regret ``r = b1 r + g (delta - u)``.  Only
+    elementwise ``* + - / sqrt abs copysign`` (which round as Python floats do) and max
+    reductions leave the per-round loops, and ``alpha_at`` (``pow``) stays scalar, once per
+    round and distinct schedule, so each point's summary equals that of its own
+    ``_run_gradient_stream`` bit for bit.  Memory is O(T + _BLOCK n), not O(T n).
     Bounds are evaluated once per point, at ``T``, and probed once at the statistics' running
     peaks.  Whenever a point's own run would raise, so does the batch, though maybe with
     another message; callers that need the exact error rerun the points one by one.  Rows are
@@ -346,35 +360,52 @@ def _run_stream_batch(points: list[ExperimentConfig]) -> ExperimentResult:
     n = len(points)
     b1 = np.array([p.beta1 for p in params])
     b2 = np.array([p.beta2 for p in params])
-    # float64 clip counts are exact below 2^53; an int64 += bool loop adds ~0.3 MB of peak RSS
-    m, q, max_v, d_max, r_disc, clips, q_peak, v_peak, bar_peak = (np.zeros(n) for _ in range(9))
-    gradients = first.adversary_spec().gradient_stream(T)
+    gradients = np.array(first.adversary_spec().gradient_stream(T), dtype=np.float64)
     if not (np.isfinite(gradients).all() and gradients[0] != 0.0):
         raise InvalidGradientError("gradients must be finite, the first one nonzero")
     schedules = list(dict.fromkeys(p.alpha for p in params))
     which = np.array([schedules.index(p.alpha) for p in params])
+    # Row 0 holds the state a block starts from, row j + 1 the state after its j-th gradient.
+    # The state after g_0 is g_0, g_0^2 and |g_0|, as b * 0 + g = g exactly.
+    M, Q, V = (np.zeros((_BLOCK + 1, n)) for _ in range(3))
+    m_rows, q_rows, v_rows = list(M), list(Q), list(V)
+    d_max, r_disc, clips, bar_peak = (np.zeros(n) for _ in range(4))
     with np.errstate(all="ignore"):   # Python floats overflow to inf silently too
-        for t in range(T + 1):
-            g_t = gradients[t]
-            if t >= 1:
-                if np.any(q <= 0.0):
-                    raise DegenerateStateError(
-                        f"second-moment accumulator underflows to zero after g_{t - 1}")
-                alphas = [alpha_at(s, t) for s in schedules]
-                a_t = alphas[0] if len(alphas) == 1 else np.array(alphas)[which]
-                delta = delta_bar = -a_t * m / np.sqrt(q)
-                if D is not None:
-                    size = np.abs(delta_bar)
-                    np.maximum(bar_peak, size, out=bar_peak)
-                    delta = np.where(size <= D, delta_bar, np.copysign(D, delta_bar))
-                    clips += size > D
-                d_max = np.fmax(d_max, np.abs(delta))   # like max(), never takes a NaN
-                r_disc = b1 * r_disc + g_t * (delta - u)
-            m = b1 * m + g_t
-            q = b2 * q + g_t * g_t
-            max_v = np.maximum(b1 * max_v, abs(g_t))
-            np.maximum(q_peak, q, out=q_peak)
-            np.maximum(v_peak, max_v, out=v_peak)
+        M[0], Q[0], V[0] = gradients[0], gradients[0] * gradients[0], abs(gradients[0])
+        q_peak, v_peak = Q[0].copy(), V[0].copy()
+        for t0 in range(1, T + 1, _BLOCK):   # rounds t0 .. t0 + k - 1
+            g = gradients[t0:t0 + _BLOCK]
+            k = len(g)
+            for j, (g_t, g2_t, abs_t) in enumerate(zip(g.tolist(), (g * g).tolist(),
+                                                       np.abs(g).tolist())):
+                np.add(np.multiply(b1, m_rows[j], out=m_rows[j + 1]), g_t, out=m_rows[j + 1])
+                np.add(np.multiply(b2, q_rows[j], out=q_rows[j + 1]), g2_t, out=q_rows[j + 1])
+                np.maximum(np.multiply(b1, v_rows[j], out=v_rows[j + 1]), abs_t,
+                           out=v_rows[j + 1])
+            # Round t0 + j's update reads row j, the state after g_{t0+j-1}.  Rows 0 .. k-1 are
+            # not read after it, so the update is computed in place in them; row k carries on.
+            underflow = (Q[:k] <= 0.0).any(axis=1)
+            if underflow.any():   # named after the first row at which some point's q is zero
+                raise DegenerateStateError("second-moment accumulator underflows to zero after "
+                                           f"g_{t0 + int(underflow.argmax()) - 1}")
+            np.maximum(q_peak, np.maximum.reduce(Q[1:k + 1]), out=q_peak)
+            np.maximum(v_peak, np.maximum.reduce(V[1:k + 1]), out=v_peak)
+            neg_a = np.array([[-alpha_at(s, t) for s in schedules] for t in range(t0, t0 + k)],
+                             dtype=np.float64)
+            delta = np.multiply(neg_a if len(schedules) == 1 else neg_a[:, which], M[:k],
+                                out=M[:k])
+            np.divide(delta, np.sqrt(Q[:k], out=Q[:k]), out=delta)   # delta_bar = -a m / sqrt(q)
+            if D is not None:   # clipped in place; a NaN or inf update leaves bar_peak non-finite
+                size = np.abs(delta, out=Q[:k])
+                np.maximum(bar_peak, np.maximum.reduce(size), out=bar_peak)
+                clips += np.count_nonzero(size > D, axis=0)
+                np.copysign(D, delta, out=delta, where=size > D)
+            np.fmax(d_max, np.fmax.reduce(np.abs(delta, out=V[:k])), out=d_max)   # skips NaN
+            np.multiply(np.subtract(delta, u, out=delta), g[:, None], out=delta)
+            for c in delta:
+                np.add(np.multiply(b1, r_disc, out=r_disc), c, out=r_disc)
+            M[0], Q[0], V[0] = M[k], Q[k], V[k]
+    q, max_v = Q[0], V[0]
     # all are sticky: beta2 * inf + g^2 stays inf, a running max keeps inf, and beta1 * r_disc
     # + finite stays non-finite.  Unclipped, an infinite delta_bar makes r_disc non-finite too.
     if not np.isfinite(q).all():
@@ -546,13 +577,18 @@ def sweep(config: ExperimentConfig) -> ExperimentResult:
         raise ConfigError("grid value lists must be non-empty")
 
     base = {k: v for k, v in config.__dict__.items() if k != "grid"}
-    if config.adversary == "fixed":   # checked once here, the gradients are not rescanned per point
-        with contextlib.suppress(ValueError):   # else each point is skipped with its own reason
+    stream = config.adversary in ("fixed", "random")
+    # Checked once here, the gradients and an explicit alpha schedule are shared by every point
+    # and not rescanned; if a check fails, each point is skipped with its own reason.
+    if config.adversary == "fixed":
+        with contextlib.suppress(ValueError):
             base["gradients"] = config.adversary_spec().gradients
+    if stream and config.alpha_kind == "explicit":
+        with contextlib.suppress(AdamFtrlError):
+            base["alpha_values"] = config.alpha_schedule().values
     combos = list(itertools.product(*value_lists))
     outcomes: list = [None] * len(combos)   # per point: (metrics, summary), or why it skips
     batches: dict[str, list[tuple[int, ExperimentConfig]]] = {}
-    stream = config.adversary in ("fixed", "random")
     for i, combo in enumerate(combos):
         try:
             derived = ExperimentConfig(**{**base, **dict(zip(keys, combo))})
@@ -673,28 +709,52 @@ def _format_cell(value) -> str:
     return text
 
 
-# Cells of these types go straight into a row's %-format; any other cell (bools, strings that
-# may need quoting) is formatted by _format_cell first and passed as %s.
+# Cells of these types go straight into a row's %-format.  A bool cell's text is written into the
+# format, one format per value of the row's bools, and the cell itself prints as "%.0s", that is,
+# nothing.  Any other cell (a string that may need quoting) is formatted by _format_cell first.
 _CELL_FORMATS = {int: "%d", float: "%.17g", np.float64: "%.17g"}
 
 
+def _row_format(types: tuple[type, ...], flags: tuple[bool, ...]) -> str:
+    """The %-format of a row of these cell types whose bool cells hold ``flags``, in order."""
+    cells = [_CELL_FORMATS.get(t, "%s") for t in types]
+    for i, value in zip([i for i, t in enumerate(types) if t is bool], flags):
+        cells[i] = _format_cell(value) + "%.0s"
+    return ",".join(cells)
+
+
+# Lines are joined this many at a time, as they are made: a %-formatted line may keep spare room
+# in its string's block, which held over all of a 40 000-row trace's lines costs megabytes.
+_CSV_CHUNK = 256
+
+
 def render_csv(result: ExperimentResult) -> str:
-    """The CSV text, one line per row, each by the one %-format of its row's cell types."""
-    lines, formats = [",".join(result.csv_header)], {}
+    """The CSV text, one line per row, each by the one %-format of its cell types and bools."""
+    chunks, lines, formats = [",".join(result.csv_header)], [], {}
     for row in result.csv_rows:
         types = tuple(map(type, row))
         if types not in formats:
-            formats[types] = (",".join(_CELL_FORMATS.get(t, "%s") for t in types),
-                              [i for i, t in enumerate(types) if t not in _CELL_FORMATS])
-        text, slow = formats[types]
+            bools = [i for i, t in enumerate(types) if t is bool]
+            formats[types] = (   # reads a row's bools: one, a tuple of several, or ()
+                operator.itemgetter(*bools) if bools else operator.itemgetter(slice(0)), {},
+                [i for i, t in enumerate(types) if t is not bool and t not in _CELL_FORMATS])
+        read_flags, texts, slow = formats[types]
+        flags = read_flags(row)
+        if flags not in texts:
+            texts[flags] = _row_format(types, flags if isinstance(flags, tuple) else (flags,))
+        text = texts[flags]
         if slow:
             row = list(row)
             for i in slow:
                 row[i] = _format_cell(row[i])
             row = tuple(row)
         lines.append(text % row)
-    lines.append("")
-    return "\n".join(lines)
+        if len(lines) == _CSV_CHUNK:
+            chunks.append("\n".join(lines))
+            lines.clear()
+    chunks += lines
+    chunks.append("")
+    return "\n".join(chunks)
 
 
 def render_json(result: ExperimentResult) -> str:
@@ -711,7 +771,11 @@ def write_outputs(result: ExperimentResult, out_base: str | Path,
     try:
         if fmt in ("csv", "both"):
             path = base.with_suffix(".csv")
-            path.write_text(render_csv(result), encoding="utf-8")
+            text = render_csv(result)
+            with path.open("w", encoding="utf-8") as out:
+                # a slice at a time: a long trace's text encoded whole would double its memory
+                for start in range(0, len(text), 1 << 20):
+                    out.write(text[start:start + (1 << 20)])
             written.append(path)
         if fmt in ("json", "both"):
             path = base.with_suffix(".json")

@@ -64,6 +64,10 @@ def pow_or_inf(base: float, exp: float) -> float:
 # Learning-rate schedules
 # ---------------------------------------------------------------------------
 
+class CheckedAlphas(tuple):
+    """Values :meth:`AlphaSchedule.explicit` has checked: floats, positive and non-increasing."""
+
+
 @dataclass(frozen=True)
 class AlphaSchedule:
     """Per-round base learning rate ``alpha_t``, indexed from ``t = 1``.
@@ -110,7 +114,7 @@ class AlphaSchedule:
                 raise ScheduleError(
                     f"explicit schedule must be non-increasing, got {prev} -> {nxt}"
                 )
-        return cls(kind="explicit", alpha=vals[0], values=vals)
+        return cls(kind="explicit", alpha=vals[0], values=CheckedAlphas(vals))
 
 
 def alpha_at(schedule: AlphaSchedule, t: int) -> float:

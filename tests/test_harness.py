@@ -1,12 +1,15 @@
 import contextlib
 import csv
+import hashlib
 import importlib.util
 import io
 import itertools
 import json
 import math
 import random
+import sys
 import tempfile
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -24,13 +27,17 @@ from adamftrl import ExperimentConfig, run_experiment, sweep, write_outputs
 from adamftrl.bounds import BOUNDS
 from adamftrl.errors import AdamFtrlError, ConfigError
 from adamftrl.harness import (
+    _BLOCK,
+    _CSV_CHUNK,
     PAIR_COLUMNS,
     TRACE_COLUMNS,
     ExperimentResult,
     _format_cell,
+    _run_gradient_stream,
     render_csv,
     render_json,
 )
+from adamftrl.learner import AlphaSchedule
 from conftest import simulate_row_by_row
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -526,6 +533,102 @@ def test_sweep_skips_points_whose_update_leaves_the_float_range(raw, reason):
         f"skipped: {reason}"] * 2
 
 
+# Streams whose extreme gradients fall in the batch's last block once T > _BLOCK: g_T^2
+# overflows q at t = T, g_T^2 underflows to 0, or a tail of 1e-170 lets q decay at beta2 = 0.01
+# until it underflows to zero after g_162, in the second block, when T reaches it.
+BLOCK_EDGE_STREAMS = {
+    "q-overflow": lambda T: [1.0] + [((37 * t) % 19 - 9) / 8 for t in range(1, T)] + [1.7e308],
+    "square-underflow": lambda T: [1.0] + [((37 * t) % 19 - 9) / 8 for t in range(1, T)] + [1e-170],
+    "q-underflow": lambda T: [1.0] + [1e-170] * T,
+}
+
+
+@pytest.mark.parametrize("T", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+@pytest.mark.parametrize("stream", sorted(BLOCK_EDGE_STREAMS))
+def test_batch_matches_point_runs_at_block_edges(stream, T):
+    raw = {"adversary": "fixed", "gradients": BLOCK_EDGE_STREAMS[stream](T), "T": T,
+           "beta1": 0.5, "beta2": 0.5, "alpha": 0.5, "domain": 1.0, "u": 0.5,
+           "bounds": ["corollary1"], "grid": {"beta1": [0.05, 0.6], "beta2": [0.01, 0.5, 0.99]}}
+    template = ExperimentConfig.from_dict(raw)
+    base = {k: v for k, v in template.__dict__.items() if k != "grid"}
+    points, own, reasons = [], [], []
+    for beta1, beta2 in itertools.product(raw["grid"]["beta1"], raw["grid"]["beta2"]):
+        point = ExperimentConfig(**{**base, "beta1": beta1, "beta2": beta2})
+        try:
+            point.validate()
+        except AdamFtrlError as exc:
+            reasons.append(f"skipped: {exc}")
+            continue
+        points.append(point)
+        try:
+            own.append(_run_gradient_stream(point).summary)
+            reasons.append("ok")
+        except AdamFtrlError as exc:
+            own.append(exc)
+            reasons.append(f"skipped: {exc}")
+    assert len(points) == 5   # (0.6, 0.01) is skipped at p > 1
+    assert [row[2] for row in sweep(template).csv_rows] == reasons
+    errors = [o for o in own if isinstance(o, Exception)]
+    if not errors:
+        batch = run_experiment(points).summary["points"]
+        assert list(map(repr, batch)) == list(map(repr, own))
+        return
+    with pytest.raises(AdamFtrlError) as batch_error:
+        run_experiment(points)
+    if stream == "q-underflow":   # one point's q is zero, and the batch names the same row
+        assert [str(batch_error.value)] == list(map(str, errors))
+
+
+def test_explicit_alpha_sweep_builds_its_schedule_once(monkeypatch):
+    # the template's explicit schedule is checked once and shared by every point: over several
+    # T batches, and when a batch reruns its points one by one
+    calls = []
+    explicit = AlphaSchedule.explicit.__func__
+
+    def counting(cls, values):
+        calls.append(len(values))
+        return explicit(cls, values)
+
+    monkeypatch.setattr(AlphaSchedule, "explicit", classmethod(counting))
+    values = [0.5 / (1 + (t - 1) // 7) for t in range(1, 42)]
+    raw = {"adversary": "random", "T": 40, "seed": 3, "beta1": 0.5, "beta2": 0.5,
+           "alpha_kind": "explicit", "alpha_values": values, "domain": 1.0,
+           "bounds": ["theorem1"], "grid": {"beta1": [0.5, 0.7], "beta2": [0.6, 0.9],
+                                            "T": [10, 40]}}
+    assert sweep(ExperimentConfig.from_dict(raw)).summary["points_ok"] == 8
+    assert calls == [41]
+    calls.clear()
+    raw = {**Q_OVERFLOW, "alpha_kind": "explicit", "alpha_values": [1.0, 0.5, 0.5, 0.25, 0.25],
+           "bounds": ["theorem1"]}
+    assert [row[2] for row in sweep(ExperimentConfig.from_dict(raw)).csv_rows] == [
+        "skipped: second-moment accumulator overflows at t=1"] * 4
+    assert calls == [5]
+
+
+def test_batch_memory_grows_with_the_stream_not_with_rounds_times_points():
+    # a batch holds the O(T) stream (its float64 array, and briefly the list of floats it
+    # came from) and O(_BLOCK x n) state; a (T + 1) x n float64 matrix would take 8 n = 1024
+    # bytes a round
+    betas = [0.05 * k for k in range(1, 17)], [0.1 * k for k in range(1, 9)]
+    n = len(betas[0]) * len(betas[1])
+
+    def peak(T):
+        points = [ExperimentConfig.from_dict({"adversary": "random", "T": T, "seed": 1,
+                                              "beta1": b1, "beta2": b2, "alpha": 0.5,
+                                              "domain": 1.0, "u": 0.5})
+                  for b1, b2 in itertools.product(*betas)]
+        tracemalloc.start()
+        try:
+            run_experiment(points)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = 500, 4500
+    peak(small)   # the first run also allocates what numpy and the package keep for later
+    assert peak(large) - peak(small) < (large - small) * 8 * n / 4
+
+
 def test_sweep_nonoblivious_grid_strictness():
     raw = {"adversary": "nonoblivious", "v": 1.0, "p": 0.5, "T": 10,
            "a": 0.1, "b": 0.5,
@@ -863,6 +966,24 @@ def test_render_csv_formats_each_cell_as_format_cell(rows):
     assert render_csv(result) == "a,b\n" + expected
 
 
+def test_render_csv_joins_long_traces_in_chunks():
+    # rows past one chunk of lines, of two type tuples and both bool values, print as one
+    # per-cell _format_cell join each
+    rows = tuple((t, t % 3 == 0, t / 7) if t % 5 else (t, "a,b") for t in range(2 * _CSV_CHUNK + 3))
+    result = ExperimentResult(csv_header=("a", "b"), csv_rows=rows, summary={})
+    assert render_csv(result) == "a,b\n" + "".join(",".join(map(_format_cell, row)) + "\n"
+                                                   for row in rows)
+
+
+def test_write_outputs_writes_a_long_csv_as_rendered(tmp_path):
+    # a CSV over 1 MiB characters is written in slices; non-ASCII text splits by character
+    rows = tuple((t, "\u00e9" * 997, t % 2 == 0) for t in range(1100))
+    result = ExperimentResult(csv_header=("t", "text", "flag"), csv_rows=rows, summary={})
+    [path] = write_outputs(result, tmp_path / "long", "csv")
+    text = render_csv(result)
+    assert len(text) > 1 << 20 and path.read_bytes() == text.encode("utf-8")
+
+
 def _reject_constant(name):
     raise ValueError(f"output holds {name}, which strict JSON forbids")
 
@@ -1036,12 +1157,19 @@ def test_theorem1_run_makes_linearly_many_alpha_calls(monkeypatch):
     assert counts[1000] <= 4 * 1000
 
 
+PERFBENCH = Path(__file__).parents[1] / "perfbench"
+
+
+def _perfbench_module(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)   # registered first, as its dataclasses need
+    return module
+
+
 def test_benchmark_traced_names_resolve():
     # perfbench/run.py --trace 1 wraps each (module, owner, attribute) of this table by name
-    path = Path(__file__).parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _perfbench_module("tracer")
     for _, module, owner, attr, _ in tracer.TRACED:
         target = importlib.import_module(f"adamftrl.{module}")
         if owner is not None:
@@ -1049,3 +1177,22 @@ def test_benchmark_traced_names_resolve():
             assert attr in target, f"{module}.{owner}.{attr}"
         else:
             assert callable(getattr(target, attr, None)), f"{module}.{attr}"
+
+
+@pytest.mark.parametrize("workload", ["sweep-grid", "theorem1-horizon", "oracle-experiments"])
+@pytest.mark.filterwarnings("ignore:a = .* strict per-round dominance is not guaranteed")
+def test_benchmark_outputs_match_their_seed_0_digests(workload, tmp_path, monkeypatch):
+    # the seed-0 commands of a benchmark workload, run through cli.main as the benchmark runs
+    # them, write the files whose sha256 the benchmark's correctness gate pins (the
+    # non-oblivious sweep includes pairs with a >= b^2 on purpose, which only warn)
+    digests = json.loads((PERFBENCH / "digests.json").read_text())
+    assert digests["seed"] == 0
+    monkeypatch.chdir(tmp_path)
+    written = {}
+    for command in _perfbench_module("workloads").plan(workload, 0):
+        if command.config is not None:
+            (tmp_path / command.config_file).write_text(json.dumps(command.config))
+        assert cli.main(command.argv()) == 0
+        for name in command.outputs:
+            written[name] = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    assert written == digests["workloads"][workload]
