@@ -18,6 +18,7 @@ import itertools
 import json
 import math
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -94,6 +95,13 @@ class ExperimentConfig:
         d = dict(raw)
         if "adversary" not in d:
             raise ConfigError("config needs an 'adversary' kind")
+        for key, value in d.items():
+            if key in _NUMBER_KEYS:
+                for item in value if isinstance(value, (list, tuple)) else [value]:
+                    _check_number(key, item)
+        bounds = d.get("bounds", ())
+        if not isinstance(bounds, (list, tuple)) or not all(isinstance(b, str) for b in bounds):
+            raise ConfigError(f"'bounds' must be a list of bound names, got {bounds!r}")
         if "gradients" in d and d["gradients"] is not None:
             d["gradients"] = tuple(float(g) for g in d["gradients"])
         if "alpha_values" in d and d["alpha_values"] is not None:
@@ -253,6 +261,21 @@ class ExperimentConfig:
 
 
 _KNOWN_KEYS = {f.name for f in fields(ExperimentConfig)}
+# keys that take a number, or for gradients and alpha_values a list of numbers
+_NUMBER_KEYS = {"T", "beta1", "beta2", "alpha", "alpha_ratio", "alpha_values", "domain", "u",
+                "gradients", "v0", "kappa", "a", "b", "v", "p", "seed", "oracle_horizon"}
+
+
+def _check_number(key: str, value) -> None:
+    """A bool is not a number, and an int must fit a float.  Checked, not converted, so the
+    config's echo keeps the value's JSON text."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{key!r}: {json.dumps(value)} is not a number")
+    if isinstance(value, int):
+        try:
+            float(value)
+        except OverflowError as exc:
+            raise ConfigError(f"{key!r}: an integer too large for a float") from exc
 
 
 @dataclass(frozen=True)
@@ -260,7 +283,7 @@ class ExperimentResult:
     """Rows ready for CSV plus a JSON-safe summary."""
 
     csv_header: tuple[str, ...]
-    csv_rows: tuple[tuple, ...]
+    csv_rows: Sequence[tuple]
     summary: dict
 
     def contracts_ok(self) -> bool:
@@ -292,34 +315,81 @@ def _stream_summary(config: ExperimentConfig, r_disc: float, clip_count: int,
     }
 
 
+# Rows per chunk, both where a simulate trace reads regret.drive and where the CSV is made: a trace
+# holds no list of its rows, and the CSV of a long trace never exists whole.
+_CHUNK = 256
+
+
+class TraceRows(Sequence):
+    """A ``simulate`` trace's CSV rows, built on demand from its columns: read-only.
+
+    ``columns`` are the cells of ``TRACE_COLUMNS`` in order, each indexable by row: ``t`` a
+    ``range``, the others memoryviews of float64 arrays (of a bool array for ``clipped``).  Each
+    of ``bounds`` covers the rows ``t >= 2``; row 1's bound cells are ``math.nan``.  Rows are
+    tuples of an int ``t``, float cells and a bool ``clipped``, and the whole equals the tuple of
+    those tuples.
+    """
+
+    def __init__(self, columns, bounds):
+        self._columns, self._bounds = tuple(columns), tuple(bounds)
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __iter__(self):
+        return zip(*self._columns, *(itertools.chain((math.nan,), b) for b in self._bounds))
+
+    def __getitem__(self, i: int) -> tuple:
+        i = range(len(self))[i]   # as a tuple reads i: from the end if negative, IndexError past it
+        return (*(c[i] for c in self._columns),
+                *(b[i - 1] if i else math.nan for b in self._bounds))
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, TraceRows)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+
 def _run_gradient_stream(config: ExperimentConfig) -> ExperimentResult:
-    """One learner's trace: :func:`regret.drive` gives the per-round columns, then each
-    requested bound prices the rows ``t >= 2`` as one column, after one regime check."""
+    """One learner's trace: :func:`regret.drive` is read ``_CHUNK`` rounds at a time into float64
+    columns, then each requested bound prices the rows ``t >= 2`` as one column, after one
+    regime check."""
     params = config.hyper_params()
     u = config.comparator()
     requested = [n for n in BOUNDS if n in config.bounds]
     header = TRACE_COLUMNS + tuple(f"bound_{n}" for n in requested)
     gradients = config.adversary_spec().gradient_stream(config.T)
 
-    rounds, stop = [], None
-    try:
-        rounds.extend(drive(gradients, params, u))
-    except AdamFtrlError as exc:   # raised unless a bound fails at an earlier row
-        stop = exc
-    n = len(rounds)
-    t, alpha, m, q, delta_bar, delta, clipped, regret, max_v, d_max, _, q_after = (
-        zip(*rounds) if n else ((),) * 12)
-    del rounds   # the columns hold the values; the round tuples would only add to peak RSS
+    # drive()'s fields after t, one float64 column each (clipped a bool column), filled a chunk
+    # at a time; a run that stops early fills only its first n rows
+    columns = [np.empty(config.T, dtype=bool if i == 5 else np.float64) for i in range(11)]
+    rounds, stop, n = drive(gradients, params, u), None, 0
+    while stop is None:
+        chunk = []
+        try:   # extend keeps the rounds read before an error
+            chunk.extend(itertools.islice(rounds, _CHUNK))
+        except AdamFtrlError as exc:   # raised unless a bound fails at an earlier row
+            stop = exc
+        if not chunk:
+            break
+        _, *chunk_columns = zip(*chunk)
+        for column, values in zip(columns, chunk_columns):
+            column[n:n + len(chunk)] = values
+        n += len(chunk)
+    alpha, m, q, delta_bar, delta, clipped, regret, max_v, d_max, _, q_after = (
+        column[:n] for column in columns)
     # a bound at row t reads the statistics after g_t: q_after, not the row's q_t
-    stats = TraceStats(np.array(q_after[1:]), np.array(max_v[1:]), np.array(d_max[1:]))
+    stats = TraceStats(q_after[1:], max_v[1:], d_max[1:])
     reports = price_columns([BOUNDS[name].per_run(params, u) for name in requested], stats,
                             np.arange(2, n + 1), stop)
 
-    g = gradients[1:n + 1]
-    bound_cells = [[math.nan] + rep.total.tolist() for rep in reports]
-    rows = tuple(zip(t, alpha, g, m, q, delta_bar, delta, clipped,
-                     map(operator.mul, g, delta), regret, max_v, d_max, *bound_cells))
-    summary = _stream_summary(config, regret[-1] if n else 0.0, sum(clipped),
+    g = np.array(gradients[1:n + 1])
+    # memoryviews read their cells as Python floats and bools
+    rows = TraceRows((range(1, n + 1), *map(memoryview, (alpha, g, m, q, delta_bar, delta, clipped,
+                                                         g * delta, regret, max_v, d_max))),
+                     [memoryview(rep.total) for rep in reports])
+    summary = _stream_summary(config, float(regret[-1]) if n else 0.0,
+                              int(np.count_nonzero(clipped)),
                               [rep.row(-1) for rep in reports] if n >= 2 else [])
     return ExperimentResult(csv_header=header, csv_rows=rows, summary=summary)
 
@@ -723,14 +793,10 @@ def _row_format(types: tuple[type, ...], flags: tuple[bool, ...]) -> str:
     return ",".join(cells)
 
 
-# Lines are joined this many at a time, as they are made: a %-formatted line may keep spare room
-# in its string's block, which held over all of a 40 000-row trace's lines costs megabytes.
-_CSV_CHUNK = 256
-
-
-def render_csv(result: ExperimentResult) -> str:
-    """The CSV text, one line per row, each by the one %-format of its cell types and bools."""
-    chunks, lines, formats = [",".join(result.csv_header)], [], {}
+def _csv_chunks(result: ExperimentResult):
+    """The CSV text in newline-ended blocks of ``_CHUNK`` lines, the header first, each row by the
+    one %-format of its cell types and bools."""
+    lines, formats = [",".join(result.csv_header)], {}
     for row in result.csv_rows:
         types = tuple(map(type, row))
         if types not in formats:
@@ -749,12 +815,18 @@ def render_csv(result: ExperimentResult) -> str:
                 row[i] = _format_cell(row[i])
             row = tuple(row)
         lines.append(text % row)
-        if len(lines) == _CSV_CHUNK:
-            chunks.append("\n".join(lines))
+        if len(lines) == _CHUNK:
+            lines.append("")   # the block's last newline
+            yield "\n".join(lines)
             lines.clear()
-    chunks += lines
-    chunks.append("")
-    return "\n".join(chunks)
+    if lines:
+        lines.append("")
+        yield "\n".join(lines)
+
+
+def render_csv(result: ExperimentResult) -> str:
+    """The CSV text, one line per row."""
+    return "".join(_csv_chunks(result))
 
 
 def render_json(result: ExperimentResult) -> str:
@@ -771,11 +843,8 @@ def write_outputs(result: ExperimentResult, out_base: str | Path,
     try:
         if fmt in ("csv", "both"):
             path = base.with_suffix(".csv")
-            text = render_csv(result)
             with path.open("w", encoding="utf-8") as out:
-                # a slice at a time: a long trace's text encoded whole would double its memory
-                for start in range(0, len(text), 1 << 20):
-                    out.write(text[start:start + (1 << 20)])
+                out.writelines(_csv_chunks(result))
             written.append(path)
         if fmt in ("json", "both"):
             path = base.with_suffix(".json")

@@ -28,7 +28,7 @@ from adamftrl.bounds import BOUNDS
 from adamftrl.errors import AdamFtrlError, ConfigError
 from adamftrl.harness import (
     _BLOCK,
-    _CSV_CHUNK,
+    _CHUNK,
     PAIR_COLUMNS,
     TRACE_COLUMNS,
     ExperimentResult,
@@ -629,6 +629,33 @@ def test_batch_memory_grows_with_the_stream_not_with_rounds_times_points():
     assert peak(large) - peak(small) < (large - small) * 8 * n / 4
 
 
+def test_simulate_keeps_columns_and_writes_its_csv_in_chunks(tmp_path):
+    # a trace keeps 11 float64 cells and a byte a row here (its row tuples took about 370
+    # bytes), and write_outputs formats and writes its CSV a chunk of lines at a time, so its
+    # own peak does not grow with T (the text rendered whole took some 220 bytes a row, twice)
+    def measure(T):
+        config = ExperimentConfig.from_dict({"adversary": "random", "T": T, "seed": 1,
+                                             "beta1": 0.9, "beta2": 0.99, "alpha": 0.5,
+                                             "domain": 1.0, "u": 0.5, "bounds": ["corollary1"]})
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = run_experiment(config)
+            kept = tracemalloc.get_traced_memory()[0] - before
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            write_outputs(result, tmp_path / "trace", "csv")
+            return kept, tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    small, large = 5000, 20000
+    measure(small)   # the first run also allocates what numpy and the package keep for later
+    (kept_small, write_small), (kept_large, write_large) = measure(small), measure(large)
+    assert (kept_large - kept_small) / (large - small) < 150
+    assert write_large - write_small < (large - small) * 8
+
+
 def test_sweep_nonoblivious_grid_strictness():
     raw = {"adversary": "nonoblivious", "v": 1.0, "p": 0.5, "T": 10,
            "a": 0.1, "b": 0.5,
@@ -761,6 +788,8 @@ def test_cli_increasing_schedule_exit_two(tmp_path, capsys):
 
 RANDOM_DECAY = {"adversary": "random", "beta1": 0.9, "beta2": 0.99,
                 "alpha_kind": "exponential_decay"}
+FIXED_123 = {"adversary": "fixed", "gradients": [1.0, 2.0, 3.0], "beta1": 0.5, "beta2": 0.5,
+             "alpha_kind": "constant"}
 
 # fixed streams whose driver fails at round N = 4, 4 and 6: alpha_4 m_4 overflows, then
 # g_4 (delta_4 - u) does, then g_6^2 does
@@ -826,13 +855,25 @@ BOUND_BEFORE_DRIVER = {
     # sqrt(q) with u^2/alpha = 1e274, would leave the float range near T = 670 only
     ({"beta2": 0.64, "alpha": 1e-300, "u": 1e-13, "T": 1000, "bounds": ["theorem3"]},
      "exponential decay alpha_t underflows to zero at t=463"),
+    # JSON integers past the float range died with an OverflowError traceback (alpha in
+    # regret.drive, u in the comparator check)
+    ({**FIXED_123, "alpha": 10**400}, "'alpha': an integer too large for a float"),
+    ({**FIXED_123, "u": 10**400}, "'u': an integer too large for a float"),
+    ({**FIXED_123, "gradients": [1.0, 10**400, 3.0]},
+     "'gradients': an integer too large for a float"),
+    # a string exited 2 listing its letters: unknown bounds requested: ['1', 'a', 'c', ...]
+    ({**FIXED_123, "bounds": "corollary1"},
+     "'bounds' must be a list of bound names, got 'corollary1'"),
+    # a bool ran as alpha = 1 and exited 0
+    ({**FIXED_123, "alpha": True}, "'alpha': true is not a number"),
 ], ids=["theorem1-alpha-underflow", "theorem1-ratio-overflow", "theorem3-pT-overflow",
         "no-bound-alpha-underflow", "theorem1-comparator-overflow",
         "corollary1-total-overflow", "theorem3-total-overflow", "second-moment-overflow",
         "B-early-row-overflow", "corollary1-early-row-overflow", "theorem1-variance-overflow",
         "regret-overflow", "update-overflow", "second-moment-underflow",
         "bound-before-update-overflow", "bound-before-regret-overflow",
-        "bound-before-second-moment-overflow", "driver-before-bound-overflow"])
+        "bound-before-second-moment-overflow", "driver-before-bound-overflow",
+        "alpha-huge-int", "u-huge-int", "gradient-huge-int", "bounds-string", "alpha-bool"])
 def test_cli_range_errors_exit_two(patch, err, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**RANDOM_DECAY, **patch}))
@@ -947,6 +988,67 @@ def test_simulate_matches_the_row_by_row_reference(raw):
             == _outputs_or_error(simulate_row_by_row, config))
 
 
+@given(referee_runs())
+@settings(max_examples=60, deadline=None)
+def test_simulate_rows_read_as_the_reference_tuple(raw):
+    # csv_rows is a read-only view over the trace's columns; it reads, indexes, compares and
+    # renders as the row-by-row reference's tuple of row tuples, cell types included
+    config = ExperimentConfig.from_dict(raw)
+    try:
+        expected = simulate_row_by_row(config)
+    except (AdamFtrlError, ValueError):
+        return   # the same error, from both, is test_simulate_matches_the_row_by_row_reference's
+    result = run_experiment(config)
+    rows, n = result.csv_rows, len(expected.csv_rows)
+    assert len(rows) == n
+    assert tuple(rows) == expected.csv_rows
+    assert rows == expected.csv_rows and expected.csv_rows == rows
+    assert not rows != expected.csv_rows
+    assert [rows[i] for i in range(-n, n)] == [expected.csv_rows[i] for i in range(-n, n)]
+    assert [tuple(map(type, row)) for row in rows] == [
+        tuple(map(type, row)) for row in expected.csv_rows]
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            rows[i]
+    assert render_csv(result) == render_csv(expected)
+
+
+# a fixed stream whose second moment overflows at round N (g_N = 1.7e308); with a spike at
+# round N - 1, corollary1's total u^2 sqrt(q) / alpha leaves the float range on row N - 1 first
+def _chunk_edge_run(N: int, spike: bool) -> dict:
+    return {"adversary": "fixed", "gradients": [1.0] * (N - 1) + [1e10 if spike else 1.0, 1.7e308],
+            "beta1": 0.5, "beta2": 0.5, "alpha": 1e-300, "u": 2.0, "domain": 2.0,
+            "bounds": ["corollary1"]}
+
+
+@pytest.mark.parametrize("N", [1, _CHUNK, _CHUNK + 1],
+                         ids=["first-round-of-a-chunk", "last-round-of-a-chunk",
+                              "first-round-after-a-chunk"])
+@pytest.mark.parametrize("spike", [False, True], ids=["driver-first", "bound-first"])
+def test_driver_errors_at_drive_chunk_edges(N, spike, tmp_path, capsys, monkeypatch):
+    # regret.drive is read _CHUNK rounds at a time; every round it finished before its error is
+    # kept and priced, so a bound that fails on an earlier row still wins (at N = 1 no row is)
+    raw = _chunk_edge_run(N, spike)
+    err = (f"bound 'corollary1' overflows: its total leaves the float range at T = {N - 1}"
+           if spike and N > 2 else f"second-moment accumulator overflows at t={N}")
+    priced = []
+
+    def record(evaluators, stats, T, stop=None):
+        priced.append(T.tolist())
+        return adamftrl.bounds.price_columns(evaluators, stats, T, stop)
+
+    monkeypatch.setattr(adamftrl.harness, "price_columns", record)
+    config = ExperimentConfig.from_dict(raw)
+    assert _outputs_or_error(run_experiment, config) == _outputs_or_error(simulate_row_by_row,
+                                                                          config)
+    assert priced == [list(range(2, N))]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == f"config error: {err}\n"
+    assert not list(tmp_path.glob("x.*"))
+
+
 _EDGE_CELLS = st.one_of(
     st.integers(-2**70, 2**70), st.booleans(), st.floats(),
     st.sampled_from([-0.0, math.nan, -math.inf, 5e-324, 1.7976931348623157e308]),
@@ -969,14 +1071,14 @@ def test_render_csv_formats_each_cell_as_format_cell(rows):
 def test_render_csv_joins_long_traces_in_chunks():
     # rows past one chunk of lines, of two type tuples and both bool values, print as one
     # per-cell _format_cell join each
-    rows = tuple((t, t % 3 == 0, t / 7) if t % 5 else (t, "a,b") for t in range(2 * _CSV_CHUNK + 3))
+    rows = tuple((t, t % 3 == 0, t / 7) if t % 5 else (t, "a,b") for t in range(2 * _CHUNK + 3))
     result = ExperimentResult(csv_header=("a", "b"), csv_rows=rows, summary={})
     assert render_csv(result) == "a,b\n" + "".join(",".join(map(_format_cell, row)) + "\n"
                                                    for row in rows)
 
 
 def test_write_outputs_writes_a_long_csv_as_rendered(tmp_path):
-    # a CSV over 1 MiB characters is written in slices; non-ASCII text splits by character
+    # a CSV over 1 MiB characters, written a chunk of lines at a time, with non-ASCII text
     rows = tuple((t, "\u00e9" * 997, t % 2 == 0) for t in range(1100))
     result = ExperimentResult(csv_header=("t", "text", "flag"), csv_rows=rows, summary={})
     [path] = write_outputs(result, tmp_path / "long", "csv")
@@ -1179,7 +1281,8 @@ def test_benchmark_traced_names_resolve():
             assert callable(getattr(target, attr, None)), f"{module}.{attr}"
 
 
-@pytest.mark.parametrize("workload", ["sweep-grid", "theorem1-horizon", "oracle-experiments"])
+@pytest.mark.parametrize("workload", ["stream-long", "sweep-grid", "theorem1-horizon",
+                                      "oracle-experiments"])
 @pytest.mark.filterwarnings("ignore:a = .* strict per-round dominance is not guaranteed")
 def test_benchmark_outputs_match_their_seed_0_digests(workload, tmp_path, monkeypatch):
     # the seed-0 commands of a benchmark workload, run through cli.main as the benchmark runs
