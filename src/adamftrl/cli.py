@@ -74,11 +74,14 @@ def _load_config(args, preset: dict | None = None) -> ExperimentConfig:
     raw = dict(preset) if preset else {}
     if args.config is not None:
         try:
-            raw.update(json.loads(Path(args.config).read_text(encoding="utf-8")))
+            loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except OSError as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"config {args.config} must be a JSON object, got {loaded!r}")
+        raw.update(loaded)
     if not raw:
         raise ConfigError("this subcommand needs --config")
     if args.seed is not None:

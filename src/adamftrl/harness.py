@@ -1,7 +1,7 @@
 """Experiment configuration, drivers, and deterministic CSV/JSON serialization.
 
-A configuration is a flat JSON object; the documented key set is validated up
-front (unknown keys are rejected) and regime coherence is checked before
+A configuration is a flat JSON object; one table, ``_KEYS``, parses each key's
+value (unknown keys are rejected), and regime coherence is checked before
 anything runs: the ``p <= 1`` bounds cannot be requested at ``p > 1``, the
 decaying-alpha bound requires the matching schedule, and the order-level bound
 requires a bounded domain within the oracle horizon.
@@ -44,8 +44,8 @@ from .errors import (
     InvalidGradientError,
     RegimeError,
 )
-from .learner import (DEFAULT_ORACLE_HORIZON, AlphaSchedule, CheckedAlphas, HyperParams, alpha_at,
-                      at_most)
+from .learner import (DEFAULT_ORACLE_HORIZON, REGIME_TOL, AlphaSchedule, CheckedAlphas, HyperParams,
+                      alpha_at, at_most)
 from .regret import drive
 
 RNG_NAME = "numpy-pcg64"
@@ -89,27 +89,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        unknown = set(raw) - _KNOWN_KEYS
+        unknown = set(raw) - set(_KEYS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        d = dict(raw)
-        if "adversary" not in d:
+        if "adversary" not in raw:
             raise ConfigError("config needs an 'adversary' kind")
-        for key, value in d.items():
-            if key in _NUMBER_KEYS:
-                for item in value if isinstance(value, (list, tuple)) else [value]:
-                    _check_number(key, item)
-        bounds = d.get("bounds", ())
-        if not isinstance(bounds, (list, tuple)) or not all(isinstance(b, str) for b in bounds):
-            raise ConfigError(f"'bounds' must be a list of bound names, got {bounds!r}")
-        if "gradients" in d and d["gradients"] is not None:
-            d["gradients"] = tuple(float(g) for g in d["gradients"])
-        if "alpha_values" in d and d["alpha_values"] is not None:
-            d["alpha_values"] = tuple(float(v) for v in d["alpha_values"])
-        if "bounds" in d:
-            d["bounds"] = tuple(d["bounds"])
-        if "domain" in d and d["domain"] == "unbounded":
-            d["domain"] = None
+        d = {key: _parse(key, value) for key, value in raw.items()}
         if "T" not in d:
             if d["adversary"] == "fixed" and d.get("gradients"):
                 d["T"] = len(d["gradients"]) - 1
@@ -125,25 +110,24 @@ class ExperimentConfig:
     # -- validation -------------------------------------------------------
 
     def validate(self) -> None:
-        if self.adversary not in ("fixed", "random", "geometric", "nonoblivious"):
-            raise ConfigError(f"unknown adversary kind {self.adversary!r}")
+        """Ranges and regime coherence; the value types are :data:`_KEYS`'s."""
         if self.T < 0:
             raise ConfigError(f"T must be >= 0, got {self.T}")
-        if self.format not in ("csv", "json", "both"):
-            raise ConfigError(f"format must be csv|json|both, got {self.format!r}")
         if self.oracle_horizon < 1:
             raise ConfigError(f"oracle_horizon must be >= 1, got {self.oracle_horizon}")
         if self.domain is not None and not self.domain > 0:
             raise ConfigError(f"domain must be positive or 'unbounded', got {self.domain}")
-        unknown_bounds = set(self.bounds) - set(BOUNDS)
-        if unknown_bounds:
-            raise ConfigError(f"unknown bounds requested: {sorted(unknown_bounds)}")
         if self.adversary in ("fixed", "random"):
             self._validate_gradient_run()
         elif self.adversary == "geometric":
             self._validate_geometric()
         else:
             self._validate_nonoblivious()
+        if None not in (self.p, self.beta1, self.beta2):
+            # ratio() reads p and hyper_params() the betas: both must name one regime
+            derived = self.beta1 / math.sqrt(self.beta2) if self.beta2 > 0 else math.nan
+            if not abs(self.p - derived) <= REGIME_TOL * derived:
+                raise ConfigError(f"'p' = {self.p} disagrees with beta1/sqrt(beta2) = {derived}")
 
     def _validate_gradient_run(self) -> None:
         try:
@@ -153,7 +137,7 @@ class ExperimentConfig:
         if self.u == "negD":
             if self.domain is None:
                 raise ConfigError("'negD' comparator needs a bounded domain")
-        elif self.domain is not None and abs(float(self.u)) > self.domain:
+        elif self.domain is not None and abs(self.u) > self.domain:
             raise ConfigError(f"comparator u={self.u} outside [-{self.domain}, {self.domain}]")
         if self.alpha_kind == "explicit":
             needed = self.T + 1 if self.bounds else self.T
@@ -227,14 +211,12 @@ class ExperimentConfig:
         if self.alpha_kind == "exponential_decay":
             ratio = self.alpha_ratio if self.alpha_ratio is not None else self.ratio()
             return AlphaSchedule.exponential_decay(self.alpha, ratio)
-        if self.alpha_kind == "explicit":
-            if not self.alpha_values:
-                raise ConfigError("explicit alpha needs 'alpha_values'")
-            if isinstance(self.alpha_values, CheckedAlphas):   # a sweep point's, checked once
-                return AlphaSchedule(kind="explicit", alpha=self.alpha_values[0],
-                                     values=self.alpha_values)
-            return AlphaSchedule.explicit(self.alpha_values)
-        raise ConfigError(f"unknown alpha_kind {self.alpha_kind!r}")
+        if not self.alpha_values:   # "explicit"
+            raise ConfigError("explicit alpha needs 'alpha_values'")
+        if isinstance(self.alpha_values, CheckedAlphas):   # a sweep point's, checked once
+            return AlphaSchedule(kind="explicit", alpha=self.alpha_values[0],
+                                 values=self.alpha_values)
+        return AlphaSchedule.explicit(self.alpha_values)
 
     def hyper_params(self) -> HyperParams:
         if self.beta1 is None or self.beta2 is None:
@@ -250,7 +232,7 @@ class ExperimentConfig:
     def echo(self) -> dict:
         """JSON-safe snapshot of the resolved configuration."""
         out = {}
-        for key in sorted(_KNOWN_KEYS - {"grid", "out"}):
+        for key in sorted(_KEYS.keys() - {"grid", "out"}):
             val = getattr(self, key, None)
             if isinstance(val, tuple):
                 val = list(val)
@@ -260,22 +242,79 @@ class ExperimentConfig:
         return out
 
 
-_KNOWN_KEYS = {f.name for f in fields(ExperimentConfig)}
-# keys that take a number, or for gradients and alpha_values a list of numbers
-_NUMBER_KEYS = {"T", "beta1", "beta2", "alpha", "alpha_ratio", "alpha_values", "domain", "u",
-                "gradients", "v0", "kappa", "a", "b", "v", "p", "seed", "oracle_horizon"}
+def _need(ok: bool, key: str, value, what: str):
+    """``value`` if ``ok``, else a ConfigError: the JSON value of ``key`` is not ``what``."""
+    if not ok:
+        raise ConfigError(f"{key!r}: {json.dumps(value)} is not {what}")
+    return value
 
 
-def _check_number(key: str, value) -> None:
-    """A bool is not a number, and an int must fit a float.  Checked, not converted, so the
-    config's echo keeps the value's JSON text."""
-    if isinstance(value, bool):
-        raise ConfigError(f"{key!r}: {json.dumps(value)} is not a number")
-    if isinstance(value, int):
-        try:
-            float(value)
-        except OverflowError as exc:
-            raise ConfigError(f"{key!r}: an integer too large for a float") from exc
+def _number(key: str, value, what: str = "a number"):
+    """A finite number: checked, not converted, so the config's echo keeps its JSON text."""
+    _need(isinstance(value, (int, float)) and not isinstance(value, bool), key, value, what)
+    try:
+        return _need(math.isfinite(value), key, value, "a finite number")
+    except OverflowError as exc:
+        raise ConfigError(f"{key!r}: an integer too large for a float") from exc
+
+
+def _integer(key: str, value) -> int:
+    return _need(isinstance(value, int) and not isinstance(value, bool), key, value, "an integer")
+
+
+def _numbers(key: str, value) -> tuple[float, ...]:
+    _need(isinstance(value, (list, tuple)), key, value, "a list of numbers")
+    return tuple(float(_number(key, item)) for item in value)
+
+
+def _one_of(*words: str):
+    return lambda key, value: _need(isinstance(value, str) and value in words, key, value,
+                                    "|".join(words))
+
+
+def _bound_names(key: str, value) -> tuple[str, ...]:
+    if not isinstance(value, (list, tuple)) or not all(isinstance(b, str) for b in value):
+        raise ConfigError(f"'bounds' must be a list of bound names, got {value!r}")
+    unknown = set(value) - set(BOUNDS)
+    if unknown:
+        raise ConfigError(f"unknown bounds requested: {sorted(unknown)}")
+    return tuple(value)
+
+
+_GRID_KEYS = ("beta1", "beta2", "kappa", "a", "b", "T")
+
+
+def _grid(key: str, value) -> dict:
+    """Grid keys mapped to value lists, each value parsed per point by :func:`sweep`."""
+    return _need(isinstance(value, dict) and all(k in _GRID_KEYS and isinstance(v, (list, tuple))
+                                                 and v for k, v in value.items()),
+                 key, value, f"a map of {'|'.join(_GRID_KEYS)} to non-empty value lists")
+
+
+# The config format, written once: for each field of ExperimentConfig, the parser that takes
+# its JSON value to its run-time value or raises a ConfigError (see _parse for null).
+# validate() then checks ranges and regime coherence.
+_KEYS = {
+    "adversary": _one_of("fixed", "random", "geometric", "nonoblivious"),
+    "alpha_kind": _one_of("constant", "exponential_decay", "explicit"),
+    "distribution": _one_of("uniform"),
+    "format": _one_of("csv", "json", "both"),
+    "T": _integer, "seed": _integer, "oracle_horizon": _integer,
+    "beta1": _number, "beta2": _number, "alpha": _number, "alpha_ratio": _number,
+    "v0": _number, "kappa": _number, "a": _number, "b": _number, "v": _number, "p": _number,
+    "gradients": _numbers, "alpha_values": _numbers,   # tuples of floats
+    "domain": lambda k, v: None if v == "unbounded" else _number(k, v, 'a number or "unbounded"'),
+    "u": lambda k, v: v if v == "negD" else _number(k, v, 'a number or "negD"'),   # see comparator
+    "bounds": _bound_names,
+    "out": lambda key, value: _need(isinstance(value, str), key, value, "a path"),
+    "grid": _grid,
+}
+_NULLABLE = {f.name for f in fields(ExperimentConfig) if f.default is None}
+
+
+def _parse(key: str, value):
+    """The run-time value of ``key``'s JSON value; a null is the key left out (``_NULLABLE``)."""
+    return None if value is None and key in _NULLABLE else _KEYS[key](key, value)
 
 
 @dataclass(frozen=True)
@@ -622,9 +661,6 @@ def run_experiment(config: ExperimentConfig | list[ExperimentConfig]) -> Experim
 # Sweeps
 # ---------------------------------------------------------------------------
 
-_GRID_KEYS = ("beta1", "beta2", "kappa", "a", "b", "T")
-
-
 def sweep(config: ExperimentConfig) -> ExperimentResult:
     """Run the config once per grid point; one summary row per point.
 
@@ -636,15 +672,7 @@ def sweep(config: ExperimentConfig) -> ExperimentResult:
     """
     if not config.grid:
         raise ConfigError("sweep needs a non-empty 'grid'")
-    if config.adversary not in ("fixed", "random", "geometric", "nonoblivious"):
-        raise ConfigError(f"unknown adversary kind {config.adversary!r}")
-    unknown = set(config.grid) - set(_GRID_KEYS)
-    if unknown:
-        raise ConfigError(f"grid keys must be among {_GRID_KEYS}, got {sorted(unknown)}")
     keys = sorted(config.grid)
-    value_lists = [list(config.grid[k]) for k in keys]
-    if any(not vals for vals in value_lists):
-        raise ConfigError("grid value lists must be non-empty")
 
     base = {k: v for k, v in config.__dict__.items() if k != "grid"}
     stream = config.adversary in ("fixed", "random")
@@ -656,12 +684,12 @@ def sweep(config: ExperimentConfig) -> ExperimentResult:
     if stream and config.alpha_kind == "explicit":
         with contextlib.suppress(AdamFtrlError):
             base["alpha_values"] = config.alpha_schedule().values
-    combos = list(itertools.product(*value_lists))
+    combos = list(itertools.product(*(config.grid[k] for k in keys)))
     outcomes: list = [None] * len(combos)   # per point: (metrics, summary), or why it skips
     batches: dict[str, list[tuple[int, ExperimentConfig]]] = {}
     for i, combo in enumerate(combos):
         try:
-            derived = ExperimentConfig(**{**base, **dict(zip(keys, combo))})
+            derived = ExperimentConfig(**{**base, **{k: _parse(k, v) for k, v in zip(keys, combo)}})
             derived.validate()
         except (AdamFtrlError, ValueError) as exc:
             outcomes[i] = exc
@@ -835,10 +863,12 @@ def render_json(result: ExperimentResult) -> str:
 
 def write_outputs(result: ExperimentResult, out_base: str | Path,
                   fmt: str = "both") -> list[Path]:
-    """Write ``<out_base>.csv`` and/or ``<out_base>.json``; returns the paths."""
+    """Write ``<out_base>.csv`` and/or ``<out_base>.json``; returns the paths.  The JSON text is
+    rendered first, so a summary it cannot hold (a NaN) raises before any file is written."""
     base = Path(out_base)
     if base.parent and not base.parent.exists():
         raise ConfigError(f"output directory does not exist: {base.parent}")
+    text = render_json(result) if fmt in ("json", "both") else None
     written = []
     try:
         if fmt in ("csv", "both"):
@@ -846,9 +876,9 @@ def write_outputs(result: ExperimentResult, out_base: str | Path,
             with path.open("w", encoding="utf-8") as out:
                 out.writelines(_csv_chunks(result))
             written.append(path)
-        if fmt in ("json", "both"):
+        if text is not None:
             path = base.with_suffix(".json")
-            path.write_text(render_json(result), encoding="utf-8")
+            path.write_text(text, encoding="utf-8")
             written.append(path)
     except OSError as exc:
         raise ConfigError(f"cannot write outputs at {base}: {exc}") from exc

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import importlib.util
 import io
@@ -7,6 +8,7 @@ import itertools
 import json
 import math
 import random
+import re
 import sys
 import tempfile
 import tracemalloc
@@ -1168,6 +1170,146 @@ def test_cli_output_is_strict_at_the_edge_of_the_float_range(raw):
         assert all(math.isfinite(float(row[i])) for row in ok for i in columns)
         failed = [row for row in ok if row[-1] == "false"]
     assert summary["contracts_ok"] == (code == 0) == (not failed)
+
+
+# ---------------------------------------------------------------------------
+# Config format: every JSON value becomes a field or exits 2
+# ---------------------------------------------------------------------------
+
+CONFIG_BASE = {"adversary": "random", "beta1": 0.9, "beta2": 0.99, "T": 20,
+               "bounds": ["corollary1"]}
+
+
+@pytest.mark.parametrize("patch,err", [
+    # tracebacks before the config table
+    ({"T": 1.5}, "'T': 1.5 is not an integer"),
+    ({"T": None}, "'T': null is not an integer"),
+    ({"T": "20"}, "'T': \"20\" is not an integer"),
+    ({"beta1": "0.9"}, "'beta1': \"0.9\" is not a number"),
+    ({"beta1": [0.9]}, "'beta1': [0.9] is not a number"),
+    ({"seed": 1.5}, "'seed': 1.5 is not an integer"),
+    ({"seed": "7"}, "'seed': \"7\" is not an integer"),
+    ({"alpha": None}, "'alpha': null is not a number"),
+    ({"domain": "1"}, "'domain': \"1\" is not a number or \"unbounded\""),
+    ({"out": 5}, "'out': 5 is not a path"),
+    ({"grid": {"beta1": 0.9}},
+     "'grid': {\"beta1\": 0.9} is not a map of beta1|beta2|kappa|a|b|T to non-empty value lists"),
+    # exit 0: a string echoed as the comparator, a fractional horizon, a word as a ratio
+    ({"u": "0.5"}, "'u': \"0.5\" is not a number or \"negD\""),
+    ({"oracle_horizon": 1.5}, "'oracle_horizon': 1.5 is not an integer"),
+    ({"alpha_ratio": "x"}, "'alpha_ratio': \"x\" is not a number"),
+    # exit 2 after the CSV was written
+    ({"domain": math.inf}, "'domain': Infinity is not a finite number"),
+    ({"p": math.nan}, "'p': NaN is not a finite number"),
+    ({"alpha_ratio": math.nan}, "'alpha_ratio': NaN is not a finite number"),
+    ({"v0": math.nan}, "'v0': NaN is not a finite number"),
+    # exit 0: ratio() took p = 0.5 and hyper_params() the betas' p = 0.9045...
+    ({"p": 0.5}, "'p' = 0.5 disagrees with beta1/sqrt(beta2) = 0.9045340337332909"),
+], ids=["T-float", "T-null", "T-string", "beta1-string", "beta1-list", "seed-float",
+        "seed-string", "alpha-null", "domain-string", "out-int", "grid-not-lists", "u-string",
+        "horizon-float", "alpha-ratio-word", "domain-inf", "p-nan", "alpha-ratio-nan", "v0-nan",
+        "p-disagrees-with-betas"])
+def test_cli_config_values_outside_the_table_exit_two(patch, err, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**CONFIG_BASE, "out": str(tmp_path / "x"), **patch}))
+    assert cli.main(["simulate", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"config error: {err}\n"
+    assert not list(tmp_path.glob("x.*"))
+
+
+@pytest.mark.parametrize("patch,skip", [
+    ({"grid": {"beta1": ["0.9"]}}, "'beta1': \"0.9\" is not a number"),
+    ({"grid": {"T": [1.5]}}, "'T': 1.5 is not an integer"),
+    ({"grid": {"beta1": [[0.9]]}}, "'beta1': [0.9] is not a number"),
+    # p matches the base betas, so only the point at beta2 = 0.25 disagrees
+    ({"p": 0.9 / math.sqrt(0.99), "grid": {"beta2": [0.99, 0.25]}},
+     "'p' = 0.9045340337332909 disagrees with beta1/sqrt(beta2) = 1.8"),
+], ids=["beta1-string", "T-float", "beta1-list", "p-disagrees-with-betas"])
+def test_sweep_skips_grid_values_outside_the_table(patch, skip, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**CONFIG_BASE, "bounds": [], **patch}))
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 0
+    statuses = [row[1] for row in csv.reader((tmp_path / "x.csv").read_text().splitlines()[1:])]
+    assert statuses[-1] == f"skipped: {skip}"
+    assert statuses[:-1] == ["ok"] * (len(statuses) - 1)
+
+
+@pytest.mark.parametrize("text", ["3", "null", '"x"', '[["adversary", "random"]]'])
+def test_cli_rejects_a_config_that_is_not_an_object(text, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == (f"config error: config {cfg} must be a JSON object, "
+                                       f"got {json.loads(text)!r}\n")
+    assert not list(tmp_path.glob("x.*"))
+
+
+def test_write_outputs_renders_the_json_before_it_writes_a_file(tmp_path):
+    result = ExperimentResult(csv_header=("t",), csv_rows=((1,),),
+                              summary={"regret": math.nan, "contracts_ok": True})
+    with pytest.raises(ValueError):
+        write_outputs(result, tmp_path / "x", "both")
+    assert not list(tmp_path.iterdir())
+
+
+# any JSON value: NaN and the infinities, ints past the float range, the config's own words
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers(-2**70, 2**70) | st.text(max_size=3)
+    | st.sampled_from([10**400, -10**400, "negD", "unbounded", "explicit", "random", "csv",
+                       "corollary1", "B"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(adamftrl.harness._GRID_KEYS) | st.text(max_size=2), inner,
+                      max_size=3),
+    max_leaves=6)
+# T is drawn only on a short fixed stream: any T past its gradients exits 2 before a run, where
+# a random stream of a drawn T (10**9, say) would be allocated
+FIXED_BASE = {"adversary": "fixed", "gradients": [1.0, -0.5, 0.25, 2.0], "beta1": 0.5,
+              "beta2": 0.5, "T": 3, "domain": 1.0, "u": -0.5, "bounds": ["theorem1", "B"]}
+RANDOM_BASE = {**CONFIG_BASE, "alpha": 0.5, "domain": 1.0, "u": 0.5}
+
+
+@given(command=st.sampled_from(["simulate", "sweep"]),
+       key=st.sampled_from(sorted(adamftrl.harness._KEYS)), value=JSON_VALUES,
+       on_random=st.booleans())
+@example(command="sweep", key="grid", value={"T": [10**400, 2, -1]}, on_random=False)
+@example(command="simulate", key="out", value="", on_random=True)
+@settings(max_examples=150, deadline=None)
+def test_cli_takes_any_json_value_to_a_run_or_exit_two(command, key, value, on_random):
+    # one key of a valid config set to any JSON value: exit 0, 1 only with a false contract,
+    # or 2 with no output file; no exception escapes and the JSON output is strict
+    raw = dict(RANDOM_BASE if on_random and key not in ("T", "grid") else FIXED_BASE)
+    if command == "sweep":
+        raw["grid"] = {"beta1": [0.5, 0.7], "beta2": [0.5, 0.99]}
+    raw[key] = value
+    with tempfile.TemporaryDirectory() as cfg_dir, tempfile.TemporaryDirectory() as out_dir:
+        cfg = Path(cfg_dir) / "cfg.json"
+        cfg.write_text(json.dumps(raw))   # NaN and Infinity written into the JSON text
+        out_flag = [] if key == "out" else ["--out", str(Path(out_dir) / "o")]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.chdir(out_dir), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            code = cli.main([command, "--config", str(cfg), *out_flag])
+        written = sorted(Path(out_dir).iterdir())
+        if code == 2:
+            assert err.getvalue().startswith("config error: ") and not written
+            return
+        assert code in (0, 1)
+        json_files = [path for path in written if path.suffix == ".json"]
+        text = json_files[0].read_text() if json_files else out.getvalue()
+    if written and not json_files:   # format "csv"
+        assert code == 0
+        return
+    summary = json.loads(text, parse_constant=_reject_constant)
+    assert summary["contracts_ok"] == (code == 0)
+
+
+def test_config_table_names_every_field_and_readme_key():
+    table = set(adamftrl.harness._KEYS)
+    assert table == {f.name for f in dataclasses.fields(ExperimentConfig)}
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("### Config keys")[1].split("\n\n")[1]
+    first_cells = [line.split("|")[1] for line in section.splitlines()[2:]]
+    assert {key for cell in first_cells for key in re.findall(r"`(\w+)`", cell)} == table
 
 
 def test_cli_verify_lemmas(tmp_path):
