@@ -81,9 +81,91 @@ class FixedSequence:
         return list(self.gradients[: T + 1])
 
 
+# numpy's PCG64 (a 128-bit LCG with XSL-RR output, O'Neill 2014) seeded by its SeedSequence,
+# reproduced bit for bit: importing numpy.random costs a run about 20 ms and 6 MB.
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_BLOCK = 1024   # states stepped one at a time; later blocks jump ahead from them
+_PCG_JUMP = pow(_PCG_MULT, _PCG_BLOCK, 1 << 128)
+
+
+def _pcg64_seed(seed: int) -> tuple[int, int]:
+    """The (state, increment) of ``PCG64(seed)``: ``SeedSequence(seed)`` with a pool of 4 words."""
+    words = [seed >> i & _M32 for i in range(0, max(seed.bit_length(), 1), 32)]
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & _M32
+        value = value * hash_const & _M32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(w) for w in (words + [0, 0, 0])[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const, out = 0x8B51F9DD, []
+    for i in range(8):   # generate_state(4, uint64): 8 words, read as 4 little-endian pairs
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & _M32
+        value = value * hash_const & _M32
+        out.append(value ^ value >> 16)
+    u = [out[k] | out[k + 1] << 32 for k in (0, 2, 4, 6)]
+    inc = (u[2] << 65 | u[3] << 1 | 1) & _M128
+    return ((inc + (u[0] << 64 | u[1])) * _PCG_MULT + inc) & _M128, inc
+
+
+class _Pcg64:
+    """``numpy.random.Generator(PCG64(seed))``'s ``uniform(-1, 1, n)`` draws, bit for bit."""
+
+    def __init__(self, seed: int):
+        self.state, self.inc = _pcg64_seed(seed)
+
+    def uniform(self, n: int) -> np.ndarray:
+        """The next ``n >= 1`` draws, continuing the stream as numpy's next call would."""
+        states, s = [], self.state
+        for _ in range(min(n, _PCG_BLOCK)):
+            s = (s * _PCG_MULT + self.inc) & _M128
+            states.append(s.to_bytes(16, "little"))
+        lo, hi = np.frombuffer(b"".join(states), "<u8").reshape(-1, 2).T
+        # block j is the first block jumped j L steps, s_{k+jL} = J_j s_k + C_j mod 2^128, on
+        # uint64 limbs that wrap on purpose: J_j.lo * s.lo in full from 32-bit halves, plus the
+        # cross terms mod 2^64 and C_j with its carry
+        jumps, a, b = [], 1, 0
+        c = (s - _PCG_JUMP * self.state) & _M128
+        for _ in range(1, -(-n // _PCG_BLOCK)):
+            a, b = a * _PCG_JUMP & _M128, (b * _PCG_JUMP + c) & _M128
+            jumps.append((a & _M64, a >> 64, b & _M64, b >> 64))
+        j_lo, j_hi, c_lo, c_hi = np.array(jumps, np.uint64).reshape(-1, 4, 1).transpose(1, 0, 2)
+        with np.errstate(over="ignore"):
+            s0, s1, j0, j1 = lo & _M32, lo >> 32, j_lo & _M32, j_lo >> 32
+            p01, p10 = j0 * s1, j1 * s0
+            mid = (j0 * s0 >> 32) + (p01 & _M32) + (p10 & _M32)
+            jhi = (j1 * s1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+                   + j_hi * lo + j_lo * hi + c_hi)
+            jlo = j_lo * lo + c_lo
+            jhi += jlo < c_lo
+        lo = np.concatenate((lo, jlo.ravel()))[:n]
+        hi = np.concatenate((hi, jhi.ravel()))[:n]
+        self.state = int(hi[-1]) << 64 | int(lo[-1])
+        rot = hi >> 58   # XSL-RR, then the top 53 bits as a double in [0, 1)
+        x = hi ^ lo
+        x = (x >> rot) | (x << ((64 - rot) & 63))
+        return -1.0 + 2.0 * ((x >> 11).astype(np.float64) * 2.0**-53)
+
+
 @dataclass(frozen=True)
 class RandomUniform:
-    """Seeded uniform draws on [-1, 1] (pcg64), reproducible across platforms."""
+    """Seeded uniform draws on [-1, 1): numpy's ``Generator(PCG64(seed)).uniform`` stream."""
 
     seed: int
     distribution: str = "uniform"
@@ -91,13 +173,15 @@ class RandomUniform:
     def __post_init__(self):
         if self.distribution != "uniform":
             raise ValueError(f"unknown distribution {self.distribution!r}")
+        if self.seed < 0:
+            raise ValueError(f"need seed >= 0, got {self.seed}")
 
     def gradient_stream(self, T: int) -> list[float]:
-        rng = np.random.Generator(np.random.PCG64(self.seed))
-        g = rng.uniform(-1.0, 1.0, size=T + 1)
+        rng = _Pcg64(self.seed)
+        g = rng.uniform(T + 1)
         while g[0] == 0.0:  # vanishingly unlikely, but the seed must be nonzero
-            g[0] = rng.uniform(-1.0, 1.0)
-        return [float(x) for x in g]
+            g[0] = rng.uniform(1)[0]
+        return g.tolist()
 
 
 @dataclass(frozen=True)

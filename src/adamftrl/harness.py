@@ -262,6 +262,10 @@ def _integer(key: str, value) -> int:
     return _need(isinstance(value, int) and not isinstance(value, bool), key, value, "an integer")
 
 
+def _natural(key: str, value) -> int:
+    return _need(_integer(key, value) >= 0, key, value, "a non-negative integer")
+
+
 def _numbers(key: str, value) -> tuple[float, ...]:
     _need(isinstance(value, (list, tuple)), key, value, "a list of numbers")
     return tuple(float(_number(key, item)) for item in value)
@@ -299,7 +303,7 @@ _KEYS = {
     "alpha_kind": _one_of("constant", "exponential_decay", "explicit"),
     "distribution": _one_of("uniform"),
     "format": _one_of("csv", "json", "both"),
-    "T": _integer, "seed": _integer, "oracle_horizon": _integer,
+    "T": _integer, "seed": _natural, "oracle_horizon": _integer,
     "beta1": _number, "beta2": _number, "alpha": _number, "alpha_ratio": _number,
     "v0": _number, "kappa": _number, "a": _number, "b": _number, "v": _number, "p": _number,
     "gradients": _numbers, "alpha_values": _numbers,   # tuples of floats

@@ -1,7 +1,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from adamftrl import (
     FixedSequence,
@@ -16,7 +19,7 @@ from adamftrl import (
     verify_lemma_a1,
     verify_lemma_a2,
 )
-from adamftrl.adversaries import default_lemma_a1_grid, default_lemma_a2_grid
+from adamftrl.adversaries import _PCG_BLOCK, _Pcg64, default_lemma_a1_grid, default_lemma_a2_grid
 from adamftrl.errors import (
     ContractViolation,
     OracleHorizonError,
@@ -49,6 +52,46 @@ def test_random_uniform_is_seeded_and_bounded():
     assert all(abs(g) <= 1.0 for g in a) and a[0] != 0.0
     with pytest.raises(ValueError):
         RandomUniform(seed=1, distribution="gaussian")
+    with pytest.raises(ValueError, match="seed >= 0"):
+        RandomUniform(seed=-1)
+
+
+def _numpy_uniform(seed: int, n: int) -> list[float]:
+    return np.random.Generator(np.random.PCG64(seed)).uniform(-1.0, 1.0, n).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**130),
+       T=st.sampled_from([0, 1, _PCG_BLOCK - 2, _PCG_BLOCK - 1, _PCG_BLOCK, 2 * _PCG_BLOCK,
+                          5 * _PCG_BLOCK + 3]))
+@example(seed=0, T=5 * _PCG_BLOCK + 3)
+@example(seed=2**32, T=_PCG_BLOCK)        # two entropy words
+@example(seed=2**130, T=2 * _PCG_BLOCK)   # five: one past SeedSequence's pool of four
+def test_random_uniform_is_numpys_pcg64_stream(seed, T):
+    # numpy.random is the referee: the stream is its PCG64 stream bit for bit, across block edges
+    got = RandomUniform(seed).gradient_stream(T)
+    assert list(map(float.hex, got)) == list(map(float.hex, _numpy_uniform(seed, T + 1)))
+
+
+@pytest.mark.parametrize("n", [1, _PCG_BLOCK - 1, _PCG_BLOCK, _PCG_BLOCK + 1, 3 * _PCG_BLOCK])
+def test_pcg64_draws_continue_numpys_stream(n):
+    # n draws then one more are numpy's n + 1 draws, as the g[0] == 0 redraw needs
+    rng = _Pcg64(7)
+    assert rng.uniform(n).tolist() + rng.uniform(1).tolist() == _numpy_uniform(7, n + 1)
+
+
+def test_a_zero_first_gradient_is_redrawn_from_the_same_stream(monkeypatch):
+    # a first draw of exactly 0.0 (probability 2^-53) becomes the stream's next draw
+    draw = _Pcg64.uniform
+
+    def first_draw_zero(self, n):
+        g = draw(self, n)
+        g[0] = 0.0 if n > 1 else g[0]
+        return g
+
+    monkeypatch.setattr(_Pcg64, "uniform", first_draw_zero)
+    ref = _numpy_uniform(3, 12)
+    assert RandomUniform(3).gradient_stream(10) == [ref[11]] + ref[1:11]
 
 
 def test_geometric_sequence_type_needs_growth():

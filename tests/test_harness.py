@@ -7,8 +7,10 @@ import io
 import itertools
 import json
 import math
+import os
 import random
 import re
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -1234,6 +1236,19 @@ def test_sweep_skips_grid_values_outside_the_table(patch, skip, tmp_path):
     assert statuses[:-1] == ["ok"] * (len(statuses) - 1)
 
 
+@pytest.mark.parametrize("command,patch,argv", [
+    ("simulate", {"seed": -1}, []),
+    ("simulate", {"seed": 3}, ["--seed", "-1"]),
+    ("sweep", {"seed": -1, "grid": {"beta1": [0.5, 0.9]}}, []),
+], ids=["config", "flag", "sweep-template"])
+def test_cli_rejects_a_negative_seed(command, patch, argv, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**CONFIG_BASE, "out": str(tmp_path / "x"), **patch}))
+    assert cli.main([command, "--config", str(cfg), *argv]) == 2
+    assert capsys.readouterr() == ("", "config error: 'seed': -1 is not a non-negative integer\n")
+    assert not list(tmp_path.glob("x.*"))
+
+
 @pytest.mark.parametrize("text", ["3", "null", '"x"', '[["adversary", "random"]]'])
 def test_cli_rejects_a_config_that_is_not_an_object(text, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
@@ -1399,6 +1414,32 @@ def test_theorem1_run_makes_linearly_many_alpha_calls(monkeypatch):
         counts[T] = calls[0]
     assert counts[1000] <= 2 * counts[500] + 8
     assert counts[1000] <= 4 * 1000
+
+
+COLD_RUNS = """
+import json, sys
+from adamftrl import cli
+base = {"adversary": "random", "beta1": 0.9, "beta2": 0.99, "T": 3000, "seed": 5,
+        "bounds": ["corollary1"]}
+with open("sim.json", "w") as f:
+    json.dump(base, f)
+with open("sweep.json", "w") as f:
+    json.dump({**base, "grid": {"beta1": [0.5, 0.9]}}, f)
+assert cli.main(["simulate", "--config", "sim.json", "--out", "sim"]) == 0
+assert cli.main(["sweep", "--config", "sweep.json", "--out", "sweep"]) == 0
+print(sorted(m for m in sys.modules if m == "hashlib" or m.startswith("numpy.random")))
+"""
+
+
+def test_random_runs_never_import_numpy_random(tmp_path):
+    # a fresh process runs a random simulate and sweep without loading numpy.random, whose
+    # import (bit generators, secrets, hashlib and OpenSSL) costs a run about 20 ms and 6 MB
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", COLD_RUNS], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["wrote sim.csv", "wrote sim.json", "wrote sweep.csv",
+                                        "wrote sweep.json", "[]"]
 
 
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
