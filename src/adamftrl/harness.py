@@ -17,7 +17,6 @@ import contextlib
 import itertools
 import json
 import math
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -53,6 +52,7 @@ TRACE_COLUMNS = (
     "t", "alpha_t", "g_t", "m_t", "q_t", "delta_bar_t", "delta_t", "clipped",
     "loss_discounted", "regret_discounted", "maxV_t", "D_t",
 )
+_CLIPPED = TRACE_COLUMNS.index("clipped")
 PAIR_COLUMNS = (
     "t", "loss_a", "delta_a", "f_a", "loss_aprime", "delta_aprime", "f_aprime", "strict",
 )
@@ -380,7 +380,19 @@ class TraceRows(Sequence):
         return len(self._columns[0])
 
     def __iter__(self):
-        return zip(*self._columns, *(itertools.chain((math.nan,), b) for b in self._bounds))
+        return self._zip(self._columns)
+
+    def _zip(self, columns):
+        return zip(*columns, *(itertools.chain((math.nan,), b) for b in self._bounds))
+
+    def csv_lines(self):
+        """The rows' CSV lines, as ``_format_cell`` prints each cell, by one %-format: ``%d`` for
+        ``t``, ``%s`` for ``clipped`` read as its text, ``%.17g`` for every other cell."""
+        cells = ["%.17g"] * (len(self._columns) + len(self._bounds))
+        cells[0], cells[_CLIPPED] = "%d", "%s"
+        columns = list(self._columns)
+        columns[_CLIPPED] = map(("false", "true").__getitem__, columns[_CLIPPED])
+        return map(",".join(cells).__mod__, self._zip(columns))
 
     def __getitem__(self, i: int) -> tuple:
         i = range(len(self))[i]   # as a tuple reads i: from the end if negative, IndexError past it
@@ -403,9 +415,12 @@ def _run_gradient_stream(config: ExperimentConfig) -> ExperimentResult:
     header = TRACE_COLUMNS + tuple(f"bound_{n}" for n in requested)
     gradients = config.adversary_spec().gradient_stream(config.T)
 
-    # drive()'s fields after t, one float64 column each (clipped a bool column), filled a chunk
-    # at a time; a run that stops early fills only its first n rows
-    columns = [np.empty(config.T, dtype=bool if i == 5 else np.float64) for i in range(11)]
+    # drive()'s fields after t but the m after g_t, which no row shows (q_after is the q after
+    # g_t): one float64 column each, clipped a bool column, filled a chunk at a time; a run that
+    # stops early fills only its first n rows
+    kept = ("alpha_t", "m_t", "q_t", "delta_bar_t", "delta_t", "clipped", "regret_discounted",
+            "maxV_t", "D_t", "q_after")
+    columns = [np.empty(config.T, dtype=bool if name == "clipped" else np.float64) for name in kept]
     rounds, stop, n = drive(gradients, params, u), None, 0
     while stop is None:
         chunk = []
@@ -415,18 +430,19 @@ def _run_gradient_stream(config: ExperimentConfig) -> ExperimentResult:
             stop = exc
         if not chunk:
             break
-        _, *chunk_columns = zip(*chunk)
-        for column, values in zip(columns, chunk_columns):
+        _, *fields, _, q_after = zip(*chunk)
+        for column, values in zip(columns, (*fields, q_after)):
             column[n:n + len(chunk)] = values
         n += len(chunk)
-    alpha, m, q, delta_bar, delta, clipped, regret, max_v, d_max, _, q_after = (
+    g = np.array(gradients[1:n + 1])
+    del rounds, gradients   # the stream is not held while the bounds are priced
+    alpha, m, q, delta_bar, delta, clipped, regret, max_v, d_max, q_after = (
         column[:n] for column in columns)
     # a bound at row t reads the statistics after g_t: q_after, not the row's q_t
     stats = TraceStats(q_after[1:], max_v[1:], d_max[1:])
     reports = price_columns([BOUNDS[name].per_run(params, u) for name in requested], stats,
                             np.arange(2, n + 1), stop)
 
-    g = np.array(gradients[1:n + 1])
     # memoryviews read their cells as Python floats and bools
     rows = TraceRows((range(1, n + 1), *map(memoryview, (alpha, g, m, q, delta_bar, delta, clipped,
                                                          g * delta, regret, max_v, d_max))),
@@ -801,59 +817,30 @@ def _argmin_annotations(config: ExperimentConfig, keys, ok_points):
 # ---------------------------------------------------------------------------
 
 def _format_cell(value) -> str:
+    """A cell's CSV text: ``true``/``false``, a float to 17 significant digits, else ``str``.
+    Text UTF-8 cannot encode (a lone surrogate) is backslash-escaped, and text that holds a
+    ``,``, ``"``, CR or LF is quoted."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
         return format(value, ".17g")
-    text = str(value)
-    if any(ch in text for ch in ',"\n'):
+    text = str(value).encode("utf-8", "backslashreplace").decode("utf-8")
+    if any(ch in text for ch in ',"\r\n'):
         text = '"' + text.replace('"', '""') + '"'
     return text
 
 
-# Cells of these types go straight into a row's %-format.  A bool cell's text is written into the
-# format, one format per value of the row's bools, and the cell itself prints as "%.0s", that is,
-# nothing.  Any other cell (a string that may need quoting) is formatted by _format_cell first.
-_CELL_FORMATS = {int: "%d", float: "%.17g", np.float64: "%.17g"}
-
-
-def _row_format(types: tuple[type, ...], flags: tuple[bool, ...]) -> str:
-    """The %-format of a row of these cell types whose bool cells hold ``flags``, in order."""
-    cells = [_CELL_FORMATS.get(t, "%s") for t in types]
-    for i, value in zip([i for i, t in enumerate(types) if t is bool], flags):
-        cells[i] = _format_cell(value) + "%.0s"
-    return ",".join(cells)
-
-
 def _csv_chunks(result: ExperimentResult):
-    """The CSV text in newline-ended blocks of ``_CHUNK`` lines, the header first, each row by the
-    one %-format of its cell types and bools."""
-    lines, formats = [",".join(result.csv_header)], {}
-    for row in result.csv_rows:
-        types = tuple(map(type, row))
-        if types not in formats:
-            bools = [i for i, t in enumerate(types) if t is bool]
-            formats[types] = (   # reads a row's bools: one, a tuple of several, or ()
-                operator.itemgetter(*bools) if bools else operator.itemgetter(slice(0)), {},
-                [i for i, t in enumerate(types) if t is not bool and t not in _CELL_FORMATS])
-        read_flags, texts, slow = formats[types]
-        flags = read_flags(row)
-        if flags not in texts:
-            texts[flags] = _row_format(types, flags if isinstance(flags, tuple) else (flags,))
-        text = texts[flags]
-        if slow:
-            row = list(row)
-            for i in slow:
-                row[i] = _format_cell(row[i])
-            row = tuple(row)
-        lines.append(text % row)
-        if len(lines) == _CHUNK:
-            lines.append("")   # the block's last newline
-            yield "\n".join(lines)
-            lines.clear()
-    if lines:
-        lines.append("")
-        yield "\n".join(lines)
+    """The CSV text in newline-ended blocks of ``_CHUNK`` lines, the header first: a trace prints
+    its own lines, and every other row is its cells by ``_format_cell``."""
+    rows = result.csv_rows
+    lines = itertools.chain(
+        (",".join(result.csv_header),),
+        rows.csv_lines() if isinstance(rows, TraceRows)
+        else (",".join(map(_format_cell, row)) for row in rows))
+    while block := list(itertools.islice(lines, _CHUNK)):
+        block.append("")   # the block's last newline
+        yield "\n".join(block)
 
 
 def render_csv(result: ExperimentResult) -> str:

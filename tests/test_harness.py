@@ -993,10 +993,19 @@ def test_simulate_matches_the_row_by_row_reference(raw):
 
 
 @given(referee_runs())
+# three chunks of CSV lines, with clipped both true (351 rows) and false, and two bound columns
+@example({"adversary": "random", "T": 2 * _CHUNK + 7, "seed": 1, "beta1": 0.9, "beta2": 0.99,
+          "alpha_kind": "constant", "alpha": 0.5, "domain": 0.05, "u": 0.025,
+          "bounds": ["theorem1", "corollary1"]})
+# one row, whose bound cells are all nan
+@example({"adversary": "random", "T": 1, "seed": 1, "beta1": 0.9, "beta2": 0.99,
+          "alpha_kind": "constant", "alpha": 0.5, "domain": 1.0, "u": 0.5,
+          "bounds": ["theorem1", "corollary1"]})
 @settings(max_examples=60, deadline=None)
 def test_simulate_rows_read_as_the_reference_tuple(raw):
     # csv_rows is a read-only view over the trace's columns; it reads, indexes, compares and
-    # renders as the row-by-row reference's tuple of row tuples, cell types included
+    # renders as the row-by-row reference's tuple of row tuples, cell types included: the
+    # trace's own %-formatted lines equal a per-cell _format_cell join of the reference's rows
     config = ExperimentConfig.from_dict(raw)
     try:
         expected = simulate_row_by_row(config)
@@ -1056,20 +1065,26 @@ def test_driver_errors_at_drive_chunk_edges(N, spike, tmp_path, capsys, monkeypa
 _EDGE_CELLS = st.one_of(
     st.integers(-2**70, 2**70), st.booleans(), st.floats(),
     st.sampled_from([-0.0, math.nan, -math.inf, 5e-324, 1.7976931348623157e308]),
-    st.floats().map(np.float64), st.text(',"\n %dab', max_size=5))
+    st.floats().map(np.float64), st.text(',"\r\n %dab', max_size=5))
 
 
 @given(st.lists(st.one_of(st.lists(_EDGE_CELLS, max_size=6).map(tuple),
                           st.sampled_from([(1, True, 0.5), (0, False, -0.0), ("ok", True)])),
                 max_size=8))
-@example([(1, True, False, 0), (True, 1, 1.0), (np.float64(-0.0), "a,\"b\"")])
+@example([(1, True, False, 0), (True, 1, 1.0), (np.float64(-0.0), "a,\"b\""), ("a\rb", "")])
 @settings(max_examples=50)
 def test_render_csv_formats_each_cell_as_format_cell(rows):
-    # one %-format per row of cell types prints what a per-cell _format_cell join prints;
-    # bools never become 1/0, and only strings that need it are quoted
+    # each row prints as a per-cell _format_cell join; bools never become 1/0, only strings
+    # that need it are quoted, and csv.reader reads each row back with every string verbatim
     result = ExperimentResult(csv_header=("a", "b"), csv_rows=tuple(rows), summary={})
     expected = "".join(",".join(map(_format_cell, row)) + "\n" for row in rows)
-    assert render_csv(result) == "a,b\n" + expected
+    text = render_csv(result)
+    assert text == "a,b\n" + expected
+    header, *parsed = csv.reader(io.StringIO(text, newline=""))
+    assert header == ["a", "b"]
+    # csv.reader reads an empty line as no cells, so a row of one empty string reads as none
+    assert parsed == [[c if isinstance(c, str) else _format_cell(c) for c in row]
+                      if row != ("",) else [] for row in rows]
 
 
 def test_render_csv_joins_long_traces_in_chunks():
@@ -1234,6 +1249,22 @@ def test_sweep_skips_grid_values_outside_the_table(patch, skip, tmp_path):
     statuses = [row[1] for row in csv.reader((tmp_path / "x.csv").read_text().splitlines()[1:])]
     assert statuses[-1] == f"skipped: {skip}"
     assert statuses[:-1] == ["ok"] * (len(statuses) - 1)
+
+
+@pytest.mark.parametrize("value,cell", [("a\rb", "a\rb"), ("\ud800", "\\ud800")],
+                         ids=["carriage-return", "lone-surrogate"])
+def test_sweep_writes_a_grid_string_any_text_can_hold(value, cell, tmp_path):
+    # a CR is quoted, and a lone surrogate, which UTF-8 cannot encode, is backslash-escaped: the
+    # point is a skipped row, and the file holds the rendered CSV and reads back one row a point
+    raw = {**CONFIG_BASE, "grid": {"beta1": [value, 0.5]}}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 0
+    data = (tmp_path / "x.csv").read_bytes()
+    assert data == render_csv(sweep(ExperimentConfig.from_dict(raw))).encode("utf-8")
+    _, *rows = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
+    assert [row[:2] for row in rows] == [
+        [cell, f"skipped: 'beta1': {json.dumps(value)} is not a number"], ["0.5", "ok"]]
 
 
 @pytest.mark.parametrize("command,patch,argv", [
