@@ -415,9 +415,8 @@ def _run_gradient_stream(config: ExperimentConfig) -> ExperimentResult:
     header = TRACE_COLUMNS + tuple(f"bound_{n}" for n in requested)
     gradients = config.adversary_spec().gradient_stream(config.T)
 
-    # drive()'s fields after t but the m after g_t, which no row shows (q_after is the q after
-    # g_t): one float64 column each, clipped a bool column, filled a chunk at a time; a run that
-    # stops early fills only its first n rows
+    # a column per field drive() yields after t, but the m after g_t, which no row shows; filled a
+    # chunk at a time, so a run that stops early fills only its first n rows
     kept = ("alpha_t", "m_t", "q_t", "delta_bar_t", "delta_t", "clipped", "regret_discounted",
             "maxV_t", "D_t", "q_after")
     columns = [np.empty(config.T, dtype=bool if name == "clipped" else np.float64) for name in kept]
@@ -816,16 +815,19 @@ def _argmin_annotations(config: ExperimentConfig, keys, ok_points):
 # Serialization
 # ---------------------------------------------------------------------------
 
+_QUOTED = frozenset(',"\r\n')
+
+
 def _format_cell(value) -> str:
-    """A cell's CSV text: ``true``/``false``, a float to 17 significant digits, else ``str``.
+    """A cell's CSV text: a float to 17 significant digits, ``true``/``false``, else ``str``.
     Text UTF-8 cannot encode (a lone surrogate) is backslash-escaped, and text that holds a
     ``,``, ``"``, CR or LF is quoted."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return format(value, ".17g")
+    if isinstance(value, bool):
+        return "true" if value else "false"
     text = str(value).encode("utf-8", "backslashreplace").decode("utf-8")
-    if any(ch in text for ch in ',"\r\n'):
+    if not _QUOTED.isdisjoint(text):
         text = '"' + text.replace('"', '""') + '"'
     return text
 

@@ -1088,8 +1088,8 @@ def test_render_csv_formats_each_cell_as_format_cell(rows):
 
 
 def test_render_csv_joins_long_traces_in_chunks():
-    # rows past one chunk of lines, of two type tuples and both bool values, print as one
-    # per-cell _format_cell join each
+    # tuple rows past two chunks of lines, with both bool values and a quoted text cell, print
+    # as one per-cell _format_cell join each
     rows = tuple((t, t % 3 == 0, t / 7) if t % 5 else (t, "a,b") for t in range(2 * _CHUNK + 3))
     result = ExperimentResult(csv_header=("a", "b"), csv_rows=rows, summary={})
     assert render_csv(result) == "a,b\n" + "".join(",".join(map(_format_cell, row)) + "\n"
