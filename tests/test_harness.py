@@ -1404,9 +1404,16 @@ def test_cli_sweep(tmp_path):
 @pytest.mark.parametrize("preset,stem", [
     (cli.TIGHTNESS_PRESET, "tightness"),
     (cli.NONOBLIVIOUS_PRESET, "nonoblivious"),
+    # 40 rounds each: every row's running sums, bound_B and both instances' updates
+    ({"adversary": "geometric", "p": 0.45, "kappa": 6.0, "v0": 1.3, "domain": 2.0, "T": 40},
+     "tightness_long"),
+    ({"adversary": "nonoblivious", "a": 0.1, "b": 0.6, "v": 1.5, "p": 0.5, "beta1": 0.2,
+      "T": 40}, "nonoblivious_long"),
 ])
+@pytest.mark.filterwarnings("error")
 def test_golden_fixtures(preset, stem, tmp_path):
     res = run_experiment(ExperimentConfig.from_dict(preset))
+    assert res.summary["contracts_ok"]
     assert render_csv(res) == (FIXTURES / f"{stem}.csv").read_text()
     assert render_json(res) == (FIXTURES / f"{stem}.json").read_text()
 
