@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -248,13 +249,23 @@ def closed_form_prebar_delta(alpha: float, ratio: float, kappa: float, t: int) -
 # Tightness experiment
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TightnessRound:
+class TightnessRound(NamedTuple):
+    """One round of the tightness run: the cells of its CSV row, in ``TRACE_COLUMNS`` order and
+    then ``bound_B``."""
+
     t: int
-    loss: float
+    alpha: float
+    loss: float          # v_t
+    loss_sum: float      # sum_{s<t} v_s, which the minimizer reads
+    square_sum: float    # sum_{s<t} (ratio^s v_s)^2
     delta_bar: float
     delta: float
     clipped: bool
+    played_loss: float   # v_t delta_t
+    regret: float        # sum_{s<=t} v_s (delta_s - u)
+    max_v: float         # max_{s<=t} |v_s|
+    d_max: float         # max_{s<=t} |delta_s|
+    bound_b: float       # B over v_0..v_t
 
 
 @dataclass(frozen=True)
@@ -296,25 +307,37 @@ def run_tightness_experiment(ratio: float, D: float, kappa: float, v0: float,
     Within the construction's parameter ranges the pre-clipping updates stay
     inside ``[-D/2, D/2]``, the realized regret is at least
     ``v0 D kappa (kappa^T - 1) / (2 (kappa - 1))``, and the regret-to-bound
-    ratio stays bounded below by a constant.
+    ratio stays bounded below by a constant.  ``rounds`` are the run's CSV rows.
     """
     check_tightness_regime(ratio, D, kappa, v0, T, horizon)
     alpha = D / 4.0
     losses = geometric_losses(v0, kappa, T)
     u = -D
-    rounds = []
-    regret = 0.0
+    rows = []
+    loss_sum = square_sum = regret = d_max = 0.0
+    max_v = abs(losses[0])
     for t in range(1, T + 1):
         delta_bar = ftrl_update_from_losses(losses, ratio, alpha, t, None)
         delta = clip_to_domain(delta_bar, D)
-        clipped = abs(delta_bar) > D
-        regret += losses[t] * (delta - u)
-        rounds.append(TightnessRound(t, losses[t], delta_bar, delta, clipped))
+        loss = losses[t]
+        loss_sum += losses[t - 1]
+        # a running float sum, not learner.root_sum_of_squares (a sqrt of an fsum), whose
+        # rounding would change the CSV; each square is finite once eta_t is
+        square_sum += (ratio ** (t - 1) * losses[t - 1]) ** 2
+        regret += loss * (delta - u)
+        max_v, d_max = max(max_v, abs(loss)), max(d_max, abs(delta))
+        rows.append((t, alpha, loss, loss_sum, square_sum, delta_bar, delta, abs(delta_bar) > D,
+                     loss * delta, regret, max_v, d_max))
 
     lower = v0 * D * kappa * (kappa**T - 1.0) / (2.0 * (kappa - 1.0))
     b_total = bound_b_undiscounted(losses, ratio, u, alpha, D).total
+    if b_total == 0.0:
+        raise RegimeError(f"tightness bound B underflows to zero at T = {T}")
     if not math.isfinite(lower):
         raise RegimeError(f"tightness lower bound overflows at T = {T}")
+    # B grows with t, so no row t < T overflows once row T's is finite
+    b_rows = [bound_b_undiscounted(losses[:t + 1], ratio, u, alpha, D).total for t in range(1, T)]
+    rounds = tuple(TightnessRound(*row, b) for row, b in zip(rows, [*b_rows, b_total]))
     return TightnessResult(
         regret=regret,
         lower_bound=lower,
@@ -322,7 +345,7 @@ def run_tightness_experiment(ratio: float, D: float, kappa: float, v0: float,
         ratio=regret / b_total,
         max_prebar=max(abs(r.delta_bar) for r in rounds),
         any_clipped=any(r.clipped for r in rounds),
-        rounds=tuple(rounds),
+        rounds=rounds,
     )
 
 
@@ -349,8 +372,9 @@ def nonoblivious_per_round_regret(rate: float, v: float, K: float, ratio: float,
     return v * rate**t * (1.0 - ratio ** (t - 1) * root * frac / K)
 
 
-@dataclass(frozen=True)
-class NonObliviousRound:
+class NonObliviousRound(NamedTuple):
+    """One round of both instances: the cells of the non-oblivious CSV row, in order."""
+
     t: int
     loss_a: float
     delta_a: float
@@ -421,30 +445,24 @@ def run_nonoblivious_experiment(a: float, b: float, v: float, ratio: float, T: i
     u = -1.0
 
     def run_instance(rate: float, inst_ratio: float):
+        """The instance's losses, updates and round regrets ``loss (delta - u)``; if it clipped."""
         params = HyperParams(beta1=beta1, beta2=(beta1 / inst_ratio) ** 2,
                              alpha=alpha, D=D)
         losses = [rate**t * v for t in range(1, T + 1)]
         gradients = [v] + [beta1**t * loss_t for t, loss_t in enumerate(losses, start=1)]
-        return [(loss_t, delta, clipped, loss_t * (delta - u))
-                for loss_t, (_, _, _, _, _, delta, clipped, *_)
-                in zip(losses, drive(gradients, params, u))]
+        _, _, _, _, _, deltas, clipped, *_ = zip(*drive(gradients, params, u))
+        return (losses, deltas, [loss_t * (delta - u) for loss_t, delta in zip(losses, deltas)],
+                any(clipped))
 
-    rows_a = run_instance(a, ratio)
-    rows_b = run_instance(b, 1.0)
-
-    rounds = []
-    for t, (ra, rb) in enumerate(zip(rows_a, rows_b), start=1):
-        rounds.append(NonObliviousRound(
-            t=t, loss_a=ra[0], delta_a=ra[1], f_a=ra[3],
-            loss_aprime=rb[0], delta_aprime=rb[1], f_aprime=rb[3],
-            strict=ra[3] < rb[3],
-        ))
+    (*cells_a, clipped_a), (*cells_b, clipped_b) = run_instance(a, ratio), run_instance(b, 1.0)
+    rounds = tuple(map(NonObliviousRound, range(1, T + 1), *cells_a, *cells_b,
+                       map(float.__lt__, cells_a[2], cells_b[2])))
     return NonObliviousResult(
         regret_a=math.fsum(r.f_a for r in rounds),
         regret_aprime=math.fsum(r.f_aprime for r in rounds),
         per_round_strict=all(r.strict for r in rounds),
-        any_clipped=any(ra[2] or rb[2] for ra, rb in zip(rows_a, rows_b)),
-        rounds=tuple(rounds),
+        any_clipped=clipped_a or clipped_b,
+        rounds=rounds,
     )
 
 

@@ -105,14 +105,7 @@ def _emit(result: ExperimentResult, out: str | Path | None, fmt: str) -> None:
 
 def _cmd_experiment(args, preset: dict | None = None) -> int:
     config = _load_config(args, preset)
-    result = run_experiment(config)
-    _emit(result, config.out, config.format)
-    return 0 if result.contracts_ok() else 1
-
-
-def _cmd_sweep(args) -> int:
-    config = _load_config(args)
-    result = sweep(config)
+    result = (sweep if args.command == "sweep" else run_experiment)(config)
     _emit(result, config.out, config.format)
     return 0 if result.contracts_ok() else 1
 
@@ -134,15 +127,10 @@ def _cmd_verify_lemmas(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "simulate":
-            return _cmd_experiment(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "tightness":
-            return _cmd_experiment(args, TIGHTNESS_PRESET)
-        if args.command == "nonoblivious":
-            return _cmd_experiment(args, NONOBLIVIOUS_PRESET)
-        return _cmd_verify_lemmas(args)
+        if args.command == "verify-lemmas":
+            return _cmd_verify_lemmas(args)
+        return _cmd_experiment(args, {"tightness": TIGHTNESS_PRESET,
+                                      "nonoblivious": NONOBLIVIOUS_PRESET}.get(args.command))
     except ContractViolation as exc:
         print(f"contract violation: {exc}", file=sys.stderr)
         return 1

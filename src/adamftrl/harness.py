@@ -28,14 +28,14 @@ from .adversaries import (
     FixedSequence,
     GeometricSequence,
     NonObliviousPair,
+    NonObliviousRound,
     RandomUniform,
     check_nonoblivious_regime,
     check_tightness_regime,
     run_nonoblivious_experiment,
     run_tightness_experiment,
 )
-from .bounds import (BOUNDS, BoundReport, TraceStats, bound_b_undiscounted, dominance_holds,
-                     price_columns)
+from .bounds import BOUNDS, BoundReport, TraceStats, dominance_holds, price_columns
 from .errors import (
     AdamFtrlError,
     ConfigError,
@@ -53,9 +53,7 @@ TRACE_COLUMNS = (
     "loss_discounted", "regret_discounted", "maxV_t", "D_t",
 )
 _CLIPPED = TRACE_COLUMNS.index("clipped")
-PAIR_COLUMNS = (
-    "t", "loss_a", "delta_a", "f_a", "loss_aprime", "delta_aprime", "f_aprime", "strict",
-)
+PAIR_COLUMNS = NonObliviousRound._fields
 
 
 @dataclass
@@ -569,31 +567,6 @@ def _run_geometric(config: ExperimentConfig) -> ExperimentResult:
     D = config.domain
     result = run_tightness_experiment(ratio, D, config.kappa, config.v0,
                                       config.T, horizon=config.oracle_horizon)
-    header = TRACE_COLUMNS + ("bound_B",)
-    rows = []
-    losses = config.adversary_spec().losses(config.T)
-    running_regret = 0.0
-    running_num = 0.0      # sum of raw losses seen by the minimizer
-    # sum of (ratio^s v_s)^2 for the q_t column: a running float sum, not
-    # learner.root_sum_of_squares (a sqrt of an fsum), whose rounding would change the CSV
-    running_den = 0.0
-    running_maxv = abs(losses[0])
-    running_dmax = 0.0
-
-    for r in result.rounds:
-        running_num += losses[r.t - 1]
-        running_den += (ratio ** (r.t - 1) * losses[r.t - 1]) ** 2
-        running_maxv = max(running_maxv, abs(r.loss))
-        running_dmax = max(running_dmax, abs(r.delta))
-        running_regret += r.loss * (r.delta + D)
-        b_here = bound_b_undiscounted(losses[: r.t + 1], ratio, -D, D / 4.0, D).total
-        rows.append((
-            r.t, D / 4.0, r.loss, running_num, running_den,
-            r.delta_bar, r.delta, r.clipped,
-            r.loss * r.delta, running_regret, running_maxv, running_dmax,
-            b_here,
-        ))
-
     contracts = {
         "no_clipping": not result.any_clipped,
         "prebar_within_half_domain": result.max_prebar <= D / 2.0 + 1e-12 * D,
@@ -619,7 +592,8 @@ def _run_geometric(config: ExperimentConfig) -> ExperimentResult:
         "config": config.echo(),
         "version": __version__,
     }
-    return ExperimentResult(csv_header=header, csv_rows=tuple(rows), summary=summary)
+    return ExperimentResult(csv_header=TRACE_COLUMNS + ("bound_B",), csv_rows=result.rounds,
+                            summary=summary)
 
 
 def _run_nonoblivious(config: ExperimentConfig) -> ExperimentResult:
@@ -627,11 +601,6 @@ def _run_nonoblivious(config: ExperimentConfig) -> ExperimentResult:
     result = run_nonoblivious_experiment(pair.a, pair.b, pair.v, config.ratio(),
                                          config.T, beta1=config.beta1,
                                          horizon=config.oracle_horizon)
-    rows = tuple(
-        (r.t, r.loss_a, r.delta_a, r.f_a, r.loss_aprime, r.delta_aprime,
-         r.f_aprime, r.strict)
-        for r in result.rounds
-    )
     separation_expected = pair.separation_expected
     contracts_ok = True
     if separation_expected:
@@ -654,7 +623,7 @@ def _run_nonoblivious(config: ExperimentConfig) -> ExperimentResult:
         "config": config.echo(),
         "version": __version__,
     }
-    return ExperimentResult(csv_header=PAIR_COLUMNS, csv_rows=rows, summary=summary)
+    return ExperimentResult(csv_header=PAIR_COLUMNS, csv_rows=result.rounds, summary=summary)
 
 
 def run_experiment(config: ExperimentConfig | list[ExperimentConfig]) -> ExperimentResult:
@@ -756,7 +725,7 @@ def _run_points(adversary: str, points: list[ExperimentConfig]) -> list:
     a point's own run sees, e.g., the first row at which a bound overflows.
     """
     if adversary in ("fixed", "random"):
-        try:
+        try:   # not _run_stream_batch: the benchmark's tracer times a batch as run_experiment
             batch = run_experiment(points)
             return list(zip(batch.csv_rows, batch.summary["points"]))
         except (AdamFtrlError, ValueError):

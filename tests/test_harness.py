@@ -523,6 +523,19 @@ def test_sweep_skips_tightness_points_whose_lower_bound_overflows():
         "ok", "skipped: tightness lower bound overflows at T = 2"]
 
 
+def test_cli_sweep_skips_tightness_points_whose_bound_underflows(tmp_path):
+    # B's total at T = 2 is 0.0 at kappa = 4 but not at 1e20; the sweep died with a
+    # ZeroDivisionError traceback, exit 1 and no output
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**cli.TIGHTNESS_PRESET, "v0": 1e-150, "domain": 1e-200,
+                               "grid": {"kappa": [4.0, 1e20]}}))
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 0
+    rows = list(csv.reader(io.StringIO((tmp_path / "s.csv").read_text(), newline="")))
+    assert [row[1] for row in rows[1:]] == [
+        "skipped: tightness bound B underflows to zero at T = 2", "ok"]
+    assert json.loads((tmp_path / "s.json").read_text())["points_ok"] == 1
+
+
 @pytest.mark.parametrize("raw,reason", [
     (UPDATE_OVERFLOW, "update delta_bar overflows at t=2"),
     (Q_UNDERFLOW, "second-moment accumulator underflows to zero after g_0"),
@@ -905,8 +918,11 @@ def test_cli_range_errors_exit_two(patch, err, tmp_path, capsys):
      "tightness lower bound overflows at T = 2"),
     ({"kappa": 7.6e69, "T": 2, "domain": 7.8e129}, [],
      "tightness lower bound overflows at T = 2"),
+    # B's round-T total underflows to 0.0; regret / B died with a ZeroDivisionError traceback
+    ({"v0": 1e-150, "domain": 1e-200}, [], "tightness bound B underflows to zero at T = 2"),
 ], ids=["B-total-overflow", "kappa-power-overflow", "eta-overflow-at-1", "eta-overflow-at-3",
-        "B-radical-overflow", "lower-bound-overflow-csv", "lower-bound-overflow-json"])
+        "B-radical-overflow", "lower-bound-overflow-csv", "lower-bound-overflow-json",
+        "B-total-underflow"])
 def test_cli_tightness_range_errors_exit_two(patch, argv, err, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(patch))
@@ -1500,6 +1516,45 @@ def test_benchmark_traced_names_resolve():
             assert attr in target, f"{module}.{owner}.{attr}"
         else:
             assert callable(getattr(target, attr, None)), f"{module}.{attr}"
+
+
+TRACED_JOB = """
+import json, sys, warnings
+sys.path.insert(0, sys.argv[1])
+import run, tracer, workloads
+from adamftrl import cli
+warnings.simplefilter("ignore")   # the non-oblivious sweep's a >= b^2 pairs only warn
+traced = tracer.Tracer()
+traced.install()
+commands = workloads.plan(sys.argv[2], 0)
+for command in commands:
+    if command.config is not None:
+        with open(command.config_file, "w") as f:
+            json.dump(command.config, f)
+    assert cli.main(command.argv()) == 0, command.name
+trace = traced.summary()
+exact, _ = run._job_layer_metrics(trace, sum(command.rounds for command in commands))
+for name in ("harness.validate", "harness.run_experiment"):
+    exact[name + ".percentiles_ms"] = run.percentiles_ms(trace[name]["samples_ns"])
+print(json.dumps(exact))
+"""
+
+
+@pytest.mark.parametrize("workload", ["stream-long", "sweep-grid", "theorem1-horizon",
+                                      "oracle-experiments"])
+def test_benchmark_traced_job_reports_every_layer(workload, tmp_path):
+    # perfbench/run.py --trace 1 reads these metrics off each traced job; a workload whose
+    # sweeps bypass run_experiment has no run_experiment sample, and the run dies with
+    # "no median for empty data".  Installing the tracer cannot be undone: a fresh process.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", TRACED_JOB, str(PERFBENCH), workload],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    metrics = json.loads(done.stdout.splitlines()[-1])   # after the "wrote <path>" lines
+    for name in ("harness.validate", "harness.run_experiment"):
+        assert metrics[f"{name}.calls"] >= 1
+        p50, tail, _ = metrics[f"{name}.percentiles_ms"]
+        assert 0 < p50 <= tail
 
 
 @pytest.mark.parametrize("workload", ["stream-long", "sweep-grid", "theorem1-horizon",
