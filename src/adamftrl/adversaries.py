@@ -18,6 +18,7 @@ verified on dense grids by :func:`verify_lemma_a1` and :func:`verify_lemma_a2`.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import bound_b_undiscounted
+from .bounds import bound_b_from_radical
 from .errors import (
     ContractViolation,
     OracleHorizonError,
@@ -38,8 +39,10 @@ from .learner import (
     AlphaSchedule,
     HyperParams,
     clip_to_domain,
-    ftrl_update_from_losses,
+    ftrl_eta,
+    loss_squares,
     pow_or_inf,
+    root_of_sum,
 )
 from .regret import drive
 
@@ -313,30 +316,35 @@ def run_tightness_experiment(ratio: float, D: float, kappa: float, v0: float,
     alpha = D / 4.0
     losses = geometric_losses(v0, kappa, T)
     u = -D
+    # each square once; roots[n] = sqrt(sum_{s<n} (ratio^s v_s)^2) is eta_n's denominator and
+    # row n - 1's B radical, the same fsum as the literal forms take per prefix
+    squares = loss_squares(losses, ratio)
+    roots = [root_of_sum(squares[:n]) for n in range(T + 2)]
     rows = []
     loss_sum = square_sum = regret = d_max = 0.0
     max_v = abs(losses[0])
     for t in range(1, T + 1):
-        delta_bar = ftrl_update_from_losses(losses, ratio, alpha, t, None)
+        delta_bar = -ftrl_eta(roots[t], ratio, alpha, t) * math.fsum(losses[:t])
         delta = clip_to_domain(delta_bar, D)
         loss = losses[t]
         loss_sum += losses[t - 1]
-        # a running float sum, not learner.root_sum_of_squares (a sqrt of an fsum), whose
-        # rounding would change the CSV; each square is finite once eta_t is
-        square_sum += (ratio ** (t - 1) * losses[t - 1]) ** 2
+        # a running float sum, not roots[t] (a sqrt of an fsum), whose rounding would change
+        # the CSV; each square is finite once eta_t is
+        square_sum += squares[t - 1]
         regret += loss * (delta - u)
         max_v, d_max = max(max_v, abs(loss)), max(d_max, abs(delta))
         rows.append((t, alpha, loss, loss_sum, square_sum, delta_bar, delta, abs(delta_bar) > D,
                      loss * delta, regret, max_v, d_max))
 
     lower = v0 * D * kappa * (kappa**T - 1.0) / (2.0 * (kappa - 1.0))
-    b_total = bound_b_undiscounted(losses, ratio, u, alpha, D).total
+    b_total = bound_b_from_radical(roots[T + 1], max_v, ratio, u, alpha, D, T).total
     if b_total == 0.0:
         raise RegimeError(f"tightness bound B underflows to zero at T = {T}")
     if not math.isfinite(lower):
         raise RegimeError(f"tightness lower bound overflows at T = {T}")
     # B grows with t, so no row t < T overflows once row T's is finite
-    b_rows = [bound_b_undiscounted(losses[:t + 1], ratio, u, alpha, D).total for t in range(1, T)]
+    b_rows = [bound_b_from_radical(roots[t + 1], max_v_t, ratio, u, alpha, D, t).total
+              for t, *_, max_v_t, _ in rows[:-1]]
     rounds = tuple(TightnessRound(*row, b) for row, b in zip(rows, [*b_rows, b_total]))
     return TightnessResult(
         regret=regret,
@@ -470,6 +478,10 @@ def run_nonoblivious_experiment(a: float, b: float, v: float, ratio: float, T: i
 # Grid verification of the two technical inequalities
 # ---------------------------------------------------------------------------
 
+# Points per float64 block: a fixed amount of Python work per block, and little memory.
+_BLOCK = 1000
+
+
 @dataclass(frozen=True)
 class LemmaReport:
     max_value: float
@@ -477,74 +489,144 @@ class LemmaReport:
     points_checked: int
 
 
-def _lemma_a1_value(point) -> float:
-    x, y, t = point
-    if not (0.0 < x <= 1.0) or y < (1.0 - REGIME_TOL) / (x * x) or t < 1 or t != int(t):
-        raise ValueError(f"point outside the inequality's domain: {(x, y, t)}")
-    if x * y <= 1.0:
-        raise ValueError(f"expression is singular at {(x, y, t)} (x*y <= 1)")
+class LemmaGrid:
+    """A default grid, made block by block as float64 arrays with one point per row, in order."""
+
+    def __init__(self, blocks):
+        self.blocks = blocks   # () -> an iterator over the blocks
+
+    def __iter__(self):
+        """The points, as tuples of floats."""
+        for block in self.blocks():
+            yield from map(tuple, block.tolist())
+
+
+def _blocks(points, width: int):
+    """``points`` as float64 blocks of shape ``(n, width)``, each with its points as given for
+    naming a bad one (``None`` for a :class:`LemmaGrid`, whose rows are its points)."""
+    if isinstance(points, LemmaGrid):
+        yield from ((block, None) for block in points.blocks())
+        return
+    points = iter(points)
+    while given := list(itertools.islice(points, _BLOCK)):
+        block = np.array(given, dtype=float)
+        if block.shape != (len(given), width):
+            raise ValueError(f"each point needs {width} coordinates")
+        yield block, given
+
+
+def _first(mask) -> int:
+    """Index of the first ``True`` in ``mask``, or its length if there is none."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if len(hits) else len(mask)
+
+
+def _pow(base: np.ndarray, exp: np.ndarray) -> np.ndarray:
+    """``base ** exp`` per entry by Python's float ``pow``.  ``np.power`` may round otherwise: with
+    numpy 2.4 on an AVX-512 Xeon, its ``y^-t`` differs by one ulp on 1,003 of the 19,950 points
+    of the default a1 grid, so a maximum it set would not be the per-point one."""
+    return np.fromiter(map(pow, base.tolist(), exp.tolist()), float, len(base))
+
+
+def _lemma_a1_faults(x, y, t):
+    """Per point: outside the domain, and singular (``x y <= 1``, as at the corner x = y = 1)."""
+    outside = (x <= 0.0) | (x > 1.0) | (y < (1.0 - REGIME_TOL) / (x * x)) | (t < 1) | (
+        t != np.trunc(t))
+    return outside, x * y <= 1.0
+
+
+def _lemma_a1_values(x, y, t):
     # x^t (y^t - 1) / sqrt((x^2 y^2)^t - 1), rewritten with (xy)^(-t) factored
     # out so huge y^t never overflows: (1 - y^-t) / sqrt(1 - (xy)^(-2t)).
-    t = int(t)
-    return (1.0 - y ** (-t)) / math.sqrt(1.0 - (x * y) ** (-2 * t))
+    return (1.0 - _pow(y, -t)) / np.sqrt(1.0 - _pow(x * y, -2.0 * t))
 
 
-def _lemma_a2_value(point) -> float:
-    x, y = point
-    if not (0.0 < x <= 0.6) or y < (1.0 - REGIME_TOL) / (x * x):
-        raise ValueError(f"point outside the inequality's domain: {(x, y)}")
-    return math.sqrt(x * x * y * y - 1.0) / (x * (y - 1.0))
+def _lemma_a2_faults(x, y):
+    """Per point: outside the domain; nothing is singular."""
+    return (x <= 0.0) | (x > 0.6) | (y < (1.0 - REGIME_TOL) / (x * x)), False
 
 
-def _verify_on_grid(points, value, bound: float, slack: float, name: str) -> LemmaReport:
-    """Check ``value(point) <= bound + slack`` at every point; the one grid loop of both lemmas."""
+def _lemma_a2_values(x, y):
+    return np.sqrt(x * x * y * y - 1.0) / (x * (y - 1.0))
+
+
+def _verify_on_grid(points, width: int, faults, values, bound: float, slack: float,
+                    name: str) -> LemmaReport:
+    """Check ``value <= bound + slack`` at every point, a float64 block at a time: the one grid
+    loop of both lemmas.
+
+    Raises what a loop over the points would at the first bad one: :class:`ValueError` for a
+    point outside the domain (as is any point with a coordinate that is not finite) or at a
+    singularity, :class:`ContractViolation` for a failing one.  No points is a ``ValueError``.
+    ``numpy``'s ``- * / sqrt`` round as Python's float operations do, so each value is the
+    per-point one bit for bit.
+    """
     best, count = -math.inf, 0
-    for count, point in enumerate(points, start=1):
-        val = value(point)
-        if val > bound + slack:
-            raise ContractViolation(f"{name} inequality fails at {tuple(point)}: "
-                                    f"{val} > {bound:g} + {slack}")
-        if val > best:
-            best = val
+    for block, given in _blocks(points, width):
+        with np.errstate(all="ignore"):   # as Python floats: overflow to inf, silently
+            outside, singular = faults(*block.T)
+            outside |= ~np.isfinite(block).all(axis=1)
+            n = _first(outside | singular)
+            vals = values(*block[:n].T)
+        i = min(_first(vals > bound + slack), n)
+        if i < len(block):
+            point = tuple(block[i].tolist() if given is None else given[i])
+            if i < n:
+                raise ContractViolation(f"{name} inequality fails at {point}: "
+                                        f"{float(vals[i])} > {bound:g} + {slack}")
+            if outside[i]:
+                raise ValueError(f"point outside the inequality's domain: {point}")
+            raise ValueError(f"expression is singular at {point} (x*y <= 1)")
+        best = max(best, float(vals.max()))
+        count += n
+    if not count:
+        raise ValueError(f"no points to check the {name} inequality at")
     return LemmaReport(max_value=best, bound=bound, points_checked=count)
 
 
 def verify_lemma_a1(points, slack: float = 1e-12) -> LemmaReport:
-    """Check ``x^t (y^t - 1) / sqrt((x^2 y^2)^t - 1) <= 1`` on a grid.
+    """Check ``x^t (y^t - 1) / sqrt((x^2 y^2)^t - 1) <= 1`` on a grid of ``(x, y, t)`` points.
 
-    Domain: ``x in (0, 1]``, ``y >= 1/x^2``, integer ``t >= 1``; the corner
+    Domain: finite ``x in (0, 1]``, ``y >= 1/x^2``, integer ``t >= 1``; the corner
     ``x = y = 1`` makes the expression 0/0 and is rejected.
     """
-    return _verify_on_grid(points, _lemma_a1_value, 1.0, slack, "ratio")
+    return _verify_on_grid(points, 3, _lemma_a1_faults, _lemma_a1_values, 1.0, slack, "ratio")
 
 
 def verify_lemma_a2(points, slack: float = 1e-12) -> LemmaReport:
-    """Check ``sqrt(x^2 y^2 - 1) / (x (y - 1)) <= 2`` on a grid.
+    """Check ``sqrt(x^2 y^2 - 1) / (x (y - 1)) <= 2`` on a grid of ``(x, y)`` points.
 
-    Domain: ``x in (0, 0.6]``, ``y >= 1/x^2``.
+    Domain: finite ``x in (0, 0.6]``, ``y >= 1/x^2``.
     """
-    return _verify_on_grid(points, _lemma_a2_value, 2.0, slack, "coefficient")
+    return _verify_on_grid(points, 2, _lemma_a2_faults, _lemma_a2_values, 2.0, slack,
+                           "coefficient")
 
 
-def _lemma_grid_xy(x_max: float, x_step: float):
-    """``x = x_step .. x_max`` with ``y`` at 1, 2 and 10 times ``1/x^2``, and 1e6 once in domain."""
-    for i in range(1, round(x_max / x_step) + 1):
-        x = i * x_step
-        ys = [f / (x * x) for f in (1.0, 2.0, 10.0)]
-        if 1e6 >= 1.0 / (x * x):
-            ys.append(1e6)
-        for y in ys:
-            yield x, y
+def _lemma_grid_xy(x_max: float, x_step: float, xs_per_block: int):
+    """``x = x_step .. x_max`` with ``y`` at 1, 2 and 10 times ``1/x^2``, and 1e6 once in domain,
+    in order, as ``(x, y)`` columns: up to 4 points for each of ``xs_per_block`` ``x`` values."""
+    n = round(x_max / x_step)
+    for start in range(1, n + 1, xs_per_block):
+        x = np.arange(start, min(start + xs_per_block, n + 1)) * x_step
+        xx = (x * x)[:, None]
+        y = np.hstack((np.array([1.0, 2.0, 10.0]) / xx, np.full_like(xx, 1e6)))
+        keep = y >= 1.0 / xx   # always true but for y = 1e6
+        yield np.broadcast_to(x[:, None], y.shape)[keep], y[keep]
 
 
-def default_lemma_a1_grid():
-    """In-domain (x, y, t) grid, t = 1..50: ~20k points."""
-    for x, y in _lemma_grid_xy(1.0, 0.01):
-        if x * y > 1.0:  # skips the singular corner x = y = 1
-            for t in range(1, 51):
-                yield (x, y, t)
+def default_lemma_a1_grid() -> LemmaGrid:
+    """In-domain (x, y, t) grid, t = 1..50: 19,950 points."""
+    def blocks():
+        t = np.arange(1.0, 51.0)
+        for x, y in _lemma_grid_xy(1.0, 0.01, _BLOCK // 200):
+            keep = x * y > 1.0   # skips the singular corner x = y = 1
+            x, y = x[keep], y[keep]
+            yield np.column_stack((np.repeat(x, len(t)), np.repeat(y, len(t)),
+                                   np.tile(t, len(x))))
+    return LemmaGrid(blocks)
 
 
-def default_lemma_a2_grid():
-    """In-domain (x, y) grid; the fine x step keeps it above 10^4 points."""
-    return _lemma_grid_xy(0.6, 0.0001)
+def default_lemma_a2_grid() -> LemmaGrid:
+    """In-domain (x, y) grid; the fine x step keeps it above 10^4 points (23,991)."""
+    return LemmaGrid(lambda: (np.column_stack(xy)
+                              for xy in _lemma_grid_xy(0.6, 0.0001, _BLOCK // 4)))

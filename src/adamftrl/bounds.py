@@ -292,12 +292,18 @@ def bound_b_undiscounted(losses, ratio: float, u: float, alpha: float,
     _require(0.0 < ratio <= 1.0 + REGIME_TOL, RegimeError,
              f"order-level bound needs 0 < ratio <= 1, got {ratio}")
     _require(D > 0, ValueError, f"domain half-width must be positive, got {D}")
-    T = len(losses) - 1
-    radical = root_sum_of_squares(losses, ratio, len(losses))
+    return bound_b_from_radical(root_sum_of_squares(losses, ratio, len(losses)),
+                                max(abs(v) for v in losses), ratio, u, alpha, D, len(losses) - 1)
+
+
+def bound_b_from_radical(radical: float, max_v: float, ratio: float, u: float, alpha: float,
+                         D: float, T: int) -> BoundReport:
+    """:func:`bound_b_undiscounted` at round ``T`` from its two loss statistics,
+    ``radical = sqrt(sum_{t<=T} (ratio^t v_t)^2)`` and ``max_v = max_{t<=T} |v_t|``, which a
+    run carries from row to row; the regime is the caller's to check."""
     comparator = u * u / alpha * pow_or_inf(ratio, -T) * radical
     variance = alpha / ratio * pow_or_inf(ratio, -T) * radical
-    return _report("B", T, comparator, variance, D * max(abs(v) for v in losses),
-                   "undiscounted")
+    return _report("B", T, comparator, variance, D * max_v, "undiscounted")
 
 
 @_priced

@@ -9,6 +9,7 @@ configuration errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -43,6 +44,7 @@ NONOBLIVIOUS_PRESET = {
 }
 
 
+@functools.cache   # built once per process: parsing leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="adamftrl",

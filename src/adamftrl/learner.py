@@ -261,23 +261,45 @@ def undiscounted_losses(raw_gradients, beta1: float) -> list[float]:
     return [g / beta1**s for s, g in enumerate(raw_gradients)]
 
 
-def root_sum_of_squares(losses, ratio: float, n: int) -> float:
-    """``sqrt(sum_{s<n} (ratio^s v_s)^2)``, or ``inf`` where a square or the sum leaves the float
-    range (Python's float ``**`` and ``fsum`` raise ``OverflowError`` there)."""
+def loss_squares(losses, ratio: float) -> list[float]:
+    """``(ratio^s v_s)^2`` for each loss ``v_s``, or ``inf`` where Python's float ``**`` raises
+    ``OverflowError``.  A run squares its losses once; each prefix sum then reads this list."""
+    squares = []
+    for s, v in enumerate(losses):
+        try:
+            squares.append((ratio**s * v) ** 2)
+        except OverflowError:
+            squares.append(math.inf)
+    return squares
+
+
+def root_of_sum(squares) -> float:
+    """``sqrt(fsum(squares))``, or ``inf`` where the sum leaves the float range (``fsum`` raises
+    ``OverflowError`` there)."""
     try:
-        return math.sqrt(math.fsum((ratio**s * losses[s]) ** 2 for s in range(n)))
+        return math.sqrt(math.fsum(squares))
     except OverflowError:
         return math.inf
 
 
+def root_sum_of_squares(losses, ratio: float, n: int) -> float:
+    """``sqrt(sum_{s<n} (ratio^s v_s)^2)``, or ``inf`` where a square or the sum leaves the float
+    range."""
+    return root_of_sum(loss_squares(losses[:n], ratio))
+
+
+def ftrl_eta(root: float, ratio: float, a_t: float, t: int) -> float:
+    """``eta_t = a_t ratio^(t-1) / root`` from ``root = sqrt(sum_{s<t} (ratio^s v_s)^2)``."""
+    if root == 0.0:
+        raise DegenerateStateError("all loss coefficients through round t are zero")
+    if root == math.inf:
+        raise DegenerateStateError(f"FTRL second-moment sum overflows at t={t}")
+    return a_t * ratio ** (t - 1) / root
+
+
 def ftrl_eta_from_losses(losses, ratio: float, a_t: float, t: int) -> float:
     """``eta_t`` of the literal FTRL recursion on a raw loss sequence."""
-    denom = root_sum_of_squares(losses, ratio, t)
-    if denom == 0.0:
-        raise DegenerateStateError("all loss coefficients through round t are zero")
-    if denom == math.inf:
-        raise DegenerateStateError(f"FTRL second-moment sum overflows at t={t}")
-    return a_t * ratio ** (t - 1) / denom
+    return ftrl_eta(root_sum_of_squares(losses, ratio, t), ratio, a_t, t)
 
 
 def ftrl_update_from_losses(losses, ratio: float, a_t: float, t: int,

@@ -5,7 +5,9 @@ The oracles here recompute every bound exactly as displayed, with fresh
 discounted recurrences, so that stable-path results are checked against a
 genuinely independent evaluation.  ``simulate_row_by_row`` is the per-row
 reference for ``simulate``'s column pricing, and ``drive_one_step`` the one-step
-reference for ``regret.drive``'s inlined loop.
+reference for ``regret.drive``'s inlined loop.  ``literal_tightness_run`` prices every
+tightness row from its own prefix of losses, and the ``literal_lemma_*`` functions check the
+two lemmas and build their default grids one point at a time.
 """
 
 from __future__ import annotations
@@ -28,9 +30,12 @@ from adamftrl import (
     ingest_gradient,
     propose_update,
 )
-from adamftrl.bounds import BOUNDS
-from adamftrl.errors import RegimeError
+from adamftrl.adversaries import (TightnessResult, TightnessRound, check_tightness_regime,
+                                  geometric_losses)
+from adamftrl.bounds import BOUNDS, bound_b_undiscounted
+from adamftrl.errors import ContractViolation, RegimeError
 from adamftrl.harness import TRACE_COLUMNS, _stream_summary
+from adamftrl.learner import REGIME_TOL, clip_to_domain, ftrl_update_from_losses
 
 
 @dataclass
@@ -186,3 +191,93 @@ def decaying_params(beta1: float, beta2: float, alpha: float = 1.0,
     p = beta1 / math.sqrt(beta2)
     return HyperParams(beta1=beta1, beta2=beta2,
                        alpha=AlphaSchedule.exponential_decay(alpha, p), D=D)
+
+
+# ---------------------------------------------------------------------------
+# Oracle experiments, one prefix and one point at a time
+# ---------------------------------------------------------------------------
+
+def literal_tightness_run(ratio: float, D: float, kappa: float, v0: float,
+                          T: int) -> TightnessResult:
+    """``run_tightness_experiment`` with each round's update and each row's ``B`` priced by the
+    literal forms on that round's own prefix of losses, so each square is taken again per
+    prefix; raises what the run must, in the same order."""
+    check_tightness_regime(ratio, D, kappa, v0, T)
+    alpha, u = D / 4.0, -D
+    losses = geometric_losses(v0, kappa, T)
+    rows = []
+    loss_sum = square_sum = regret = d_max = 0.0
+    max_v = abs(losses[0])
+    for t in range(1, T + 1):
+        delta_bar = ftrl_update_from_losses(losses, ratio, alpha, t, None)
+        delta = clip_to_domain(delta_bar, D)
+        loss = losses[t]
+        loss_sum += losses[t - 1]
+        square_sum += (ratio ** (t - 1) * losses[t - 1]) ** 2
+        regret += loss * (delta - u)
+        max_v, d_max = max(max_v, abs(loss)), max(d_max, abs(delta))
+        rows.append((t, alpha, loss, loss_sum, square_sum, delta_bar, delta, abs(delta_bar) > D,
+                     loss * delta, regret, max_v, d_max))
+    lower = v0 * D * kappa * (kappa**T - 1.0) / (2.0 * (kappa - 1.0))
+    b_total = bound_b_undiscounted(losses, ratio, u, alpha, D).total
+    if b_total == 0.0:
+        raise RegimeError(f"tightness bound B underflows to zero at T = {T}")
+    if not math.isfinite(lower):
+        raise RegimeError(f"tightness lower bound overflows at T = {T}")
+    b_rows = [bound_b_undiscounted(losses[:t + 1], ratio, u, alpha, D).total for t in range(1, T)]
+    rounds = tuple(TightnessRound(*row, b) for row, b in zip(rows, [*b_rows, b_total]))
+    return TightnessResult(regret=regret, lower_bound=lower, b_total=b_total,
+                           ratio=regret / b_total,
+                           max_prebar=max(abs(r.delta_bar) for r in rounds),
+                           any_clipped=any(r.clipped for r in rounds), rounds=rounds)
+
+
+def literal_lemma_a1_value(point) -> float:
+    x, y, t = point
+    if not (0.0 < x <= 1.0) or y < (1.0 - REGIME_TOL) / (x * x) or t < 1 or t != int(t):
+        raise ValueError(f"point outside the inequality's domain: {(x, y, t)}")
+    if x * y <= 1.0:
+        raise ValueError(f"expression is singular at {(x, y, t)} (x*y <= 1)")
+    t = int(t)
+    return (1.0 - y ** (-t)) / math.sqrt(1.0 - (x * y) ** (-2 * t))
+
+
+def literal_lemma_a2_value(point) -> float:
+    x, y = point
+    if not (0.0 < x <= 0.6) or y < (1.0 - REGIME_TOL) / (x * x):
+        raise ValueError(f"point outside the inequality's domain: {(x, y)}")
+    return math.sqrt(x * x * y * y - 1.0) / (x * (y - 1.0))
+
+
+def literal_verify_lemma(points, value, bound: float, slack: float, name: str):
+    """``(max value, points checked)`` over finite points, one point at a time; raises at the
+    first point out of the domain, singular or failing ``value <= bound + slack``."""
+    best, count = -math.inf, 0
+    for count, point in enumerate(points, start=1):
+        val = value(point)
+        if val > bound + slack:
+            raise ContractViolation(f"{name} inequality fails at {tuple(point)}: "
+                                    f"{val} > {bound:g} + {slack}")
+        best = max(best, val)
+    return best, count
+
+
+def literal_lemma_grid_xy(x_max: float, x_step: float):
+    for i in range(1, round(x_max / x_step) + 1):
+        x = i * x_step
+        ys = [f / (x * x) for f in (1.0, 2.0, 10.0)]
+        if 1e6 >= 1.0 / (x * x):
+            ys.append(1e6)
+        for y in ys:
+            yield x, y
+
+
+def literal_lemma_a1_grid():
+    for x, y in literal_lemma_grid_xy(1.0, 0.01):
+        if x * y > 1.0:
+            for t in range(1, 51):
+                yield (x, y, t)
+
+
+def literal_lemma_a2_grid():
+    return literal_lemma_grid_xy(0.6, 0.0001)

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from adamftrl import (
     verify_lemma_a1,
     verify_lemma_a2,
 )
+import adamftrl.adversaries as adversaries
+import adamftrl.learner as learner
 from adamftrl.adversaries import _PCG_BLOCK, _Pcg64, default_lemma_a1_grid, default_lemma_a2_grid
 from adamftrl.errors import (
     ContractViolation,
@@ -26,7 +29,15 @@ from adamftrl.errors import (
     RegimeError,
     SingularParameterError,
 )
-from adamftrl.learner import AlphaSchedule, ftrl_update_from_losses
+from adamftrl.learner import AlphaSchedule, ftrl_update_from_losses, loss_squares
+from conftest import (
+    literal_lemma_a1_grid,
+    literal_lemma_a1_value,
+    literal_lemma_a2_grid,
+    literal_lemma_a2_value,
+    literal_tightness_run,
+    literal_verify_lemma,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +206,70 @@ def test_tightness_regime_errors():
         run_tightness_experiment(0.5, 1.0, 4.0, 1.0, 50, horizon=20)
 
 
+def _hexed(value):
+    """``value`` with each float, also in tuples, as its ``float.hex``: equal means bit-equal."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, tuple):
+        return tuple(map(_hexed, value))
+    return value
+
+
+def _outcome(run, *args):
+    """What ``run(*args)`` returns, floats as hex, or the type and message of what it raises."""
+    try:
+        return _hexed(run(*args))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _tightness_outcome(run, *args):
+    def fields(*args):
+        r = run(*args)
+        return (r.regret, r.lower_bound, r.b_total, r.ratio, r.max_prebar, r.any_clipped,
+                r.rounds)
+    return _outcome(fields, *args)
+
+
+@st.composite
+def _tightness_runs(draw):
+    """Mostly runs inside the regime, kappa from 1/p^2 up; then any kappa, v0 or D in range."""
+    ratio = draw(st.floats(0.4, 0.6))
+    kappa = draw(st.one_of(st.floats(1.0, 8.0).map(lambda f: f / ratio**2),
+                           st.floats(2.5, 1e6), st.floats(2.5, 1e150)))
+    scale = st.one_of(st.floats(1e-3, 1e3), st.floats(1e-200, 1e160))
+    return ratio, kappa, draw(scale), draw(scale), draw(st.integers(2, 60))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tightness_runs())
+@example((0.5, 4.0, 1.0, 1.0, 2))
+@example((0.5, 4.0, 1e200, 1.0, 2))       # eta_1's square overflows
+@example((0.5, 1e100, 1.0, 1.0, 3))       # eta_3's square overflows
+@example((0.5, 1e100, 1.0, 1.0, 2))       # only B's radical overflows
+@example((0.5, 4.0, 1e-150, 1e-200, 2))   # B underflows to zero
+@example((0.5, 7.6e69, 1.0, 7.8e129, 2))  # the lower bound overflows
+@example((0.4, 1.0 / 0.16, 1.0, 1.0, 60))
+def test_tightness_run_matches_the_per_prefix_referee(run):
+    # every field of every row bit for bit, or the same error with the same message
+    ratio, kappa, v0, D, T = run
+    assert (_tightness_outcome(run_tightness_experiment, ratio, D, kappa, v0, T)
+            == _tightness_outcome(literal_tightness_run, ratio, D, kappa, v0, T))
+
+
+def test_tightness_run_squares_each_loss_once(monkeypatch):
+    squared = []
+
+    def counting(losses, ratio):
+        squared.extend(losses)
+        return loss_squares(losses, ratio)
+
+    for module in (learner, adversaries):   # every module that binds the name
+        monkeypatch.setattr(module, "loss_squares", counting)
+    run_tightness_experiment(0.5, 1.0, 4.0, 1.0, 60)
+    assert squared == geometric_losses(1.0, 4.0, 60)
+
+
 # ---------------------------------------------------------------------------
 # Non-oblivious pair experiment
 # ---------------------------------------------------------------------------
@@ -329,6 +404,104 @@ def test_lemma_a2_rejects_out_of_domain():
         verify_lemma_a2([(0.7, 10.0)])    # x > 0.6
     with pytest.raises(ValueError):
         verify_lemma_a2([(0.5, 3.0)])     # y < 1/x^2
+
+
+@pytest.mark.parametrize("verify,point", [
+    (verify_lemma_a1, (0.5, math.nan, 1)), (verify_lemma_a1, (0.5, math.inf, 1)),
+    (verify_lemma_a1, (math.nan, 4.0, 1)), (verify_lemma_a1, (0.5, 4.0, math.inf)),
+    (verify_lemma_a1, (0.5, 4.0, math.nan)), (verify_lemma_a1, (-math.inf, 4.0, 1)),
+    (verify_lemma_a2, (0.5, math.nan)), (verify_lemma_a2, (0.5, math.inf)),
+    (verify_lemma_a2, (math.nan, 4.0)),
+])
+def test_lemmas_reject_points_that_are_not_finite(verify, point):
+    # y = nan read as max_value -inf and held; t = inf and t = nan died in int(t)
+    with pytest.raises(ValueError,
+                       match=re.escape(f"point outside the inequality's domain: {point}")):
+        verify([(0.5, 4.0, 1)[:len(point)], point])
+
+
+@pytest.mark.parametrize("verify", [verify_lemma_a1, verify_lemma_a2])
+def test_lemmas_reject_an_empty_point_set(verify):
+    # used to report max_value -inf over 0 points, and hold
+    with pytest.raises(ValueError, match="no points"):
+        verify([])
+
+
+def _lemma_y(x: float):
+    """``y`` at the domain's edge ``1/x^2`` (but for the singular x = y = 1), at 1e6, or above
+    the edge."""
+    edge = [st.just(1.0 / (x * x))] if x < 1.0 else []
+    return st.one_of(*edge, st.just(1e6), st.floats(1.0, 1e6).map(lambda f: f / (x * x)))
+
+
+@st.composite
+def _lemma_points(draw, x, t, bad):
+    """In-domain points (x = 1, y = 1/x^2 and y = 1e6 included), and at times one bad point
+    somewhere among them."""
+    point = x.flatmap(lambda x: st.tuples(st.just(x), _lemma_y(x), *t))
+    points = draw(st.lists(point, min_size=1, max_size=40))
+    if draw(st.booleans()):
+        points.insert(draw(st.integers(0, len(points))), draw(st.sampled_from(bad)))
+    return points
+
+
+_A1_POINTS = _lemma_points(
+    st.one_of(st.just(1.0), st.floats(1e-3, 1.0)),
+    [st.one_of(st.integers(1, 60), st.integers(1, 10**15))],
+    [(0.5, 3.0, 1), (1.1, 2.0, 1), (-0.5, 4.0, 2), (0.5, 4.0, 0), (0.5, 4.0, 1.5),
+     (1.0, 1.0, 3)])
+_A2_POINTS = _lemma_points(st.one_of(st.just(0.6), st.floats(1e-3, 0.6)), [],
+                           [(0.7, 10.0), (0.5, 3.0), (-0.1, 200.0)])
+def _lemma_outcome(verify, points, slack):
+    """``(max_value, points_checked)`` of the check, or the type and message of its error."""
+    def checked():
+        report = verify(points, slack)
+        return report.max_value, report.points_checked
+    return _outcome(checked)
+
+
+_SLACKS = st.sampled_from([1e-12, 1e-12, 0.0, -1e-3, -0.2, -0.8])
+_MANY_BLOCKS = [(0.5, 4.0 + k, 1 + k % 50) for k in range(2500)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(points=_A1_POINTS, slack=_SLACKS)
+@example(points=_MANY_BLOCKS, slack=1e-12)
+@example(points=[*_MANY_BLOCKS[:1700], (0.5, 3.0, 1), *_MANY_BLOCKS[1700:]], slack=1e-12)
+@example(points=[(0.5, 4.0, 1), (1.0, 1.0, 1), (0.5, 3.0, 1)], slack=1e-12)
+@example(points=[(0.5, 4.0, 1), (0.5, 4.0, 0)], slack=-0.2)
+def test_lemma_a1_matches_the_per_point_referee(points, slack):
+    # the max bit for bit, or the first point out of the domain, singular or failing
+    assert _lemma_outcome(verify_lemma_a1, points, slack) == _outcome(
+        literal_verify_lemma, points, literal_lemma_a1_value, 1.0, slack, "ratio")
+
+
+@settings(max_examples=150, deadline=None)
+@given(points=_A2_POINTS, slack=_SLACKS)
+@example(points=[(x, 1e6) for x in np.linspace(0.01, 0.6, 2200).tolist()], slack=1e-12)
+def test_lemma_a2_matches_the_per_point_referee(points, slack):
+    assert _lemma_outcome(verify_lemma_a2, points, slack) == _outcome(
+        literal_verify_lemma, points, literal_lemma_a2_value, 2.0, slack, "coefficient")
+
+
+@pytest.mark.parametrize("grid,literal,size,values,value,verify,bound,name", [
+    (default_lemma_a1_grid, literal_lemma_a1_grid, 19_950, adversaries._lemma_a1_values,
+     literal_lemma_a1_value, verify_lemma_a1, 1.0, "ratio"),
+    (default_lemma_a2_grid, literal_lemma_a2_grid, 23_991, adversaries._lemma_a2_values,
+     literal_lemma_a2_value, verify_lemma_a2, 2.0, "coefficient"),
+], ids=["a1", "a2"])
+def test_default_lemma_grids_are_the_per_point_grids(grid, literal, size, values, value, verify,
+                                                     bound, name):
+    # the same points in the same order, and each value bit for bit (np.power's differ on 32
+    # of a1's)
+    want = list(literal())
+    assert len(want) == size
+    assert [tuple(map(float.hex, p)) for p in grid()] == [
+        tuple(float(c).hex() for c in p) for p in want]
+    points = np.concatenate(list(grid().blocks()))
+    assert [v.hex() for v in values(*points.T).tolist()] == [value(p).hex() for p in want]
+    assert _lemma_outcome(verify, grid(), 1e-12) == _outcome(
+        literal_verify_lemma, want, value, bound, 1e-12, name)
 
 
 def test_default_grids_are_large_and_pass():

@@ -1396,6 +1396,21 @@ def test_cli_verify_lemmas_rejects_flags_it_would_ignore(flags, tmp_path, capsys
     assert not list(tmp_path.iterdir())
 
 
+def test_cli_builds_its_parser_once_and_reuses_it(tmp_path, capsys):
+    # a run of cli.main rebuilt the five subparsers each time, about 1.5 ms
+    assert cli._build_parser() is cli._build_parser()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"adamftrl {adamftrl.__version__}\n"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["tightness", "--format", "xml"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'xml'" in capsys.readouterr().err
+    assert cli.main(["tightness", "--out", str(tmp_path / "t")]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv", "t.json"]
+
+
 @pytest.mark.parametrize("command", ["tightness", "nonoblivious", "verify-lemmas"])
 def test_cli_missing_output_directory_exits_two(command, tmp_path, capsys):
     assert cli.main([command, "--out", str(tmp_path / "missing" / "x")]) == 2
