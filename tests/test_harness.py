@@ -82,7 +82,7 @@ SIMULATE_GOLDENS = {
     },
 }
 
-# gradient-stream sweeps pinned by golden fixtures, recorded with every point run on its own
+# sweeps pinned by golden fixtures, recorded with every point run on its own
 SWEEP_GOLDENS = {
     # six points at p > 1 are skipped
     "sweep_random": {
@@ -96,6 +96,17 @@ SWEEP_GOLDENS = {
         "beta1": 0.9, "beta2": 0.64, "alpha_kind": "exponential_decay", "alpha": 0.5,
         "domain": 0.3, "u": 0.2, "T": 50, "bounds": ["theorem3"],
         "grid": {"beta1": [0.6, 0.8, 0.9], "beta2": [0.25, 0.36, 0.64], "T": [1, 2, 50]},
+    },
+    # B underflows to zero at kappa = 4, T = 2 (v0 D is 1e-325), the square of round 100
+    # overflows B's radical at kappa = 80, and kappa = 20 runs at every T
+    "sweep_tightness": {
+        "adversary": "geometric", "p": 0.5, "v0": 1e-5, "domain": 1e-320, "oracle_horizon": 100,
+        "T": 2, "grid": {"kappa": [4.0, 20.0, 80.0], "T": [2, 3, 60, 99, 100]},
+    },
+    # 21 of the 36 points have a >= b^2 and warn
+    "sweep_nonoblivious": {
+        "adversary": "nonoblivious", "p": 0.7, "v": 1.3, "T": 40,
+        "grid": {"a": [0.1, 0.3, 0.5, 0.85], "b": [0.2, 0.6, 0.9], "T": [2, 25, 40]},
     },
 }
 
@@ -1458,6 +1469,7 @@ def test_simulate_golden_fixtures(stem):
 
 
 @pytest.mark.parametrize("stem", sorted(SWEEP_GOLDENS))
+@pytest.mark.filterwarnings("ignore:a = .* strict per-round dominance is not guaranteed")
 def test_sweep_golden_fixtures(stem):
     res = sweep(ExperimentConfig.from_dict(SWEEP_GOLDENS[stem]))
     assert render_csv(res) == (FIXTURES / f"{stem}.csv").read_text()
