@@ -37,14 +37,13 @@ from .learner import (
     DEFAULT_ORACLE_HORIZON,
     REGIME_TOL,
     AlphaSchedule,
-    HyperParams,
     clip_to_domain,
     ftrl_eta,
     loss_squares,
     pow_or_inf,
     root_of_sum,
 )
-from .regret import drive
+from .regret import drive_batch
 
 
 def geometric_losses(v0: float, kappa: float, T: int) -> list[float]:
@@ -336,25 +335,46 @@ def run_tightness_experiment(ratio: float, D: float, kappa: float, v0: float,
         rows.append((t, alpha, loss, loss_sum, square_sum, delta_bar, delta, abs(delta_bar) > D,
                      loss * delta, regret, max_v, d_max))
 
-    lower = v0 * D * kappa * (kappa**T - 1.0) / (2.0 * (kappa - 1.0))
+    # row T's B first: B grows with t, so no row t < T overflows once row T's is finite
     b_total = bound_b_from_radical(roots[T + 1], max_v, ratio, u, alpha, D, T).total
-    if b_total == 0.0:
-        raise RegimeError(f"tightness bound B underflows to zero at T = {T}")
-    if not math.isfinite(lower):
-        raise RegimeError(f"tightness lower bound overflows at T = {T}")
-    # B grows with t, so no row t < T overflows once row T's is finite
     b_rows = [bound_b_from_radical(roots[t + 1], max_v_t, ratio, u, alpha, D, t).total
               for t, *_, max_v_t, _ in rows[:-1]]
     rounds = tuple(TightnessRound(*row, b) for row, b in zip(rows, [*b_rows, b_total]))
+    return _tightness_result(rounds, D, kappa, v0)
+
+
+def _tightness_result(rounds: tuple[TightnessRound, ...], D: float, kappa: float,
+                      v0: float) -> TightnessResult:
+    """The result of a tightness run whose rows are ``rounds``, ``T = len(rounds)``; raises if
+    row T's ``B`` is zero or the lower bound at ``T`` overflows."""
+    T, last = len(rounds), rounds[-1]
+    if last.bound_b == 0.0:
+        raise RegimeError(f"tightness bound B underflows to zero at T = {T}")
+    lower = v0 * D * kappa * (kappa**T - 1.0) / (2.0 * (kappa - 1.0))
+    if not math.isfinite(lower):
+        raise RegimeError(f"tightness lower bound overflows at T = {T}")
     return TightnessResult(
-        regret=regret,
+        regret=last.regret,
         lower_bound=lower,
-        b_total=b_total,
-        ratio=regret / b_total,
+        b_total=last.bound_b,
+        ratio=last.regret / last.bound_b,
         max_prebar=max(abs(r.delta_bar) for r in rounds),
         any_clipped=any(r.clipped for r in rounds),
         rounds=rounds,
     )
+
+
+def run_tightness_horizons(ratio: float, D: float, kappa: float, v0: float, horizons,
+                           horizon: int = DEFAULT_ORACLE_HORIZON) -> list[TightnessResult]:
+    """:func:`run_tightness_experiment` at each ``T`` in ``horizons``, from one run at the
+    largest: every row of a run depends only on the losses up to its round, so the run at
+    ``T`` is the first ``T`` rows of a longer one, whose last row gives its ``B``.  Its lower
+    bound and ``B``'s underflow are checked at ``T``.  Raises if any of the runs would, though
+    maybe with another run's error."""
+    for T in horizons:
+        check_tightness_regime(ratio, D, kappa, v0, T, horizon)
+    full = run_tightness_experiment(ratio, D, kappa, v0, max(horizons), horizon)
+    return [_tightness_result(full.rounds[:T], D, kappa, v0) for T in horizons]
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +445,95 @@ def check_nonoblivious_regime(a: float, b: float, v: float, ratio: float, T: int
     return beta1
 
 
+def warn_unless_separated(a: float, b: float, stacklevel: int = 2) -> None:
+    """Warn that ``a >= b^2`` does not guarantee strict per-round dominance; ``stacklevel``
+    counts from the caller, as ``warnings.warn``'s does."""
+    if a >= b * b:
+        warnings.warn(
+            f"a = {a} >= b^2 = {b * b}: strict per-round dominance is not guaranteed",
+            stacklevel=stacklevel + 1,
+        )
+
+
+class PairTotals(NamedTuple):
+    """What a pair's run to some round adds up to: the fields of a :class:`NonObliviousResult`
+    but its rows."""
+
+    regret_a: float
+    regret_aprime: float
+    per_round_strict: bool
+    any_clipped: bool
+
+
+class PairTrace(NamedTuple):
+    """Both instances of one pair, run to some round: each instance's losses, updates and round
+    regrets ``loss (delta - u)`` as float64 columns over rounds ``1..``, and the first round at
+    which either clipped (past the last round if none)."""
+
+    cells: tuple   # loss_a, delta_a, f_a, loss_aprime, delta_aprime, f_aprime
+    first_clip: int
+
+    def totals(self, T: int) -> PairTotals:
+        """The totals of the pair's run to round ``T``, the first ``T`` rounds of this one."""
+        f_a, f_aprime = self.cells[2][:T], self.cells[5][:T]
+        return PairTotals(math.fsum(f_a.tolist()), math.fsum(f_aprime.tolist()),
+                          bool((f_a < f_aprime).all()), self.first_clip <= T)
+
+    def result(self, T: int) -> NonObliviousResult:
+        """The pair's run to round ``T``, with its rows."""
+        cells = [column[:T].tolist() for column in self.cells]
+        rounds = tuple(map(NonObliviousRound, range(1, T + 1), *cells,
+                           map(float.__lt__, cells[2], cells[5])))
+        return NonObliviousResult(*self.totals(T), rounds=rounds)
+
+
+# Rounds x columns of one pair batch: each of its float64 arrays holds at most about this many
+# cells, whatever the number of pairs.
+_PAIR_CELLS = 1 << 14
+
+
+def run_nonoblivious_pairs(pairs, v: float, ratio: float, beta1: float, T: int):
+    """Both instances of each pair ``(a, b)`` in ``pairs``, run to round ``T``: one
+    :class:`PairTrace` per pair, in order.
+
+    The instances of a batch of pairs are the columns of one float64 gradient matrix, run by
+    :func:`regret.drive_batch` with ``D = 1`` and ``u = -1``: a pair's ratio-``ratio`` instance
+    has ``beta2 = (beta1/ratio)^2``, its ratio-1 instance ``beta2 = beta1^2``, and both share
+    ``alpha = 1/K``, ``K = max(1/(1-a), 1/(1-b))``.  The powers in the losses ``rate^t v``
+    and the gradients ``beta1^t (rate^t v)`` are Python's ``**``, once per distinct rate.  A
+    batch has at most ``_PAIR_CELLS / (T + 1)`` columns, so memory does not grow with the
+    number of pairs.  Raises what the first failing instance's own run raises, in pair order
+    and the ratio-``ratio`` instance first; the regime is the caller's to check.
+    """
+    D, u = 1.0, -1.0
+    rounds = range(1, T + 1)
+    powers = np.fromiter((beta1**t for t in rounds), float, T)
+    per_batch = max(1, _PAIR_CELLS // (2 * (T + 1)))
+    for start in range(0, len(pairs), per_batch):
+        batch = pairs[start:start + per_batch]
+        # each distinct rate's losses and stream, and each distinct alpha's schedule, made once
+        rates = {r: i for i, r in enumerate(dict.fromkeys(r for pair in batch for r in pair))}
+        losses = np.array([np.fromiter((rate**t * v for t in rounds), float, T)
+                           for rate in rates]).T
+        streams = np.vstack((np.full(len(rates), v), powers[:, None] * losses))
+        column = [rates[rate] for pair in batch for rate in pair]
+        alphas = [1.0 / max(1.0 / (1.0 - a), 1.0 / (1.0 - b)) for a, b in batch for _ in (a, b)]
+        which = {alpha: i for i, alpha in enumerate(dict.fromkeys(alphas))}
+        beta2 = np.array([(beta1 / inst_ratio) ** 2 for _ in batch for inst_ratio in (ratio, 1.0)])
+        n = len(column)
+        deltas, clipped = np.empty((T, n)), np.empty((T, n), dtype=bool)
+        drive_batch(streams[:, column], np.full(n, beta1), beta2,
+                    [AlphaSchedule.constant(alpha) for alpha in which],
+                    np.array([which[alpha] for alpha in alphas]), D, u, trace=(deltas, clipped))
+        loss = losses[:, column]
+        f = loss * (deltas - u)
+        first_clip = np.where(clipped.any(axis=0), clipped.argmax(axis=0) + 1, T + 1)
+        for i in range(0, n, 2):
+            yield PairTrace(cells=(loss[:, i], deltas[:, i], f[:, i],
+                                   loss[:, i + 1], deltas[:, i + 1], f[:, i + 1]),
+                            first_clip=int(min(first_clip[i], first_clip[i + 1])))
+
+
 def run_nonoblivious_experiment(a: float, b: float, v: float, ratio: float, T: int,
                                 beta1: float | None = None,
                                 horizon: int = DEFAULT_ORACLE_HORIZON) -> NonObliviousResult:
@@ -434,44 +543,17 @@ def run_nonoblivious_experiment(a: float, b: float, v: float, ratio: float, T: i
     ``K = max(1/(1-a), 1/(1-b))``, against the comparator ``u = -1``.  The
     instances are realized as momentum learners sharing the first-moment
     factor ``beta1`` (second-moment factors ``(beta1/ratio)^2`` and
-    ``beta1^2`` respectively) and fed the gradients ``g_t = beta1^t * rate^t * v``.
+    ``beta1^2`` respectively) and fed the gradients ``g_t = beta1^t * rate^t * v``:
+    a batch of one pair (:func:`run_nonoblivious_pairs`).
 
     When ``a < b^2`` the rate-``a`` instance pays strictly less in every round
     and in total, with no clipping in either instance; ``a >= b^2`` only
     triggers a warning and the strictness flags report what happened.
     """
     beta1 = check_nonoblivious_regime(a, b, v, ratio, T, beta1, horizon)
-    if a >= b * b:
-        warnings.warn(
-            f"a = {a} >= b^2 = {b * b}: strict per-round dominance is not guaranteed",
-            stacklevel=2,
-        )
-
-    K = max(1.0 / (1.0 - a), 1.0 / (1.0 - b))
-    alpha = AlphaSchedule.constant(1.0 / K)
-    D = 1.0
-    u = -1.0
-
-    def run_instance(rate: float, inst_ratio: float):
-        """The instance's losses, updates and round regrets ``loss (delta - u)``; if it clipped."""
-        params = HyperParams(beta1=beta1, beta2=(beta1 / inst_ratio) ** 2,
-                             alpha=alpha, D=D)
-        losses = [rate**t * v for t in range(1, T + 1)]
-        gradients = [v] + [beta1**t * loss_t for t, loss_t in enumerate(losses, start=1)]
-        _, _, _, _, _, deltas, clipped, *_ = zip(*drive(gradients, params, u))
-        return (losses, deltas, [loss_t * (delta - u) for loss_t, delta in zip(losses, deltas)],
-                any(clipped))
-
-    (*cells_a, clipped_a), (*cells_b, clipped_b) = run_instance(a, ratio), run_instance(b, 1.0)
-    rounds = tuple(map(NonObliviousRound, range(1, T + 1), *cells_a, *cells_b,
-                       map(float.__lt__, cells_a[2], cells_b[2])))
-    return NonObliviousResult(
-        regret_a=math.fsum(r.f_a for r in rounds),
-        regret_aprime=math.fsum(r.f_aprime for r in rounds),
-        per_round_strict=all(r.strict for r in rounds),
-        any_clipped=clipped_a or clipped_b,
-        rounds=rounds,
-    )
+    warn_unless_separated(a, b)
+    (trace,) = run_nonoblivious_pairs([(a, b)], v, ratio, beta1, T)
+    return trace.result(T)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import itertools
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -28,24 +28,24 @@ from .adversaries import (
     FixedSequence,
     GeometricSequence,
     NonObliviousPair,
+    NonObliviousResult,
     NonObliviousRound,
+    PairTotals,
     RandomUniform,
+    TightnessResult,
     check_nonoblivious_regime,
     check_tightness_regime,
     run_nonoblivious_experiment,
+    run_nonoblivious_pairs,
     run_tightness_experiment,
+    run_tightness_horizons,
+    warn_unless_separated,
 )
 from .bounds import BOUNDS, BoundReport, TraceStats, dominance_holds, price_columns
-from .errors import (
-    AdamFtrlError,
-    ConfigError,
-    DegenerateStateError,
-    InvalidGradientError,
-    RegimeError,
-)
+from .errors import AdamFtrlError, ConfigError
 from .learner import (DEFAULT_ORACLE_HORIZON, REGIME_TOL, AlphaSchedule, CheckedAlphas, HyperParams,
-                      alpha_at, at_most)
-from .regret import drive
+                      at_most)
+from .regret import drive, drive_batch
 
 RNG_NAME = "numpy-pcg64"
 TRACE_COLUMNS = (
@@ -283,7 +283,7 @@ def _bound_names(key: str, value) -> tuple[str, ...]:
     return tuple(value)
 
 
-_GRID_KEYS = ("beta1", "beta2", "kappa", "a", "b", "T")
+_GRID_KEYS = ("beta1", "beta2", "kappa", "a", "b", "p", "T")
 
 
 def _grid(key: str, value) -> dict:
@@ -450,134 +450,89 @@ def _run_gradient_stream(config: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(csv_header=header, csv_rows=rows, summary=summary)
 
 
-# Rounds per block of a learner-axis batch: its per-round loop advances only the recurrences, into
-# (_BLOCK + 1) x n arrays, and all work elementwise in t runs once per block on the block's rows.
-_BLOCK = 128
-
-
 def _run_stream_batch(points: list[ExperimentConfig]) -> ExperimentResult:
     """Gradient-stream points that differ only in ``beta1``/``beta2``, run on one learner axis.
 
-    The numpy twin of :func:`regret.drive`, which is the reference it must match bit for bit.
-    The stream is generated and checked once, then run in blocks of ``_BLOCK`` rounds over
-    float64 arrays with one column per learner.  In a block, a per-round loop advances only the
-    recurrences ``m = b1 m + g``, ``q = b2 q + g^2`` and ``maxV = max(b1 maxV, |g|)``, one row
-    per round; the updates ``-a m / sqrt(q)``, their clip, ``D``, the running peaks and the
-    regret terms ``g (delta - u)`` are then computed on all the block's rows at once, and a
-    second per-round loop folds the terms into the regret ``r = b1 r + g (delta - u)``.  Only
-    elementwise ``* + - / sqrt abs copysign`` (which round as Python floats do) and max
-    reductions leave the per-round loops, and ``alpha_at`` (``pow``) stays scalar, once per
-    round and distinct schedule, so each point's summary equals that of its own
-    ``_run_gradient_stream`` bit for bit.  Memory is O(T + _BLOCK n), not O(T n).
-    Bounds are evaluated once per point, at ``T``, and probed once at the statistics' running
-    peaks.  Whenever a point's own run would raise, so does the batch, though maybe with
-    another message; callers that need the exact error rerun the points one by one.  Rows are
-    the points' sweep metrics; ``summary["points"]`` holds their summaries.
+    The stream is generated and checked once, then :func:`regret.drive_batch` runs every point
+    on it, bit for bit as its own :func:`regret.drive` would, so each point's summary equals
+    that of its own ``_run_gradient_stream``.  Bounds are evaluated once per point, at ``T``,
+    and probed once at the statistics' running peaks.  Whenever a point's own run would raise,
+    so does the batch, though maybe with another message; callers that need the exact error
+    rerun the points one by one.
     """
-    if not points or any(c.adversary not in ("fixed", "random") for c in points):
-        raise ConfigError("a learner-axis batch needs one or more fixed or random points")
     first = points[0]
-    shared = replace(first, beta1=None, beta2=None)   # what the points share: all but the betas
-    if any(replace(c, beta1=None, beta2=None) != shared for c in points):
-        raise ConfigError("points of a learner-axis batch may differ only in beta1 and beta2")
     params = [c.hyper_params() for c in points]
-    u, T, D = first.comparator(), first.T, first.domain
+    u, T = first.comparator(), first.T
     requested = [n for n in BOUNDS if n in first.bounds]
-    n = len(points)
-    b1 = np.array([p.beta1 for p in params])
-    b2 = np.array([p.beta2 for p in params])
-    gradients = np.array(first.adversary_spec().gradient_stream(T), dtype=np.float64)
-    if not (np.isfinite(gradients).all() and gradients[0] != 0.0):
-        raise InvalidGradientError("gradients must be finite, the first one nonzero")
     schedules = list(dict.fromkeys(p.alpha for p in params))
-    which = np.array([schedules.index(p.alpha) for p in params])
-    # Row 0 holds the state a block starts from, row j + 1 the state after its j-th gradient.
-    # The state after g_0 is g_0, g_0^2 and |g_0|, as b * 0 + g = g exactly.
-    M, Q, V = (np.zeros((_BLOCK + 1, n)) for _ in range(3))
-    m_rows, q_rows, v_rows = list(M), list(Q), list(V)
-    d_max, r_disc, clips, bar_peak = (np.zeros(n) for _ in range(4))
-    with np.errstate(all="ignore"):   # Python floats overflow to inf silently too
-        M[0], Q[0], V[0] = gradients[0], gradients[0] * gradients[0], abs(gradients[0])
-        q_peak, v_peak = Q[0].copy(), V[0].copy()
-        for t0 in range(1, T + 1, _BLOCK):   # rounds t0 .. t0 + k - 1
-            g = gradients[t0:t0 + _BLOCK]
-            k = len(g)
-            for j, (g_t, g2_t, abs_t) in enumerate(zip(g.tolist(), (g * g).tolist(),
-                                                       np.abs(g).tolist())):
-                np.add(np.multiply(b1, m_rows[j], out=m_rows[j + 1]), g_t, out=m_rows[j + 1])
-                np.add(np.multiply(b2, q_rows[j], out=q_rows[j + 1]), g2_t, out=q_rows[j + 1])
-                np.maximum(np.multiply(b1, v_rows[j], out=v_rows[j + 1]), abs_t,
-                           out=v_rows[j + 1])
-            # Round t0 + j's update reads row j, the state after g_{t0+j-1}.  Rows 0 .. k-1 are
-            # not read after it, so the update is computed in place in them; row k carries on.
-            underflow = (Q[:k] <= 0.0).any(axis=1)
-            if underflow.any():   # named after the first row at which some point's q is zero
-                raise DegenerateStateError("second-moment accumulator underflows to zero after "
-                                           f"g_{t0 + int(underflow.argmax()) - 1}")
-            np.maximum(q_peak, np.maximum.reduce(Q[1:k + 1]), out=q_peak)
-            np.maximum(v_peak, np.maximum.reduce(V[1:k + 1]), out=v_peak)
-            neg_a = np.array([[-alpha_at(s, t) for s in schedules] for t in range(t0, t0 + k)],
-                             dtype=np.float64)
-            delta = np.multiply(neg_a if len(schedules) == 1 else neg_a[:, which], M[:k],
-                                out=M[:k])
-            np.divide(delta, np.sqrt(Q[:k], out=Q[:k]), out=delta)   # delta_bar = -a m / sqrt(q)
-            if D is not None:   # clipped in place; a NaN or inf update leaves bar_peak non-finite
-                size = np.abs(delta, out=Q[:k])
-                np.maximum(bar_peak, np.maximum.reduce(size), out=bar_peak)
-                clips += np.count_nonzero(size > D, axis=0)
-                np.copysign(D, delta, out=delta, where=size > D)
-            np.fmax(d_max, np.fmax.reduce(np.abs(delta, out=V[:k])), out=d_max)   # skips NaN
-            np.multiply(np.subtract(delta, u, out=delta), g[:, None], out=delta)
-            for c in delta:
-                np.add(np.multiply(b1, r_disc, out=r_disc), c, out=r_disc)
-            M[0], Q[0], V[0] = M[k], Q[k], V[k]
-    q, max_v = Q[0], V[0]
-    # all are sticky: beta2 * inf + g^2 stays inf, a running max keeps inf, and beta1 * r_disc
-    # + finite stays non-finite.  Unclipped, an infinite delta_bar makes r_disc non-finite too.
-    if not np.isfinite(q).all():
-        raise DegenerateStateError("second-moment accumulator overflows")
-    if not np.isfinite(bar_peak).all():
-        raise DegenerateStateError("update delta_bar overflows")
-    if not np.isfinite(r_disc).all():
-        raise RegimeError("discounted regret overflows")
-
-    rows, summaries = [], []
+    state = drive_batch(first.adversary_spec().gradient_stream(T),
+                        np.array([p.beta1 for p in params]), np.array([p.beta2 for p in params]),
+                        schedules, np.array([schedules.index(p.alpha) for p in params]),
+                        first.domain, u)
+    summaries = []
     for i, (config, hp) in enumerate(zip(points, params)):
         reports = []
         if T >= 2:
             evaluators = [BOUNDS[name].per_run(hp, u) for name in requested]
-            stats = TraceStats(float(q[i]), float(max_v[i]), float(d_max[i]))
+            stats = TraceStats(float(state.q[i]), float(state.max_v[i]), float(state.d_max[i]))
             reports = [evaluate(stats, T) for evaluate in evaluators]
             # Each total grows with q, max_v, d_max and t (theorem3's p^t, B's beta1^-t and
             # theorem1's 1/alpha_{t+1}; theorem1's coefficient is taken at its peak), so priced
             # at T with every statistic at its running peak it overflows if some row's did.
-            peak = TraceStats(float(q_peak[i]), float(v_peak[i]), float(d_max[i]), peak=True)
+            peak = TraceStats(float(state.q_peak[i]), float(state.v_peak[i]),
+                              float(state.d_max[i]), peak=True)
             for evaluate in evaluators:
                 evaluate(peak, T)
-        summary = _stream_summary(config, float(r_disc[i]), int(clips[i]), reports)
-        rows.append(_sweep_metrics(config.adversary, summary))
-        summaries.append(summary)
+        summaries.append(_stream_summary(config, float(state.r_disc[i]), int(state.clips[i]),
+                                         reports))
+    return _batch_result(first.adversary, summaries)
+
+
+def _batch_result(adversary: str, summaries: list[dict]) -> ExperimentResult:
+    """A batch's result: its points' sweep metrics as rows, their summaries as ``"points"``."""
     return ExperimentResult(
-        csv_header=_sweep_metric_columns(first.adversary), csv_rows=tuple(rows),
+        csv_header=_sweep_metric_columns(adversary),
+        csv_rows=tuple(_sweep_metrics(adversary, s) for s in summaries),
         summary={"points": summaries, "contracts_ok": all(s["contracts_ok"] for s in summaries)})
 
 
 def _run_geometric(config: ExperimentConfig) -> ExperimentResult:
-    ratio = config.ratio()
-    D = config.domain
-    result = run_tightness_experiment(ratio, D, config.kappa, config.v0,
+    result = run_tightness_experiment(config.ratio(), config.domain, config.kappa, config.v0,
                                       config.T, horizon=config.oracle_horizon)
+    return ExperimentResult(csv_header=TRACE_COLUMNS + ("bound_B",), csv_rows=result.rounds,
+                            summary=_geometric_summary(config, result))
+
+
+def _run_geometric_batch(points: list[ExperimentConfig]) -> ExperimentResult:
+    """Geometric points that differ only in ``kappa`` and ``T``: one tightness run per
+    ``kappa``, at the largest ``T`` of its points, whose prefixes are the others
+    (:func:`adversaries.run_tightness_horizons`)."""
+    first = points[0]
+    members: dict[float, list[int]] = {}
+    for i, c in enumerate(points):
+        members.setdefault(c.kappa, []).append(i)
+    summaries: list = [None] * len(points)
+    for kappa, indices in members.items():
+        results = run_tightness_horizons(first.ratio(), first.domain, kappa, first.v0,
+                                         [points[i].T for i in indices], first.oracle_horizon)
+        for i, result in zip(indices, results):
+            summaries[i] = _geometric_summary(points[i], result)
+    return _batch_result("geometric", summaries)
+
+
+def _geometric_summary(config: ExperimentConfig, result: TightnessResult) -> dict:
+    D = config.domain
     contracts = {
         "no_clipping": not result.any_clipped,
         "prebar_within_half_domain": result.max_prebar <= D / 2.0 + 1e-12 * D,
         "regret_at_least_lower_bound": at_most(result.lower_bound, result.regret),
     }
-    summary = {
+    return {
         "adversary": "geometric",
         "T": config.T,
         "u": -D,
         "alpha": D / 4.0,
-        "p": ratio,
+        "p": config.ratio(),
         "kappa": config.kappa,
         "v0": config.v0,
         "regret": result.regret,
@@ -592,22 +547,45 @@ def _run_geometric(config: ExperimentConfig) -> ExperimentResult:
         "config": config.echo(),
         "version": __version__,
     }
-    return ExperimentResult(csv_header=TRACE_COLUMNS + ("bound_B",), csv_rows=result.rounds,
-                            summary=summary)
 
 
 def _run_nonoblivious(config: ExperimentConfig) -> ExperimentResult:
-    pair = config.adversary_spec()
-    result = run_nonoblivious_experiment(pair.a, pair.b, pair.v, config.ratio(),
+    result = run_nonoblivious_experiment(config.a, config.b, config.v, config.ratio(),
                                          config.T, beta1=config.beta1,
                                          horizon=config.oracle_horizon)
-    separation_expected = pair.separation_expected
+    return ExperimentResult(csv_header=PAIR_COLUMNS, csv_rows=result.rounds,
+                            summary=_pair_summary(config, result))
+
+
+def _run_pair_batch(points: list[ExperimentConfig]) -> ExperimentResult:
+    """Non-oblivious points that differ only in ``a``, ``b`` and ``T``: each distinct pair runs
+    once, to the largest ``T`` of its points, as two columns of one gradient matrix
+    (:func:`adversaries.run_nonoblivious_pairs`), and each point reads its first ``T`` rounds.
+    Unlike a point's own run, a batch does not warn when ``a >= b^2``."""
+    first = points[0]
+    ratio = first.ratio()
+    for c in points:   # all share beta1
+        beta1 = check_nonoblivious_regime(c.a, c.b, c.v, ratio, c.T, c.beta1, c.oracle_horizon)
+    members: dict[tuple[float, float], list[int]] = {}
+    for i, c in enumerate(points):
+        members.setdefault((c.a, c.b), []).append(i)
+    summaries: list = [None] * len(points)
+    runs = run_nonoblivious_pairs(list(members), first.v, ratio, beta1,
+                                  max(c.T for c in points))
+    for indices, trace in zip(members.values(), runs):
+        for i in indices:   # each trace is read as soon as it is made, then dropped
+            summaries[i] = _pair_summary(points[i], trace.totals(points[i].T))
+    return _batch_result("nonoblivious", summaries)
+
+
+def _pair_summary(config: ExperimentConfig, result: NonObliviousResult | PairTotals) -> dict:
+    separation_expected = config.adversary_spec().separation_expected
     contracts_ok = True
     if separation_expected:
         contracts_ok = (result.per_round_strict
                         and result.regret_a < result.regret_aprime
                         and not result.any_clipped)
-    summary = {
+    return {
         "adversary": "nonoblivious",
         "T": config.T,
         "a": config.a,
@@ -623,19 +601,36 @@ def _run_nonoblivious(config: ExperimentConfig) -> ExperimentResult:
         "config": config.echo(),
         "version": __version__,
     }
-    return ExperimentResult(csv_header=PAIR_COLUMNS, csv_rows=result.rounds, summary=summary)
+
+
+# The keys in which the points of one batch may differ; a batch runs them all at once.
+_BATCH_AXES = {"fixed": ("beta1", "beta2"), "random": ("beta1", "beta2"),
+               "geometric": ("kappa", "T"),
+               "nonoblivious": ("a", "b", "T")}
+_BATCH_RUNNERS = {"fixed": _run_stream_batch, "random": _run_stream_batch,
+                  "geometric": _run_geometric_batch, "nonoblivious": _run_pair_batch}
 
 
 def run_experiment(config: ExperimentConfig | list[ExperimentConfig]) -> ExperimentResult:
     """Drive one experiment to completion; deterministic given (config, seed).
 
     A config with a ``grid`` is a sweep template and is rejected: see :func:`sweep`.
-    A list of ``fixed`` or ``random`` configs that differ only in ``beta1``/``beta2`` is a
-    vector run: one learner-axis batch on their shared stream (``_run_stream_batch``), whose
-    rows hold each point's sweep metrics and ``summary["points"]`` each point's summary.
+    A list of configs of one adversary that differ only in its ``_BATCH_AXES`` is a batch
+    run, whose rows hold each point's sweep metrics and ``summary["points"]`` each point's
+    summary: gradient-stream points that differ in ``beta1``/``beta2`` run on one learner
+    axis (``_run_stream_batch``), geometric points that differ in ``kappa`` and ``T`` read one
+    tightness run per ``kappa`` (``_run_geometric_batch``), and non-oblivious points that
+    differ in ``a``, ``b`` and ``T`` run as columns of one gradient matrix
+    (``_run_pair_batch``).
     """
     if isinstance(config, list):
-        return _run_stream_batch(config)
+        if not config:
+            raise ConfigError("a batch needs one or more points")
+        axes = _BATCH_AXES[config[0].adversary]
+        shared = [v for k, v in vars(config[0]).items() if k not in axes]
+        if any([v for k, v in vars(c).items() if k not in axes] != shared for c in config):
+            raise ConfigError(f"points of a batch may differ only in {', '.join(axes)}")
+        return _BATCH_RUNNERS[config[0].adversary](config)
     if config.grid:
         raise ConfigError("a config with a 'grid' runs only as a sweep")
     if config.adversary in ("fixed", "random"):
@@ -655,8 +650,9 @@ def sweep(config: ExperimentConfig) -> ExperimentResult:
     Points whose derived config is invalid are reported as skipped with the
     reason, not errors.  Row order follows the cartesian product of the grid
     values in the order given, keyed by the sorted grid-field names.
-    Gradient-stream points that differ only in ``beta1``/``beta2`` run as one
-    learner-axis batch; see :func:`_run_points`.
+    Points that differ only in their adversary's ``_BATCH_AXES`` run as one
+    batch; see :func:`_run_points`.  Each non-oblivious point that runs with
+    ``a >= b^2`` warns once, in row order, after every batch has run.
     """
     if not config.grid:
         raise ConfigError("sweep needs a non-empty 'grid'")
@@ -664,6 +660,7 @@ def sweep(config: ExperimentConfig) -> ExperimentResult:
 
     base = {k: v for k, v in config.__dict__.items() if k != "grid"}
     stream = config.adversary in ("fixed", "random")
+    axes = _BATCH_AXES[config.adversary]
     # Checked once here, the gradients and an explicit alpha schedule are shared by every point
     # and not rescanned; if a check fails, each point is skipped with its own reason.
     if config.adversary == "fixed":
@@ -675,6 +672,7 @@ def sweep(config: ExperimentConfig) -> ExperimentResult:
     combos = list(itertools.product(*(config.grid[k] for k in keys)))
     outcomes: list = [None] * len(combos)   # per point: (metrics, summary), or why it skips
     batches: dict[str, list[tuple[int, ExperimentConfig]]] = {}
+    ran = []   # the points that validate, in row order
     for i, combo in enumerate(combos):
         try:
             derived = ExperimentConfig(**{**base, **{k: _parse(k, v) for k, v in zip(keys, combo)}})
@@ -682,13 +680,17 @@ def sweep(config: ExperimentConfig) -> ExperimentResult:
         except (AdamFtrlError, ValueError) as exc:
             outcomes[i] = exc
             continue
-        # a batch's points agree in every grid value but the betas, and all else is ``base``
-        key = repr([v for k, v in zip(keys, combo) if k not in ("beta1", "beta2")])
-        batches.setdefault(key if stream else "", []).append((i, derived))
+        ran.append(derived)
+        # a batch's points agree in every grid value but the axes, and all else is ``base``
+        key = repr([v for k, v in zip(keys, combo) if k not in axes])
+        batches.setdefault(key, []).append((i, derived))
     for members in batches.values():
         points = [point for _, point in members]
         for (i, _), outcome in zip(members, _run_points(config.adversary, points)):
             outcomes[i] = outcome
+    if config.adversary == "nonoblivious":
+        for point in ran:
+            warn_unless_separated(point.a, point.b)
 
     metric_cols = _sweep_metric_columns(config.adversary)
     header = tuple(keys) + ("status",) + metric_cols
@@ -720,20 +722,23 @@ def sweep(config: ExperimentConfig) -> ExperimentResult:
 def _run_points(adversary: str, points: list[ExperimentConfig]) -> list:
     """Each point's ``(metrics, summary)``, or the error that skips it.
 
-    Gradient-stream points, which share all but their betas, run as one batch.  A batch
+    The points, which differ only in their adversary's batch axes, run as one batch.  A batch
     that raises is rerun one point at a time, so every skip reason is the point's own: only
-    a point's own run sees, e.g., the first row at which a bound overflows.
+    a point's own run sees, e.g., the first row at which a bound overflows.  An oracle point's
+    own run is a batch of one, which gives its summary and error and does not warn.
     """
-    if adversary in ("fixed", "random"):
-        try:   # not _run_stream_batch: the benchmark's tracer times a batch as run_experiment
-            batch = run_experiment(points)
-            return list(zip(batch.csv_rows, batch.summary["points"]))
-        except (AdamFtrlError, ValueError):
-            pass
+    try:   # not a batch runner: the benchmark's tracer times a batch as run_experiment
+        batch = run_experiment(points)
+        return list(zip(batch.csv_rows, batch.summary["points"]))
+    except (AdamFtrlError, ValueError):
+        pass
     outcomes = []
     for point in points:
         try:
-            summary = run_experiment(point).summary
+            if adversary in ("fixed", "random"):
+                summary = run_experiment(point).summary
+            else:
+                (summary,) = run_experiment([point]).summary["points"]
         except (AdamFtrlError, ValueError) as exc:
             outcomes.append(exc)
             continue

@@ -15,11 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import (DegenerateStateError, InvalidGradientError, NotApplicableError,
-                     OracleHorizonError, RegimeError)
-from .learner import (DEFAULT_ORACLE_HORIZON, HyperParams, alpha_at, at_most, evaluate_objective,
-                      ftrl_eta_from_losses, ftrl_update_from_losses, undiscounted_losses)
+import numpy as np
+
+from .errors import (AdamFtrlError, DegenerateStateError, InvalidGradientError,
+                     NotApplicableError, OracleHorizonError, RegimeError)
+from .learner import (DEFAULT_ORACLE_HORIZON, HyperParams, alpha_at, at_most, ftrl_eta,
+                      loss_squares, root_of_sum, undiscounted_losses)
 
 
 @dataclass
@@ -40,6 +43,23 @@ def accumulate_discounted_regret(ledger: RegretLedger, g: float, delta: float,
     return ledger
 
 
+# The checks of a round at which the driver stops, in the order it makes them: q after g_{t-1}
+# is zero, the update overflows, q after g_t overflows, the regret overflows.
+_Q_UNDERFLOW, _UPDATE_OVERFLOW, _Q_OVERFLOW, _REGRET_OVERFLOW = range(4)
+
+
+def _fault(check: int, t: int) -> AdamFtrlError:
+    """The error of round ``t``'s failed ``check``: the driver's messages, written once."""
+    if check == _Q_UNDERFLOW:
+        return DegenerateStateError(
+            f"second-moment accumulator underflows to zero after g_{t - 1}")
+    if check == _UPDATE_OVERFLOW:
+        return DegenerateStateError(f"update delta_bar overflows at t={t}")
+    if check == _Q_OVERFLOW:
+        return DegenerateStateError(f"second-moment accumulator overflows at t={t}")
+    return RegimeError(f"discounted regret overflows at t={t}")
+
+
 def drive(gradients, params: HyperParams, u: float = 0.0):
     """The stable learner's rounds ``t = 1..T``, ``T = len(gradients) - 1``: the one driver loop.
 
@@ -58,12 +78,11 @@ def drive(gradients, params: HyperParams, u: float = 0.0):
     for t, g in enumerate(gradients):
         if t:   # propose the round-t update from g_0..g_{t-1}
             if q <= 0.0:
-                raise DegenerateStateError(
-                    f"second-moment accumulator underflows to zero after g_{t - 1}")
+                raise _fault(_Q_UNDERFLOW, t)
             a_t = alpha_at(schedule, t)
             delta_bar = -a_t * m / sqrt(q)
             if not isfinite(delta_bar):
-                raise DegenerateStateError(f"update delta_bar overflows at t={t}")
+                raise _fault(_UPDATE_OVERFLOW, t)
             clipped = abs(delta_bar) > D
             delta = copysign(D, delta_bar) if clipped else delta_bar
             if abs(delta) > d_max:   # max() keeps its first argument on ties, and so does this
@@ -73,7 +92,7 @@ def drive(gradients, params: HyperParams, u: float = 0.0):
         m_t, q_t = m, q
         q = b2 * q + g * g
         if q == inf:
-            raise DegenerateStateError(f"second-moment accumulator overflows at t={t}")
+            raise _fault(_Q_OVERFLOW, t)
         m = b1 * m + g
         max_v *= b1
         if abs(g) > max_v:
@@ -81,8 +100,128 @@ def drive(gradients, params: HyperParams, u: float = 0.0):
         if t:   # fold round t into the regret
             r_disc = b1 * r_disc + g * (delta - u)
             if not isfinite(r_disc):
-                raise RegimeError(f"discounted regret overflows at t={t}")
+                raise _fault(_REGRET_OVERFLOW, t)
             yield t, a_t, m_t, q_t, delta_bar, delta, clipped, r_disc, max_v, d_max, m, q
+
+
+class BatchState(NamedTuple):
+    """Each learner's state after a :func:`drive_batch` run, one entry per column."""
+
+    q: np.ndarray
+    max_v: np.ndarray
+    d_max: np.ndarray
+    r_disc: np.ndarray
+    clips: np.ndarray    # rounds whose update was clipped
+    q_peak: np.ndarray   # the largest q after any g_t, t = 0..T
+    v_peak: np.ndarray   # the largest maxV after any g_t
+
+
+# Rounds per block of a batch: its per-round loop advances only the recurrences, into
+# at most (_BLOCK + 1) x n arrays, and all work elementwise in t runs once per block on its rows.
+_BLOCK = 128
+_NO_FAULT = np.iinfo(np.int64).max
+
+
+def _note_faults(fault: np.ndarray, failed: np.ndarray, t0: int, check: int) -> None:
+    """Lower each learner's fault code to ``4 t + check`` at the first row of ``failed`` (a
+    ``(k, n)`` mask whose row ``j`` is round ``t0 + j``) where its column holds."""
+    hit = failed.any(axis=0)
+    if hit.any():
+        codes = np.where(hit, 4 * (t0 + failed.argmax(axis=0)) + check, _NO_FAULT)
+        np.minimum(fault, codes, out=fault)
+
+
+def drive_batch(gradients, beta1, beta2, schedules, which, D: float | None, u: float,
+                trace=None) -> BatchState:
+    """:func:`drive` for n learners at once, which it must match bit for bit.
+
+    ``gradients`` is one ``(T + 1,)`` stream that every learner reads, or a ``(T + 1, n)``
+    matrix with each learner's stream as a column.  Learner ``j`` has factors ``beta1[j]`` and
+    ``beta2[j]`` and the schedule ``schedules[which[j]]``; all share ``D`` and ``u``.  The
+    rounds run in blocks of ``_BLOCK`` over float64 arrays with one column per learner.  In a
+    block, a per-round loop advances only the recurrences ``m = b1 m + g``, ``q = b2 q + g^2``
+    and ``maxV = max(b1 maxV, |g|)``, one row per round (a shared stream adds Python floats to
+    them, a matrix its rows).  The updates ``-a m / sqrt(q)``, their clip, ``D``, the running
+    peaks and the regret terms ``g (delta - u)`` are then computed on all the block's rows at
+    once, and a second per-round loop folds the terms into ``r = b1 r + g (delta - u)``.  Only
+    elementwise ``* + - / sqrt abs copysign`` (which round as Python floats do) and max
+    reductions leave the per-round loops, and ``alpha_at`` (``pow``) stays scalar, once per
+    round and distinct schedule.  Memory is O(T + _BLOCK n) for a shared stream.
+
+    ``trace``, if given, is a pair of ``(T, n)`` arrays, float64 and bool, that receive each
+    round's emitted update and whether it was clipped.
+
+    Gradients that are not finite, or a zero ``g_0``, raise :class:`InvalidGradientError` at
+    once, and so does an error of ``alpha_at``.  Otherwise the run goes on to ``T`` and then
+    raises what the first learner whose own :func:`drive` fails raises there: the same error
+    at the same round, found from each block's rows and the sticky overflows of ``q`` and
+    ``r``.
+    """
+    gradients = np.asarray(gradients, dtype=np.float64)
+    if not (np.isfinite(gradients).all() and np.all(gradients[0] != 0.0)):
+        raise InvalidGradientError("gradients must be finite, the first one nonzero")
+    T, n = len(gradients) - 1, len(beta1)
+    shared = gradients.ndim == 1
+    # Row 0 holds the state a block starts from, row j + 1 the state after its j-th gradient.
+    # The state after g_0 is g_0, g_0^2 and |g_0|, as b * 0 + g = g exactly.
+    M, Q, V = (np.zeros((min(_BLOCK, T) + 1, n)) for _ in range(3))
+    m_rows, q_rows, v_rows = list(M), list(Q), list(V)
+    d_max, r_disc, clips = (np.zeros(n) for _ in range(3))
+    fault = np.full(n, _NO_FAULT)   # per learner: 4 t + check of its first failed check
+    with np.errstate(all="ignore"):   # Python floats overflow to inf silently too
+        M[0], Q[0], V[0] = gradients[0], gradients[0] * gradients[0], abs(gradients[0])
+        _note_faults(fault, Q[:1] == np.inf, 0, _Q_OVERFLOW)
+        q_peak, v_peak = Q[0].copy(), V[0].copy()
+        for t0 in range(1, T + 1, _BLOCK):   # rounds t0 .. t0 + k - 1
+            g = gradients[t0:t0 + _BLOCK]
+            k = len(g)
+            steps = (zip(g.tolist(), (g * g).tolist(), np.abs(g).tolist()) if shared
+                     else zip(g, g * g, np.abs(g)))
+            for j, (g_t, g2_t, abs_t) in enumerate(steps):
+                np.add(np.multiply(beta1, m_rows[j], out=m_rows[j + 1]), g_t, out=m_rows[j + 1])
+                np.add(np.multiply(beta2, q_rows[j], out=q_rows[j + 1]), g2_t, out=q_rows[j + 1])
+                np.maximum(np.multiply(beta1, v_rows[j], out=v_rows[j + 1]), abs_t,
+                           out=v_rows[j + 1])
+            # q never becomes NaN, and once inf stays inf: row k shows if some row overflowed
+            if (Q[:k] <= 0.0).any():
+                _note_faults(fault, Q[:k] <= 0.0, t0, _Q_UNDERFLOW)
+            if np.isinf(Q[k]).any():
+                _note_faults(fault, np.isinf(Q[1:k + 1]), t0, _Q_OVERFLOW)
+            np.maximum(q_peak, np.maximum.reduce(Q[1:k + 1]), out=q_peak)
+            np.maximum(v_peak, np.maximum.reduce(V[1:k + 1]), out=v_peak)
+            # Round t0 + j's update reads row j, the state after g_{t0+j-1}.  Rows 0 .. k-1 are
+            # not read after it, so the update is computed in place in them; row k carries on.
+            neg_a = np.array([[-alpha_at(s, t) for s in schedules] for t in range(t0, t0 + k)],
+                             dtype=np.float64)
+            delta = np.multiply(neg_a if len(schedules) == 1 else neg_a[:, which], M[:k],
+                                out=M[:k])
+            np.divide(delta, np.sqrt(Q[:k], out=Q[:k]), out=delta)   # delta_bar = -a m / sqrt(q)
+            if not np.isfinite(delta).all():
+                _note_faults(fault, ~np.isfinite(delta), t0, _UPDATE_OVERFLOW)
+            clipped = None
+            if D is not None:   # clipped in place
+                clipped = np.greater(np.abs(delta, out=Q[:k]), D)
+                clips += np.count_nonzero(clipped, axis=0)
+                np.copysign(D, delta, out=delta, where=clipped)
+            if trace is not None:
+                trace[0][t0 - 1:t0 - 1 + k] = delta
+                trace[1][t0 - 1:t0 - 1 + k] = False if clipped is None else clipped
+            np.fmax(d_max, np.fmax.reduce(np.abs(delta, out=V[:k])), out=d_max)   # skips NaN
+            np.multiply(np.subtract(delta, u, out=delta), g[:, None] if shared else g, out=delta)
+            r_start = r_disc.copy()
+            for c in delta:
+                np.add(np.multiply(beta1, r_disc, out=r_disc), c, out=r_disc)
+            if not np.isfinite(r_disc).all():   # a non-finite r stays so: find its rounds
+                regret = np.empty_like(delta)
+                for j, c in enumerate(delta):
+                    r_start = regret[j] = beta1 * r_start + c
+                _note_faults(fault, ~np.isfinite(regret), t0, _REGRET_OVERFLOW)
+            M[0], Q[0], V[0] = M[k], Q[k], V[k]
+    failed = np.flatnonzero(fault != _NO_FAULT)
+    if len(failed):
+        t, check = divmod(int(fault[failed[0]]), 4)
+        raise _fault(check, t)
+    return BatchState(Q[0], V[0], d_max, r_disc, clips, q_peak, v_peak)
 
 
 def undiscounted_regret(loss_gradients, deltas, u: float, beta1: float,
@@ -134,11 +273,20 @@ def per_round_ftrl_inequality(raw_gradients, params: HyperParams, t: int,
     if t + 1 > horizon:
         raise OracleHorizonError(f"round {t + 1} exceeds the oracle horizon {horizon}")
     losses = undiscounted_losses(raw_gradients, params.beta1)
+    # each square once; eta_s reads sqrt(sum_{r<s} (p^r v_r)^2) off a prefix of them, the same
+    # fsum as the literal forms take per prefix
+    squares = loss_squares(losses, params.p)
 
-    deltas = []
+    def eta(s: int) -> float:
+        return ftrl_eta(root_of_sum(squares[:s]), params.p, alpha_at(params.alpha, s), s)
+
+    def objective(s: int, eta_s: float, x: float) -> float:   # F_s(x)
+        return x * x / (2.0 * eta_s) + math.fsum(losses[:s]) * x
+
+    etas, deltas = [], []
     for s in range(1, T + 1):
-        a_s = alpha_at(params.alpha, s)
-        raw = ftrl_update_from_losses(losses, params.p, a_s, s, None)
+        etas.append(eta(s))
+        raw = -etas[-1] * math.fsum(losses[:s])
         if params.D is not None and abs(raw) > params.D:
             raise NotApplicableError(
                 f"clipping fires at round {s}; the per-round inequality is not certified"
@@ -146,15 +294,13 @@ def per_round_ftrl_inequality(raw_gradients, params: HyperParams, t: int,
         deltas.append(raw)
     d_T = max(abs(d) for d in deltas)
 
-    a_next = alpha_at(params.alpha, t + 1)
-    delta_next = ftrl_update_from_losses(losses, params.p, a_next, t + 1, None)
+    eta_next = eta(t + 1)
+    delta_next = -eta_next * math.fsum(losses[:t + 1])
     v_t = losses[t]
-    lhs = (evaluate_objective(raw_gradients, params, t, deltas[t - 1], horizon)
-           - evaluate_objective(raw_gradients, params, t + 1, delta_next, horizon)
+    lhs = (objective(t, etas[t - 1], deltas[t - 1]) - objective(t + 1, eta_next, delta_next)
            + v_t * deltas[t - 1])
-    eta_t = ftrl_eta_from_losses(losses, params.p, alpha_at(params.alpha, t), t)
     return PerRoundInequality(
         lhs=lhs,
-        stability_bound=eta_t * v_t * v_t / 2.0,
+        stability_bound=etas[t - 1] * v_t * v_t / 2.0,
         range_bound=2.0 * d_T * abs(v_t),
     )

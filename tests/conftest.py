@@ -6,8 +6,10 @@ discounted recurrences, so that stable-path results are checked against a
 genuinely independent evaluation.  ``simulate_row_by_row`` is the per-row
 reference for ``simulate``'s column pricing, and ``drive_one_step`` the one-step
 reference for ``regret.drive``'s inlined loop.  ``literal_tightness_run`` prices every
-tightness row from its own prefix of losses, and the ``literal_lemma_*`` functions check the
-two lemmas and build their default grids one point at a time.
+tightness row from its own prefix of losses, ``literal_nonoblivious_run`` runs each instance
+of a pair through ``regret.drive`` on its own, ``literal_per_round_ftrl_inequality`` takes
+every update and objective from the literal FTRL forms, and the ``literal_lemma_*`` functions
+check the two lemmas and build their default grids one point at a time.
 """
 
 from __future__ import annotations
@@ -30,12 +32,16 @@ from adamftrl import (
     ingest_gradient,
     propose_update,
 )
-from adamftrl.adversaries import (TightnessResult, TightnessRound, check_tightness_regime,
-                                  geometric_losses)
+from adamftrl.adversaries import (NonObliviousResult, NonObliviousRound, TightnessResult,
+                                  TightnessRound, check_nonoblivious_regime,
+                                  check_tightness_regime, geometric_losses)
 from adamftrl.bounds import BOUNDS, bound_b_undiscounted
-from adamftrl.errors import ContractViolation, RegimeError
+from adamftrl.errors import ContractViolation, NotApplicableError, OracleHorizonError, RegimeError
 from adamftrl.harness import TRACE_COLUMNS, _stream_summary
-from adamftrl.learner import REGIME_TOL, clip_to_domain, ftrl_update_from_losses
+from adamftrl.learner import (DEFAULT_ORACLE_HORIZON, REGIME_TOL, clip_to_domain,
+                              evaluate_objective, ftrl_eta_from_losses, ftrl_update_from_losses,
+                              undiscounted_losses)
+from adamftrl.regret import PerRoundInequality
 
 
 @dataclass
@@ -230,6 +236,60 @@ def literal_tightness_run(ratio: float, D: float, kappa: float, v0: float,
                            ratio=regret / b_total,
                            max_prebar=max(abs(r.delta_bar) for r in rounds),
                            any_clipped=any(r.clipped for r in rounds), rounds=rounds)
+
+
+def literal_nonoblivious_run(a: float, b: float, v: float, ratio: float, T: int,
+                             beta1: float | None = None) -> NonObliviousResult:
+    """``run_nonoblivious_experiment`` with each instance run through ``regret.drive`` on its own
+    list of gradients, the rate-``a`` instance first; it does not warn."""
+    beta1 = check_nonoblivious_regime(a, b, v, ratio, T, beta1)
+    alpha = AlphaSchedule.constant(1.0 / max(1.0 / (1.0 - a), 1.0 / (1.0 - b)))
+    u = -1.0
+
+    def run_instance(rate: float, inst_ratio: float):
+        params = HyperParams(beta1=beta1, beta2=(beta1 / inst_ratio) ** 2, alpha=alpha, D=1.0)
+        losses = [rate**t * v for t in range(1, T + 1)]
+        gradients = [v] + [beta1**t * loss_t for t, loss_t in enumerate(losses, start=1)]
+        _, _, _, _, _, deltas, clipped, *_ = zip(*drive_rounds(gradients, params, u))
+        return (losses, deltas, [loss_t * (delta - u) for loss_t, delta in zip(losses, deltas)],
+                any(clipped))
+
+    (*cells_a, clipped_a), (*cells_b, clipped_b) = run_instance(a, ratio), run_instance(b, 1.0)
+    rounds = tuple(map(NonObliviousRound, range(1, T + 1), *cells_a, *cells_b,
+                       map(float.__lt__, cells_a[2], cells_b[2])))
+    return NonObliviousResult(regret_a=math.fsum(r.f_a for r in rounds),
+                              regret_aprime=math.fsum(r.f_aprime for r in rounds),
+                              per_round_strict=all(r.strict for r in rounds),
+                              any_clipped=clipped_a or clipped_b, rounds=rounds)
+
+
+def literal_per_round_ftrl_inequality(raw_gradients, params: HyperParams, t: int,
+                                      horizon: int = DEFAULT_ORACLE_HORIZON):
+    """``regret.per_round_ftrl_inequality`` with every update, objective and ``eta`` taken from
+    the literal FTRL forms on its own prefix of losses, which squares each prefix again."""
+    T = len(raw_gradients) - 1
+    if not (1 <= t <= T):
+        raise ValueError(f"need 1 <= t <= {T}, got {t}")
+    if t + 1 > horizon:
+        raise OracleHorizonError(f"round {t + 1} exceeds the oracle horizon {horizon}")
+    losses = undiscounted_losses(raw_gradients, params.beta1)
+    deltas = []
+    for s in range(1, T + 1):
+        raw = ftrl_update_from_losses(losses, params.p, alpha_at(params.alpha, s), s, None)
+        if params.D is not None and abs(raw) > params.D:
+            raise NotApplicableError(
+                f"clipping fires at round {s}; the per-round inequality is not certified")
+        deltas.append(raw)
+    d_T = max(abs(d) for d in deltas)
+    delta_next = ftrl_update_from_losses(losses, params.p, alpha_at(params.alpha, t + 1), t + 1,
+                                         None)
+    v_t = losses[t]
+    lhs = (evaluate_objective(raw_gradients, params, t, deltas[t - 1], horizon)
+           - evaluate_objective(raw_gradients, params, t + 1, delta_next, horizon)
+           + v_t * deltas[t - 1])
+    eta_t = ftrl_eta_from_losses(losses, params.p, alpha_at(params.alpha, t), t)
+    return PerRoundInequality(lhs=lhs, stability_bound=eta_t * v_t * v_t / 2.0,
+                              range_bound=2.0 * d_T * abs(v_t))
 
 
 def literal_lemma_a1_value(point) -> float:

@@ -22,8 +22,11 @@ from adamftrl import (
 )
 import adamftrl.adversaries as adversaries
 import adamftrl.learner as learner
-from adamftrl.adversaries import _PCG_BLOCK, _Pcg64, default_lemma_a1_grid, default_lemma_a2_grid
+from adamftrl.adversaries import (_PAIR_CELLS, _PCG_BLOCK, _Pcg64, default_lemma_a1_grid,
+                                  default_lemma_a2_grid, run_nonoblivious_pairs,
+                                  run_tightness_horizons)
 from adamftrl.errors import (
+    AdamFtrlError,
     ContractViolation,
     OracleHorizonError,
     RegimeError,
@@ -35,6 +38,7 @@ from conftest import (
     literal_lemma_a1_value,
     literal_lemma_a2_grid,
     literal_lemma_a2_value,
+    literal_nonoblivious_run,
     literal_tightness_run,
     literal_verify_lemma,
 )
@@ -257,6 +261,23 @@ def test_tightness_run_matches_the_per_prefix_referee(run):
             == _tightness_outcome(literal_tightness_run, ratio, D, kappa, v0, T))
 
 
+@settings(max_examples=100, deadline=None)
+@given(_tightness_runs(), st.lists(st.integers(1, 60), min_size=1, max_size=4))
+@example((0.5, 4.0, 1e-150, 1e-200, 60), [2, 60])   # B underflows at T = 2 only
+@example((0.5, 1e100, 1.0, 1.0, 2), [2, 3])         # eta_3's square overflows
+@example((0.5, 4.0, 1.0, 1.0, 2), [2, 1, 5])        # T = 1 is out of the regime
+def test_tightness_prefixes_are_the_runs_at_each_horizon(run, horizons):
+    # each horizon's result equals its own run, or the batch raises when some run does
+    ratio, kappa, v0, D, _ = run
+    own = [_tightness_outcome(run_tightness_experiment, ratio, D, kappa, v0, T) for T in horizons]
+    try:
+        batch = run_tightness_horizons(ratio, D, kappa, v0, horizons)
+    except (AdamFtrlError, ValueError):
+        assert any(isinstance(outcome[0], type) for outcome in own)
+        return
+    assert [_tightness_outcome(lambda r: r, result) for result in batch] == own
+
+
 def test_tightness_run_squares_each_loss_once(monkeypatch):
     squared = []
 
@@ -332,6 +353,56 @@ def test_nonoblivious_degenerate_pair_warns():
         res = run_nonoblivious_experiment(0.5, 0.5, 1.0, 0.5, 5)
     assert not res.per_round_strict   # round 1 pays the same on both sides
     assert not res.any_clipped
+
+
+def _pair_outcome(run, *args):
+    def fields(*args):
+        r = run(*args)
+        return r.regret_a, r.regret_aprime, r.per_round_strict, r.any_clipped, r.rounds
+    return _outcome(fields, *args)
+
+
+@st.composite
+def _pair_runs(draw):
+    """Pairs in and out of the separation regime, with a v at which q may leave the float range
+    in either instance, at any round."""
+    unit = st.floats(0.01, 0.99)
+    ratio = draw(unit)
+    beta1 = draw(st.one_of(st.none(), unit.map(lambda f: f * ratio)))
+    v = draw(st.one_of(st.floats(1e-3, 1e3), st.floats(1e-200, 1e160),
+                       st.sampled_from([1e200, 1e-170, 1.2e154, 1.3e154])))
+    return draw(unit), draw(unit), v, ratio, draw(st.integers(2, 60)), beta1
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pair_runs())
+@example((0.2, 0.5, 1.0, 0.5, 2, None))
+@example((0.2, 0.5, 1e200, 0.5, 10, None))       # q overflows at t = 0
+@example((0.2, 0.5, 1e-170, 0.5, 10, None))      # q underflows to zero after g_0
+@example((0.1, 0.99, 1.18e154, 0.9, 10, 0.81))   # only the ratio-1 instance's q overflows
+@example((0.9, 0.99, 9.86e153, 0.99, 10, 0.985))  # its q at t = 1, the first's later, at t = 2
+@pytest.mark.filterwarnings("ignore:a = .* strict per-round dominance is not guaranteed")
+def test_nonoblivious_run_matches_the_per_instance_referee(run):
+    # every field of every row bit for bit, or the same error with the same message
+    assert (_pair_outcome(run_nonoblivious_experiment, *run)
+            == _pair_outcome(literal_nonoblivious_run, *run))
+
+
+@pytest.mark.parametrize("cells", [_PAIR_CELLS, 200], ids=["one-batch", "pair-batches"])
+def test_pair_batch_reads_each_pair_at_each_round(cells, monkeypatch):
+    # in one batch, or split into batches of at most `cells` cells (here 2 pairs), each pair's
+    # rows and totals at every T are those of its own run to T
+    monkeypatch.setattr(adversaries, "_PAIR_CELLS", cells)
+    pairs = [(a, b) for a in (0.05, 0.3, 0.8) for b in (0.2, 0.7)]
+    traces = list(run_nonoblivious_pairs(pairs, 1.5, 0.6, 0.3, 40))
+    assert len(traces) == len(pairs)
+    for (a, b), trace in zip(pairs, traces):
+        for T in (2, 17, 40):
+            result = trace.result(T)
+            assert tuple(trace.totals(T)) == (result.regret_a, result.regret_aprime,
+                                              result.per_round_strict, result.any_clipped)
+            assert (_pair_outcome(lambda: result)
+                    == _pair_outcome(literal_nonoblivious_run, a, b, 1.5, 0.6, T, 0.3))
 
 
 def test_nonoblivious_validation():

@@ -15,6 +15,7 @@ import sys
 import tempfile
 import tracemalloc
 import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -27,11 +28,12 @@ import adamftrl.bounds
 import adamftrl.cli as cli
 import adamftrl.harness
 import adamftrl.learner
+import adamftrl.regret
 from adamftrl import ExperimentConfig, run_experiment, sweep, write_outputs
 from adamftrl.bounds import BOUNDS
 from adamftrl.errors import AdamFtrlError, ConfigError
 from adamftrl.harness import (
-    _BLOCK,
+    _BATCH_AXES,
     _CHUNK,
     PAIR_COLUMNS,
     TRACE_COLUMNS,
@@ -42,6 +44,7 @@ from adamftrl.harness import (
     render_json,
 )
 from adamftrl.learner import AlphaSchedule
+from adamftrl.regret import _BLOCK
 from conftest import simulate_row_by_row
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -337,11 +340,21 @@ def test_csv_cells_with_commas_are_quoted(tmp_path):
     assert any(cell.startswith("skipped:") for row in parsed for cell in row)
 
 
+def _point_metrics(summary: dict, columns) -> tuple:
+    """A point's sweep metrics, read off its own summary."""
+    if "bounds" not in summary:   # an oracle point's
+        return tuple(summary[c] for c in columns)
+    return (summary["regret_discounted"],) + tuple(
+        summary["bounds"][n]["total"] if summary["bounds"].get(n) else math.nan
+        for n in BOUNDS) + (summary["contracts_ok"],)
+
+
 def _check_sweep_matches_point_runs(raw) -> int:
     """Each sweep row equals its point's own run (or skip reason), and each batched summary
-    equals that run's summary, bit for bit; returns how many learner-axis batches raised."""
+    equals that run's summary, as JSON text; returns how many of the sweep's batches raised."""
     res = sweep(ExperimentConfig.from_dict(raw))
     keys = sorted(raw["grid"])
+    columns = res.csv_header[len(keys) + 1:]
     base = {k: v for k, v in ExperimentConfig.from_dict(raw).__dict__.items() if k != "grid"}
     expected, batches = [], {}
     for combo in itertools.product(*(raw["grid"][k] for k in keys)):
@@ -349,19 +362,19 @@ def _check_sweep_matches_point_runs(raw) -> int:
         try:
             point.validate()
         except (AdamFtrlError, ValueError) as exc:
-            expected.append(combo + (f"skipped: {exc}",) + (math.nan,) * (len(BOUNDS) + 2))
+            expected.append(combo + (f"skipped: {exc}",) + (math.nan,) * len(columns))
             continue
-        members = batches.setdefault(point.T, [])   # the sweep's batches: one per T
+        # the sweep's batches: one per value of the grid keys outside the adversary's axes
+        members = batches.setdefault(tuple(
+            v for k, v in zip(keys, combo) if k not in _BATCH_AXES[raw["adversary"]]), [])
         try:
             single = run_experiment(point).summary
         except (AdamFtrlError, ValueError) as exc:
-            expected.append(combo + (f"skipped: {exc}",) + (math.nan,) * (len(BOUNDS) + 2))
+            expected.append(combo + (f"skipped: {exc}",) + (math.nan,) * len(columns))
             members.append((point, None))
             continue
         members.append((point, single))
-        expected.append(combo + ("ok", single["regret_discounted"]) + tuple(
-            single["bounds"][n]["total"] if single["bounds"].get(n) else math.nan
-            for n in BOUNDS) + (single["contracts_ok"],))
+        expected.append(combo + ("ok",) + _point_metrics(single, columns))
     assert render_csv(res) == render_csv(ExperimentResult(res.csv_header, tuple(expected), {}))
     raised = 0
     for members in batches.values():
@@ -426,6 +439,81 @@ Q_UNDERFLOW = {"adversary": "fixed", "gradients": [1e-170, 1.0, 2.0], "beta1": 0
 @settings(max_examples=60, deadline=None)
 def test_sweep_points_match_run_experiment(raw):
     _check_sweep_matches_point_runs(raw)
+
+
+@st.composite
+def oracle_sweeps(draw):
+    """A geometric kappa x T or non-oblivious a x b x T sweep, sometimes over p as well, at
+    magnitudes where a run may leave the float range at any T of the grid."""
+    T_values = draw(st.lists(st.integers(1, 70), min_size=1, max_size=3, unique=True))
+    scale = st.one_of(st.floats(1e-3, 1e3), st.floats(1e-200, 1e160))
+    if draw(st.booleans()):
+        p = st.floats(0.39, 0.61)
+        raw = {"adversary": "geometric", "v0": draw(scale), "domain": draw(scale),
+               "grid": {"kappa": draw(st.lists(st.one_of(st.floats(2.5, 12.0),
+                                                          st.floats(2.5, 1e100)),
+                                               min_size=1, max_size=3))}}
+    else:
+        p = st.floats(0.01, 0.99)
+        unit = st.lists(st.floats(0.01, 0.99), min_size=1, max_size=3)
+        raw = {"adversary": "nonoblivious",
+               "v": draw(st.one_of(scale, st.sampled_from([1e200, 1e-170, 1.2e154]))),
+               "grid": {"a": draw(unit), "b": draw(unit)}}
+        if draw(st.booleans()):
+            raw["beta1"] = draw(st.floats(0.01, 0.3))
+    raw.update(T=T_values[0], oracle_horizon=draw(st.sampled_from([60, 70])))
+    if len(T_values) > 1:
+        raw["grid"]["T"] = T_values
+    if draw(st.booleans()):
+        raw["grid"]["p"] = draw(st.lists(p, min_size=1, max_size=2))
+    else:
+        raw["p"] = draw(p)
+    return raw
+
+
+NONOBLIVIOUS_GRID = {"adversary": "nonoblivious", "p": 0.5, "v": 1.0, "T": 10,
+                     "grid": {"a": [0.2, 0.5], "b": [0.5, 0.9], "T": [2, 10]}}
+# Oracle sweeps whose batch raises, so that their points rerun one by one
+ORACLE_FALLBACKS = {
+    "q-overflow-at-t0": {**NONOBLIVIOUS_GRID, "v": 1e200},
+    "q-underflow": {**NONOBLIVIOUS_GRID, "v": 1e-170},
+    "squares-overflow": {**cli.TIGHTNESS_PRESET, "grid": {"kappa": [4.0, 1e100], "T": [2, 3]}},
+    "B-overflow": {**cli.TIGHTNESS_PRESET, "oracle_horizon": 512, "grid": {"T": [60, 511, 512]}},
+}
+
+
+@given(oracle_sweeps())
+@example(ORACLE_FALLBACKS["q-overflow-at-t0"])
+@example(ORACLE_FALLBACKS["q-underflow"])
+@example(ORACLE_FALLBACKS["squares-overflow"])
+@example(ORACLE_FALLBACKS["B-overflow"])
+@settings(max_examples=60, deadline=None)
+@pytest.mark.filterwarnings("ignore:a = .* strict per-round dominance is not guaranteed")
+def test_oracle_sweep_points_match_run_experiment(raw):
+    _check_sweep_matches_point_runs(raw)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FALLBACKS))
+@pytest.mark.filterwarnings("ignore:a = .* strict per-round dominance is not guaranteed")
+def test_oracle_sweep_batches_fall_back_to_point_runs(name):
+    assert _check_sweep_matches_point_runs(ORACLE_FALLBACKS[name]) == 1
+
+
+@pytest.mark.parametrize("v", [1.0, 1e200], ids=["batches-run", "batches-fall-back"])
+def test_nonoblivious_sweep_warns_once_per_point_in_row_order(v):
+    # points of two p batches interleave in row order, and T = 70 > horizon skips a point,
+    # which does not warn; when v = 1e200 every point's run raises, and each still warns
+    raw = {"adversary": "nonoblivious", "v": v, "T": 3,
+           "grid": {"a": [0.2, 0.5, 0.9], "b": [0.3, 0.8], "p": [0.5, 0.7], "T": [3, 70]}}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rows = sweep(ExperimentConfig.from_dict(raw)).csv_rows
+    expected = [f"a = {a} >= b^2 = {b * b}: strict per-round dominance is not guaranteed"
+                for T, a, b, _ in itertools.product([3, 70], [0.2, 0.5, 0.9], [0.3, 0.8],
+                                                    [0.5, 0.7])
+                if T == 3 and a >= b * b]
+    assert [(w.category, str(w.message)) for w in caught] == [(UserWarning, m) for m in expected]
+    assert [row[4] == "ok" for row in rows] == [T == 3 and v == 1.0 for T, *_ in rows]
 
 
 def test_sweep_batch_falls_back_to_point_runs():
@@ -657,6 +745,30 @@ def test_batch_memory_grows_with_the_stream_not_with_rounds_times_points():
     assert peak(large) - peak(small) < (large - small) * 8 * n / 4
 
 
+def test_pair_batch_memory_grows_with_the_rounds_not_with_rounds_times_pairs():
+    # a pair batch runs its pairs a few at a time, each of its arrays within _PAIR_CELLS cells,
+    # and keeps only each point's summary; a (T + 1) x n float64 matrix of the 64 pairs' n = 128
+    # instances would take 8 n = 1024 bytes a round.  Near p = 1, q stays in range for long.
+    rates = [0.3 + 0.04 * k for k in range(8)]
+    n = 2 * len(rates) ** 2
+
+    def peak(T):
+        points = [ExperimentConfig.from_dict({"adversary": "nonoblivious", "a": a, "b": b,
+                                              "v": 1e150, "p": 0.99, "beta1": 0.985, "T": T,
+                                              "oracle_horizon": T})
+                  for a, b in itertools.product(rates, rates)]
+        tracemalloc.start()
+        try:
+            run_experiment(points)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = 200, 1200
+    peak(small)   # the first run also allocates what numpy and the package keep for later
+    assert peak(large) - peak(small) < (large - small) * 8 * n / 4
+
+
 def test_simulate_keeps_columns_and_writes_its_csv_in_chunks(tmp_path):
     # a trace keeps 11 float64 cells and a byte a row here (its row tuples took about 370
     # bytes), and write_outputs formats and writes its CSV a chunk of lines at a time, so its
@@ -694,6 +806,20 @@ def test_sweep_nonoblivious_grid_strictness():
     for row in res.csv_rows:
         assert row[status_col] == "ok" and row[strict_col] is True
     assert res.summary["contracts_ok"]
+
+
+@pytest.mark.filterwarnings("ignore:a = .* strict per-round dominance is not guaranteed")
+def test_cli_sweeps_a_nonoblivious_grid_over_p(tmp_path):
+    # p is a grid key, and each p runs as its own pair batch (beta1 defaults to p^2); the
+    # rows equal the points' own runs
+    raw = {"adversary": "nonoblivious", "v": 1.0, "T": 12,
+           "grid": {"a": [0.1, 0.4], "b": [0.5, 0.8], "p": [0.3, 0.6, 0.9]}}
+    assert _check_sweep_matches_point_runs(raw) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 0
+    summary = json.loads((tmp_path / "s.json").read_text())
+    assert summary["sweep_keys"] == ["a", "b", "p"] and summary["points_ok"] == 12
 
 
 def test_sweep_requires_grid():
@@ -1237,7 +1363,7 @@ CONFIG_BASE = {"adversary": "random", "beta1": 0.9, "beta2": 0.99, "T": 20,
     ({"domain": "1"}, "'domain': \"1\" is not a number or \"unbounded\""),
     ({"out": 5}, "'out': 5 is not a path"),
     ({"grid": {"beta1": 0.9}},
-     "'grid': {\"beta1\": 0.9} is not a map of beta1|beta2|kappa|a|b|T to non-empty value lists"),
+     "'grid': {\"beta1\": 0.9} is not a map of beta1|beta2|kappa|a|b|p|T to non-empty value lists"),
     # exit 0: a string echoed as the comparator, a fractional horizon, a word as a ratio
     ({"u": "0.5"}, "'u': \"0.5\" is not a number or \"negD\""),
     ({"oracle_horizon": 1.5}, "'oracle_horizon': 1.5 is not an integer"),
@@ -1484,7 +1610,7 @@ def test_theorem1_run_makes_linearly_many_alpha_calls(monkeypatch):
         calls[0] += 1
         return original(schedule, t)
 
-    for module in (adamftrl.learner, adamftrl.bounds, adamftrl.harness):
+    for module in (adamftrl.learner, adamftrl.bounds, adamftrl.regret):
         monkeypatch.setattr(module, "alpha_at", counting)
     counts = {}
     for T in (500, 1000):

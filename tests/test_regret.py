@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -14,8 +15,12 @@ from adamftrl import (
     undiscounted_regret,
 )
 from adamftrl import drive as drive_rounds
-from adamftrl.errors import NotApplicableError, OracleHorizonError
-from conftest import constant_params, decaying_params, drive, drive_one_step, random_gradients
+import adamftrl.learner as learner
+import adamftrl.regret as regret
+from adamftrl.errors import AdamFtrlError, NotApplicableError, OracleHorizonError, ScheduleError
+from adamftrl.regret import _BLOCK, drive_batch
+from conftest import (constant_params, decaying_params, drive, drive_one_step,
+                      literal_per_round_ftrl_inequality, random_gradients)
 
 
 def test_single_round():
@@ -191,3 +196,138 @@ def test_drive_matches_the_one_step_referee_bit_for_bit(case):
     gradients, params, u = case
     assert _run_to_end(drive_rounds(gradients, params, u)) == _run_to_end(
         drive_one_step(gradients, params, u))
+
+
+@st.composite
+def _batch_cases(draw):
+    """Up to four learners on one shared stream or on a matrix of their own, whose runs may
+    stop at any of the driver's checks, in any block."""
+    T = draw(st.sampled_from([0, 1, 5, 30, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]))
+    n = draw(st.integers(1, 4))
+    shared = draw(st.booleans())
+    extreme = st.sampled_from([0.0, 1e-170, -1e-160, 1e-300, 1.2e154, -1.3e154, 1e200, 1.7e308])
+    seed = st.one_of(st.floats(1e-3, 10.0), st.floats(1e-3, 10.0),
+                     st.sampled_from([1e-170, 1e-160, 1e154, 1e200]))
+
+    def stream():
+        body = draw(st.lists(st.floats(-10.0, 10.0), min_size=min(T, 8), max_size=min(T, 8)))
+        stream = [draw(seed) * draw(st.sampled_from([-1.0, 1.0]))] + [
+            body[t % len(body)] for t in range(T)]
+        if T and draw(st.booleans()):   # one extreme gradient, in any block
+            stream[draw(st.integers(1, T))] = draw(extreme)
+        return stream
+
+    columns = [stream()] if shared else [stream() for _ in range(n)]
+    alpha = st.one_of(st.floats(1e-3, 1e3), st.sampled_from([1e-300, 1e300, 1e308]))
+    schedules = [draw(st.one_of(alpha.map(AlphaSchedule.constant),
+                                st.builds(AlphaSchedule.exponential_decay, alpha,
+                                          st.floats(1.0, 1e3))))
+                 for _ in range(draw(st.integers(1, 2)))]
+    params = [HyperParams(beta1=draw(st.floats(0.01, 0.99)), beta2=draw(st.floats(0.01, 0.99)),
+                          alpha=draw(st.sampled_from(schedules)), D=None) for _ in range(n)]
+    return columns, params, draw(st.one_of(st.none(), st.floats(1e-3, 1e3))), draw(
+        st.floats(-2.0, 2.0))
+
+
+def _column_run(gradients, params, u):
+    """One learner's drive, as drive_batch reports it: the updates and clip flags per round,
+    its state and peaks after round T, or the error that stops it."""
+    rounds, q_peak, v_peak = [], gradients[0] * gradients[0], abs(gradients[0])
+    try:
+        for round_ in drive_rounds(gradients, params, u):
+            rounds.append(round_)
+            q_peak, v_peak = max(q_peak, round_[-1]), max(v_peak, round_[8])
+    except AdamFtrlError as exc:
+        return type(exc), str(exc)
+    if not rounds:
+        return [], [], (gradients[0] * gradients[0], abs(gradients[0]), 0.0, 0.0, 0, q_peak,
+                        v_peak)
+    _, _, _, _, _, deltas, clipped, r_disc, max_v, d_max, _, q = zip(*rounds)
+    return (list(deltas), list(clipped),
+            (q[-1], max_v[-1], d_max[-1], r_disc[-1], sum(clipped), q_peak, v_peak))
+
+
+@given(_batch_cases())
+@example(([[1.0, 5.0, 0.0, 3.0]], [HyperParams(0.9, 0.99, AlphaSchedule.constant(1e308))], 1.0,
+          0.5))
+@settings(max_examples=200, deadline=None)
+def test_drive_batch_matches_drive_column_by_column(case):
+    # each column's updates, clips, state and peaks equal its own drive's bit for bit; if a
+    # learner's drive raises, the batch raises the first such learner's error, unless a
+    # schedule fails on the way, which stops the batch at once
+    columns, params, D, u = case
+    params = [HyperParams(p.beta1, p.beta2, p.alpha, D) for p in params]
+    own = [_column_run(columns[0] if len(columns) == 1 else column, p, u)
+           for column, p in zip(columns * len(params) if len(columns) == 1 else columns, params)]
+    T, n = len(columns[0]) - 1, len(params)
+    schedules = list(dict.fromkeys(p.alpha for p in params))
+    trace = np.empty((T, n)), np.empty((T, n), dtype=bool)
+    stream = np.array(columns[0]) if len(columns) == 1 else np.array(columns).T
+    try:
+        state = drive_batch(stream, np.array([p.beta1 for p in params]),
+                            np.array([p.beta2 for p in params]), schedules,
+                            np.array([schedules.index(p.alpha) for p in params]), D, u, trace)
+    except AdamFtrlError as exc:
+        errors = [o for o in own if isinstance(o[0], type)]
+        assert errors
+        if not isinstance(exc, ScheduleError):
+            assert (type(exc), str(exc)) == errors[0]
+        return
+    for j, (deltas, clipped, final) in enumerate(own):
+        assert list(map(float.hex, trace[0][:, j].tolist())) == list(map(float.hex, deltas))
+        assert trace[1][:, j].tolist() == clipped
+        got = [float(field[j]) for field in state]
+        assert list(map(float.hex, got)) == list(map(float.hex, map(float, final)))
+
+
+@st.composite
+def _inequality_cases(draw):
+    """Any trace and round within reach of the literal forms, at magnitudes where an ``eta``, a
+    sum or a square leaves the float range, with or without a domain that clips."""
+    gradients = draw(st.lists(st.one_of(st.floats(-10.0, 10.0), st.sampled_from(
+        [0.0, 1e-170, 1e154, -1e200, 1e300])), min_size=2, max_size=16))
+    if draw(st.booleans()):
+        params = constant_params(draw(st.floats(0.05, 0.99)), draw(st.floats(0.05, 0.99)),
+                                 alpha=draw(st.floats(0.1, 2.0)),
+                                 D=draw(st.sampled_from([None, 1.0, 100.0])))
+    else:
+        b1 = draw(st.floats(0.3, 0.95))
+        params = decaying_params(b1, draw(st.floats(0.05, 1.0)) * b1 * b1,
+                                 D=draw(st.sampled_from([None, 5.0])))
+    t = draw(st.integers(1, len(gradients) - 1))
+    return gradients, params, t, draw(st.sampled_from([60, t + 1, t]))
+
+
+def _inequality_outcome(run, case):
+    try:
+        rec = run(*case)
+    except Exception as exc:   # the two must raise alike, whatever it is
+        return type(exc), str(exc)
+    return rec.lhs.hex(), rec.stability_bound.hex(), rec.range_bound.hex()
+
+
+@given(_inequality_cases())
+@example(([2.0, 1.0, 1.0], constant_params(0.5, 0.25, alpha=10.0, D=1.0), 1, 60))
+@example(([1e300, 1.0, 1.0], constant_params(0.5, 0.25), 1, 60))
+@example(([2.0, 1e-170, 0.0, 0.0], constant_params(0.5, 0.25), 2, 60))
+@settings(max_examples=200, deadline=None)
+def test_per_round_inequality_matches_the_literal_referee(case):
+    # lhs and both majorants bit for bit, or the same error with the same message
+    assert (_inequality_outcome(per_round_ftrl_inequality, case)
+            == _inequality_outcome(literal_per_round_ftrl_inequality, case))
+
+
+def test_per_round_inequality_squares_each_loss_once(monkeypatch):
+    # one call squares each of its T + 1 losses once (the literal forms square 36,160 to check
+    # every t of this 41-gradient trace, 904 a call)
+    squared = []
+
+    def counting(losses, ratio):
+        squared.extend(losses)
+        return learner.loss_squares(losses, ratio)
+
+    monkeypatch.setattr(regret, "loss_squares", counting)
+    gs = random_gradients(random.Random(7), 40, scale=2.0)
+    params = constant_params(0.6, 0.5)
+    per_round_ftrl_inequality(gs, params, 17)
+    assert squared == learner.undiscounted_losses(gs, params.beta1)
