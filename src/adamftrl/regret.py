@@ -43,13 +43,13 @@ def accumulate_discounted_regret(ledger: RegretLedger, g: float, delta: float,
     return ledger
 
 
-# The checks of a round at which the driver stops, in the order it makes them: q after g_{t-1}
+# The checks of a round at which the round loop stops, in the order it makes them: q after g_{t-1}
 # is zero, the update overflows, q after g_t overflows, the regret overflows.
 _Q_UNDERFLOW, _UPDATE_OVERFLOW, _Q_OVERFLOW, _REGRET_OVERFLOW = range(4)
 
 
 def _fault(check: int, t: int) -> AdamFtrlError:
-    """The error of round ``t``'s failed ``check``: the driver's messages, written once."""
+    """The error of round ``t``'s failed ``check``: the round loop's messages, written once."""
     if check == _Q_UNDERFLOW:
         return DegenerateStateError(
             f"second-moment accumulator underflows to zero after g_{t - 1}")

@@ -201,7 +201,7 @@ def test_drive_matches_the_one_step_referee_bit_for_bit(case):
 @st.composite
 def _batch_cases(draw):
     """Up to four learners on one shared stream or on a matrix of their own, whose runs may
-    stop at any of the driver's checks, in any block."""
+    stop at any of the round loop's checks, in any block."""
     T = draw(st.sampled_from([0, 1, 5, 30, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]))
     n = draw(st.integers(1, 4))
     shared = draw(st.booleans())
