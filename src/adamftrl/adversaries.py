@@ -445,13 +445,13 @@ def check_nonoblivious_regime(a: float, b: float, v: float, ratio: float, T: int
     return beta1
 
 
-def warn_unless_separated(a: float, b: float, stacklevel: int = 2) -> None:
-    """Warn that ``a >= b^2`` does not guarantee strict per-round dominance; ``stacklevel``
-    counts from the caller, as ``warnings.warn``'s does."""
+def warn_unless_separated(a: float, b: float) -> None:
+    """Warn, at the caller's caller, that ``a >= b^2`` does not guarantee strict per-round
+    dominance."""
     if a >= b * b:
         warnings.warn(
             f"a = {a} >= b^2 = {b * b}: strict per-round dominance is not guaranteed",
-            stacklevel=stacklevel + 1,
+            stacklevel=3,
         )
 
 

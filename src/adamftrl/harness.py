@@ -603,19 +603,19 @@ def _pair_summary(config: ExperimentConfig, result: NonObliviousResult | PairTot
     }
 
 
-# The keys in which the points of one batch may differ; a batch runs them all at once.
-_BATCH_AXES = {"fixed": ("beta1", "beta2"), "random": ("beta1", "beta2"),
-               "geometric": ("kappa", "T"),
-               "nonoblivious": ("a", "b", "T")}
-_BATCH_RUNNERS = {"fixed": _run_stream_batch, "random": _run_stream_batch,
-                  "geometric": _run_geometric_batch, "nonoblivious": _run_pair_batch}
+# Per adversary: the keys in which the points of one batch may differ, and the runner that
+# runs such points all at once.
+_BATCHES = {"fixed": (("beta1", "beta2"), _run_stream_batch),
+            "random": (("beta1", "beta2"), _run_stream_batch),
+            "geometric": (("kappa", "T"), _run_geometric_batch),
+            "nonoblivious": (("a", "b", "T"), _run_pair_batch)}
 
 
 def run_experiment(config: ExperimentConfig | list[ExperimentConfig]) -> ExperimentResult:
     """Drive one experiment to completion; deterministic given (config, seed).
 
     A config with a ``grid`` is a sweep template and is rejected: see :func:`sweep`.
-    A list of configs of one adversary that differ only in its ``_BATCH_AXES`` is a batch
+    A list of configs of one adversary that differ only in its ``_BATCHES`` axes is a batch
     run, whose rows hold each point's sweep metrics and ``summary["points"]`` each point's
     summary: gradient-stream points that differ in ``beta1``/``beta2`` run on one learner
     axis (``_run_stream_batch``), geometric points that differ in ``kappa`` and ``T`` read one
@@ -626,11 +626,11 @@ def run_experiment(config: ExperimentConfig | list[ExperimentConfig]) -> Experim
     if isinstance(config, list):
         if not config:
             raise ConfigError("a batch needs one or more points")
-        axes = _BATCH_AXES[config[0].adversary]
+        axes, runner = _BATCHES[config[0].adversary]
         shared = [v for k, v in vars(config[0]).items() if k not in axes]
         if any([v for k, v in vars(c).items() if k not in axes] != shared for c in config):
             raise ConfigError(f"points of a batch may differ only in {', '.join(axes)}")
-        return _BATCH_RUNNERS[config[0].adversary](config)
+        return runner(config)
     if config.grid:
         raise ConfigError("a config with a 'grid' runs only as a sweep")
     if config.adversary in ("fixed", "random"):
@@ -650,7 +650,7 @@ def sweep(config: ExperimentConfig) -> ExperimentResult:
     Points whose derived config is invalid are reported as skipped with the
     reason, not errors.  Row order follows the cartesian product of the grid
     values in the order given, keyed by the sorted grid-field names.
-    Points that differ only in their adversary's ``_BATCH_AXES`` run as one
+    Points that differ only in their adversary's ``_BATCHES`` axes run as one
     batch; see :func:`_run_points`.  Each non-oblivious point that runs with
     ``a >= b^2`` warns once, in row order, after every batch has run.
     """
@@ -660,7 +660,7 @@ def sweep(config: ExperimentConfig) -> ExperimentResult:
 
     base = {k: v for k, v in config.__dict__.items() if k != "grid"}
     stream = config.adversary in ("fixed", "random")
-    axes = _BATCH_AXES[config.adversary]
+    axes, _ = _BATCHES[config.adversary]
     # Checked once here, the gradients and an explicit alpha schedule are shared by every point
     # and not rescanned; if a check fails, each point is skipped with its own reason.
     if config.adversary == "fixed":
@@ -724,8 +724,9 @@ def _run_points(adversary: str, points: list[ExperimentConfig]) -> list:
 
     The points, which differ only in their adversary's batch axes, run as one batch.  A batch
     that raises is rerun one point at a time, so every skip reason is the point's own: only
-    a point's own run sees, e.g., the first row at which a bound overflows.  An oracle point's
-    own run is a batch of one, which gives its summary and error and does not warn.
+    a point's own run sees, e.g., the first row at which a bound overflows.  A non-oblivious
+    point's own run warns, so it reruns as a batch of one, which gives the same summary and
+    error and leaves the warning to :func:`sweep`.
     """
     try:   # not a batch runner: the benchmark's tracer times a batch as run_experiment
         batch = run_experiment(points)
@@ -735,10 +736,10 @@ def _run_points(adversary: str, points: list[ExperimentConfig]) -> list:
     outcomes = []
     for point in points:
         try:
-            if adversary in ("fixed", "random"):
-                summary = run_experiment(point).summary
-            else:
+            if adversary == "nonoblivious":
                 (summary,) = run_experiment([point]).summary["points"]
+            else:
+                summary = run_experiment(point).summary
         except (AdamFtrlError, ValueError) as exc:
             outcomes.append(exc)
             continue

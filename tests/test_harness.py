@@ -33,7 +33,7 @@ from adamftrl import ExperimentConfig, run_experiment, sweep, write_outputs
 from adamftrl.bounds import BOUNDS
 from adamftrl.errors import AdamFtrlError, ConfigError
 from adamftrl.harness import (
-    _BATCH_AXES,
+    _BATCHES,
     _CHUNK,
     PAIR_COLUMNS,
     TRACE_COLUMNS,
@@ -366,7 +366,7 @@ def _check_sweep_matches_point_runs(raw) -> int:
             continue
         # the sweep's batches: one per value of the grid keys outside the adversary's axes
         members = batches.setdefault(tuple(
-            v for k, v in zip(keys, combo) if k not in _BATCH_AXES[raw["adversary"]]), [])
+            v for k, v in zip(keys, combo) if k not in _BATCHES[raw["adversary"]][0]), [])
         try:
             single = run_experiment(point).summary
         except (AdamFtrlError, ValueError) as exc:
