@@ -35,7 +35,6 @@ from .adversaries import (
     TightnessResult,
     check_nonoblivious_regime,
     check_tightness_regime,
-    run_nonoblivious_experiment,
     run_nonoblivious_pairs,
     run_tightness_experiment,
     run_tightness_horizons,
@@ -126,6 +125,8 @@ class ExperimentConfig:
             derived = self.beta1 / math.sqrt(self.beta2) if self.beta2 > 0 else math.nan
             if not abs(self.p - derived) <= REGIME_TOL * derived:
                 raise ConfigError(f"'p' = {self.p} disagrees with beta1/sqrt(beta2) = {derived}")
+        if self.adversary == "nonoblivious":   # only a valid point warns, once per validation
+            warn_unless_separated(self.a, self.b)
 
     def _validate_gradient_run(self) -> None:
         try:
@@ -230,7 +231,7 @@ class ExperimentConfig:
     def echo(self) -> dict:
         """JSON-safe snapshot of the resolved configuration."""
         out = {}
-        for key in sorted(_KEYS.keys() - {"grid", "out"}):
+        for key in _ECHO_KEYS:
             val = getattr(self, key, None)
             if isinstance(val, tuple):
                 val = list(val)
@@ -311,6 +312,7 @@ _KEYS = {
     "out": lambda key, value: _need(isinstance(value, str), key, value, "a path"),
     "grid": _grid,
 }
+_ECHO_KEYS = tuple(sorted(_KEYS.keys() - {"grid", "out"}))
 _NULLABLE = {f.name for f in fields(ExperimentConfig) if f.default is None}
 
 
@@ -550,9 +552,12 @@ def _geometric_summary(config: ExperimentConfig, result: TightnessResult) -> dic
 
 
 def _run_nonoblivious(config: ExperimentConfig) -> ExperimentResult:
-    result = run_nonoblivious_experiment(config.a, config.b, config.v, config.ratio(),
-                                         config.T, beta1=config.beta1,
-                                         horizon=config.oracle_horizon)
+    """A pair batch of one, read with its rows; the ``a >= b^2`` warning is validation's."""
+    ratio = config.ratio()
+    beta1 = check_nonoblivious_regime(config.a, config.b, config.v, ratio, config.T,
+                                      config.beta1, config.oracle_horizon)
+    (trace,) = run_nonoblivious_pairs([(config.a, config.b)], config.v, ratio, beta1, config.T)
+    result = trace.result(config.T)
     return ExperimentResult(csv_header=PAIR_COLUMNS, csv_rows=result.rounds,
                             summary=_pair_summary(config, result))
 
@@ -561,7 +566,7 @@ def _run_pair_batch(points: list[ExperimentConfig]) -> ExperimentResult:
     """Non-oblivious points that differ only in ``a``, ``b`` and ``T``: each distinct pair runs
     once, to the largest ``T`` of its points, as two columns of one gradient matrix
     (:func:`adversaries.run_nonoblivious_pairs`), and each point reads its first ``T`` rounds.
-    Unlike a point's own run, a batch does not warn when ``a >= b^2``."""
+    Like a point's own run, a batch does not warn when ``a >= b^2``: validation does."""
     first = points[0]
     ratio = first.ratio()
     for c in points:   # all share beta1
@@ -651,8 +656,8 @@ def sweep(config: ExperimentConfig) -> ExperimentResult:
     reason, not errors.  Row order follows the cartesian product of the grid
     values in the order given, keyed by the sorted grid-field names.
     Points that differ only in their adversary's ``_BATCHES`` axes run as one
-    batch; see :func:`_run_points`.  Each non-oblivious point that runs with
-    ``a >= b^2`` warns once, in row order, after every batch has run.
+    batch; see :func:`_run_points`.  Each non-oblivious point with ``a >= b^2``
+    warns once, in row order, as it validates.
     """
     if not config.grid:
         raise ConfigError("sweep needs a non-empty 'grid'")
@@ -672,7 +677,6 @@ def sweep(config: ExperimentConfig) -> ExperimentResult:
     combos = list(itertools.product(*(config.grid[k] for k in keys)))
     outcomes: list = [None] * len(combos)   # per point: (metrics, summary), or why it skips
     batches: dict[str, list[tuple[int, ExperimentConfig]]] = {}
-    ran = []   # the points that validate, in row order
     for i, combo in enumerate(combos):
         try:
             derived = ExperimentConfig(**{**base, **{k: _parse(k, v) for k, v in zip(keys, combo)}})
@@ -680,7 +684,6 @@ def sweep(config: ExperimentConfig) -> ExperimentResult:
         except (AdamFtrlError, ValueError) as exc:
             outcomes[i] = exc
             continue
-        ran.append(derived)
         # a batch's points agree in every grid value but the axes, and all else is ``base``
         key = repr([v for k, v in zip(keys, combo) if k not in axes])
         batches.setdefault(key, []).append((i, derived))
@@ -688,9 +691,6 @@ def sweep(config: ExperimentConfig) -> ExperimentResult:
         points = [point for _, point in members]
         for (i, _), outcome in zip(members, _run_points(config.adversary, points)):
             outcomes[i] = outcome
-    if config.adversary == "nonoblivious":
-        for point in ran:
-            warn_unless_separated(point.a, point.b)
 
     metric_cols = _sweep_metric_columns(config.adversary)
     header = tuple(keys) + ("status",) + metric_cols
@@ -723,10 +723,9 @@ def _run_points(adversary: str, points: list[ExperimentConfig]) -> list:
     """Each point's ``(metrics, summary)``, or the error that skips it.
 
     The points, which differ only in their adversary's batch axes, run as one batch.  A batch
-    that raises is rerun one point at a time, so every skip reason is the point's own: only
-    a point's own run sees, e.g., the first row at which a bound overflows.  A non-oblivious
-    point's own run warns, so it reruns as a batch of one, which gives the same summary and
-    error and leaves the warning to :func:`sweep`.
+    that raises is rerun one point at a time, each as its own ``run_experiment(point)``, so
+    every skip reason is the point's own: only a point's own run sees, e.g., the first row at
+    which a bound overflows.
     """
     try:   # not a batch runner: the benchmark's tracer times a batch as run_experiment
         batch = run_experiment(points)
@@ -736,10 +735,7 @@ def _run_points(adversary: str, points: list[ExperimentConfig]) -> list:
     outcomes = []
     for point in points:
         try:
-            if adversary == "nonoblivious":
-                (summary,) = run_experiment([point]).summary["points"]
-            else:
-                summary = run_experiment(point).summary
+            summary = run_experiment(point).summary
         except (AdamFtrlError, ValueError) as exc:
             outcomes.append(exc)
             continue
@@ -794,13 +790,16 @@ _QUOTED = frozenset(',"\r\n')
 
 
 def _format_cell(value) -> str:
-    """A cell's CSV text: a float to 17 significant digits, ``true``/``false``, else ``str``.
-    Text UTF-8 cannot encode (a lone surrogate) is backslash-escaped, and text that holds a
-    ``,``, ``"``, CR or LF is quoted."""
+    """A cell's CSV text: a float to 17 significant digits, ``true``/``false``, a null, list or
+    object (a sweep's grid value) as its JSON text, else ``str``.  Text UTF-8 cannot encode (a
+    lone surrogate) is backslash-escaped, and text that holds a ``,``, ``"``, CR or LF is
+    quoted."""
     if isinstance(value, float):
         return format(value, ".17g")
     if isinstance(value, bool):
         return "true" if value else "false"
+    if value is None or isinstance(value, (list, dict)):
+        value = json.dumps(value)
     text = str(value).encode("utf-8", "backslashreplace").decode("utf-8")
     if not _QUOTED.isdisjoint(text):
         text = '"' + text.replace('"', '""') + '"'

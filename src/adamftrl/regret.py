@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (AdamFtrlError, DegenerateStateError, InvalidGradientError,
+from .errors import (DegenerateStateError, InvalidGradientError,
                      NotApplicableError, OracleHorizonError, RegimeError)
 from .learner import (DEFAULT_ORACLE_HORIZON, HyperParams, alpha_at, at_most, ftrl_eta,
                       loss_squares, root_of_sum, undiscounted_losses)
@@ -43,23 +44,6 @@ def accumulate_discounted_regret(ledger: RegretLedger, g: float, delta: float,
     return ledger
 
 
-# The checks of a round at which the round loop stops, in the order it makes them: q after g_{t-1}
-# is zero, the update overflows, q after g_t overflows, the regret overflows.
-_Q_UNDERFLOW, _UPDATE_OVERFLOW, _Q_OVERFLOW, _REGRET_OVERFLOW = range(4)
-
-
-def _fault(check: int, t: int) -> AdamFtrlError:
-    """The error of round ``t``'s failed ``check``: the round loop's messages, written once."""
-    if check == _Q_UNDERFLOW:
-        return DegenerateStateError(
-            f"second-moment accumulator underflows to zero after g_{t - 1}")
-    if check == _UPDATE_OVERFLOW:
-        return DegenerateStateError(f"update delta_bar overflows at t={t}")
-    if check == _Q_OVERFLOW:
-        return DegenerateStateError(f"second-moment accumulator overflows at t={t}")
-    return RegimeError(f"discounted regret overflows at t={t}")
-
-
 def drive(gradients, params: HyperParams, u: float = 0.0):
     """The stable learner's rounds ``t = 1..T``, ``T = len(gradients) - 1``: the one driver loop.
 
@@ -78,11 +62,12 @@ def drive(gradients, params: HyperParams, u: float = 0.0):
     for t, g in enumerate(gradients):
         if t:   # propose the round-t update from g_0..g_{t-1}
             if q <= 0.0:
-                raise _fault(_Q_UNDERFLOW, t)
+                raise DegenerateStateError(
+                    f"second-moment accumulator underflows to zero after g_{t - 1}")
             a_t = alpha_at(schedule, t)
             delta_bar = -a_t * m / sqrt(q)
             if not isfinite(delta_bar):
-                raise _fault(_UPDATE_OVERFLOW, t)
+                raise DegenerateStateError(f"update delta_bar overflows at t={t}")
             clipped = abs(delta_bar) > D
             delta = copysign(D, delta_bar) if clipped else delta_bar
             if abs(delta) > d_max:   # max() keeps its first argument on ties, and so does this
@@ -92,7 +77,7 @@ def drive(gradients, params: HyperParams, u: float = 0.0):
         m_t, q_t = m, q
         q = b2 * q + g * g
         if q == inf:
-            raise _fault(_Q_OVERFLOW, t)
+            raise DegenerateStateError(f"second-moment accumulator overflows at t={t}")
         m = b1 * m + g
         max_v *= b1
         if abs(g) > max_v:
@@ -100,7 +85,7 @@ def drive(gradients, params: HyperParams, u: float = 0.0):
         if t:   # fold round t into the regret
             r_disc = b1 * r_disc + g * (delta - u)
             if not isfinite(r_disc):
-                raise _fault(_REGRET_OVERFLOW, t)
+                raise RegimeError(f"discounted regret overflows at t={t}")
             yield t, a_t, m_t, q_t, delta_bar, delta, clipped, r_disc, max_v, d_max, m, q
 
 
@@ -119,16 +104,6 @@ class BatchState(NamedTuple):
 # Rounds per block of a batch: its per-round loop advances only the recurrences, into
 # at most (_BLOCK + 1) x n arrays, and all work elementwise in t runs once per block on its rows.
 _BLOCK = 128
-_NO_FAULT = np.iinfo(np.int64).max
-
-
-def _note_faults(fault: np.ndarray, failed: np.ndarray, t0: int, check: int) -> None:
-    """Lower each learner's fault code to ``4 t + check`` at the first row of ``failed`` (a
-    ``(k, n)`` mask whose row ``j`` is round ``t0 + j``) where its column holds."""
-    hit = failed.any(axis=0)
-    if hit.any():
-        codes = np.where(hit, 4 * (t0 + failed.argmax(axis=0)) + check, _NO_FAULT)
-        np.minimum(fault, codes, out=fault)
 
 
 def drive_batch(gradients, beta1, beta2, schedules, which, D: float | None, u: float,
@@ -152,10 +127,11 @@ def drive_batch(gradients, beta1, beta2, schedules, which, D: float | None, u: f
     round's emitted update and whether it was clipped.
 
     Gradients that are not finite, or a zero ``g_0``, raise :class:`InvalidGradientError` at
-    once, and so does an error of ``alpha_at``.  Otherwise the run goes on to ``T`` and then
-    raises what the first learner whose own :func:`drive` fails raises there: the same error
-    at the same round, found from each block's rows and the sticky overflows of ``q`` and
-    ``r``.
+    once, and so does an error of ``alpha_at``.  Otherwise the run goes on to ``T`` and only
+    flags each learner whose own :func:`drive` fails: a block's rows show a ``q <= 0`` or a
+    non-finite update, and an overflowed ``q`` or regret stays non-finite to the end.  Then
+    the first flagged learner's column is replayed through :func:`drive`, which raises its
+    own error at its own round.
     """
     gradients = np.asarray(gradients, dtype=np.float64)
     if not (np.isfinite(gradients).all() and np.all(gradients[0] != 0.0)):
@@ -167,10 +143,9 @@ def drive_batch(gradients, beta1, beta2, schedules, which, D: float | None, u: f
     M, Q, V = (np.zeros((min(_BLOCK, T) + 1, n)) for _ in range(3))
     m_rows, q_rows, v_rows = list(M), list(Q), list(V)
     d_max, r_disc, clips = (np.zeros(n) for _ in range(3))
-    fault = np.full(n, _NO_FAULT)   # per learner: 4 t + check of its first failed check
+    failed = np.zeros(n, dtype=bool)   # some round failed one of drive's checks
     with np.errstate(all="ignore"):   # Python floats overflow to inf silently too
         M[0], Q[0], V[0] = gradients[0], gradients[0] * gradients[0], abs(gradients[0])
-        _note_faults(fault, Q[:1] == np.inf, 0, _Q_OVERFLOW)
         q_peak, v_peak = Q[0].copy(), V[0].copy()
         for t0 in range(1, T + 1, _BLOCK):   # rounds t0 .. t0 + k - 1
             g = gradients[t0:t0 + _BLOCK]
@@ -182,11 +157,7 @@ def drive_batch(gradients, beta1, beta2, schedules, which, D: float | None, u: f
                 np.add(np.multiply(beta2, q_rows[j], out=q_rows[j + 1]), g2_t, out=q_rows[j + 1])
                 np.maximum(np.multiply(beta1, v_rows[j], out=v_rows[j + 1]), abs_t,
                            out=v_rows[j + 1])
-            # q never becomes NaN, and once inf stays inf: row k shows if some row overflowed
-            if (Q[:k] <= 0.0).any():
-                _note_faults(fault, Q[:k] <= 0.0, t0, _Q_UNDERFLOW)
-            if np.isinf(Q[k]).any():
-                _note_faults(fault, np.isinf(Q[1:k + 1]), t0, _Q_OVERFLOW)
+            failed |= (Q[:k] <= 0.0).any(axis=0)
             np.maximum(q_peak, np.maximum.reduce(Q[1:k + 1]), out=q_peak)
             np.maximum(v_peak, np.maximum.reduce(V[1:k + 1]), out=v_peak)
             # Round t0 + j's update reads row j, the state after g_{t0+j-1}.  Rows 0 .. k-1 are
@@ -196,8 +167,7 @@ def drive_batch(gradients, beta1, beta2, schedules, which, D: float | None, u: f
             delta = np.multiply(neg_a if len(schedules) == 1 else neg_a[:, which], M[:k],
                                 out=M[:k])
             np.divide(delta, np.sqrt(Q[:k], out=Q[:k]), out=delta)   # delta_bar = -a m / sqrt(q)
-            if not np.isfinite(delta).all():
-                _note_faults(fault, ~np.isfinite(delta), t0, _UPDATE_OVERFLOW)
+            failed |= ~np.isfinite(delta).all(axis=0)
             clipped = None
             if D is not None:   # clipped in place
                 clipped = np.greater(np.abs(delta, out=Q[:k]), D)
@@ -208,19 +178,19 @@ def drive_batch(gradients, beta1, beta2, schedules, which, D: float | None, u: f
                 trace[1][t0 - 1:t0 - 1 + k] = False if clipped is None else clipped
             np.fmax(d_max, np.fmax.reduce(np.abs(delta, out=V[:k])), out=d_max)   # skips NaN
             np.multiply(np.subtract(delta, u, out=delta), g[:, None] if shared else g, out=delta)
-            r_start = r_disc.copy()
             for c in delta:
                 np.add(np.multiply(beta1, r_disc, out=r_disc), c, out=r_disc)
-            if not np.isfinite(r_disc).all():   # a non-finite r stays so: find its rounds
-                regret = np.empty_like(delta)
-                for j, c in enumerate(delta):
-                    r_start = regret[j] = beta1 * r_start + c
-                _note_faults(fault, ~np.isfinite(regret), t0, _REGRET_OVERFLOW)
             M[0], Q[0], V[0] = M[k], Q[k], V[k]
-    failed = np.flatnonzero(fault != _NO_FAULT)
-    if len(failed):
-        t, check = divmod(int(fault[failed[0]]), 4)
-        raise _fault(check, t)
+    # an overflowed q or r stays non-finite: b1 > 0, and b2 q is inf, or NaN when b2 is 0
+    failed |= ~np.isfinite(Q[0]) | ~np.isfinite(r_disc)
+    if failed.any():
+        j = failed.argmax()
+        # the learner's own run, on Python floats; a pair's beta2 may underflow to 0, which
+        # HyperParams refuses, and drive reads only these four fields
+        params = SimpleNamespace(beta1=float(beta1[j]), beta2=float(beta2[j]),
+                                 alpha=schedules[which[j]], D=D)
+        for _ in drive((gradients if shared else gradients[:, j]).tolist(), params, u):
+            pass
     return BatchState(Q[0], V[0], d_max, r_disc, clips, q_peak, v_peak)
 
 

@@ -28,6 +28,7 @@ from adamftrl.adversaries import (_PAIR_CELLS, _PCG_BLOCK, _Pcg64, default_lemma
 from adamftrl.errors import (
     AdamFtrlError,
     ContractViolation,
+    DegenerateStateError,
     OracleHorizonError,
     RegimeError,
     SingularParameterError,
@@ -386,6 +387,14 @@ def test_nonoblivious_run_matches_the_per_instance_referee(run):
     # every field of every row bit for bit, or the same error with the same message
     assert (_pair_outcome(run_nonoblivious_experiment, *run)
             == _pair_outcome(literal_nonoblivious_run, *run))
+
+
+def test_pair_whose_beta2_underflows_to_zero_names_its_own_error():
+    # at beta1 = 1e-200 both instances' beta2 = (beta1 / ratio)^2 underflow to 0, which
+    # HyperParams refuses; the failed batch still names the first instance's own error
+    with pytest.raises(DegenerateStateError, match=r"^second-moment accumulator underflows to "
+                                                    r"zero after g_1$"):
+        run_nonoblivious_experiment(0.2, 0.5, 1.0, 0.5, 10, beta1=1e-200)
 
 
 @pytest.mark.parametrize("cells", [_PAIR_CELLS, 200], ids=["one-batch", "pair-batches"])

@@ -340,6 +340,19 @@ def test_csv_cells_with_commas_are_quoted(tmp_path):
     assert any(cell.startswith("skipped:") for row in parsed for cell in row)
 
 
+def test_sweep_grid_cells_print_their_json_text():
+    # a null, list or object grid value prints as the JSON text its skip reason quotes, not as
+    # a Python repr; numbers keep their text
+    raw = {"adversary": "random", "beta1": 0.9, "beta2": 0.99, "T": 5, "seed": 1,
+           "grid": {"beta1": [0.5, None, [0.6], {"x": "y"}]}}
+    rows = list(csv.reader(io.StringIO(render_csv(sweep(ExperimentConfig.from_dict(raw))))))
+    assert [row[0] for row in rows] == ["beta1", "0.5", "null", "[0.6]", '{"x": "y"}']
+    assert [row[1] for row in rows[1:]] == [
+        "ok", "skipped: gradient-stream runs need 'beta1' and 'beta2'",
+        "skipped: 'beta1': [0.6] is not a number",
+        """skipped: 'beta1': {"x": "y"} is not a number"""]
+
+
 def _point_metrics(summary: dict, columns) -> tuple:
     """A point's sweep metrics, read off its own summary."""
     if "bounds" not in summary:   # an oracle point's
@@ -514,6 +527,34 @@ def test_nonoblivious_sweep_warns_once_per_point_in_row_order(v):
                 if T == 3 and a >= b * b]
     assert [(w.category, str(w.message)) for w in caught] == [(UserWarning, m) for m in expected]
     assert [row[4] == "ok" for row in rows] == [T == 3 and v == 1.0 for T, *_ in rows]
+
+
+def test_nonoblivious_config_warns_once_as_it_validates():
+    # validation issues the a >= b^2 warning, once per config; the run adds none
+    raw = {**cli.NONOBLIVIOUS_PRESET, "a": 0.5, "b": 0.5}
+    message = "a = 0.5 >= b^2 = 0.25: strict per-round dominance is not guaranteed"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        config = ExperimentConfig.from_dict(raw)
+        assert [(w.category, str(w.message)) for w in caught] == [(UserWarning, message)]
+        run_experiment(config)
+    assert len(caught) == 1
+
+
+def test_nonoblivious_subcommand_warns_once(tmp_path):
+    # the worked pair with a = b = 0.5 warns once and writes the bytes it always has
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"a": 0.5, "b": 0.5}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["nonoblivious", "--config", str(cfg),
+                         "--out", str(tmp_path / "pair")]) == 0
+    assert [w.category for w in caught] == [UserWarning]
+    digests = {suffix: hashlib.sha256((tmp_path / f"pair{suffix}").read_bytes()).hexdigest()
+               for suffix in (".csv", ".json")}
+    assert digests == {
+        ".csv": "771aa303caa5d5dc95920bb2fc2e1b840f520a20e4fc20825f241e17fff56c0a",
+        ".json": "356961d4bd348363e7b48f71b2f2bd8c5055f7840ae16c73f263fa2b123d93cc"}
 
 
 def test_sweep_batch_falls_back_to_point_runs():
@@ -745,6 +786,7 @@ def test_batch_memory_grows_with_the_stream_not_with_rounds_times_points():
     assert peak(large) - peak(small) < (large - small) * 8 * n / 4
 
 
+@pytest.mark.filterwarnings("ignore:a = .* strict per-round dominance is not guaranteed")
 def test_pair_batch_memory_grows_with_the_rounds_not_with_rounds_times_pairs():
     # a pair batch runs its pairs a few at a time, each of its arrays within _PAIR_CELLS cells,
     # and keeps only each point's summary; a (T + 1) x n float64 matrix of the 64 pairs' n = 128

@@ -250,6 +250,14 @@ def _column_run(gradients, params, u):
 @given(_batch_cases())
 @example(([[1.0, 5.0, 0.0, 3.0]], [HyperParams(0.9, 0.99, AlphaSchedule.constant(1e308))], 1.0,
           0.5))
+# learner 0 fails in a later block than learner 1, and the batch names learner 0's error: its q
+# overflows at t = 200, after learner 1's q at t = 1 or its update at t = 2
+@example(([[1e200 if t == 200 else 1.0 for t in range(301)],
+           [1e200 if t == 1 else 1.0 for t in range(301)]],
+          [HyperParams(0.9, 0.99, AlphaSchedule.constant(1.0))] * 2, None, 0.0))
+@example(([[1e200 if t == 200 else 1.0 for t in range(301)]],
+          [HyperParams(0.9, 0.99, AlphaSchedule.constant(1.0)),
+           HyperParams(0.9, 0.01, AlphaSchedule.constant(1e308))], None, 0.0))
 @settings(max_examples=200, deadline=None)
 def test_drive_batch_matches_drive_column_by_column(case):
     # each column's updates, clips, state and peaks equal its own drive's bit for bit; if a
