@@ -37,6 +37,7 @@ from .learner import (
     DEFAULT_ORACLE_HORIZON,
     REGIME_TOL,
     AlphaSchedule,
+    HyperParams,
     clip_to_domain,
     ftrl_eta,
     loss_squares,
@@ -442,6 +443,8 @@ def check_nonoblivious_regime(a: float, b: float, v: float, ratio: float, T: int
         raise RegimeError(
             f"shared beta1 must lie in (0, ratio) so both instances are valid, got {beta1}"
         )
+    if beta1 ** 2 == 0.0:   # the ratio-1 instance's beta2, the smaller of the two
+        raise RegimeError(f"shared beta1 = {beta1} is so small that beta1^2 underflows to zero")
     return beta1
 
 
@@ -496,35 +499,36 @@ def run_nonoblivious_pairs(pairs, v: float, ratio: float, beta1: float, T: int):
     """Both instances of each pair ``(a, b)`` in ``pairs``, run to round ``T``: one
     :class:`PairTrace` per pair, in order.
 
-    The instances of a batch of pairs are the columns of one float64 gradient matrix, run by
-    :func:`regret.drive_batch` with ``D = 1`` and ``u = -1``: a pair's ratio-``ratio`` instance
-    has ``beta2 = (beta1/ratio)^2``, its ratio-1 instance ``beta2 = beta1^2``, and both share
-    ``alpha = 1/K``, ``K = max(1/(1-a), 1/(1-b))``.  The powers in the losses ``rate^t v``
-    and the gradients ``beta1^t (rate^t v)`` are Python's ``**``, once per distinct rate.  A
-    batch has at most ``_PAIR_CELLS / (T + 1)`` columns, so memory does not grow with the
-    number of pairs.  Raises what the first failing instance's own run raises, in pair order
-    and the ratio-``ratio`` instance first; the regime is the caller's to check.
+    Each instance is a :class:`HyperParams` with ``D = 1``, built once per batch: a pair's
+    ratio-``ratio`` instance has ``beta2 = (beta1/ratio)^2``, its ratio-1 instance
+    ``beta2 = beta1^2``, and both share ``alpha = 1/K``, ``K = max(1/(1-a), 1/(1-b))``.  The
+    instances of a batch of pairs are the columns of one float64 gradient matrix, run by
+    :func:`regret.drive_batch` against ``u = -1``.  The powers in the losses ``rate^t v`` and
+    the gradients ``beta1^t (rate^t v)`` are Python's ``**``, once per distinct rate.  A batch
+    has at most ``_PAIR_CELLS / (T + 1)`` columns, so memory does not grow with the number of
+    pairs.  Raises what the first failing instance's own :func:`regret.drive` raises, in pair
+    order and the ratio-``ratio`` instance first; the regime is the caller's to check.
     """
     D, u = 1.0, -1.0
     rounds = range(1, T + 1)
     powers = np.fromiter((beta1**t for t in rounds), float, T)
     per_batch = max(1, _PAIR_CELLS // (2 * (T + 1)))
+    beta2s = [(beta1 / inst_ratio) ** 2 for inst_ratio in (ratio, 1.0)]
     for start in range(0, len(pairs), per_batch):
         batch = pairs[start:start + per_batch]
-        # each distinct rate's losses and stream, and each distinct alpha's schedule, made once
+        # each distinct rate's losses and stream, and each distinct instance, made once
         rates = {r: i for i, r in enumerate(dict.fromkeys(r for pair in batch for r in pair))}
         losses = np.array([np.fromiter((rate**t * v for t in rounds), float, T)
                            for rate in rates]).T
         streams = np.vstack((np.full(len(rates), v), powers[:, None] * losses))
         column = [rates[rate] for pair in batch for rate in pair]
-        alphas = [1.0 / max(1.0 / (1.0 - a), 1.0 / (1.0 - b)) for a, b in batch for _ in (a, b)]
-        which = {alpha: i for i, alpha in enumerate(dict.fromkeys(alphas))}
-        beta2 = np.array([(beta1 / inst_ratio) ** 2 for _ in batch for inst_ratio in (ratio, 1.0)])
+        alphas = [1.0 / max(1.0 / (1.0 - a), 1.0 / (1.0 - b)) for a, b in batch]
+        instances = {alpha: [HyperParams(beta1, beta2, AlphaSchedule.constant(alpha), D)
+                             for beta2 in beta2s] for alpha in dict.fromkeys(alphas)}
+        params = [inst for alpha in alphas for inst in instances[alpha]]
         n = len(column)
         deltas, clipped = np.empty((T, n)), np.empty((T, n), dtype=bool)
-        drive_batch(streams[:, column], np.full(n, beta1), beta2,
-                    [AlphaSchedule.constant(alpha) for alpha in which],
-                    np.array([which[alpha] for alpha in alphas]), D, u, trace=(deltas, clipped))
+        drive_batch(streams[:, column], params, u, trace=(deltas, clipped))
         loss = losses[:, column]
         f = loss * (deltas - u)
         first_clip = np.where(clipped.any(axis=0), clipped.argmax(axis=0) + 1, T + 1)

@@ -457,20 +457,17 @@ def _run_stream_batch(points: list[ExperimentConfig]) -> ExperimentResult:
 
     The stream is generated and checked once, then :func:`regret.drive_batch` runs every point
     on it, bit for bit as its own :func:`regret.drive` would, so each point's summary equals
-    that of its own ``_run_gradient_stream``.  Bounds are evaluated once per point, at ``T``,
-    and probed once at the statistics' running peaks.  Whenever a point's own run would raise,
-    so does the batch, though maybe with another message; callers that need the exact error
-    rerun the points one by one.
+    that of its own ``_run_gradient_stream``, and the batch raises the first failing learner's
+    own error (a schedule's error stops it at once).  Bounds are evaluated once per point, at
+    ``T``, and probed once at the statistics' running peaks, so a bound may raise where the
+    point's own run raises at another row, or does not raise.  Callers that need each point's
+    exact error rerun the points one by one.
     """
     first = points[0]
     params = [c.hyper_params() for c in points]
     u, T = first.comparator(), first.T
     requested = [n for n in BOUNDS if n in first.bounds]
-    schedules = list(dict.fromkeys(p.alpha for p in params))
-    state = drive_batch(first.adversary_spec().gradient_stream(T),
-                        np.array([p.beta1 for p in params]), np.array([p.beta2 for p in params]),
-                        schedules, np.array([schedules.index(p.alpha) for p in params]),
-                        first.domain, u)
+    state = drive_batch(first.adversary_spec().gradient_stream(T), params, u)
     summaries = []
     for i, (config, hp) in enumerate(zip(points, params)):
         reports = []
@@ -619,15 +616,17 @@ _BATCHES = {"fixed": (("beta1", "beta2"), _run_stream_batch),
 def run_experiment(config: ExperimentConfig | list[ExperimentConfig]) -> ExperimentResult:
     """Drive one experiment to completion; deterministic given (config, seed).
 
-    A config with a ``grid`` is a sweep template and is rejected: see :func:`sweep`.
-    A list of configs of one adversary that differ only in its ``_BATCHES`` axes is a batch
-    run, whose rows hold each point's sweep metrics and ``summary["points"]`` each point's
-    summary: gradient-stream points that differ in ``beta1``/``beta2`` run on one learner
-    axis (``_run_stream_batch``), geometric points that differ in ``kappa`` and ``T`` read one
-    tightness run per ``kappa`` (``_run_geometric_batch``), and non-oblivious points that
-    differ in ``a``, ``b`` and ``T`` run as columns of one gradient matrix
+    A config with a ``grid`` is a sweep template (see :func:`sweep`) and is rejected, alone or
+    in a list.  A list of configs of one adversary that differ only in its ``_BATCHES`` axes is
+    a batch run, whose rows hold each point's sweep metrics and ``summary["points"]`` each
+    point's summary: gradient-stream points that differ in ``beta1``/``beta2`` run on one
+    learner axis (``_run_stream_batch``), geometric points that differ in ``kappa`` and ``T``
+    read one tightness run per ``kappa`` (``_run_geometric_batch``), and non-oblivious points
+    that differ in ``a``, ``b`` and ``T`` run as columns of one gradient matrix
     (``_run_pair_batch``).
     """
+    if any(c.grid for c in (config if isinstance(config, list) else [config])):
+        raise ConfigError("a config with a 'grid' runs only as a sweep")
     if isinstance(config, list):
         if not config:
             raise ConfigError("a batch needs one or more points")
@@ -636,8 +635,6 @@ def run_experiment(config: ExperimentConfig | list[ExperimentConfig]) -> Experim
         if any([v for k, v in vars(c).items() if k not in axes] != shared for c in config):
             raise ConfigError(f"points of a batch may differ only in {', '.join(axes)}")
         return runner(config)
-    if config.grid:
-        raise ConfigError("a config with a 'grid' runs only as a sweep")
     if config.adversary in ("fixed", "random"):
         return _run_gradient_stream(config)
     if config.adversary == "geometric":

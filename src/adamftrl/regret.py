@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -106,14 +105,13 @@ class BatchState(NamedTuple):
 _BLOCK = 128
 
 
-def drive_batch(gradients, beta1, beta2, schedules, which, D: float | None, u: float,
-                trace=None) -> BatchState:
-    """:func:`drive` for n learners at once, which it must match bit for bit.
+def drive_batch(gradients, params, u: float, trace=None) -> BatchState:
+    """:func:`drive` for the learners ``params`` at once, which it must match bit for bit.
 
     ``gradients`` is one ``(T + 1,)`` stream that every learner reads, or a ``(T + 1, n)``
-    matrix with each learner's stream as a column.  Learner ``j`` has factors ``beta1[j]`` and
-    ``beta2[j]`` and the schedule ``schedules[which[j]]``; all share ``D`` and ``u``.  The
-    rounds run in blocks of ``_BLOCK`` over float64 arrays with one column per learner.  In a
+    matrix with each learner's stream as a column.  ``params`` holds one :class:`HyperParams`
+    per learner, as :func:`drive` takes one; all share ``D`` (else ``ValueError``) and ``u``.
+    The rounds run in blocks of ``_BLOCK`` over float64 arrays, a column per learner.  In a
     block, a per-round loop advances only the recurrences ``m = b1 m + g``, ``q = b2 q + g^2``
     and ``maxV = max(b1 maxV, |g|)``, one row per round (a shared stream adds Python floats to
     them, a matrix its rows).  The updates ``-a m / sqrt(q)``, their clip, ``D``, the running
@@ -126,26 +124,30 @@ def drive_batch(gradients, beta1, beta2, schedules, which, D: float | None, u: f
     ``trace``, if given, is a pair of ``(T, n)`` arrays, float64 and bool, that receive each
     round's emitted update and whether it was clipped.
 
-    Gradients that are not finite, or a zero ``g_0``, raise :class:`InvalidGradientError` at
-    once, and so does an error of ``alpha_at``.  Otherwise the run goes on to ``T`` and only
-    flags each learner whose own :func:`drive` fails: a block's rows show a ``q <= 0`` or a
-    non-finite update, and an overflowed ``q`` or regret stays non-finite to the end.  Then
-    the first flagged learner's column is replayed through :func:`drive`, which raises its
-    own error at its own round.
+    An error of ``alpha_at`` stops the batch at once.  Otherwise the run goes on to ``T`` and
+    only flags each learner whose own :func:`drive` fails: a zero ``g_0``, a block's rows
+    that show a ``q <= 0`` or a non-finite update, or a ``q`` or regret that is not finite
+    after round ``T`` (a gradient that is not finite makes ``q`` so, and an overflowed ``q``
+    or regret stays so).  Then the first flagged learner's column is replayed through
+    :func:`drive`, so every gradient or numeric failure raises that learner's own error at
+    its own round.
     """
     gradients = np.asarray(gradients, dtype=np.float64)
-    if not (np.isfinite(gradients).all() and np.all(gradients[0] != 0.0)):
-        raise InvalidGradientError("gradients must be finite, the first one nonzero")
-    T, n = len(gradients) - 1, len(beta1)
+    if len({p.D for p in params}) > 1:
+        raise ValueError("the learners of a batch must share D")
+    D, T, n = params[0].D, len(gradients) - 1, len(params)
+    beta1, beta2 = np.array([p.beta1 for p in params]), np.array([p.beta2 for p in params])
+    schedules: dict = {}   # each distinct schedule's number, in order of first use
+    which = np.array([schedules.setdefault(p.alpha, len(schedules)) for p in params])
     shared = gradients.ndim == 1
     # Row 0 holds the state a block starts from, row j + 1 the state after its j-th gradient.
     # The state after g_0 is g_0, g_0^2 and |g_0|, as b * 0 + g = g exactly.
     M, Q, V = (np.zeros((min(_BLOCK, T) + 1, n)) for _ in range(3))
     m_rows, q_rows, v_rows = list(M), list(Q), list(V)
     d_max, r_disc, clips = (np.zeros(n) for _ in range(3))
-    failed = np.zeros(n, dtype=bool)   # some round failed one of drive's checks
     with np.errstate(all="ignore"):   # Python floats overflow to inf silently too
         M[0], Q[0], V[0] = gradients[0], gradients[0] * gradients[0], abs(gradients[0])
+        failed = M[0] == 0.0   # per learner, whether its own drive fails: so far, at g_0 = 0
         q_peak, v_peak = Q[0].copy(), V[0].copy()
         for t0 in range(1, T + 1, _BLOCK):   # rounds t0 .. t0 + k - 1
             g = gradients[t0:t0 + _BLOCK]
@@ -181,15 +183,11 @@ def drive_batch(gradients, beta1, beta2, schedules, which, D: float | None, u: f
             for c in delta:
                 np.add(np.multiply(beta1, r_disc, out=r_disc), c, out=r_disc)
             M[0], Q[0], V[0] = M[k], Q[k], V[k]
-    # an overflowed q or r stays non-finite: b1 > 0, and b2 q is inf, or NaN when b2 is 0
+    # a gradient, q or regret that left the float range leaves q or r non-finite: b1, b2 > 0
     failed |= ~np.isfinite(Q[0]) | ~np.isfinite(r_disc)
     if failed.any():
         j = failed.argmax()
-        # the learner's own run, on Python floats; a pair's beta2 may underflow to 0, which
-        # HyperParams refuses, and drive reads only these four fields
-        params = SimpleNamespace(beta1=float(beta1[j]), beta2=float(beta2[j]),
-                                 alpha=schedules[which[j]], D=D)
-        for _ in drive((gradients if shared else gradients[:, j]).tolist(), params, u):
+        for _ in drive((gradients if shared else gradients[:, j]).tolist(), params[j], u):
             pass
     return BatchState(Q[0], V[0], d_max, r_disc, clips, q_peak, v_peak)
 

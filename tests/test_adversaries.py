@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import re
@@ -21,6 +22,7 @@ from adamftrl import (
     verify_lemma_a2,
 )
 import adamftrl.adversaries as adversaries
+import adamftrl.cli as cli
 import adamftrl.learner as learner
 from adamftrl.adversaries import (_PAIR_CELLS, _PCG_BLOCK, _Pcg64, default_lemma_a1_grid,
                                   default_lemma_a2_grid, run_nonoblivious_pairs,
@@ -28,11 +30,11 @@ from adamftrl.adversaries import (_PAIR_CELLS, _PCG_BLOCK, _Pcg64, default_lemma
 from adamftrl.errors import (
     AdamFtrlError,
     ContractViolation,
-    DegenerateStateError,
     OracleHorizonError,
     RegimeError,
     SingularParameterError,
 )
+from adamftrl.harness import ExperimentConfig, sweep
 from adamftrl.learner import AlphaSchedule, ftrl_update_from_losses, loss_squares
 from conftest import (
     literal_lemma_a1_grid,
@@ -389,12 +391,23 @@ def test_nonoblivious_run_matches_the_per_instance_referee(run):
             == _pair_outcome(literal_nonoblivious_run, *run))
 
 
-def test_pair_whose_beta2_underflows_to_zero_names_its_own_error():
-    # at beta1 = 1e-200 both instances' beta2 = (beta1 / ratio)^2 underflow to 0, which
-    # HyperParams refuses; the failed batch still names the first instance's own error
-    with pytest.raises(DegenerateStateError, match=r"^second-moment accumulator underflows to "
-                                                    r"zero after g_1$"):
+def test_pair_whose_beta2_underflows_to_zero_names_its_own_error(tmp_path, capsys):
+    # at beta1 = 1e-200 the ratio-1 instance's beta2 = beta1^2 underflows to 0 (the other's,
+    # (beta1/p)^2, too): the regime check names beta1, in the library, at the CLI (exit 2) and
+    # in a sweep's skipped row, before any learner runs
+    message = "shared beta1 = 1e-200 is so small that beta1^2 underflows to zero"
+    with pytest.raises(RegimeError, match=f"^{re.escape(message)}$"):
         run_nonoblivious_experiment(0.2, 0.5, 1.0, 0.5, 10, beta1=1e-200)
+    raw = {"adversary": "nonoblivious", "a": 0.1, "b": 0.5, "v": 1.0, "p": 0.5,
+           "beta1": 1e-200, "T": 5}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    for command in ("simulate", "nonoblivious"):
+        assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not list(tmp_path.glob("x.*"))
+    rows = sweep(ExperimentConfig.from_dict({**raw, "grid": {"beta1": [1e-200, 0.2]}})).csv_rows
+    assert [row[:2] for row in rows] == [(1e-200, f"skipped: {message}"), (0.2, "ok")]
 
 
 @pytest.mark.parametrize("cells", [_PAIR_CELLS, 200], ids=["one-batch", "pair-batches"])

@@ -1129,6 +1129,15 @@ def test_cli_single_runs_reject_a_grid(command, raw, tmp_path, capsys):
     assert not list(tmp_path.glob("x.*"))
 
 
+@pytest.mark.parametrize("size", [1, 2])
+def test_a_batch_rejects_a_grid_template(size):
+    # a batch of templates ran as a batch of their shared point, its grid ignored
+    template = ExperimentConfig.from_dict({"adversary": "random", "beta1": 0.9, "beta2": 0.99,
+                                           "T": 20, "grid": {"beta1": [0.5, 0.6]}})
+    with pytest.raises(ConfigError, match="^a config with a 'grid' runs only as a sweep$"):
+        run_experiment([template] * size)
+
+
 def _outputs_or_error(run, config: ExperimentConfig):
     try:
         result = run(config)

@@ -205,9 +205,10 @@ def _batch_cases(draw):
     T = draw(st.sampled_from([0, 1, 5, 30, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]))
     n = draw(st.integers(1, 4))
     shared = draw(st.booleans())
-    extreme = st.sampled_from([0.0, 1e-170, -1e-160, 1e-300, 1.2e154, -1.3e154, 1e200, 1.7e308])
+    extreme = st.sampled_from([0.0, 1e-170, -1e-160, 1e-300, 1.2e154, -1.3e154, 1e200, 1.7e308,
+                               math.inf, math.nan])
     seed = st.one_of(st.floats(1e-3, 10.0), st.floats(1e-3, 10.0),
-                     st.sampled_from([1e-170, 1e-160, 1e154, 1e200]))
+                     st.sampled_from([0.0, 1e-170, 1e-160, 1e154, 1e200, math.inf]))
 
     def stream():
         body = draw(st.lists(st.floats(-10.0, 10.0), min_size=min(T, 8), max_size=min(T, 8)))
@@ -258,6 +259,17 @@ def _column_run(gradients, params, u):
 @example(([[1e200 if t == 200 else 1.0 for t in range(301)]],
           [HyperParams(0.9, 0.99, AlphaSchedule.constant(1.0)),
            HyperParams(0.9, 0.01, AlphaSchedule.constant(1e308))], None, 0.0))
+# gradients that are not finite or a zero g_0 raise the failing learner's own error: an inf in
+# a later block of a shared stream, a NaN in one column of a matrix, a zero g_0 in one column,
+# and a zero g_0 with no rounds to run
+@example(([[math.inf if t == 200 else 1.0 for t in range(301)]],
+          [HyperParams(0.9, 0.99, AlphaSchedule.constant(1.0))] * 2, None, 0.0))
+@example(([[1.0, 2.0, 1.0, 3.0], [1.0, 2.0, math.nan, 3.0]],
+          [HyperParams(0.9, 0.99, AlphaSchedule.constant(1.0)),
+           HyperParams(0.5, 0.5, AlphaSchedule.constant(2.0))], None, 0.0))
+@example(([[1.0, 2.0, 3.0], [0.0, 2.0, 3.0]],
+          [HyperParams(0.9, 0.99, AlphaSchedule.constant(1.0))] * 2, 1.0, 0.0))
+@example(([[0.0]], [HyperParams(0.9, 0.99, AlphaSchedule.constant(1.0))], None, 0.0))
 @settings(max_examples=200, deadline=None)
 def test_drive_batch_matches_drive_column_by_column(case):
     # each column's updates, clips, state and peaks equal its own drive's bit for bit; if a
@@ -268,13 +280,10 @@ def test_drive_batch_matches_drive_column_by_column(case):
     own = [_column_run(columns[0] if len(columns) == 1 else column, p, u)
            for column, p in zip(columns * len(params) if len(columns) == 1 else columns, params)]
     T, n = len(columns[0]) - 1, len(params)
-    schedules = list(dict.fromkeys(p.alpha for p in params))
     trace = np.empty((T, n)), np.empty((T, n), dtype=bool)
     stream = np.array(columns[0]) if len(columns) == 1 else np.array(columns).T
     try:
-        state = drive_batch(stream, np.array([p.beta1 for p in params]),
-                            np.array([p.beta2 for p in params]), schedules,
-                            np.array([schedules.index(p.alpha) for p in params]), D, u, trace)
+        state = drive_batch(stream, params, u, trace)
     except AdamFtrlError as exc:
         errors = [o for o in own if isinstance(o[0], type)]
         assert errors
@@ -286,6 +295,13 @@ def test_drive_batch_matches_drive_column_by_column(case):
         assert trace[1][:, j].tolist() == clipped
         got = [float(field[j]) for field in state]
         assert list(map(float.hex, got)) == list(map(float.hex, map(float, final)))
+
+
+@pytest.mark.parametrize("domains", [(1.0, 2.0), (None, 1.0)])
+def test_drive_batch_learners_must_share_their_domain(domains):
+    params = [HyperParams(0.9, 0.99, AlphaSchedule.constant(1.0), D) for D in domains]
+    with pytest.raises(ValueError, match="^the learners of a batch must share D$"):
+        drive_batch([1.0, 2.0, 3.0], params, 0.0)
 
 
 @st.composite
