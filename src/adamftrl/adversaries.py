@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -220,8 +220,8 @@ class NonObliviousPair:
     def __post_init__(self):
         if not (0.0 < self.a < 1.0 and 0.0 < self.b < 1.0):
             raise ValueError(f"need a, b in (0, 1), got a={self.a}, b={self.b}")
-        if not (self.v > 0):
-            raise ValueError(f"need v > 0, got {self.v}")
+        if not (0.0 < self.v < math.inf):
+            raise ValueError(f"need {'a finite v' if self.v > 0 else 'v > 0'}, got {self.v}")
 
     @property
     def separation_expected(self) -> bool:
@@ -272,14 +272,66 @@ class TightnessRound(NamedTuple):
 
 
 @dataclass(frozen=True)
-class TightnessResult:
+class TightnessTotals:
+    """What a tightness run to some round adds up to."""
+
     regret: float
     lower_bound: float
     b_total: float
     ratio: float
     max_prebar: float
     any_clipped: bool
-    rounds: tuple[TightnessRound, ...]
+    clip_count: int = 0   # rounds whose update clipped
+
+
+@dataclass(frozen=True)
+class TightnessResult(TightnessTotals):
+    """A tightness run's totals and its rows."""
+
+    rounds: tuple[TightnessRound, ...] = field(kw_only=True)
+
+
+_DELTA_BAR, _CLIPPED, _REGRET, _MAX_V = map(TightnessRound._fields.index,
+                                            ("delta_bar", "clipped", "regret", "max_v"))
+
+
+class TightnessTrace(NamedTuple):
+    """A tightness run: a :class:`TightnessRound`'s cells but ``bound_b`` for each round ``1..``,
+    and ``roots[n] = sqrt(sum_{s<n} (ratio^s v_s)^2)``, of which row ``t``'s ``B`` reads
+    ``roots[t + 1]``.  A row reads only the losses up to it: the run to ``T`` is ``rows[:T]``."""
+
+    rows: list
+    roots: list
+    ratio: float
+    D: float
+    kappa: float
+    v0: float
+
+    def _bound_b(self, t: int) -> float:
+        """Row ``t``'s ``B``, at ``alpha = D/4`` and ``u = -D``."""
+        return bound_b_from_radical(self.roots[t + 1], self.rows[t - 1][_MAX_V], self.ratio,
+                                    -self.D, self.D / 4.0, self.D, t).total
+
+    def totals(self, T: int) -> TightnessTotals:
+        """The run to round ``T``'s totals, with ``B`` priced at row ``T`` only; raises if that
+        ``B`` is zero or the lower bound at ``T`` overflows."""
+        b_total = self._bound_b(T)
+        if b_total == 0.0:
+            raise RegimeError(f"tightness bound B underflows to zero at T = {T}")
+        lower = self.v0 * self.D * self.kappa * (self.kappa**T - 1.0) / (2.0 * (self.kappa - 1.0))
+        if not math.isfinite(lower):
+            raise RegimeError(f"tightness lower bound overflows at T = {T}")
+        rows = self.rows[:T]
+        regret, clips = rows[-1][_REGRET], sum(row[_CLIPPED] for row in rows)
+        return TightnessTotals(regret, lower, b_total, regret / b_total,
+                               max(abs(row[_DELTA_BAR]) for row in rows), clips > 0, clips)
+
+    def result(self, T: int) -> TightnessResult:
+        """The run to round ``T``, with its rows and each row's ``B``."""
+        totals = self.totals(T)   # B grows with t: no row t < T overflows once row T's is finite
+        b_rows = [*map(self._bound_b, range(1, T)), totals.b_total]
+        rounds = tuple(TightnessRound(*row, b) for row, b in zip(self.rows, b_rows))
+        return TightnessResult(**vars(totals), rounds=rounds)
 
 
 def _check_rounds(run: str, T: int, horizon: int) -> None:
@@ -303,19 +355,15 @@ def check_tightness_regime(ratio: float, D: float, kappa: float, v0: float, T: i
         raise RegimeError(f"tightness runs need v0 kappa^T finite, got kappa={kappa}, T={T}")
 
 
-def run_tightness_experiment(ratio: float, D: float, kappa: float, v0: float,
-                             T: int, horizon: int = DEFAULT_ORACLE_HORIZON) -> TightnessResult:
-    """Run the FTRL recursion on ``v_t = kappa^t v0`` with ``alpha = D/4``, ``u = -D``.
-
-    Within the construction's parameter ranges the pre-clipping updates stay
-    inside ``[-D/2, D/2]``, the realized regret is at least
-    ``v0 D kappa (kappa^T - 1) / (2 (kappa - 1))``, and the regret-to-bound
-    ratio stays bounded below by a constant.  ``rounds`` are the run's CSV rows.
-    """
-    check_tightness_regime(ratio, D, kappa, v0, T, horizon)
-    alpha = D / 4.0
+def run_tightness_trace(ratio: float, D: float, kappa: float, v0: float,
+                        T: int) -> TightnessTrace:
+    """Run the FTRL recursion on ``v_t = kappa^t v0`` with ``alpha = D/4``, ``u = -D``, to round
+    ``T``; the regime is the caller's to check.  Within the construction's parameter ranges the
+    pre-clipping updates stay inside ``[-D/2, D/2]``, the realized regret is at least
+    ``v0 D kappa (kappa^T - 1) / (2 (kappa - 1))``, and the regret-to-bound ratio stays bounded
+    below by a constant."""
+    alpha, u = D / 4.0, -D
     losses = geometric_losses(v0, kappa, T)
-    u = -D
     # each square once; roots[n] = sqrt(sum_{s<n} (ratio^s v_s)^2) is eta_n's denominator and
     # row n - 1's B radical, the same fsum as the literal forms take per prefix
     squares = loss_squares(losses, ratio)
@@ -335,47 +383,14 @@ def run_tightness_experiment(ratio: float, D: float, kappa: float, v0: float,
         max_v, d_max = max(max_v, abs(loss)), max(d_max, abs(delta))
         rows.append((t, alpha, loss, loss_sum, square_sum, delta_bar, delta, abs(delta_bar) > D,
                      loss * delta, regret, max_v, d_max))
-
-    # row T's B first: B grows with t, so no row t < T overflows once row T's is finite
-    b_total = bound_b_from_radical(roots[T + 1], max_v, ratio, u, alpha, D, T).total
-    b_rows = [bound_b_from_radical(roots[t + 1], max_v_t, ratio, u, alpha, D, t).total
-              for t, *_, max_v_t, _ in rows[:-1]]
-    rounds = tuple(TightnessRound(*row, b) for row, b in zip(rows, [*b_rows, b_total]))
-    return _tightness_result(rounds, D, kappa, v0)
+    return TightnessTrace(rows, roots, ratio, D, kappa, v0)
 
 
-def _tightness_result(rounds: tuple[TightnessRound, ...], D: float, kappa: float,
-                      v0: float) -> TightnessResult:
-    """The result of a tightness run whose rows are ``rounds``, ``T = len(rounds)``; raises if
-    row T's ``B`` is zero or the lower bound at ``T`` overflows."""
-    T, last = len(rounds), rounds[-1]
-    if last.bound_b == 0.0:
-        raise RegimeError(f"tightness bound B underflows to zero at T = {T}")
-    lower = v0 * D * kappa * (kappa**T - 1.0) / (2.0 * (kappa - 1.0))
-    if not math.isfinite(lower):
-        raise RegimeError(f"tightness lower bound overflows at T = {T}")
-    return TightnessResult(
-        regret=last.regret,
-        lower_bound=lower,
-        b_total=last.bound_b,
-        ratio=last.regret / last.bound_b,
-        max_prebar=max(abs(r.delta_bar) for r in rounds),
-        any_clipped=any(r.clipped for r in rounds),
-        rounds=rounds,
-    )
-
-
-def run_tightness_horizons(ratio: float, D: float, kappa: float, v0: float, horizons,
-                           horizon: int = DEFAULT_ORACLE_HORIZON) -> list[TightnessResult]:
-    """:func:`run_tightness_experiment` at each ``T`` in ``horizons``, from one run at the
-    largest: every row of a run depends only on the losses up to its round, so the run at
-    ``T`` is the first ``T`` rows of a longer one, whose last row gives its ``B``.  Its lower
-    bound and ``B``'s underflow are checked at ``T``.  Raises if any of the runs would, though
-    maybe with another run's error."""
-    for T in horizons:
-        check_tightness_regime(ratio, D, kappa, v0, T, horizon)
-    full = run_tightness_experiment(ratio, D, kappa, v0, max(horizons), horizon)
-    return [_tightness_result(full.rounds[:T], D, kappa, v0) for T in horizons]
+def run_tightness_experiment(ratio: float, D: float, kappa: float, v0: float,
+                             T: int, horizon: int = DEFAULT_ORACLE_HORIZON) -> TightnessResult:
+    """:func:`run_tightness_trace` to round ``T``, in its regime, read with its CSV rows."""
+    check_tightness_regime(ratio, D, kappa, v0, T, horizon)
+    return run_tightness_trace(ratio, D, kappa, v0, T).result(T)
 
 
 # ---------------------------------------------------------------------------

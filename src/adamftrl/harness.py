@@ -32,18 +32,18 @@ from .adversaries import (
     NonObliviousRound,
     PairTotals,
     RandomUniform,
-    TightnessResult,
+    TightnessTotals,
     check_nonoblivious_regime,
     check_tightness_regime,
     run_nonoblivious_pairs,
     run_tightness_experiment,
-    run_tightness_horizons,
+    run_tightness_trace,
     warn_unless_separated,
 )
 from .bounds import BOUNDS, BoundReport, TraceStats, dominance_holds, price_columns
 from .errors import AdamFtrlError, ConfigError
-from .learner import (DEFAULT_ORACLE_HORIZON, REGIME_TOL, AlphaSchedule, CheckedAlphas, HyperParams,
-                      at_most)
+from .learner import (DEFAULT_ORACLE_HORIZON, PREBAR_TOL, REGIME_TOL, AlphaSchedule, CheckedAlphas,
+                      HyperParams, at_most)
 from .regret import drive, drive_batch
 
 RNG_NAME = "numpy-pcg64"
@@ -108,31 +108,44 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         """Ranges and regime coherence; the value types are :data:`_KEYS`'s."""
-        if self.T < 0:
-            raise ConfigError(f"T must be >= 0, got {self.T}")
-        if self.oracle_horizon < 1:
-            raise ConfigError(f"oracle_horizon must be >= 1, got {self.oracle_horizon}")
-        if self.domain is not None and not self.domain > 0:
-            raise ConfigError(f"domain must be positive or 'unbounded', got {self.domain}")
-        if self.adversary in ("fixed", "random"):
-            self._validate_gradient_run()
-        elif self.adversary == "geometric":
-            self._validate_geometric()
-        else:
-            self._validate_nonoblivious()
-        if None not in (self.p, self.beta1, self.beta2):
-            # ratio() reads p and hyper_params() the betas: both must name one regime
-            derived = self.beta1 / math.sqrt(self.beta2) if self.beta2 > 0 else math.nan
-            if not abs(self.p - derived) <= REGIME_TOL * derived:
-                raise ConfigError(f"'p' = {self.p} disagrees with beta1/sqrt(beta2) = {derived}")
+        try:
+            if self.T < 0:
+                raise ConfigError(f"T must be >= 0, got {self.T}")
+            if self.oracle_horizon < 1:
+                raise ConfigError(f"oracle_horizon must be >= 1, got {self.oracle_horizon}")
+            if self.domain is not None and not self.domain > 0:
+                raise ConfigError(f"domain must be positive or 'unbounded', got {self.domain}")
+            if self.adversary in ("fixed", "random"):
+                self._validate_gradient_run()
+            elif self.adversary == "geometric":
+                if self.domain is None:
+                    raise ConfigError("tightness runs need a bounded domain")
+                if self.kappa is None or self.v0 is None:
+                    raise ConfigError("geometric adversary needs 'kappa' and 'v0'")
+                self.adversary_spec()
+                check_tightness_regime(self.ratio(), self.domain, self.kappa, self.v0, self.T,
+                                       self.oracle_horizon)
+            else:
+                for name in ("a", "b", "v"):
+                    if getattr(self, name) is None:
+                        raise ConfigError(f"nonoblivious adversary needs {name!r}")
+                check_nonoblivious_regime(self.a, self.b, self.v, self.ratio(), self.T,
+                                          self.beta1, self.oracle_horizon)
+            if None not in (self.p, self.beta1, self.beta2):
+                # ratio() reads p and hyper_params() the betas: both must name one regime
+                derived = self.beta1 / math.sqrt(self.beta2) if self.beta2 > 0 else math.nan
+                if not abs(self.p - derived) <= REGIME_TOL * derived:
+                    raise ConfigError(
+                        f"'p' = {self.p} disagrees with beta1/sqrt(beta2) = {derived}")
+        except ConfigError:
+            raise
+        except (ValueError, AdamFtrlError) as exc:
+            raise ConfigError(str(exc)) from exc
         if self.adversary == "nonoblivious":   # only a valid point warns, once per validation
             warn_unless_separated(self.a, self.b)
 
     def _validate_gradient_run(self) -> None:
-        try:
-            params = self.hyper_params()
-        except (ValueError, AdamFtrlError) as exc:
-            raise ConfigError(str(exc)) from exc
+        params = self.hyper_params()
         if self.u == "negD":
             if self.domain is None:
                 raise ConfigError("'negD' comparator needs a bounded domain")
@@ -144,43 +157,15 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"explicit alpha schedule needs at least {needed} values for T={self.T}"
                 )
-        try:
-            spec = self.adversary_spec()
-            if isinstance(spec, FixedSequence):
-                spec.gradient_stream(self.T)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        spec = self.adversary_spec()
+        if isinstance(spec, FixedSequence):
+            spec.gradient_stream(self.T)
         for name in self.bounds:
-            try:
-                BOUNDS[name].check(params)
-            except AdamFtrlError as exc:
-                raise ConfigError(str(exc)) from exc
+            BOUNDS[name].check(params)
             if name == "B" and self.T > self.oracle_horizon:
                 raise ConfigError(
                     f"bound 'B' is undiscounted and needs T <= horizon ({self.oracle_horizon})"
                 )
-
-    def _validate_geometric(self) -> None:
-        if self.domain is None:
-            raise ConfigError("tightness runs need a bounded domain")
-        if self.kappa is None or self.v0 is None:
-            raise ConfigError("geometric adversary needs 'kappa' and 'v0'")
-        try:
-            self.adversary_spec()
-            check_tightness_regime(self.ratio(), self.domain, self.kappa, self.v0, self.T,
-                                   self.oracle_horizon)
-        except (ValueError, AdamFtrlError) as exc:
-            raise ConfigError(str(exc)) from exc
-
-    def _validate_nonoblivious(self) -> None:
-        for name in ("a", "b", "v"):
-            if getattr(self, name) is None:
-                raise ConfigError(f"nonoblivious adversary needs {name!r}")
-        try:
-            check_nonoblivious_regime(self.a, self.b, self.v, self.ratio(), self.T,
-                                      self.beta1, self.oracle_horizon)
-        except (ValueError, AdamFtrlError) as exc:
-            raise ConfigError(str(exc)) from exc
 
     # -- derived objects --------------------------------------------------
 
@@ -503,27 +488,24 @@ def _run_geometric(config: ExperimentConfig) -> ExperimentResult:
 
 
 def _run_geometric_batch(points: list[ExperimentConfig]) -> ExperimentResult:
-    """Geometric points that differ only in ``kappa`` and ``T``: one tightness run per
-    ``kappa``, at the largest ``T`` of its points, whose prefixes are the others
-    (:func:`adversaries.run_tightness_horizons`)."""
-    first = points[0]
-    members: dict[float, list[int]] = {}
-    for i, c in enumerate(points):
-        members.setdefault(c.kappa, []).append(i)
-    summaries: list = [None] * len(points)
-    for kappa, indices in members.items():
-        results = run_tightness_horizons(first.ratio(), first.domain, kappa, first.v0,
-                                         [points[i].T for i in indices], first.oracle_horizon)
-        for i, result in zip(indices, results):
-            summaries[i] = _geometric_summary(points[i], result)
-    return _batch_result("geometric", summaries)
+    """Geometric points that differ only in ``kappa`` and ``T``: each ``kappa`` runs once, to the
+    largest ``T`` of its points, and each point checks its regime and reads its totals at its T."""
+    first, longest = points[0], {}
+    ratio = first.ratio()
+    for c in points:
+        check_tightness_regime(ratio, c.domain, c.kappa, c.v0, c.T, c.oracle_horizon)
+        longest[c.kappa] = max(longest.get(c.kappa, 0), c.T)
+    traces = {kappa: run_tightness_trace(ratio, first.domain, kappa, first.v0, T)
+              for kappa, T in longest.items()}
+    return _batch_result("geometric", [_geometric_summary(c, traces[c.kappa].totals(c.T))
+                                       for c in points])
 
 
-def _geometric_summary(config: ExperimentConfig, result: TightnessResult) -> dict:
+def _geometric_summary(config: ExperimentConfig, result: TightnessTotals) -> dict:
     D = config.domain
     contracts = {
         "no_clipping": not result.any_clipped,
-        "prebar_within_half_domain": result.max_prebar <= D / 2.0 + 1e-12 * D,
+        "prebar_within_half_domain": result.max_prebar <= D / 2.0 + PREBAR_TOL * D,
         "regret_at_least_lower_bound": at_most(result.lower_bound, result.regret),
     }
     return {
@@ -540,7 +522,7 @@ def _geometric_summary(config: ExperimentConfig, result: TightnessResult) -> dic
         "ratio_regret_to_b": result.ratio,
         "max_prebar": result.max_prebar,
         "any_clipped": result.any_clipped,
-        "clip_count": sum(r.clipped for r in result.rounds),
+        "clip_count": result.clip_count,
         "contracts": contracts,
         "contracts_ok": all(contracts.values()),
         "config": config.echo(),
@@ -566,10 +548,9 @@ def _run_pair_batch(points: list[ExperimentConfig]) -> ExperimentResult:
     Like a point's own run, a batch does not warn when ``a >= b^2``: validation does."""
     first = points[0]
     ratio = first.ratio()
-    for c in points:   # all share beta1
-        beta1 = check_nonoblivious_regime(c.a, c.b, c.v, ratio, c.T, c.beta1, c.oracle_horizon)
     members: dict[tuple[float, float], list[int]] = {}
-    for i, c in enumerate(points):
+    for i, c in enumerate(points):   # all share beta1
+        beta1 = check_nonoblivious_regime(c.a, c.b, c.v, ratio, c.T, c.beta1, c.oracle_horizon)
         members.setdefault((c.a, c.b), []).append(i)
     summaries: list = [None] * len(points)
     runs = run_nonoblivious_pairs(list(members), first.v, ratio, beta1,

@@ -45,6 +45,9 @@ DEFAULT_ORACLE_HORIZON = 60
 REGIME_TOL = 1e-12
 # Relative slack of every numeric contract ``a <= b``: dominance, tightness, per-round FTRL.
 CONTRACT_TOL = 1e-9
+# Slack of the tightness contract ``max |delta_bar| <= D/2``, as a fraction of D: the updates scale
+# with the domain, and at_most's absolute floor of 1 would make the check vacuous for D below 1e-9.
+PREBAR_TOL = 1e-12
 
 
 def at_most(a: float, b: float) -> bool:

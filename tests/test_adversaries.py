@@ -24,9 +24,11 @@ from adamftrl import (
 import adamftrl.adversaries as adversaries
 import adamftrl.cli as cli
 import adamftrl.learner as learner
-from adamftrl.adversaries import (_PAIR_CELLS, _PCG_BLOCK, _Pcg64, default_lemma_a1_grid,
-                                  default_lemma_a2_grid, run_nonoblivious_pairs,
-                                  run_tightness_horizons)
+from adamftrl.adversaries import (_PAIR_CELLS, _PCG_BLOCK, _Pcg64,
+                                  check_nonoblivious_regime, check_tightness_regime,
+                                  default_lemma_a1_grid, default_lemma_a2_grid,
+                                  run_nonoblivious_pairs, run_tightness_trace)
+from adamftrl.bounds import bound_b_from_radical
 from adamftrl.errors import (
     AdamFtrlError,
     ContractViolation,
@@ -270,15 +272,51 @@ def test_tightness_run_matches_the_per_prefix_referee(run):
 @example((0.5, 1e100, 1.0, 1.0, 2), [2, 3])         # eta_3's square overflows
 @example((0.5, 4.0, 1.0, 1.0, 2), [2, 1, 5])        # T = 1 is out of the regime
 def test_tightness_prefixes_are_the_runs_at_each_horizon(run, horizons):
-    # each horizon's result equals its own run, or the batch raises when some run does
+    # one trace to the largest horizon, checked and read at each: each read equals its own run,
+    # its totals are its result's, or the reads raise when some run does
     ratio, kappa, v0, D, _ = run
     own = [_tightness_outcome(run_tightness_experiment, ratio, D, kappa, v0, T) for T in horizons]
     try:
-        batch = run_tightness_horizons(ratio, D, kappa, v0, horizons)
+        for T in horizons:
+            check_tightness_regime(ratio, D, kappa, v0, T)
+        trace = run_tightness_trace(ratio, D, kappa, v0, max(horizons))
+        reads = [(trace.totals(T), trace.result(T)) for T in horizons]
     except (AdamFtrlError, ValueError):
         assert any(isinstance(outcome[0], type) for outcome in own)
         return
-    assert [_tightness_outcome(lambda r: r, result) for result in batch] == own
+    assert [_tightness_outcome(lambda r: r, result) for _, result in reads] == own
+    for totals, result in reads:
+        assert vars(totals) == {k: v for k, v in vars(result).items() if k != "rounds"}
+        assert totals.clip_count == sum(r.clipped for r in result.rounds)
+
+
+def test_tightness_trace_counts_the_clips_up_to_each_row():
+    # out of the regime (p > 1), the updates clip from round 8 on; in it they never clip
+    trace = run_tightness_trace(1.2, 1.0, 1.01, 1.0, 12)
+    for T in range(2, 13):
+        totals, result = trace.totals(T), trace.result(T)
+        assert totals.clip_count == sum(r.clipped for r in result.rounds) == max(0, T - 7)
+        assert totals.any_clipped == result.any_clipped == (T >= 8)
+
+
+def test_tightness_prices_b_only_on_the_rows_it_reads(monkeypatch, tmp_path):
+    # a sweep point reads only row T's B; a tightness run prints every row's
+    calls = []
+
+    def counting(*args):
+        calls.append(args[-1])
+        return bound_b_from_radical(*args)
+
+    monkeypatch.setattr(adversaries, "bound_b_from_radical", counting)
+    raw = {**cli.TIGHTNESS_PRESET, "T": 60, "grid": {"kappa": [4.0, 6.5, 9.0, 16.0],
+                                                    "T": [15, 30, 45, 60]}}
+    assert sweep(ExperimentConfig.from_dict(raw)).summary["points_ok"] == 16
+    assert sorted(calls) == sorted([15, 30, 45, 60] * 4)
+    calls.clear()
+    config = tmp_path / "tightness.json"
+    config.write_text(json.dumps({**cli.TIGHTNESS_PRESET, "T": 60}))
+    assert cli.main(["tightness", "--config", str(config), "--out", str(tmp_path / "t")]) == 0
+    assert sorted(calls) == list(range(1, 61))
 
 
 def test_tightness_run_squares_each_loss_once(monkeypatch):
@@ -436,6 +474,17 @@ def test_nonoblivious_validation():
         run_nonoblivious_experiment(1.2, 0.5, 1.0, 0.5, 5)
     with pytest.raises(OracleHorizonError):
         run_nonoblivious_experiment(0.2, 0.5, 1.0, 0.5, 70)
+
+
+@pytest.mark.parametrize("v", [math.inf, math.nan, -math.inf])
+def test_nonoblivious_pair_refuses_a_v_that_is_not_finite(v):
+    # refused up front with a message that names v, not later in the learner on a gradient
+    with pytest.raises(ValueError, match=r"\bv\b"):
+        NonObliviousPair(0.2, 0.5, v)
+    with pytest.raises(RegimeError, match=r"\bv\b"):
+        check_nonoblivious_regime(0.2, 0.5, v, 0.5, 10)
+    with pytest.raises(RegimeError, match=r"\bv\b"):
+        run_nonoblivious_experiment(0.2, 0.5, v, 0.5, 10)
 
 
 # ---------------------------------------------------------------------------
