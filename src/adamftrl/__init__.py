@@ -16,18 +16,13 @@ from .learner import (  # noqa: F401
     UpdateOutcome,
     alpha_at,
     clip_to_domain,
-    evaluate_objective,
-    ftrl_oracle_update,
     ingest_gradient,
     propose_update,
 )
 from .regret import (  # noqa: F401
-    PerRoundInequality,
     RegretLedger,
     accumulate_discounted_regret,
     drive,
-    per_round_ftrl_inequality,
-    undiscounted_regret,
 )
 from .bounds import (  # noqa: F401
     BoundReport,
@@ -47,9 +42,7 @@ from .adversaries import (  # noqa: F401
     NonObliviousResult,
     RandomUniform,
     TightnessResult,
-    closed_form_prebar_delta,
     geometric_losses,
-    nonoblivious_per_round_regret,
     run_nonoblivious_experiment,
     run_tightness_experiment,
     verify_lemma_a1,

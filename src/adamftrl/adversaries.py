@@ -21,18 +21,12 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .bounds import bound_b_from_radical
-from .errors import (
-    ContractViolation,
-    OracleHorizonError,
-    RegimeError,
-    SingularParameterError,
-)
+from .errors import ContractViolation, OracleHorizonError, RegimeError
 from .learner import (
     DEFAULT_ORACLE_HORIZON,
     REGIME_TOL,
@@ -58,26 +52,32 @@ def geometric_losses(v0: float, kappa: float, T: int) -> list[float]:
 # Adversary descriptions
 # ---------------------------------------------------------------------------
 
+# Each description is a NamedTuple that checks its fields in ``__new__``; ``_replace`` and
+# ``_make`` skip the checks, so a description is only ever built by its constructor.
+
 class CheckedGradients(tuple):
     """Gradients a :class:`FixedSequence` has checked, which another accepts without a rescan."""
 
 
-@dataclass(frozen=True)
-class FixedSequence:
-    """A verbatim gradient list, seed gradient included at index 0."""
-
+class _FixedSequenceFields(NamedTuple):
     gradients: tuple[float, ...]
 
-    def __post_init__(self):
-        if isinstance(self.gradients, CheckedGradients):
-            return
-        if not self.gradients:
-            raise ValueError("need at least the seed gradient")
-        if self.gradients[0] == 0.0:
-            raise ValueError("seed gradient must be nonzero")
-        if any(not math.isfinite(g) for g in self.gradients):
-            raise ValueError("gradients must be finite")
-        object.__setattr__(self, "gradients", CheckedGradients(self.gradients))
+
+class FixedSequence(_FixedSequenceFields):
+    """A verbatim gradient list, seed gradient included at index 0."""
+
+    __slots__ = ()
+
+    def __new__(cls, gradients):
+        if not isinstance(gradients, CheckedGradients):
+            if not gradients:
+                raise ValueError("need at least the seed gradient")
+            if gradients[0] == 0.0:
+                raise ValueError("seed gradient must be nonzero")
+            if any(not math.isfinite(g) for g in gradients):
+                raise ValueError("gradients must be finite")
+            gradients = CheckedGradients(gradients)
+        return super().__new__(cls, gradients)
 
     def gradient_stream(self, T: int) -> list[float]:
         if T + 1 > len(self.gradients):
@@ -167,18 +167,22 @@ class _Pcg64:
         return -1.0 + 2.0 * ((x >> 11).astype(np.float64) * 2.0**-53)
 
 
-@dataclass(frozen=True)
-class RandomUniform:
+class _RandomUniformFields(NamedTuple):
+    seed: int
+    distribution: str
+
+
+class RandomUniform(_RandomUniformFields):
     """Seeded uniform draws on [-1, 1): numpy's ``Generator(PCG64(seed)).uniform`` stream."""
 
-    seed: int
-    distribution: str = "uniform"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.distribution != "uniform":
-            raise ValueError(f"unknown distribution {self.distribution!r}")
-        if self.seed < 0:
-            raise ValueError(f"need seed >= 0, got {self.seed}")
+    def __new__(cls, seed: int, distribution: str = "uniform"):
+        if distribution != "uniform":
+            raise ValueError(f"unknown distribution {distribution!r}")
+        if seed < 0:
+            raise ValueError(f"need seed >= 0, got {seed}")
+        return super().__new__(cls, seed, distribution)
 
     def gradient_stream(self, T: int) -> list[float]:
         rng = _Pcg64(self.seed)
@@ -188,64 +192,52 @@ class RandomUniform:
         return g.tolist()
 
 
-@dataclass(frozen=True)
-class GeometricSequence:
+class _GeometricSequenceFields(NamedTuple):
+    v0: float
+    kappa: float
+
+
+class GeometricSequence(_GeometricSequenceFields):
     """A growing geometric loss sequence; the worst-case construction input.
 
     ``kappa > 1`` is required here; the tightness run further demands
     ``kappa >= 1/ratio^2``.
     """
 
-    v0: float
-    kappa: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.v0 > 0):
-            raise ValueError(f"need v0 > 0, got {self.v0}")
-        if not (self.kappa > 1.0):
-            raise ValueError(f"need kappa > 1, got {self.kappa}")
+    def __new__(cls, v0: float, kappa: float):
+        if not (v0 > 0):
+            raise ValueError(f"need v0 > 0, got {v0}")
+        if not (kappa > 1.0):
+            raise ValueError(f"need kappa > 1, got {kappa}")
+        return super().__new__(cls, v0, kappa)
 
     def losses(self, T: int) -> list[float]:
         return geometric_losses(self.v0, self.kappa, T)
 
 
-@dataclass(frozen=True)
-class NonObliviousPair:
-    """Rates for the paired-instance run; ``a < b^2`` is the separation regime."""
-
+class _NonObliviousPairFields(NamedTuple):
     a: float
     b: float
     v: float
 
-    def __post_init__(self):
-        if not (0.0 < self.a < 1.0 and 0.0 < self.b < 1.0):
-            raise ValueError(f"need a, b in (0, 1), got a={self.a}, b={self.b}")
-        if not (0.0 < self.v < math.inf):
-            raise ValueError(f"need {'a finite v' if self.v > 0 else 'v > 0'}, got {self.v}")
+
+class NonObliviousPair(_NonObliviousPairFields):
+    """Rates for the paired-instance run; ``a < b^2`` is the separation regime."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: float, b: float, v: float):
+        if not (0.0 < a < 1.0 and 0.0 < b < 1.0):
+            raise ValueError(f"need a, b in (0, 1), got a={a}, b={b}")
+        if not (0.0 < v < math.inf):
+            raise ValueError(f"need {'a finite v' if v > 0 else 'v > 0'}, got {v}")
+        return super().__new__(cls, a, b, v)
 
     @property
     def separation_expected(self) -> bool:
         return self.a < self.b * self.b
-
-
-def closed_form_prebar_delta(alpha: float, ratio: float, kappa: float, t: int) -> float:
-    """Pre-clipping update on a geometric loss sequence, in closed form.
-
-    delta_bar_t = -alpha ratio^(t-1) (kappa^t - 1)/(kappa - 1)
-                  * sqrt((ratio^2 kappa^2 - 1) / ((ratio^2 kappa^2)^t - 1))
-
-    Valid for any constant alpha and any ``kappa != 1`` with
-    ``ratio^2 kappa^2 != 1``; at the singular parameters use the simulator.
-    """
-    if t < 1:
-        raise ValueError(f"need t >= 1, got {t}")
-    rk2 = (ratio * kappa) ** 2
-    if kappa == 1.0 or rk2 == 1.0:
-        raise SingularParameterError(
-            f"closed form is singular at kappa={kappa}, (ratio*kappa)^2={rk2}"
-        )
-    geom = (kappa**t - 1.0) / (kappa - 1.0)
-    return -alpha * ratio ** (t - 1) * geom * math.sqrt((rk2 - 1.0) / (rk2**t - 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +263,7 @@ class TightnessRound(NamedTuple):
     bound_b: float       # B over v_0..v_t
 
 
-@dataclass(frozen=True)
-class TightnessTotals:
+class TightnessTotals(NamedTuple):
     """What a tightness run to some round adds up to."""
 
     regret: float
@@ -281,14 +272,20 @@ class TightnessTotals:
     ratio: float
     max_prebar: float
     any_clipped: bool
-    clip_count: int = 0   # rounds whose update clipped
+    clip_count: int   # rounds whose update clipped
 
 
-@dataclass(frozen=True)
-class TightnessResult(TightnessTotals):
-    """A tightness run's totals and its rows."""
+class TightnessResult(NamedTuple):
+    """A tightness run's totals, the fields of a :class:`TightnessTotals`, and its rows."""
 
-    rounds: tuple[TightnessRound, ...] = field(kw_only=True)
+    regret: float
+    lower_bound: float
+    b_total: float
+    ratio: float
+    max_prebar: float
+    any_clipped: bool
+    clip_count: int
+    rounds: tuple[TightnessRound, ...]
 
 
 _DELTA_BAR, _CLIPPED, _REGRET, _MAX_V = map(TightnessRound._fields.index,
@@ -331,7 +328,7 @@ class TightnessTrace(NamedTuple):
         totals = self.totals(T)   # B grows with t: no row t < T overflows once row T's is finite
         b_rows = [*map(self._bound_b, range(1, T)), totals.b_total]
         rounds = tuple(TightnessRound(*row, b) for row, b in zip(self.rows, b_rows))
-        return TightnessResult(**vars(totals), rounds=rounds)
+        return TightnessResult(*totals, rounds)
 
 
 def _check_rounds(run: str, T: int, horizon: int) -> None:
@@ -397,25 +394,6 @@ def run_tightness_experiment(ratio: float, D: float, kappa: float, v0: float,
 # Non-oblivious pair experiment
 # ---------------------------------------------------------------------------
 
-def nonoblivious_per_round_regret(rate: float, v: float, K: float, ratio: float,
-                                  t: int) -> float:
-    """Closed-form round-``t`` regret of an instance against ``u = -1``.
-
-    f(t) = v rate^t (1 - ratio^(t-1) sqrt(1 - (ratio rate)^2)
-                       / (K sqrt(1 - (ratio rate)^(2t))) * (1 - rate^t)/(1 - rate))
-
-    The ratio-1 instance is the same formula with ``ratio = 1``.
-    """
-    if t < 1:
-        raise ValueError(f"need t >= 1, got {t}")
-    if not (0.0 < rate < 1.0):
-        raise ValueError(f"need rate in (0, 1), got {rate}")
-    rr = ratio * rate
-    frac = (1.0 - rate**t) / (1.0 - rate)
-    root = math.sqrt((1.0 - rr * rr) / (1.0 - rr ** (2 * t)))
-    return v * rate**t * (1.0 - ratio ** (t - 1) * root * frac / K)
-
-
 class NonObliviousRound(NamedTuple):
     """One round of both instances: the cells of the non-oblivious CSV row, in order."""
 
@@ -429,8 +407,7 @@ class NonObliviousRound(NamedTuple):
     strict: bool
 
 
-@dataclass(frozen=True)
-class NonObliviousResult:
+class NonObliviousResult(NamedTuple):
     regret_a: float
     regret_aprime: float
     per_round_strict: bool
@@ -583,8 +560,7 @@ def run_nonoblivious_experiment(a: float, b: float, v: float, ratio: float, T: i
 _BLOCK = 1000
 
 
-@dataclass(frozen=True)
-class LemmaReport:
+class LemmaReport(NamedTuple):
     max_value: float
     bound: float
     points_checked: int

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -41,8 +40,7 @@ from .learner import (REGIME_TOL, HyperParams, LearnerState, alpha_at, at_most, 
 _TIE_TOL = 1e-14
 
 
-@dataclass(frozen=True)
-class TraceStats:
+class TraceStats(NamedTuple):
     """Discounted trace statistics a bound needs: ``q``, ``max_v``, ``d_max``.
 
     Each is a float, or a float64 column with one entry per row priced.  ``peak`` marks
@@ -61,11 +59,10 @@ class TraceStats:
 
     def head(self, n: int) -> "TraceStats":
         """The first ``n`` rows of column statistics."""
-        return replace(self, q=self.q[:n], max_v=self.max_v[:n], d_max=self.d_max[:n])
+        return self._replace(q=self.q[:n], max_v=self.max_v[:n], d_max=self.d_max[:n])
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """One evaluated bound: total plus its comparator/variance/max split.
 
     Priced over a column of rows, each value is a float64 column; :meth:`row` takes one row.
@@ -228,10 +225,10 @@ def bound_theorem1_discounted(params: HyperParams, stats: TraceStats, u: float,
     running = running or Theorem1Coefficient(params)
     stop = None
     if isinstance(T, np.ndarray):
-        alpha_next, coeff = np.empty(len(T)), np.empty(len(T))
+        alpha_next, coeff, peak = np.empty(len(T)), np.empty(len(T)), stats.peak
         for i, t in enumerate(T.tolist()):
             try:
-                alpha_next[i], coeff[i] = running.at(t, stats.peak)
+                alpha_next[i], coeff[i] = running.at(t, peak)
             except AdamFtrlError as exc:
                 stop, exc.row = exc, t
                 T, stats, alpha_next, coeff = T[:i], stats.head(i), alpha_next[:i], coeff[:i]

@@ -35,14 +35,6 @@ class RegimeError(AdamFtrlError):
     """A bound or experiment was requested outside its validity regime."""
 
 
-class NotApplicableError(AdamFtrlError):
-    """A check does not apply to the given trace (e.g. clipping fired)."""
-
-
-class SingularParameterError(AdamFtrlError):
-    """A closed form is singular at the given parameters; simulate instead."""
-
-
 class ContractViolation(AdamFtrlError):
     """A numerically checked inequality failed at some evaluation point."""
 

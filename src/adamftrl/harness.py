@@ -18,8 +18,9 @@ import itertools
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields
 from pathlib import Path
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,7 +44,7 @@ from .adversaries import (
 from .bounds import BOUNDS, BoundReport, TraceStats, dominance_holds, price_columns
 from .errors import AdamFtrlError, ConfigError
 from .learner import (DEFAULT_ORACLE_HORIZON, PREBAR_TOL, REGIME_TOL, AlphaSchedule, CheckedAlphas,
-                      HyperParams, at_most)
+                      HyperParams, at_most, check_beta)
 from .regret import drive, drive_batch
 
 RNG_NAME = "numpy-pcg64"
@@ -55,8 +56,7 @@ _CLIPPED = TRACE_COLUMNS.index("clipped")
 PAIR_COLUMNS = NonObliviousRound._fields
 
 
-@dataclass
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     """Validated, fully resolved experiment description."""
 
     adversary: str
@@ -82,7 +82,7 @@ class ExperimentConfig:
     out: str | None = None
     format: str = "both"
     oracle_horizon: int = DEFAULT_ORACLE_HORIZON
-    grid: dict = field(default_factory=dict)
+    grid: dict = MappingProxyType({})   # no grid; a read-only empty map that no config can change
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -187,6 +187,7 @@ class ExperimentConfig:
             return self.p
         if self.beta1 is None or self.beta2 is None:
             raise ConfigError("need either 'p' or both 'beta1' and 'beta2'")
+        check_beta("beta2", self.beta2)   # HyperParams' rule, before the root and the division
         return self.beta1 / math.sqrt(self.beta2)
 
     def alpha_schedule(self) -> AlphaSchedule:
@@ -298,7 +299,7 @@ _KEYS = {
     "grid": _grid,
 }
 _ECHO_KEYS = tuple(sorted(_KEYS.keys() - {"grid", "out"}))
-_NULLABLE = {f.name for f in fields(ExperimentConfig) if f.default is None}
+_NULLABLE = {key for key, value in ExperimentConfig._field_defaults.items() if value is None}
 
 
 def _parse(key: str, value):
@@ -306,8 +307,7 @@ def _parse(key: str, value):
     return None if value is None and key in _NULLABLE else _KEYS[key](key, value)
 
 
-@dataclass(frozen=True)
-class ExperimentResult:
+class ExperimentResult(NamedTuple):
     """Rows ready for CSV plus a JSON-safe summary."""
 
     csv_header: tuple[str, ...]
@@ -325,7 +325,7 @@ def _stream_summary(config: ExperimentConfig, r_disc: float, clip_count: int,
     bounds_summary = {name: None for name in requested}
     dominance_flags = []
     for name, rep in zip(requested, reports):
-        entry = {key: val for key, val in vars(rep).items() if key != "kind"}
+        entry = {key: val for key, val in rep._asdict().items() if key != "kind"}
         if rep.scale == "discounted":
             entry["dominates"] = dominance_holds(r_disc, rep)
             dominance_flags.append(entry["dominates"])
@@ -612,8 +612,8 @@ def run_experiment(config: ExperimentConfig | list[ExperimentConfig]) -> Experim
         if not config:
             raise ConfigError("a batch needs one or more points")
         axes, runner = _BATCHES[config[0].adversary]
-        shared = [v for k, v in vars(config[0]).items() if k not in axes]
-        if any([v for k, v in vars(c).items() if k not in axes] != shared for c in config):
+        shared = [v for k, v in config[0]._asdict().items() if k not in axes]
+        if any([v for k, v in c._asdict().items() if k not in axes] != shared for c in config):
             raise ConfigError(f"points of a batch may differ only in {', '.join(axes)}")
         return runner(config)
     if config.adversary in ("fixed", "random"):
@@ -641,7 +641,7 @@ def sweep(config: ExperimentConfig) -> ExperimentResult:
         raise ConfigError("sweep needs a non-empty 'grid'")
     keys = sorted(config.grid)
 
-    base = {k: v for k, v in config.__dict__.items() if k != "grid"}
+    base = {k: v for k, v in config._asdict().items() if k != "grid"}
     stream = config.adversary in ("fixed", "random")
     axes, _ = _BATCHES[config.adversary]
     # Checked once here, the gradients and an explicit alpha schedule are shared by every point

@@ -30,15 +30,10 @@ the loss of round ``t`` is paid against ``g_t``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .errors import (
-    DegenerateStateError,
-    InvalidGradientError,
-    OracleHorizonError,
-    ScheduleError,
-    ScheduleExhaustedError,
-)
+from .errors import (DegenerateStateError, InvalidGradientError, ScheduleError,
+                     ScheduleExhaustedError)
 
 DEFAULT_ORACLE_HORIZON = 60
 # Slack at every regime boundary, for the rounding in p = beta1 / sqrt(beta2).
@@ -71,8 +66,7 @@ class CheckedAlphas(tuple):
     """Values :meth:`AlphaSchedule.explicit` has checked: floats, positive and non-increasing."""
 
 
-@dataclass(frozen=True)
-class AlphaSchedule:
+class AlphaSchedule(NamedTuple):
     """Per-round base learning rate ``alpha_t``, indexed from ``t = 1``.
 
     Three kinds are supported:
@@ -149,32 +143,40 @@ def alpha_at(schedule: AlphaSchedule, t: int) -> float:
 # Hyperparameters and learner state
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HyperParams:
+def check_beta(name: str, value: float) -> None:
+    """The range rule of a momentum factor: ``0 < value < 1``."""
+    if not (0.0 < value < 1.0):
+        raise ValueError(f"{name} must be in (0, 1), got {value}")
+
+
+class _HyperParamsFields(NamedTuple):
+    beta1: float
+    beta2: float
+    alpha: AlphaSchedule
+    D: float | None
+    p: float
+
+
+class HyperParams(_HyperParamsFields):
     """Momentum factors, domain half-width, and learning-rate schedule.
 
     ``D = None`` means the decision space is the whole real line.  The derived
     ratio ``p = beta1 / sqrt(beta2)`` is cached at construction; ``p <= 1``
-    and ``p >= 1`` select which regret bounds apply downstream.
+    and ``p >= 1`` select which regret bounds apply downstream.  Build one only
+    through the constructor, which checks the ranges: ``_replace`` and ``_make``
+    skip the checks and would leave ``p`` stale.
     """
 
-    beta1: float
-    beta2: float
-    alpha: AlphaSchedule
-    D: float | None = None
-    p: float = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0.0 < self.beta1 < 1.0):
-            raise ValueError(f"beta1 must be in (0, 1), got {self.beta1}")
-        if not (0.0 < self.beta2 < 1.0):
-            raise ValueError(f"beta2 must be in (0, 1), got {self.beta2}")
-        if self.D is not None and not (self.D > 0):
-            raise ValueError(f"domain half-width must be positive, got {self.D}")
-        object.__setattr__(self, "p", self.beta1 / math.sqrt(self.beta2))
+    def __new__(cls, beta1: float, beta2: float, alpha: AlphaSchedule, D: float | None = None):
+        check_beta("beta1", beta1)
+        check_beta("beta2", beta2)
+        if D is not None and not (D > 0):
+            raise ValueError(f"domain half-width must be positive, got {D}")
+        return super().__new__(cls, beta1, beta2, alpha, D, beta1 / math.sqrt(beta2))
 
 
-@dataclass
 class LearnerState:
     """Discounted accumulators of the stable path after ``t`` ingested gradients.
 
@@ -182,17 +184,17 @@ class LearnerState:
     the discounted running maximum ``max_s beta1^(t-1-s) |g_s|``, and ``d_max``
     the largest update magnitude emitted so far.  The literal FTRL oracles
     replay the caller's own gradient list; the state keeps no raw gradients.
+    Mutable: :func:`ingest_gradient` and :func:`propose_update` update it in place.
     """
 
-    t: int = 0
-    m: float = 0.0
-    q: float = 0.0
-    max_v: float = 0.0
-    d_max: float = 0.0
+    __slots__ = ("t", "m", "q", "max_v", "d_max")
+
+    def __init__(self, t: int = 0, m: float = 0.0, q: float = 0.0, max_v: float = 0.0,
+                 d_max: float = 0.0):
+        self.t, self.m, self.q, self.max_v, self.d_max = t, m, q, max_v, d_max
 
 
-@dataclass(frozen=True)
-class UpdateOutcome:
+class UpdateOutcome(NamedTuple):
     """One proposed update: pre-clipping value, emitted value, and the ``alpha_t`` used."""
 
     delta_bar: float
@@ -259,11 +261,6 @@ def propose_update(state: LearnerState, params: HyperParams) -> UpdateOutcome:
 # Literal FTRL forms (short-horizon oracles)
 # ---------------------------------------------------------------------------
 
-def undiscounted_losses(raw_gradients, beta1: float) -> list[float]:
-    """Rescaled loss coefficients ``v_s = beta1^(-s) g_s``."""
-    return [g / beta1**s for s, g in enumerate(raw_gradients)]
-
-
 def loss_squares(losses, ratio: float) -> list[float]:
     """``(ratio^s v_s)^2`` for each loss ``v_s``, or ``inf`` where Python's float ``**`` raises
     ``OverflowError``.  A run squares its losses once; each prefix sum then reads this list."""
@@ -303,47 +300,3 @@ def ftrl_eta(root: float, ratio: float, a_t: float, t: int) -> float:
 def ftrl_eta_from_losses(losses, ratio: float, a_t: float, t: int) -> float:
     """``eta_t`` of the literal FTRL recursion on a raw loss sequence."""
     return ftrl_eta(root_sum_of_squares(losses, ratio, t), ratio, a_t, t)
-
-
-def ftrl_update_from_losses(losses, ratio: float, a_t: float, t: int,
-                            D: float | None) -> float:
-    """Pre-clipping FTRL minimizer ``-eta_t * sum_{s<t} v_s``, then clipped."""
-    eta = ftrl_eta_from_losses(losses, ratio, a_t, t)
-    return clip_to_domain(-eta * math.fsum(losses[:t]), D)
-
-
-def _check_oracle_round(raw_gradients, t: int, horizon: int) -> None:
-    if t < 1:
-        raise ValueError(f"round index must be >= 1, got {t}")
-    if t > horizon:
-        raise OracleHorizonError(
-            f"round {t} exceeds the oracle horizon {horizon}; use the stable path"
-        )
-    if len(raw_gradients) < t:
-        raise ValueError(f"round {t} needs at least {t} gradients, got {len(raw_gradients)}")
-
-
-def ftrl_oracle_update(raw_gradients, params: HyperParams, t: int,
-                       horizon: int = DEFAULT_ORACLE_HORIZON) -> float:
-    """Round-``t`` update computed literally from the FTRL formulas.
-
-    Agrees with :func:`propose_update` to high relative accuracy; exists to
-    prove that agreement, not for production use (the internal sums grow like
-    ``beta1^-t``).
-    """
-    _check_oracle_round(raw_gradients, t, horizon)
-    losses = undiscounted_losses(raw_gradients[:t], params.beta1)
-    return ftrl_update_from_losses(losses, params.p, alpha_at(params.alpha, t), t, params.D)
-
-
-def evaluate_objective(raw_gradients, params: HyperParams, t: int, x: float,
-                       horizon: int = DEFAULT_ORACLE_HORIZON) -> float:
-    """Regularized round-``t`` objective ``F_t(x)`` of the FTRL oracle.
-
-    Its unconstrained minimizer is the pre-clipping update; over ``[-D, D]``
-    the minimizer is the clipped update.
-    """
-    _check_oracle_round(raw_gradients, t, horizon)
-    losses = undiscounted_losses(raw_gradients[:t], params.beta1)
-    eta = ftrl_eta_from_losses(losses, params.p, alpha_at(params.alpha, t), t)
-    return x * x / (2.0 * eta) + math.fsum(losses) * x

@@ -1,4 +1,4 @@
-"""Discounted regret tracking and the per-round inequality behind the bounds.
+"""Discounted regret tracking and the driver loops of the stable learner.
 
 The discounted regret of a play sequence ``(delta_t)`` against a comparator
 ``u`` after ``T`` rounds is
@@ -7,30 +7,28 @@ The discounted regret of a play sequence ``(delta_t)`` against a comparator
 
 maintained stably by the recurrence ``r <- beta1 * r + g_t (delta_t - u)``.
 Dividing by ``beta1^T`` gives the undiscounted regret on the rescaled losses
-``v_t = beta1^(-t) g_t``, which is only evaluated literally within the oracle
-horizon.
+``v_t = beta1^(-t) g_t``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (DegenerateStateError, InvalidGradientError,
-                     NotApplicableError, OracleHorizonError, RegimeError)
-from .learner import (DEFAULT_ORACLE_HORIZON, HyperParams, alpha_at, at_most, ftrl_eta,
-                      loss_squares, root_of_sum, undiscounted_losses)
+from .errors import DegenerateStateError, InvalidGradientError, RegimeError
+from .learner import HyperParams, alpha_at
 
 
-@dataclass
 class RegretLedger:
-    """Running discounted regret against a fixed comparator."""
+    """Running discounted regret against a fixed comparator; :func:`accumulate_discounted_regret`
+    updates it in place."""
 
-    u: float
-    r_disc: float = 0.0
+    __slots__ = ("u", "r_disc")
+
+    def __init__(self, u: float, r_disc: float = 0.0):
+        self.u, self.r_disc = u, r_disc
 
 
 def accumulate_discounted_regret(ledger: RegretLedger, g: float, delta: float,
@@ -190,85 +188,3 @@ def drive_batch(gradients, params, u: float, trace=None) -> BatchState:
         for _ in drive((gradients if shared else gradients[:, j]).tolist(), params[j], u):
             pass
     return BatchState(Q[0], V[0], d_max, r_disc, clips, q_peak, v_peak)
-
-
-def undiscounted_regret(loss_gradients, deltas, u: float, beta1: float,
-                        horizon: int = DEFAULT_ORACLE_HORIZON) -> float:
-    """Literal ``sum_t beta1^(-t) g_t (delta_t - u)`` over rounds ``1..T``.
-
-    ``loss_gradients[i]`` and ``deltas[i]`` belong to round ``i + 1``; the
-    round-0 seed gradient is not part of any regret.  ``beta1^T`` times the
-    result equals the discounted ledger value.
-    """
-    T = len(loss_gradients)
-    if len(deltas) != T:
-        raise ValueError(f"got {T} gradients but {len(deltas)} updates")
-    if T > horizon:
-        raise OracleHorizonError(f"{T} rounds exceed the oracle horizon {horizon}")
-    return math.fsum(
-        beta1 ** -(i + 1) * g * (d - u) for i, (g, d) in enumerate(zip(loss_gradients, deltas))
-    )
-
-
-@dataclass(frozen=True)
-class PerRoundInequality:
-    """One round of the telescoping bound: lhs vs its two majorants."""
-
-    lhs: float
-    stability_bound: float
-    range_bound: float
-
-    def holds(self) -> bool:
-        return at_most(self.lhs, min(self.stability_bound, self.range_bound))
-
-
-def per_round_ftrl_inequality(raw_gradients, params: HyperParams, t: int,
-                              horizon: int = DEFAULT_ORACLE_HORIZON) -> PerRoundInequality:
-    """Evaluate ``F_t(delta_t) - F_{t+1}(delta_{t+1}) + v_t delta_t`` and its majorants.
-
-    The telescoped per-round term is bounded by both ``eta_t v_t^2 / 2``
-    (stability of the regularized minimizer) and ``2 D_T |v_t|`` (range of the
-    plays).  Only certified on traces where clipping never fires; a clipped
-    trace raises :class:`NotApplicableError` because the constrained argmin
-    breaks the unconstrained algebra used here.
-
-    ``raw_gradients`` must include the seed gradient ``g_0`` and cover rounds
-    ``1..T`` with ``T = len(raw_gradients) - 1``; needs ``t <= T``.
-    """
-    T = len(raw_gradients) - 1
-    if not (1 <= t <= T):
-        raise ValueError(f"need 1 <= t <= {T}, got {t}")
-    if t + 1 > horizon:
-        raise OracleHorizonError(f"round {t + 1} exceeds the oracle horizon {horizon}")
-    losses = undiscounted_losses(raw_gradients, params.beta1)
-    # each square once; eta_s reads sqrt(sum_{r<s} (p^r v_r)^2) off a prefix of them, the same
-    # fsum as the literal forms take per prefix
-    squares = loss_squares(losses, params.p)
-
-    def eta(s: int) -> float:
-        return ftrl_eta(root_of_sum(squares[:s]), params.p, alpha_at(params.alpha, s), s)
-
-    def objective(s: int, eta_s: float, x: float) -> float:   # F_s(x)
-        return x * x / (2.0 * eta_s) + math.fsum(losses[:s]) * x
-
-    etas, deltas = [], []
-    for s in range(1, T + 1):
-        etas.append(eta(s))
-        raw = -etas[-1] * math.fsum(losses[:s])
-        if params.D is not None and abs(raw) > params.D:
-            raise NotApplicableError(
-                f"clipping fires at round {s}; the per-round inequality is not certified"
-            )
-        deltas.append(raw)
-    d_T = max(abs(d) for d in deltas)
-
-    eta_next = eta(t + 1)
-    delta_next = -eta_next * math.fsum(losses[:t + 1])
-    v_t = losses[t]
-    lhs = (objective(t, etas[t - 1], deltas[t - 1]) - objective(t + 1, eta_next, delta_next)
-           + v_t * deltas[t - 1])
-    return PerRoundInequality(
-        lhs=lhs,
-        stability_bound=etas[t - 1] * v_t * v_t / 2.0,
-        range_bound=2.0 * d_T * abs(v_t),
-    )

@@ -36,12 +36,12 @@ from adamftrl.adversaries import (NonObliviousResult, NonObliviousRound, Tightne
                                   TightnessRound, check_nonoblivious_regime,
                                   check_tightness_regime, geometric_losses)
 from adamftrl.bounds import BOUNDS, bound_b_undiscounted
-from adamftrl.errors import ContractViolation, NotApplicableError, OracleHorizonError, RegimeError
+from adamftrl.errors import ContractViolation, OracleHorizonError, RegimeError
 from adamftrl.harness import TRACE_COLUMNS, _stream_summary
 from adamftrl.learner import (DEFAULT_ORACLE_HORIZON, REGIME_TOL, clip_to_domain,
-                              evaluate_objective, ftrl_eta_from_losses, ftrl_update_from_losses,
-                              undiscounted_losses)
-from adamftrl.regret import PerRoundInequality
+                              ftrl_eta_from_losses)
+from referees import (NotApplicableError, PerRoundInequality, evaluate_objective,
+                      ftrl_update_from_losses, undiscounted_losses)
 
 
 @dataclass
@@ -235,7 +235,8 @@ def literal_tightness_run(ratio: float, D: float, kappa: float, v0: float,
     return TightnessResult(regret=regret, lower_bound=lower, b_total=b_total,
                            ratio=regret / b_total,
                            max_prebar=max(abs(r.delta_bar) for r in rounds),
-                           any_clipped=any(r.clipped for r in rounds), rounds=rounds)
+                           any_clipped=any(r.clipped for r in rounds),
+                           clip_count=sum(r.clipped for r in rounds), rounds=rounds)
 
 
 def literal_nonoblivious_run(a: float, b: float, v: float, ratio: float, T: int,

@@ -23,7 +23,6 @@ from adamftrl import (
     bound_theorem1_discounted,
     bound_theorem3_discounted,
     drive as drive_rounds,
-    ftrl_oracle_update,
     run_experiment,
     run_nonoblivious_experiment,
     run_tightness_experiment,
@@ -31,9 +30,7 @@ from adamftrl import (
     verify_lemma_a2,
 )
 from adamftrl.adversaries import default_lemma_a1_grid, default_lemma_a2_grid
-from adamftrl.errors import NotApplicableError
 from adamftrl.harness import render_csv, render_json
-from adamftrl.regret import per_round_ftrl_inequality
 from conftest import (
     constant_params,
     decaying_params,
@@ -42,6 +39,7 @@ from conftest import (
     random_gradients,
     state_after,
 )
+from referees import NotApplicableError, ftrl_oracle_update, per_round_ftrl_inequality
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -13,9 +13,7 @@ from adamftrl import (
     GeometricSequence,
     NonObliviousPair,
     RandomUniform,
-    closed_form_prebar_delta,
     geometric_losses,
-    nonoblivious_per_round_regret,
     run_nonoblivious_experiment,
     run_tightness_experiment,
     verify_lemma_a1,
@@ -29,15 +27,9 @@ from adamftrl.adversaries import (_PAIR_CELLS, _PCG_BLOCK, _Pcg64,
                                   default_lemma_a1_grid, default_lemma_a2_grid,
                                   run_nonoblivious_pairs, run_tightness_trace)
 from adamftrl.bounds import bound_b_from_radical
-from adamftrl.errors import (
-    AdamFtrlError,
-    ContractViolation,
-    OracleHorizonError,
-    RegimeError,
-    SingularParameterError,
-)
+from adamftrl.errors import AdamFtrlError, ContractViolation, OracleHorizonError, RegimeError
 from adamftrl.harness import ExperimentConfig, sweep
-from adamftrl.learner import AlphaSchedule, ftrl_update_from_losses, loss_squares
+from adamftrl.learner import AlphaSchedule, loss_squares
 from conftest import (
     literal_lemma_a1_grid,
     literal_lemma_a1_value,
@@ -47,6 +39,8 @@ from conftest import (
     literal_tightness_run,
     literal_verify_lemma,
 )
+from referees import (SingularParameterError, closed_form_prebar_delta, ftrl_update_from_losses,
+                      nonoblivious_per_round_regret)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +280,7 @@ def test_tightness_prefixes_are_the_runs_at_each_horizon(run, horizons):
         return
     assert [_tightness_outcome(lambda r: r, result) for _, result in reads] == own
     for totals, result in reads:
-        assert vars(totals) == {k: v for k, v in vars(result).items() if k != "rounds"}
+        assert totals._asdict() == {k: v for k, v in result._asdict().items() if k != "rounds"}
         assert totals.clip_count == sum(r.clipped for r in result.rounds)
 
 

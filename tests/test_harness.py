@@ -1,6 +1,5 @@
 import contextlib
 import csv
-import dataclasses
 import hashlib
 import importlib.util
 import io
@@ -368,7 +367,7 @@ def _check_sweep_matches_point_runs(raw) -> int:
     res = sweep(ExperimentConfig.from_dict(raw))
     keys = sorted(raw["grid"])
     columns = res.csv_header[len(keys) + 1:]
-    base = {k: v for k, v in ExperimentConfig.from_dict(raw).__dict__.items() if k != "grid"}
+    base = {k: v for k, v in ExperimentConfig.from_dict(raw)._asdict().items() if k != "grid"}
     expected, batches = [], {}
     for combo in itertools.product(*(raw["grid"][k] for k in keys)):
         point = ExperimentConfig(**{**base, **dict(zip(keys, combo))})
@@ -707,7 +706,7 @@ def test_batch_matches_point_runs_at_block_edges(stream, T):
            "beta1": 0.5, "beta2": 0.5, "alpha": 0.5, "domain": 1.0, "u": 0.5,
            "bounds": ["corollary1"], "grid": {"beta1": [0.05, 0.6], "beta2": [0.01, 0.5, 0.99]}}
     template = ExperimentConfig.from_dict(raw)
-    base = {k: v for k, v in template.__dict__.items() if k != "grid"}
+    base = {k: v for k, v in template._asdict().items() if k != "grid"}
     points, own, reasons = [], [], []
     for beta1, beta2 in itertools.product(raw["grid"]["beta1"], raw["grid"]["beta2"]):
         point = ExperimentConfig(**{**base, "beta1": beta1, "beta2": beta2})
@@ -1078,6 +1077,32 @@ def test_cli_range_errors_exit_two(patch, err, tmp_path, capsys):
     assert not list(tmp_path.glob("x.*"))
 
 
+# beta1/sqrt(beta2), the default decay ratio, was derived before HyperParams checked beta2
+BETA2_DECAY = {"adversary": "random", "beta1": 0.5, "T": 1, "alpha_kind": "exponential_decay"}
+
+
+@pytest.mark.parametrize("beta2", [
+    0.0,    # died with a ZeroDivisionError traceback (exit 1, "contract violated")
+    -0.5,   # exited 2 with "config error: math domain error"
+    1.5,    # exited 2 with "exponential decay needs ratio >= 1 to be non-increasing, got ..."
+], ids=["zero", "negative", "above-one"])
+def test_cli_beta2_outside_the_unit_interval_exits_two_naming_it(beta2, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**BETA2_DECAY, "beta2": beta2}))
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == f"config error: beta2 must be in (0, 1), got {beta2}\n"
+    assert not list(tmp_path.glob("x.*"))
+
+
+def test_cli_sweep_skips_a_beta2_of_zero(tmp_path):
+    # the whole sweep died with a ZeroDivisionError traceback
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**BETA2_DECAY, "beta2": 0.25, "grid": {"beta2": [0.0, 0.25]}}))
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 0
+    statuses = [row[1] for row in csv.reader((tmp_path / "x.csv").read_text().splitlines()[1:])]
+    assert statuses == ["skipped: beta2 must be in (0, 1), got 0.0", "ok"]
+
+
 @pytest.mark.parametrize("patch,argv,err", [
     # B's round-T total overflows; the JSON held "b_total": Infinity and the run exited 1
     ({"T": 511}, ["--horizon", "511"],
@@ -1415,6 +1440,9 @@ CONFIG_BASE = {"adversary": "random", "beta1": 0.9, "beta2": 0.99, "T": 20,
     ({"out": 5}, "'out': 5 is not a path"),
     ({"grid": {"beta1": 0.9}},
      "'grid': {\"beta1\": 0.9} is not a map of beta1|beta2|kappa|a|b|p|T to non-empty value lists"),
+    # grid's default is an empty map, not null: a null grid is no grid value
+    ({"grid": None},
+     "'grid': null is not a map of beta1|beta2|kappa|a|b|p|T to non-empty value lists"),
     # exit 0: a string echoed as the comparator, a fractional horizon, a word as a ratio
     ({"u": "0.5"}, "'u': \"0.5\" is not a number or \"negD\""),
     ({"oracle_horizon": 1.5}, "'oracle_horizon': 1.5 is not an integer"),
@@ -1427,7 +1455,8 @@ CONFIG_BASE = {"adversary": "random", "beta1": 0.9, "beta2": 0.99, "T": 20,
     # exit 0: ratio() took p = 0.5 and hyper_params() the betas' p = 0.9045...
     ({"p": 0.5}, "'p' = 0.5 disagrees with beta1/sqrt(beta2) = 0.9045340337332909"),
 ], ids=["T-float", "T-null", "T-string", "beta1-string", "beta1-list", "seed-float",
-        "seed-string", "alpha-null", "domain-string", "out-int", "grid-not-lists", "u-string",
+        "seed-string", "alpha-null", "domain-string", "out-int", "grid-not-lists", "grid-null",
+        "u-string",
         "horizon-float", "alpha-ratio-word", "domain-inf", "p-nan", "alpha-ratio-nan", "v0-nan",
         "p-disagrees-with-betas"])
 def test_cli_config_values_outside_the_table_exit_two(patch, err, tmp_path, capsys):
@@ -1555,7 +1584,7 @@ def test_cli_takes_any_json_value_to_a_run_or_exit_two(command, key, value, on_r
 
 def test_config_table_names_every_field_and_readme_key():
     table = set(adamftrl.harness._KEYS)
-    assert table == {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert table == set(ExperimentConfig._fields)
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     section = readme.split("### Config keys")[1].split("\n\n")[1]
     first_cells = [line.split("|")[1] for line in section.splitlines()[2:]]

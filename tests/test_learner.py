@@ -12,8 +12,6 @@ from adamftrl import (
     alpha_at,
     clip_to_domain,
     drive as drive_rounds,
-    evaluate_objective,
-    ftrl_oracle_update,
     ingest_gradient,
     propose_update,
 )
@@ -25,6 +23,7 @@ from adamftrl.errors import (
     ScheduleExhaustedError,
 )
 from conftest import constant_params, decaying_params, drive, random_gradients
+from referees import evaluate_objective, ftrl_oracle_update
 
 
 # ---------------------------------------------------------------------------

@@ -11,16 +11,15 @@ from adamftrl import (
     HyperParams,
     RegretLedger,
     accumulate_discounted_regret,
-    per_round_ftrl_inequality,
-    undiscounted_regret,
 )
 from adamftrl import drive as drive_rounds
 import adamftrl.learner as learner
-import adamftrl.regret as regret
-from adamftrl.errors import AdamFtrlError, NotApplicableError, OracleHorizonError, ScheduleError
+from adamftrl.errors import AdamFtrlError, OracleHorizonError, ScheduleError
 from adamftrl.regret import _BLOCK, drive_batch
 from conftest import (constant_params, decaying_params, drive, drive_one_step,
                       literal_per_round_ftrl_inequality, random_gradients)
+import referees
+from referees import NotApplicableError, per_round_ftrl_inequality, undiscounted_regret
 
 
 def test_single_round():
@@ -350,8 +349,8 @@ def test_per_round_inequality_squares_each_loss_once(monkeypatch):
         squared.extend(losses)
         return learner.loss_squares(losses, ratio)
 
-    monkeypatch.setattr(regret, "loss_squares", counting)
+    monkeypatch.setattr(referees, "loss_squares", counting)
     gs = random_gradients(random.Random(7), 40, scale=2.0)
     params = constant_params(0.6, 0.5)
     per_round_ftrl_inequality(gs, params, 17)
-    assert squared == learner.undiscounted_losses(gs, params.beta1)
+    assert squared == referees.undiscounted_losses(gs, params.beta1)
