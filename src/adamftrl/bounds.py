@@ -126,22 +126,18 @@ def _priced(bound):
         if isinstance(T, np.ndarray):   # a rising column of rounds >= 1
             with np.errstate(all="ignore"):
                 return bound(params, stats, u, T, *args)
-        _require(T >= 1, ValueError, f"need T >= 1, got {T}")
+        if not T >= 1:
+            raise ValueError(f"need T >= 1, got {T}")
         return bound(params, stats, u, T, *args)
     return price
-
-
-def _require(cond: bool, exc: type[Exception], msg: str) -> None:
-    if not cond:
-        raise exc(msg)
 
 
 # Regime checks: the one place each bound's rule is written.  Validation runs them
 # before a run starts; each bound function runs its own on every call.
 
 def _check_p_at_most_one(name: str, params: HyperParams) -> None:
-    _require(params.p <= 1.0 + REGIME_TOL, RegimeError,
-             f"bound {name!r} needs p <= 1, got p = {params.p}")
+    if not params.p <= 1.0 + REGIME_TOL:
+        raise RegimeError(f"bound {name!r} needs p <= 1, got p = {params.p}")
 
 
 def check_theorem1(params: HyperParams) -> None:
@@ -150,26 +146,26 @@ def check_theorem1(params: HyperParams) -> None:
 
 def check_corollary1(params: HyperParams) -> None:
     _check_p_at_most_one("corollary1", params)
-    _require(params.alpha.kind == "constant", ScheduleError,
-             "bound 'corollary1' needs a constant alpha")
+    if params.alpha.kind != "constant":
+        raise ScheduleError("bound 'corollary1' needs a constant alpha")
 
 
 def check_theorem3(params: HyperParams) -> None:
-    _require(params.p >= 1.0 - REGIME_TOL, RegimeError,
-             f"bound 'theorem3' needs p >= 1, got p = {params.p}")
-    _require(params.alpha.kind == "exponential_decay", ScheduleError,
-             "bound 'theorem3' needs alpha_kind 'exponential_decay'")
-    _require(abs(params.alpha.ratio - params.p) <= REGIME_TOL * max(1.0, params.p),
-             ScheduleError,
-             f"schedule decay ratio {params.alpha.ratio} must equal p = {params.p}")
+    if not params.p >= 1.0 - REGIME_TOL:
+        raise RegimeError(f"bound 'theorem3' needs p >= 1, got p = {params.p}")
+    if params.alpha.kind != "exponential_decay":
+        raise ScheduleError("bound 'theorem3' needs alpha_kind 'exponential_decay'")
+    if not abs(params.alpha.ratio - params.p) <= REGIME_TOL * max(1.0, params.p):
+        raise ScheduleError(f"schedule decay ratio {params.alpha.ratio} must equal p = {params.p}")
 
 
 def check_b(params: HyperParams) -> None:
-    _require(params.D is not None, RegimeError, "bound 'B' needs a bounded domain")
-    _require(params.p <= 1.0 + REGIME_TOL, RegimeError,
-             "bound 'B' needs p <= 1 and constant alpha")
-    _require(params.alpha.kind == "constant", ScheduleError,
-             "bound 'B' needs p <= 1 and constant alpha")
+    if params.D is None:
+        raise RegimeError("bound 'B' needs a bounded domain")
+    if not params.p <= 1.0 + REGIME_TOL:
+        raise RegimeError("bound 'B' needs p <= 1 and constant alpha")
+    if params.alpha.kind != "constant":
+        raise ScheduleError("bound 'B' needs p <= 1 and constant alpha")
 
 
 class Theorem1Coefficient:
@@ -182,31 +178,42 @@ class Theorem1Coefficient:
     """
 
     def __init__(self, params: HyperParams):
-        self.schedule, self.p, self.T = params.alpha, params.p, 0
-        self.coeff = self.peak = 0.0
+        self.schedule, self.p, self.T, self.coeff, self.peak = params.alpha, params.p, 0, 0.0, 0.0
         self.alpha_next = alpha_at(params.alpha, 1)
         self.kept: list[tuple[int, float]] = []   # (t, alpha_t) that may still lead
 
-    def advance_to(self, T: int) -> None:
-        _require(T >= self.T, ValueError, f"cannot move back from T={self.T} to {T}")
-        while self.T < T:
-            self.T += 1
-            a_t, self.alpha_next = self.alpha_next, alpha_at(self.schedule, self.T + 1)
-            _require(self.alpha_next <= a_t, ScheduleError,
-                     f"alpha must be non-increasing, got {a_t} -> {self.alpha_next}")
-            self.kept.append((self.T, a_t))
-            terms = [a * self.p ** (self.T - t) for t, a in self.kept]
-            self.coeff = max(terms)
-            self.peak = max(self.peak, self.coeff)
-            self.kept = [k for k, term in zip(self.kept, terms)
-                         if term >= self.coeff * (1.0 - _TIE_TOL)]
-            if self.p == 1.0:  # each term is then its alpha at every T, and the first leads
-                del self.kept[1:]
+    def walk(self, rows, peak: bool, alphas: list, coeffs: list) -> None:
+        """Walks to each round of ``rows`` (rising), its state in locals, appending ``alpha_{T+1}``
+        to ``alphas`` and the coefficient at ``T``, or its peak if ``peak``, to ``coeffs``.  An
+        error carries the row it was met on the way to as ``row``, after the rows before it."""
+        schedule, p, keep = self.schedule, self.p, 1.0 - _TIE_TOL
+        T, a_next, coeff, top, kept = self.T, self.alpha_next, self.coeff, self.peak, self.kept
+        try:
+            for row in rows:
+                if row < T:
+                    raise ValueError(f"cannot move back from T={T} to {row}")
+                while T < row:
+                    T += 1
+                    a_t, a_next = a_next, alpha_at(schedule, T + 1)
+                    if not a_next <= a_t:
+                        raise ScheduleError(f"alpha must be non-increasing, got {a_t} -> {a_next}")
+                    kept.append((T, a_t))
+                    terms = [a * p ** (T - t) for t, a in kept]
+                    coeff = max(terms)
+                    top = coeff if coeff > top else top
+                    kept = [k for k, term in zip(kept, terms) if term >= coeff * keep]
+                    if p == 1.0:  # each term is then its alpha at every T, and the first leads
+                        del kept[1:]
+                alphas.append(a_next)
+                coeffs.append(top if peak else coeff)
+        except AdamFtrlError as exc:
+            exc.row = row
+            raise
+        finally:
+            self.T, self.alpha_next, self.coeff, self.peak, self.kept = T, a_next, coeff, top, kept
 
-    def at(self, T: int, peak: bool = False) -> tuple[float, float]:
-        """``alpha_{T+1}`` and the coefficient at ``T``, or its largest value so far if ``peak``."""
-        self.advance_to(T)
-        return self.alpha_next, self.peak if peak else self.coeff
+    def advance_to(self, T: int) -> None:
+        self.walk((T,), False, [], [])
 
 
 @_priced
@@ -218,23 +225,22 @@ def bound_theorem1_discounted(params: HyperParams, stats: TraceStats, u: float,
           + (sqrt(6 beta2) / (2 beta1)) (max_{1<=t<=T} alpha_t p^(T-t)) sqrt(q)
           + 7 d_max max_v
 
-    ``running`` carries the coefficient across one run's rows; without it a call costs O(T).
-    A schedule error at some row is raised once the rows before it are priced.
+    ``running`` carries the coefficient across a run's rows, a column in one walk; without it a
+    call costs O(T).  A schedule error at some row is raised once the rows before it are priced.
     """
     check_theorem1(params)
     running = running or Theorem1Coefficient(params)
-    stop = None
-    if isinstance(T, np.ndarray):
-        alpha_next, coeff, peak = np.empty(len(T)), np.empty(len(T)), stats.peak
-        for i, t in enumerate(T.tolist()):
-            try:
-                alpha_next[i], coeff[i] = running.at(t, peak)
-            except AdamFtrlError as exc:
-                stop, exc.row = exc, t
-                T, stats, alpha_next, coeff = T[:i], stats.head(i), alpha_next[:i], coeff[:i]
-                break
+    alphas, coeffs, stop = [], [], None
+    if not isinstance(T, np.ndarray):
+        running.walk((T,), stats.peak, alphas, coeffs)
+        (alpha_next,), (coeff,) = alphas, coeffs
     else:
-        alpha_next, coeff = running.at(T, stats.peak)
+        try:
+            running.walk(T.tolist(), stats.peak, alphas, coeffs)
+        except AdamFtrlError as exc:
+            stop, n = exc, len(alphas)
+            T, stats = T[:n], stats.head(n)
+        alpha_next, coeff = np.array(alphas, dtype=float), np.array(coeffs)
     root_q = _sqrt(stats.q)
     comparator = u * u / alpha_next * root_q
     variance = math.sqrt(6.0 * params.beta2) / (2.0 * params.beta1) * coeff * root_q
@@ -285,10 +291,12 @@ def bound_b_undiscounted(losses, ratio: float, u: float, alpha: float,
     compares realized regret against; it uses the domain half-width ``D``, not
     the realized ``d_max``.
     """
-    _require(len(losses) >= 1, ValueError, "need at least the round-0 loss")
-    _require(0.0 < ratio <= 1.0 + REGIME_TOL, RegimeError,
-             f"order-level bound needs 0 < ratio <= 1, got {ratio}")
-    _require(D > 0, ValueError, f"domain half-width must be positive, got {D}")
+    if len(losses) < 1:
+        raise ValueError("need at least the round-0 loss")
+    if not 0.0 < ratio <= 1.0 + REGIME_TOL:
+        raise RegimeError(f"order-level bound needs 0 < ratio <= 1, got {ratio}")
+    if not D > 0:
+        raise ValueError(f"domain half-width must be positive, got {D}")
     return bound_b_from_radical(root_sum_of_squares(losses, ratio, len(losses)),
                                 max(abs(v) for v in losses), ratio, u, alpha, D, len(losses) - 1)
 

@@ -379,8 +379,10 @@ class TraceRows(Sequence):
         columns[_CLIPPED] = map(("false", "true").__getitem__, columns[_CLIPPED])
         return map(",".join(cells).__mod__, self._zip(columns))
 
-    def __getitem__(self, i: int) -> tuple:
+    def __getitem__(self, i):
         i = range(len(self))[i]   # as a tuple reads i: from the end if negative, IndexError past it
+        if isinstance(i, range):   # a slice: the tuple of its rows
+            return tuple(map(self.__getitem__, i))
         return (*(c[i] for c in self._columns),
                 *(b[i - 1] if i else math.nan for b in self._bounds))
 

@@ -1,6 +1,8 @@
+import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from adamftrl import (
@@ -14,7 +16,7 @@ from adamftrl import (
     bound_theorem3_discounted,
     dominance_holds,
 )
-from adamftrl.bounds import Theorem1Coefficient
+from adamftrl.bounds import BOUNDS, Theorem1Coefficient, price_columns
 from adamftrl.errors import RegimeError, ScheduleError
 from adamftrl.learner import alpha_at
 from conftest import (
@@ -145,6 +147,90 @@ def test_theorem1_carried_coefficient_matches_fresh_calls():
                 == bound_theorem1_discounted(params, stats, 0.7, T))
     with pytest.raises(ValueError):
         running.advance_to(3)
+
+
+def _column_schedules():
+    """(params, label) pairs for the column tests: each kind of schedule, then the near-ties."""
+    staircase = AlphaSchedule.explicit([1.0 / (1 + t // 7) for t in range(302)])
+    return [(constant_params(0.9, 0.99, alpha=0.5), "constant"),
+            (HyperParams(beta1=0.9, beta2=0.99,
+                         alpha=AlphaSchedule.exponential_decay(0.5, 1.01)), "decay"),
+            (HyperParams(beta1=0.5, beta2=0.3, alpha=staircase), "explicit staircase"),
+            *_near_tie_schedules()]
+
+
+@pytest.mark.parametrize("peak", [False, True], ids=["at-T", "peak"])
+@pytest.mark.parametrize("params,label", _column_schedules())
+def test_theorem1_column_matches_carried_scalar_calls(params, label, peak):
+    # one walk over a rising, non-consecutive column prices each row as a scalar call on a
+    # carried coefficient does, bit for bit
+    rng = np.random.default_rng(len(label))
+    T = np.sort(rng.choice(np.arange(2, 301), size=60, replace=False))
+    stats = TraceStats(rng.uniform(0.5, 2.0, 60), rng.uniform(0.0, 1.0, 60),
+                       rng.uniform(0.0, 1.0, 60), peak=peak)
+    column = bound_theorem1_discounted(params, stats, 0.7, T, Theorem1Coefficient(params))
+    running = Theorem1Coefficient(params)
+    # the referee: the coefficient by a full scan at every round, or its running maximum
+    scan = [max(alpha_at(params.alpha, t) * params.p ** (n - t) for t in range(1, n + 1))
+            for n in range(1, 301)]
+    coeffs = list(itertools.accumulate(scan, max)) if peak else scan
+    scale = math.sqrt(6.0 * params.beta2) / (2.0 * params.beta1)
+    for i, t in enumerate(T.tolist()):
+        row = TraceStats(float(stats.q[i]), float(stats.max_v[i]), float(stats.d_max[i]), peak)
+        got = column.row(i)
+        assert got == bound_theorem1_discounted(params, row, 0.7, t, running), (label, t)
+        root_q = math.sqrt(row.q)
+        assert got.term_comparator == 0.7 * 0.7 / alpha_at(params.alpha, t + 1) * root_q
+        assert got.term_variance == scale * coeffs[t - 1] * root_q, (label, t)
+
+
+def _rising_at(k: int) -> HyperParams:
+    """A library-level explicit schedule (unchecked) whose alpha rises after round ``k``."""
+    values = [1.0 / (1 + t // 3) for t in range(40)]
+    values[k] = values[k - 1] * 1.5
+    return HyperParams(beta1=0.5, beta2=0.3,
+                       alpha=AlphaSchedule("explicit", values[0], values=tuple(values)))
+
+
+def _overflowing_at(j: int | None, n: int = 30) -> TraceStats:
+    """Column statistics of the rows ``2..n + 1`` whose ``q`` leaves the float range at row ``j``."""
+    q = np.linspace(1.0, 2.0, n)
+    if j is not None:
+        q[j - 2] = math.inf
+    return TraceStats(q, np.full(n, 0.5), np.full(n, 0.25))
+
+
+@pytest.mark.parametrize("k", [2, 9, 31])
+def test_theorem1_column_stops_at_the_row_whose_schedule_rises(k):
+    T = np.arange(2, 32)
+    with pytest.raises(ScheduleError, match="alpha must be non-increasing") as err:
+        bound_theorem1_discounted(_rising_at(k), _overflowing_at(None), 0.7, T)
+    assert err.value.row == k
+    # met on the way to a later row of a column that skips rounds, it carries that row
+    with pytest.raises(ScheduleError) as err:
+        bound_theorem1_discounted(_rising_at(k), _overflowing_at(None, 2), 0.7,
+                                  np.array([k - 1, k + 3]))
+    assert err.value.row == k + 3
+    if k == 2:   # no row before it
+        return
+    # the rows before it are priced: an overflow on one of them wins
+    with pytest.raises(RegimeError, match=f"at T = {k - 1}$") as err:
+        bound_theorem1_discounted(_rising_at(k), _overflowing_at(k - 1), 0.7, T)
+    assert err.value.row == k - 1
+
+
+@pytest.mark.parametrize("j", [5, 12, 20])
+def test_price_columns_raises_the_earliest_theorem1_error(j):
+    # the schedule error at row 12 and another evaluator's overflow at row j: the earlier wins,
+    # and the first evaluator at a tie
+    T, stats = np.arange(2, 32), _overflowing_at(None)
+    evaluators = [BOUNDS["theorem1"].per_run(_rising_at(12), 0.7),
+                  lambda _, rows: BOUNDS["theorem1"].per_run(constant_params(0.5, 0.3), 0.7)(
+                      _overflowing_at(j).head(len(rows)), rows)]
+    with pytest.raises((ScheduleError, RegimeError)) as err:
+        price_columns(evaluators, stats, T)
+    assert err.value.row == min(j, 12)
+    assert isinstance(err.value, ScheduleError if j >= 12 else RegimeError)
 
 
 def test_theorem1_wrong_regime():

@@ -1255,6 +1255,19 @@ def test_simulate_rows_read_as_the_reference_tuple(raw):
     assert render_csv(result) == render_csv(expected)
 
 
+def test_simulate_rows_slice_as_their_tuple():
+    config = ExperimentConfig.from_dict(
+        {"adversary": "random", "T": 7, "seed": 3, "beta1": 0.9, "beta2": 0.99,
+         "alpha": 0.5, "domain": 1.0, "u": 0.5, "bounds": ["theorem1", "corollary1"]})
+    rows = run_experiment(config).csv_rows
+    whole = tuple(rows)
+    for s in (slice(1, 3), slice(None), slice(None, None, -1), slice(-2, None),
+              slice(5, 1, -2), slice(4, 2), slice(7, None), slice(-100, 100, 3), slice(0, 0)):
+        got = rows[s]
+        assert type(got) is tuple and got == whole[s], s
+    assert rows[1:3] == (rows[1], rows[2])
+
+
 # a fixed stream whose second moment overflows at round N (g_N = 1.7e308); with a spike at
 # round N - 1, corollary1's total u^2 sqrt(q) / alpha leaves the float range on row N - 1 first
 def _chunk_edge_run(N: int, spike: bool) -> dict:
