@@ -45,14 +45,15 @@ from .bounds import BOUNDS, BoundReport, TraceStats, dominance_holds, price_colu
 from .errors import AdamFtrlError, ConfigError
 from .learner import (DEFAULT_ORACLE_HORIZON, PREBAR_TOL, REGIME_TOL, AlphaSchedule, CheckedAlphas,
                       HyperParams, at_most, check_beta)
-from .regret import drive, drive_batch
+from .regret import drive_batch, drive_trace
 
 RNG_NAME = "numpy-pcg64"
 TRACE_COLUMNS = (
     "t", "alpha_t", "g_t", "m_t", "q_t", "delta_bar_t", "delta_t", "clipped",
     "loss_discounted", "regret_discounted", "maxV_t", "D_t",
 )
-_CLIPPED = TRACE_COLUMNS.index("clipped")
+_ALPHA, _DELTA_BAR, _DELTA, _CLIPPED, _D = map(
+    TRACE_COLUMNS.index, ("alpha_t", "delta_bar_t", "delta_t", "clipped", "D_t"))
 PAIR_COLUMNS = NonObliviousRound._fields
 
 
@@ -343,8 +344,7 @@ def _stream_summary(config: ExperimentConfig, r_disc: float, clip_count: int,
     }
 
 
-# Rows per chunk, both where a simulate trace reads regret.drive and where the CSV is made: a trace
-# holds no list of its rows, and the CSV of a long trace never exists whole.
+# CSV lines per chunk of text: the CSV of a long trace never exists whole.
 _CHUNK = 256
 
 
@@ -372,11 +372,22 @@ class TraceRows(Sequence):
 
     def csv_lines(self):
         """The rows' CSV lines, as ``_format_cell`` prints each cell, by one %-format: ``%d`` for
-        ``t``, ``%s`` for ``clipped`` read as its text, ``%.17g`` for every other cell."""
-        cells = ["%.17g"] * (len(self._columns) + len(self._bounds))
-        cells[0], cells[_CLIPPED] = "%d", "%s"
+        ``t``, ``%.17g`` for a float, and ``%s`` for ``clipped``'s text and for a text made once:
+        ``alpha_t``'s and ``D_t``'s once per run of equal values (neither holds -0.0 or NaN, so
+        equal bits), and ``delta_bar_t``'s as ``delta_t``'s too on a round that did not clip."""
+        cells = ["%d"] + ["%.17g"] * (len(self._columns) + len(self._bounds) - 1)
+        for i in (_ALPHA, _DELTA_BAR, _DELTA, _CLIPPED, _D):
+            cells[i] = "%s"
         columns = list(self._columns)
+        bar, columns[_DELTA_BAR] = itertools.tee(map("%.17g".__mod__, columns[_DELTA_BAR]))
+        # a clipped delta_t is +D or -D; an unclipped one is delta_bar_t
+        clips = {d: "%.17g" % d for d in set(itertools.compress(columns[_DELTA],
+                                                                 columns[_CLIPPED]))}
+        columns[_DELTA] = map(clips.get, columns[_DELTA], bar)
         columns[_CLIPPED] = map(("false", "true").__getitem__, columns[_CLIPPED])
+        columns[_ALPHA], columns[_D] = ((text for value, run in itertools.groupby(column)
+                                         for text, _ in zip(itertools.repeat("%.17g" % value), run))
+                                        for column in (columns[_ALPHA], columns[_D]))
         return map(",".join(cells).__mod__, self._zip(columns))
 
     def __getitem__(self, i):
@@ -393,37 +404,15 @@ class TraceRows(Sequence):
 
 
 def _run_gradient_stream(config: ExperimentConfig) -> ExperimentResult:
-    """One learner's trace: :func:`regret.drive` is read ``_CHUNK`` rounds at a time into float64
-    columns, then each requested bound prices the rows ``t >= 2`` as one column, after one
-    regime check."""
+    """One learner's trace: :func:`regret.drive_trace` runs it as columns, then each requested
+    bound prices the rows ``t >= 2`` as one column, after one regime check."""
     params = config.hyper_params()
     u = config.comparator()
     requested = [n for n in BOUNDS if n in config.bounds]
     header = TRACE_COLUMNS + tuple(f"bound_{n}" for n in requested)
-    gradients = config.adversary_spec().gradient_stream(config.T)
-
-    # a column per field drive() yields after t, but the m after g_t, which no row shows; filled a
-    # chunk at a time, so a run that stops early fills only its first n rows
-    kept = ("alpha_t", "m_t", "q_t", "delta_bar_t", "delta_t", "clipped", "regret_discounted",
-            "maxV_t", "D_t", "q_after")
-    columns = [np.empty(config.T, dtype=bool if name == "clipped" else np.float64) for name in kept]
-    rounds, stop, n = drive(gradients, params, u), None, 0
-    while stop is None:
-        chunk = []
-        try:   # extend keeps the rounds read before an error
-            chunk.extend(itertools.islice(rounds, _CHUNK))
-        except AdamFtrlError as exc:   # raised unless a bound fails at an earlier row
-            stop = exc
-        if not chunk:
-            break
-        _, *fields, _, q_after = zip(*chunk)
-        for column, values in zip(columns, (*fields, q_after)):
-            column[n:n + len(chunk)] = values
-        n += len(chunk)
-    g = np.array(gradients[1:n + 1])
-    del rounds, gradients   # the stream is not held while the bounds are priced
-    alpha, m, q, delta_bar, delta, clipped, regret, max_v, d_max, q_after = (
-        column[:n] for column in columns)
+    (alpha, g, m, q, delta_bar, delta, clipped, regret, max_v, d_max, q_after), stop = drive_trace(
+        config.adversary_spec().gradient_stream(config.T), params, u)
+    n = len(alpha)
     # a bound at row t reads the statistics after g_t: q_after, not the row's q_t
     stats = TraceStats(q_after[1:], max_v[1:], d_max[1:])
     reports = price_columns([BOUNDS[name].per_run(params, u) for name in requested], stats,

@@ -12,12 +12,15 @@ Dividing by ``beta1^T`` gives the undiscounted regret on the rescaled losses
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
+import operator
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateStateError, InvalidGradientError, RegimeError
+from .errors import AdamFtrlError, DegenerateStateError, InvalidGradientError, RegimeError
 from .learner import HyperParams, alpha_at
 
 
@@ -84,6 +87,51 @@ def drive(gradients, params: HyperParams, u: float = 0.0):
             if not isfinite(r_disc):
                 raise RegimeError(f"discounted regret overflows at t={t}")
             yield t, a_t, m_t, q_t, delta_bar, delta, clipped, r_disc, max_v, d_max, m, q
+
+
+def drive_trace(gradients, params: HyperParams, u: float = 0.0):
+    """:func:`drive`'s rounds as float64 columns of ``alpha_t``, ``g_t``, ``m_t``, ``q_t``,
+    ``delta_bar``, ``delta``, ``clipped`` (bool), ``r_disc``, ``max_v``, ``d_max`` and the ``q``
+    after ``g_t``, bit for bit, and the error that stopped it, or ``None``.  ``m``, ``q``, ``maxV``
+    and the regret each run as an ``itertools.accumulate`` of :func:`drive`'s float operations;
+    the rest is numpy elementwise, which rounds alike.  A failure is only flagged (a zero
+    ``g_0``, an ``alpha_at`` error, a non-finite update, as ``q = 0`` makes it, or a final ``q``
+    or regret not finite, as a non-finite gradient or an overflow leaves it), and :func:`drive`
+    replayed to count the rows it yields before its own error: every check is written once."""
+    b1, b2, T = params.beta1, params.beta2, len(gradients) - 1
+    D = math.inf if params.D is None else params.D
+    alpha = []
+    with contextlib.suppress(AdamFtrlError):   # keeps the values before an error; nan after
+        alpha.extend(map(alpha_at, itertools.repeat(params.alpha, T), range(1, T + 1)))
+    alpha = np.array(alpha + [math.nan] * (T - len(alpha)))
+
+    def scan(values, step, initial=None):   # T + 1 running values of one recurrence
+        return np.fromiter(itertools.accumulate(values, step, initial=initial), np.float64, T + 1)
+
+    # the state after g_t, t = 0..T; the one after g_0 is g_0, g_0^2 and |g_0|, as b * 0 + g = g
+    M = scan(gradients, lambda m, g: b1 * m + g)
+    Q = scan(map(operator.mul, gradients, gradients), lambda q, g2: b2 * q + g2)
+    V = scan(map(abs, gradients), lambda v, a: a if a > (w := b1 * v) else w)   # |g| above b1 v
+    g = np.array(gradients, dtype=np.float64)[1:]
+    with np.errstate(all="ignore"):   # Python floats overflow to inf silently too
+        delta_bar = -alpha * M[:-1] / np.sqrt(Q[:-1])
+        clipped = np.abs(delta_bar) > D
+        delta = np.where(clipped, np.copysign(D, delta_bar), delta_bar)
+        d_max = np.maximum.accumulate(np.abs(delta))   # as drive's from 0.0: each abs >= +0.0
+        terms = (delta - u) * g
+    blocks = (terms[i:i + _BLOCK].tolist() for i in range(0, T, _BLOCK))   # no list of T floats
+    r_disc = scan(itertools.chain.from_iterable(blocks), lambda r, c: b1 * r + c, 0.0)[1:]
+    n, stop = T, None
+    if gradients[0] == 0.0 or not (math.isfinite(Q[-1]) and np.isfinite(delta_bar).all()
+                                   and np.isfinite(r_disc[-1:]).all()):
+        try:
+            n = 0
+            for n, *_ in drive(gradients, params, u):
+                pass
+        except AdamFtrlError as exc:
+            stop = exc
+    columns = (alpha, g, M[:-1], Q[:-1], delta_bar, delta, clipped, r_disc, V[1:], d_max, Q[1:])
+    return tuple(column[:n] for column in columns), stop
 
 
 class BatchState(NamedTuple):

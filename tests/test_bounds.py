@@ -4,9 +4,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adamftrl import (
     AlphaSchedule,
+    ExperimentConfig,
     HyperParams,
     TraceStats,
     bound_b_from_stats,
@@ -15,6 +18,7 @@ from adamftrl import (
     bound_theorem1_discounted,
     bound_theorem3_discounted,
     dominance_holds,
+    run_experiment,
 )
 from adamftrl.bounds import BOUNDS, Theorem1Coefficient, price_columns
 from adamftrl.errors import RegimeError, ScheduleError
@@ -305,6 +309,38 @@ def test_bounds_coincide_at_squared_beta1():
             rc = bound_corollary1_discounted(params_c, TraceStats.from_state(run_c.state), u, 15)
             rd = bound_theorem3_discounted(params_d, TraceStats.from_state(run_d.state), u, 15)
             assert math.isclose(rc.total, rd.total, rel_tol=1e-12)
+
+
+# Relative slack where corollary1 and theorem3 meet at p = 1: their variance coefficients,
+# alpha sqrt(6 beta2) / (2 beta1) and alpha sqrt(6) / 2, are one number rounded two ways, and
+# every other factor and term is the same float.
+P_ONE_REL_TOL = 1e-14
+
+
+@given(st.sampled_from([(0.5, 0.25), (0.75, 0.5625)]),
+       st.builds(lambda g0, sign, rest: [sign * g0, *rest], st.floats(0.1, 10.0),
+                 st.sampled_from([-1.0, 1.0]), st.lists(st.floats(-10.0, 10.0), max_size=80)),
+       st.floats(0.01, 10.0), st.sampled_from(["unbounded", 0.5, 2.0]), st.floats(-1.0, 1.0))
+@settings(max_examples=60, deadline=None)
+def test_corollary1_and_theorem3_meet_at_p_one(betas, gradients, alpha, domain, u):
+    # at beta1 = sqrt(beta2) exactly, p = 1, and exponential decay at ratio p is constant alpha:
+    # the p <= 1 bound (corollary1) and the p >= 1 bound (theorem3) run one trace and price it
+    # alike, row by row and term by term -- the point where the paper's bounds meet the p = 1
+    # analysis of Ahn & Cutkosky (2024)
+    base = {"adversary": "fixed", "gradients": gradients, "beta1": betas[0], "beta2": betas[1],
+            "alpha": alpha, "domain": domain, "u": u * (1.0 if domain == "unbounded" else domain)}
+    constant = run_experiment(ExperimentConfig.from_dict({**base, "bounds": ["corollary1"]}))
+    decaying = run_experiment(ExperimentConfig.from_dict(
+        {**base, "alpha_kind": "exponential_decay", "bounds": ["theorem3"]}))
+    assert [row[:-1] for row in constant.csv_rows] == [row[:-1] for row in decaying.csv_rows]
+    for row_c, row_d in zip(constant.csv_rows[1:], decaying.csv_rows[1:]):
+        assert math.isclose(row_c[-1], row_d[-1], rel_tol=P_ONE_REL_TOL)
+    report_c = constant.summary["bounds"]["corollary1"]
+    report_d = decaying.summary["bounds"]["theorem3"]
+    assert (report_c is None) == (report_d is None) == (len(gradients) < 3)
+    for key in ("total", "term_comparator", "term_variance", "term_max"):
+        if report_c is not None:
+            assert math.isclose(report_c[key], report_d[key], rel_tol=P_ONE_REL_TOL)
 
 
 def test_b_formula_geometric_radical_closed_form():

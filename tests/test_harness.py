@@ -810,14 +810,20 @@ def test_pair_batch_memory_grows_with_the_rounds_not_with_rounds_times_pairs():
     assert peak(large) - peak(small) < (large - small) * 8 * n / 4
 
 
-def test_simulate_keeps_columns_and_writes_its_csv_in_chunks(tmp_path):
+@pytest.mark.parametrize("schedule", [
+    {"bounds": ["corollary1"]},
+    # every alpha_t differs, so each is a run of its own whose text is made once
+    {"alpha_kind": "exponential_decay", "alpha_ratio": 1.0001, "bounds": ["theorem1"]},
+], ids=["constant", "exponential_decay"])
+def test_simulate_keeps_columns_and_writes_its_csv_in_chunks(schedule, tmp_path):
     # a trace keeps 11 float64 cells and a byte a row here (its row tuples took about 370
     # bytes), and write_outputs formats and writes its CSV a chunk of lines at a time, so its
-    # own peak does not grow with T (the text rendered whole took some 220 bytes a row, twice)
+    # own peak does not grow with T (the text rendered whole took some 220 bytes a row, twice),
+    # nor do the texts it makes once per run of equal cells
     def measure(T):
         config = ExperimentConfig.from_dict({"adversary": "random", "T": T, "seed": 1,
                                              "beta1": 0.9, "beta2": 0.99, "alpha": 0.5,
-                                             "domain": 1.0, "u": 0.5, "bounds": ["corollary1"]})
+                                             "domain": 1.0, "u": 0.5, **schedule})
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -835,6 +841,52 @@ def test_simulate_keeps_columns_and_writes_its_csv_in_chunks(tmp_path):
     (kept_small, write_small), (kept_large, write_large) = measure(small), measure(large)
     assert (kept_large - kept_small) / (large - small) < 150
     assert write_large - write_small < (large - small) * 8
+
+
+def test_simulate_run_peaks_at_most_136_bytes_a_round():
+    # the run holds the stream as a list of floats (32 bytes a round) and its columns, and its
+    # recurrences read no list of all T floats; 136 bytes is what reading drive's rounds into
+    # the columns in chunks of tuples peaked at here
+    def peak(T):
+        config = ExperimentConfig.from_dict({"adversary": "random", "T": T, "seed": 1,
+                                             "beta1": 0.9, "beta2": 0.99, "alpha": 0.5,
+                                             "domain": 1.0, "u": 0.5, "bounds": ["corollary1"]})
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            run_experiment(config)
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    small, large = 5000, 20000
+    peak(small)   # the first run also allocates what numpy and the package keep for later
+    assert (peak(large) - peak(small)) / (large - small) <= 136
+
+
+@pytest.mark.parametrize("raw,replays", [
+    ({"adversary": "random", "T": 300, "seed": 1, "bounds": ["corollary1"]}, 0),
+    ({"adversary": "fixed", "gradients": [1.0] * 200 + [1.7e308, 1.0], "bounds": []}, 1),
+    ({"adversary": "fixed", "gradients": [1.0, 0.5, 0.5, 1.0, 0.2, 5.0], "alpha": 1e308,
+      "bounds": ["corollary1"]}, 1),
+], ids=["clean", "q-overflow", "update-overflow"])
+def test_simulate_replays_drive_only_on_a_failure(raw, replays, monkeypatch):
+    # the column engine runs a clean trace without regret.drive; a failing one replays it once,
+    # to find the round and error drive stops at, and keeps the rounds before it
+    calls = []
+    original = adamftrl.regret.drive
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (adamftrl.regret, adamftrl.harness):   # wherever the run could read it from
+        monkeypatch.setattr(module, "drive", counting, raising=False)
+    config = ExperimentConfig.from_dict({"beta1": 0.9, "beta2": 0.99, "alpha": 0.5, "u": 0.5,
+                                         "domain": 1.0, **raw})
+    assert _outputs_or_error(run_experiment, config) == _outputs_or_error(simulate_row_by_row,
+                                                                          config)
+    assert len(calls) == replays
 
 
 def test_sweep_nonoblivious_grid_strictness():
@@ -1230,6 +1282,20 @@ def test_simulate_matches_the_row_by_row_reference(raw):
 @example({"adversary": "random", "T": 1, "seed": 1, "beta1": 0.9, "beta2": 0.99,
           "alpha_kind": "constant", "alpha": 0.5, "domain": 1.0, "u": 0.5,
           "bounds": ["theorem1", "corollary1"]})
+# alpha_t's text is made once per run of equal values: an explicit schedule that repeats its
+# values and then drops, and a decaying one whose every value differs
+@example({"adversary": "random", "T": 40, "seed": 2, "beta1": 0.9, "beta2": 0.99,
+          "alpha_kind": "explicit", "alpha_values": [0.5] * 15 + [0.25] * 20 + [0.125] * 6,
+          "domain": 1.0, "u": 0.5, "bounds": ["theorem1"]})
+@example({"adversary": "random", "T": 40, "seed": 2, "beta1": 0.9, "beta2": 0.99,
+          "alpha_kind": "exponential_decay", "alpha_ratio": 1.5, "alpha": 0.5, "domain": 1.0,
+          "u": 0.5, "bounds": ["theorem1"]})
+# delta_t reuses delta_bar_t's text only where it did not clip: updates clipped to +D and -D,
+# next to unclipped ones, the first of which lands on -D exactly
+@example({"adversary": "fixed", "gradients": [1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0, 0.5, 0.0,
+                                               2.0],
+          "beta1": 0.5, "beta2": 0.25, "alpha_kind": "constant", "alpha": 1.0, "domain": 1.0,
+          "u": 0.5, "bounds": ["corollary1"]})
 @settings(max_examples=60, deadline=None)
 def test_simulate_rows_read_as_the_reference_tuple(raw):
     # csv_rows is a read-only view over the trace's columns; it reads, indexes, compares and
@@ -1269,7 +1335,8 @@ def test_simulate_rows_slice_as_their_tuple():
 
 
 # a fixed stream whose second moment overflows at round N (g_N = 1.7e308); with a spike at
-# round N - 1, corollary1's total u^2 sqrt(q) / alpha leaves the float range on row N - 1 first
+# round N - 1, corollary1's total u^2 sqrt(q) / alpha leaves the float range on row N - 1 first.
+# N sits at the edges of the CSV's chunks of _CHUNK lines.
 def _chunk_edge_run(N: int, spike: bool) -> dict:
     return {"adversary": "fixed", "gradients": [1.0] * (N - 1) + [1e10 if spike else 1.0, 1.7e308],
             "beta1": 0.5, "beta2": 0.5, "alpha": 1e-300, "u": 2.0, "domain": 2.0,
@@ -1281,8 +1348,9 @@ def _chunk_edge_run(N: int, spike: bool) -> dict:
                               "first-round-after-a-chunk"])
 @pytest.mark.parametrize("spike", [False, True], ids=["driver-first", "bound-first"])
 def test_driver_errors_at_drive_chunk_edges(N, spike, tmp_path, capsys, monkeypatch):
-    # regret.drive is read _CHUNK rounds at a time; every round it finished before its error is
-    # kept and priced, so a bound that fails on an earlier row still wins (at N = 1 no row is)
+    # regret.drive_trace flags the overflow and replays regret.drive to find its round; every
+    # round drive finished before its error is kept and priced, so a bound that fails on an
+    # earlier row still wins (at N = 1 no row is)
     raw = _chunk_edge_run(N, spike)
     err = (f"bound 'corollary1' overflows: its total leaves the float range at T = {N - 1}"
            if spike and N > 2 else f"second-moment accumulator overflows at t={N}")

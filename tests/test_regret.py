@@ -15,7 +15,7 @@ from adamftrl import (
 from adamftrl import drive as drive_rounds
 import adamftrl.learner as learner
 from adamftrl.errors import AdamFtrlError, OracleHorizonError, ScheduleError
-from adamftrl.regret import _BLOCK, drive_batch
+from adamftrl.regret import _BLOCK, drive_batch, drive_trace
 from conftest import (constant_params, decaying_params, drive, drive_one_step,
                       literal_per_round_ftrl_inequality, random_gradients)
 import referees
@@ -294,6 +294,73 @@ def test_drive_batch_matches_drive_column_by_column(case):
         assert trace[1][:, j].tolist() == clipped
         got = [float(field[j]) for field in state]
         assert list(map(float.hex, got)) == list(map(float.hex, map(float, final)))
+
+
+@st.composite
+def _trace_cases(draw):
+    """One learner on a stream that may stop it at any of the round loop's checks, in any
+    block of the regret fold, with any schedule kind and domain."""
+    T = draw(st.sampled_from([0, 1, 2, 5, 30, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]))
+    extreme = st.sampled_from([0.0, -0.0, 1e-170, -1e-160, 1.2e154, 1e200, 1.7e308, math.inf,
+                               math.nan])
+    body = draw(st.lists(st.floats(-10.0, 10.0), min_size=min(T, 8), max_size=min(T, 8)))
+    gradients = [draw(st.one_of(st.floats(1e-3, 10.0), extreme))] + [
+        body[t % len(body)] for t in range(T)]
+    if T and draw(st.booleans()):   # one extreme gradient, in any block
+        gradients[draw(st.integers(1, T))] = draw(extreme)
+    alpha = draw(st.one_of(st.floats(1e-3, 1e3), st.sampled_from([1e-300, 1e300, 1e308])))
+    kind = draw(st.sampled_from(["constant", "exponential_decay", "explicit"]))
+    if kind == "constant":
+        schedule = AlphaSchedule.constant(alpha)
+    elif kind == "exponential_decay":
+        schedule = AlphaSchedule.exponential_decay(alpha, draw(st.floats(1.0, 1e3)))
+    else:   # may run out before round T
+        schedule = AlphaSchedule.explicit(sorted(draw(st.lists(
+            st.sampled_from([0.1, 0.5, alpha]), min_size=1, max_size=T + 2)), reverse=True))
+    params = HyperParams(beta1=draw(st.floats(0.01, 0.99)), beta2=draw(st.floats(0.01, 0.99)),
+                         alpha=schedule, D=draw(st.sampled_from([None, 0.05, 1.0, 1e3])))
+    return gradients, params, draw(st.one_of(st.floats(-2.0, 2.0), st.just(-1e308)))
+
+
+def _trace_case(gradients, beta1, beta2, schedule, D=None, u=0.0):
+    return gradients, HyperParams(beta1, beta2, schedule, D), u
+
+
+@given(_trace_cases())
+# one example per check of drive's, each met at a later round unless it is g_0's
+@example(_trace_case([0.0, 1.0, 2.0], 0.9, 0.99, AlphaSchedule.constant(1.0)))
+@example(_trace_case([1.0] * 200 + [math.inf, 1.0], 0.9, 0.99, AlphaSchedule.constant(1.0), 1.0,
+                     0.5))
+@example(_trace_case([1.0, 2.0, math.nan, 3.0], 0.5, 0.5, AlphaSchedule.constant(2.0)))
+@example(_trace_case([1.0] * 130 + [1.7e308, 1.0], 0.9, 0.99, AlphaSchedule.constant(1.0)))
+@example(_trace_case([1e-150] + [0.0] * 20, 0.5, 0.01, AlphaSchedule.constant(1.0)))
+@example(_trace_case([1.0] * 4, 0.99, 0.5, AlphaSchedule.constant(1e308)))
+@example(_trace_case([1.0] * 40, 0.9, 0.99, AlphaSchedule.exponential_decay(1e-300, 10.0)))
+@example(_trace_case([1.0] * 6, 0.9, 0.99, AlphaSchedule.explicit([1.0, 0.5])))
+@example(_trace_case([1.0, 0.1, 0.1, 10.0, 1.0], 0.9, 0.99, AlphaSchedule.constant(1.0), None,
+                     -1e308))
+@settings(max_examples=300, deadline=None)
+def test_drive_trace_matches_drive_column_by_column(case):
+    # each column holds its field of every round drive yields, bit for bit; the trace keeps
+    # exactly those rounds and returns the error drive raises after them, type and message
+    gradients, params, u = case
+    rounds, error = [], None
+    try:
+        for round_ in drive_rounds(gradients, params, u):
+            rounds.append(round_)
+    except AdamFtrlError as exc:
+        error = type(exc), str(exc)
+    columns, stop = drive_trace(gradients, params, u)
+    assert (None if stop is None else (type(stop), str(stop))) == error
+    t, alpha, *rest, _, q = list(zip(*rounds)) or [()] * 12   # rest: m_t .. d_max
+    expected = [alpha, [gradients[i] for i in t], *rest, q]
+    assert len(columns) == len(expected)
+    for column, values in zip(columns, expected):
+        assert len(column) == len(rounds)
+        if column.dtype == bool:
+            assert column.tolist() == list(values)
+        else:
+            assert list(map(float.hex, column.tolist())) == [float(v).hex() for v in values]
 
 
 @pytest.mark.parametrize("domains", [(1.0, 2.0), (None, 1.0)])
