@@ -29,6 +29,7 @@ the loss of round ``t`` is paid against ``g_t``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import NamedTuple
 
@@ -137,6 +138,20 @@ def alpha_at(schedule: AlphaSchedule, t: int) -> float:
             )
         return schedule.values[t - 1]
     raise ScheduleError(f"unknown schedule kind {schedule.kind!r}")
+
+
+def fill_alphas(out, schedule: AlphaSchedule, start: int, at) -> None:
+    """``out[i] = at(schedule, start + i)`` in order of ``i``, ``at`` being the ``alpha_at`` a
+    driver calls, but a constant schedule fills ``out`` with no call.  An error of ``at``
+    propagates once the values before it are written."""
+    if schedule.kind == "constant":
+        out[:] = schedule.alpha
+        return
+    k, values = len(out), []
+    try:
+        values.extend(map(at, itertools.repeat(schedule, k), range(start, start + k)))
+    finally:
+        out[:len(values)] = values
 
 
 # ---------------------------------------------------------------------------

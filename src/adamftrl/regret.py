@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import AdamFtrlError, DegenerateStateError, InvalidGradientError, RegimeError
-from .learner import HyperParams, alpha_at
+from .learner import HyperParams, alpha_at, fill_alphas
 
 
 class RegretLedger:
@@ -100,10 +100,9 @@ def drive_trace(gradients, params: HyperParams, u: float = 0.0):
     replayed to count the rows it yields before its own error: every check is written once."""
     b1, b2, T = params.beta1, params.beta2, len(gradients) - 1
     D = math.inf if params.D is None else params.D
-    alpha = []
+    alpha = np.full(T, math.nan)
     with contextlib.suppress(AdamFtrlError):   # keeps the values before an error; nan after
-        alpha.extend(map(alpha_at, itertools.repeat(params.alpha, T), range(1, T + 1)))
-    alpha = np.array(alpha + [math.nan] * (T - len(alpha)))
+        fill_alphas(alpha, params.alpha, 1, alpha_at)
 
     def scan(values, step, initial=None):   # T + 1 running values of one recurrence
         return np.fromiter(itertools.accumulate(values, step, initial=initial), np.float64, T + 1)
@@ -146,9 +145,8 @@ class BatchState(NamedTuple):
     v_peak: np.ndarray   # the largest maxV after any g_t
 
 
-# Rounds per block of a batch: its per-round loop advances only the recurrences, into
-# at most (_BLOCK + 1) x n arrays, and all work elementwise in t runs once per block on its rows.
-_BLOCK = 128
+# Rounds per block of a batch, whose per-round loop fills (_BLOCK + 1) x 4n state rows.
+_BLOCK = 64
 
 
 def drive_batch(gradients, params, u: float, trace=None) -> BatchState:
@@ -157,15 +155,15 @@ def drive_batch(gradients, params, u: float, trace=None) -> BatchState:
     ``gradients`` is one ``(T + 1,)`` stream that every learner reads, or a ``(T + 1, n)``
     matrix with each learner's stream as a column.  ``params`` holds one :class:`HyperParams`
     per learner, as :func:`drive` takes one; all share ``D`` (else ``ValueError``) and ``u``.
-    The rounds run in blocks of ``_BLOCK`` over float64 arrays, a column per learner.  In a
-    block, a per-round loop advances only the recurrences ``m = b1 m + g``, ``q = b2 q + g^2``
-    and ``maxV = max(b1 maxV, |g|)``, one row per round (a shared stream adds Python floats to
-    them, a matrix its rows).  The updates ``-a m / sqrt(q)``, their clip, ``D``, the running
-    peaks and the regret terms ``g (delta - u)`` are then computed on all the block's rows at
-    once, and a second per-round loop folds the terms into ``r = b1 r + g (delta - u)``.  Only
-    elementwise ``* + - / sqrt abs copysign`` (which round as Python floats do) and max
-    reductions leave the per-round loops, and ``alpha_at`` (``pow``) stays scalar, once per
-    round and distinct schedule.  Memory is O(T + _BLOCK n) for a shared stream.
+    The rounds run in blocks of ``_BLOCK``, whose state is one float64 row per round,
+    ``[r | m | q | maxV]`` with a column per learner; a round is three numpy calls, the row
+    times ``[b1 | b1 | b2 | b1]``, plus ``[c | g | g^2]`` on its first ``3n`` values, and a
+    ``max`` of ``maxV`` with ``|g|``.  The updates ``-a m / sqrt(q)``, their clip, ``D``, the
+    peaks and the terms ``c = g (delta - u)`` are then computed on all the block's rows at once,
+    so the next block's rounds fold them (the first block's fold zeros), and the last block's
+    are folded after it.  Each value sees ``b * x``, then ``+ a`` or ``max``, in :func:`drive`'s
+    order; only elementwise ``* + - / sqrt abs copysign`` (which round as Python floats do) and
+    max reductions run outside that loop.  Memory is O(T + _BLOCK n) for a shared stream.
 
     ``trace``, if given, is a pair of ``(T, n)`` arrays, float64 and bool, that receive each
     round's emitted update and whether it was clipped.
@@ -182,53 +180,65 @@ def drive_batch(gradients, params, u: float, trace=None) -> BatchState:
     if len({p.D for p in params}) > 1:
         raise ValueError("the learners of a batch must share D")
     D, T, n = params[0].D, len(gradients) - 1, len(params)
-    beta1, beta2 = np.array([p.beta1 for p in params]), np.array([p.beta2 for p in params])
+    b1, b2 = [p.beta1 for p in params], [p.beta2 for p in params]
+    coef = np.array(b1 + b1 + b2 + b1)   # [b1 | b1 | b2 | b1], the factors of [r | m | q | maxV]
+    beta1 = coef[:n]
     schedules: dict = {}   # each distinct schedule's number, in order of first use
     which = np.array([schedules.setdefault(p.alpha, len(schedules)) for p in params])
     shared = gradients.ndim == 1
-    # Row 0 holds the state a block starts from, row j + 1 the state after its j-th gradient.
-    # The state after g_0 is g_0, g_0^2 and |g_0|, as b * 0 + g = g exactly.
-    M, Q, V = (np.zeros((min(_BLOCK, T) + 1, n)) for _ in range(3))
-    m_rows, q_rows, v_rows = list(M), list(Q), list(V)
-    d_max, r_disc, clips = (np.zeros(n) for _ in range(3))
+    # Row 0 of S holds the state a block starts from, row j + 1 what round j adds and then the
+    # state after it.  numpy buffers strided 2-D operands, so a block's columns are worked on
+    # in W, as contiguous copies: the updates, which become the terms, and a scratch.
+    S, W = np.zeros((min(_BLOCK, T) + 1, 4 * n)), np.zeros((2, min(_BLOCK, T), n))
+    R, M, Q, V = (S[:, i * n:(i + 1) * n] for i in range(4))
+    bx, alphas = np.empty(4 * n), np.empty((len(W[0]), len(schedules)))   # bx: a round's b * x
+    bx_rmq, bx_v = bx[:3 * n], bx[3 * n:]
+    steps = list(zip(S, S[1:, :3 * n], V[1:]))
+    d_max, clips, k = np.zeros(n), np.zeros(n), 0
     with np.errstate(all="ignore"):   # Python floats overflow to inf silently too
+        # the state after g_0 is g_0, g_0^2 and |g_0|, as b * 0 + g = g exactly
         M[0], Q[0], V[0] = gradients[0], gradients[0] * gradients[0], abs(gradients[0])
         failed = M[0] == 0.0   # per learner, whether its own drive fails: so far, at g_0 = 0
         q_peak, v_peak = Q[0].copy(), V[0].copy()
         for t0 in range(1, T + 1, _BLOCK):   # rounds t0 .. t0 + k - 1
             g = gradients[t0:t0 + _BLOCK]
             k = len(g)
-            steps = (zip(g.tolist(), (g * g).tolist(), np.abs(g).tolist()) if shared
-                     else zip(g, g * g, np.abs(g)))
-            for j, (g_t, g2_t, abs_t) in enumerate(steps):
-                np.add(np.multiply(beta1, m_rows[j], out=m_rows[j + 1]), g_t, out=m_rows[j + 1])
-                np.add(np.multiply(beta2, q_rows[j], out=q_rows[j + 1]), g2_t, out=q_rows[j + 1])
-                np.maximum(np.multiply(beta1, v_rows[j], out=v_rows[j + 1]), abs_t,
-                           out=v_rows[j + 1])
-            failed |= (Q[:k] <= 0.0).any(axis=0)
+            delta, work = W[:, :k]
+            R[1:k + 1] = delta   # the terms of the block before: zeros before the first
+            if shared:
+                M[1:k + 1], Q[1:k + 1], abs_g = g[:, None], (g * g)[:, None], np.abs(g).tolist()
+            else:
+                M[1:k + 1], Q[1:k + 1] = g, np.multiply(g, g, out=work)
+                abs_g = np.abs(g, out=delta)
+            for (row, after_rmq, after_v), abs_t in zip(steps, abs_g):
+                np.multiply(coef, row, out=bx)
+                np.add(after_rmq, bx_rmq, out=after_rmq)
+                np.maximum(bx_v, abs_t, out=after_v)
             np.maximum(q_peak, np.maximum.reduce(Q[1:k + 1]), out=q_peak)
             np.maximum(v_peak, np.maximum.reduce(V[1:k + 1]), out=v_peak)
-            # Round t0 + j's update reads row j, the state after g_{t0+j-1}.  Rows 0 .. k-1 are
-            # not read after it, so the update is computed in place in them; row k carries on.
-            neg_a = np.array([[-alpha_at(s, t) for s in schedules] for t in range(t0, t0 + k)],
-                             dtype=np.float64)
-            delta = np.multiply(neg_a if len(schedules) == 1 else neg_a[:, which], M[:k],
-                                out=M[:k])
-            np.divide(delta, np.sqrt(Q[:k], out=Q[:k]), out=delta)   # delta_bar = -a m / sqrt(q)
+            for i, schedule in enumerate(schedules):
+                fill_alphas(alphas[:k, i], schedule, t0, alpha_at)
+            neg_a = np.negative(alphas[:k], out=alphas[:k])
+            delta[:], work[:] = M[:k], Q[:k]   # round t0 + j's update reads row j
+            failed |= (work <= 0.0).any(axis=0)
+            np.multiply(neg_a if len(schedules) == 1 else neg_a[:, which], delta, out=delta)
+            np.divide(delta, np.sqrt(work, out=work), out=delta)   # delta_bar = -a m / sqrt(q)
             failed |= ~np.isfinite(delta).all(axis=0)
             clipped = None
             if D is not None:   # clipped in place
-                clipped = np.greater(np.abs(delta, out=Q[:k]), D)
+                clipped = np.greater(np.abs(delta, out=work), D)
                 clips += np.count_nonzero(clipped, axis=0)
                 np.copysign(D, delta, out=delta, where=clipped)
             if trace is not None:
                 trace[0][t0 - 1:t0 - 1 + k] = delta
                 trace[1][t0 - 1:t0 - 1 + k] = False if clipped is None else clipped
-            np.fmax(d_max, np.fmax.reduce(np.abs(delta, out=V[:k])), out=d_max)   # skips NaN
+            np.fmax(d_max, np.fmax.reduce(np.abs(delta, out=work)), out=d_max)   # skips NaN
             np.multiply(np.subtract(delta, u, out=delta), g[:, None] if shared else g, out=delta)
-            for c in delta:
-                np.add(np.multiply(beta1, r_disc, out=r_disc), c, out=r_disc)
-            M[0], Q[0], V[0] = M[k], Q[k], V[k]
+            S[0] = S[k]
+        # a short last block leaves the terms k .. _BLOCK - 1 of the block before it unfolded
+        r_disc = R[0]
+        for c in itertools.chain(W[0, k:], W[0, :k]):
+            np.add(np.multiply(beta1, r_disc, out=r_disc), c, out=r_disc)
     # a gradient, q or regret that left the float range leaves q or r non-finite: b1, b2 > 0
     failed |= ~np.isfinite(Q[0]) | ~np.isfinite(r_disc)
     if failed.any():

@@ -691,7 +691,7 @@ def test_sweep_skips_points_whose_update_leaves_the_float_range(raw, reason):
 
 # Streams whose extreme gradients fall in the batch's last block once T > _BLOCK: g_T^2
 # overflows q at t = T, g_T^2 underflows to 0, or a tail of 1e-170 lets q decay at beta2 = 0.01
-# until it underflows to zero after g_162, in the second block, when T reaches it.
+# until it underflows to zero after g_162, in a later block, which T = 163 reaches.
 BLOCK_EDGE_STREAMS = {
     "q-overflow": lambda T: [1.0] + [((37 * t) % 19 - 9) / 8 for t in range(1, T)] + [1.7e308],
     "square-underflow": lambda T: [1.0] + [((37 * t) % 19 - 9) / 8 for t in range(1, T)] + [1e-170],
@@ -699,7 +699,7 @@ BLOCK_EDGE_STREAMS = {
 }
 
 
-@pytest.mark.parametrize("T", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+@pytest.mark.parametrize("T", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 163])
 @pytest.mark.parametrize("stream", sorted(BLOCK_EDGE_STREAMS))
 def test_batch_matches_point_runs_at_block_edges(stream, T):
     raw = {"adversary": "fixed", "gradients": BLOCK_EDGE_STREAMS[stream](T), "T": T,

@@ -10,8 +10,10 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import adamftrl.learner as learner
 import adamftrl.regret as regret
 from adamftrl import (
     AlphaSchedule,
@@ -107,3 +109,36 @@ def test_equal_schedules_share_one_alpha_per_round_in_a_batch(monkeypatch):
     T = 300
     drive_batch([1.0] + [0.5] * T, params, 0.0)
     assert calls == list(range(1, T + 1))
+
+
+def test_a_constant_schedule_makes_no_alpha_call_in_either_driver(monkeypatch):
+    # a constant schedule's alpha_t never changes, so both drivers fill their alpha column with
+    # it and call alpha_at for no round; every column stays that of each learner's own drive
+    params = [HyperParams(beta1, 0.25, AlphaSchedule.constant(0.5), 0.3) for beta1 in (0.3, 0.5)]
+    T = 300
+    gradients = [1.0] + [0.5, -0.25, 2.0] * (T // 3)
+    own = [list(zip(*regret.drive(gradients, p, 0.5))) for p in params]
+    calls, original = [], regret.alpha_at
+
+    def counting(schedule, t):
+        calls.append(t)
+        return original(schedule, t)
+
+    for module in (regret, learner):
+        monkeypatch.setattr(module, "alpha_at", counting)
+    deltas, clipped = np.empty((T, 2)), np.empty((T, 2), dtype=bool)
+    state = drive_batch(gradients, params, 0.5, trace=(deltas, clipped))
+    traces = [regret.drive_trace(gradients, p, 0.5) for p in params]
+    assert calls == []
+    for j, (t, alpha, *rest, _, q) in enumerate(own):
+        assert set(alpha) == {0.5}
+        assert any(clipped[:, j]) and not all(clipped[:, j])
+        assert list(map(repr, deltas[:, j].tolist())) == list(map(repr, rest[3]))
+        assert clipped[:, j].tolist() == list(rest[4])
+        assert (repr(float(state.r_disc[j])), repr(float(state.q[j]))) == (repr(rest[5][-1]),
+                                                                           repr(q[-1]))
+        columns, stop = traces[j]
+        assert stop is None
+        for column, values in zip(columns, [alpha, [gradients[i] for i in t], *rest, q],
+                                  strict=True):
+            assert list(map(repr, column.tolist())) == list(map(repr, values))

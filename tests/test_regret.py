@@ -1,5 +1,6 @@
 import math
 import random
+import types
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from adamftrl import (
 )
 from adamftrl import drive as drive_rounds
 import adamftrl.learner as learner
+import adamftrl.regret as regret
 from adamftrl.errors import AdamFtrlError, OracleHorizonError, ScheduleError
 from adamftrl.regret import _BLOCK, drive_batch, drive_trace
 from conftest import (constant_params, decaying_params, drive, drive_one_step,
@@ -269,6 +271,24 @@ def _column_run(gradients, params, u):
 @example(([[1.0, 2.0, 3.0], [0.0, 2.0, 3.0]],
           [HyperParams(0.9, 0.99, AlphaSchedule.constant(1.0))] * 2, 1.0, 0.0))
 @example(([[0.0]], [HyperParams(0.9, 0.99, AlphaSchedule.constant(1.0))], None, 0.0))
+# the regret fold lags a block: at T = _BLOCK every term folds after the rounds; at
+# T = 2 _BLOCK + 3 the short last block folds 3 of its predecessor's terms, leaving _BLOCK - 3
+# and its own 3 to fold after the rounds
+@example(([[1.0] + [0.5, -2.0, 3.0] * (_BLOCK // 3) + [0.25] * (_BLOCK % 3)],
+          [HyperParams(0.9, 0.99, AlphaSchedule.constant(1.0)),
+           HyperParams(0.5, 0.3, AlphaSchedule.exponential_decay(0.5, 1.01))], 1.0, 0.5))
+@example(([[1.0] + [0.5, -2.0, 3.0, 0.0] * (_BLOCK // 2) + [1.5] * 3,
+           [-2.0] + [0.25, 1.0] * _BLOCK + [-1.0] * 3],
+          [HyperParams(0.9, 0.99, AlphaSchedule.constant(1.0)),
+           HyperParams(0.5, 0.3, AlphaSchedule.constant(2.0))], 0.7, -0.5))
+# the first failure is a regret overflow in a round whose term folds after the rounds: round
+# _BLOCK + 10 of a shared stream, one of the terms left pending, and round 2 _BLOCK + 2 of a
+# matrix's second column, one of the last block's own terms
+@example(([[1.0] + [10.0 if t == _BLOCK + 10 else 1e-3 for t in range(1, 2 * _BLOCK + 4)]],
+          [HyperParams(0.9, 0.99, AlphaSchedule.constant(1.0))] * 2, None, -1e308))
+@example(([[1.0] + [1e-3] * (2 * _BLOCK + 3),
+           [1.0] + [10.0 if t == 2 * _BLOCK + 2 else 1e-3 for t in range(1, 2 * _BLOCK + 4)]],
+          [HyperParams(0.9, 0.99, AlphaSchedule.constant(1.0))] * 2, None, -1e308))
 @settings(max_examples=200, deadline=None)
 def test_drive_batch_matches_drive_column_by_column(case):
     # each column's updates, clips, state and peaks equal its own drive's bit for bit; if a
@@ -294,6 +314,35 @@ def test_drive_batch_matches_drive_column_by_column(case):
         assert trace[1][:, j].tolist() == clipped
         got = [float(field[j]) for field in state]
         assert list(map(float.hex, got)) == list(map(float.hex, map(float, final)))
+
+
+def test_drive_batch_makes_three_numpy_calls_a_round(monkeypatch):
+    # 49 learners on one stream: a round is one multiply, one add and one maximum on the block's
+    # state row, so 1000 more rounds make 3000 more calls, plus a few for each more block's
+    # elementwise pass; the terms folded after the rounds make at most 2 _BLOCK calls
+    calls = [0]
+
+    def counting(ufunc):   # keeps ufunc.reduce, which the elementwise pass calls
+        def call(*args, **kwargs):
+            calls[0] += 1
+            return ufunc(*args, **kwargs)
+        call.reduce = ufunc.reduce
+        return call
+
+    counting_np = types.ModuleType("numpy")
+    counting_np.__dict__.update(vars(np))
+    for name in ("multiply", "add", "maximum"):
+        setattr(counting_np, name, counting(getattr(np, name)))
+    monkeypatch.setattr(regret, "np", counting_np)
+    params = [HyperParams(0.5 + i / 100, 0.99, AlphaSchedule.constant(0.5), 1.0)
+              for i in range(49)]
+    rng = random.Random(3)
+    counts = {}
+    for T in (1000, 2000):
+        calls[0] = 0
+        drive_batch([1.0] + [rng.uniform(-1.0, 1.0) for _ in range(T)], params, 0.5)
+        counts[T] = calls[0]
+    assert 3 * 1000 <= counts[2000] - counts[1000] <= 3 * 1000 + 2 * _BLOCK
 
 
 @st.composite
