@@ -10,13 +10,20 @@ prove that the discounted path and the oracle experiments agree with the formula
 * ``per_round_ftrl_inequality``: one round of the telescoping bound behind the regret bounds;
 * ``closed_form_prebar_delta`` and ``nonoblivious_per_round_regret``: the tightness run's
   pre-clipping update and a non-oblivious instance's round regret, in closed form.
+
+``build_parser`` is the argparse parser the command line was once read with; the CLI tests hold
+``adamftrl.cli.parse_args`` to it.
 """
 
 from __future__ import annotations
 
+import argparse
+import functools
 import math
+from pathlib import Path
 from typing import NamedTuple
 
+from adamftrl import __version__
 from adamftrl.errors import AdamFtrlError, OracleHorizonError
 from adamftrl.learner import (DEFAULT_ORACLE_HORIZON, HyperParams, alpha_at, at_most,
                               clip_to_domain, ftrl_eta, ftrl_eta_from_losses, loss_squares,
@@ -197,3 +204,31 @@ def nonoblivious_per_round_regret(rate: float, v: float, K: float, ratio: float,
     frac = (1.0 - rate**t) / (1.0 - rate)
     root = math.sqrt((1.0 - rr * rr) / (1.0 - rr ** (2 * t)))
     return v * rate**t * (1.0 - ratio ** (t - 1) * root * frac / K)
+
+
+@functools.cache   # built once per process: parsing leaves the parser as it was
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="adamftrl",
+        description="Scalar online-learning lab: simulate, bound-check, and stress the learner.",
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    for name, doc in (
+        ("simulate", "run one experiment from a config file"),
+        ("sweep", "run a config once per grid point"),
+        ("tightness", "worst-case geometric-sequence run (two-round preset by default)"),
+        ("nonoblivious", "paired-instance separation run (worked-pair preset by default)"),
+        ("verify-lemmas", "check the two technical inequalities on dense grids"),
+    ):
+        p = sub.add_parser(name, help=doc)
+        p.add_argument("--out", type=Path, help="output base path (suffixes are added)")
+        if name == "verify-lemmas":   # fixed grids and a JSON report: nothing else to set
+            continue
+        p.add_argument("--config", type=Path, help="JSON config file (flat key set)")
+        p.add_argument("--seed", type=int, help="override the config seed")
+        p.add_argument("--format", choices=("csv", "json", "both"),
+                       help="which output files to write")
+        p.add_argument("--horizon", type=int, help="override the oracle horizon")
+    return parser

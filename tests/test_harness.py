@@ -44,6 +44,7 @@ from adamftrl.harness import (
 )
 from adamftrl.learner import AlphaSchedule
 from adamftrl.regret import _BLOCK
+import referees
 from conftest import simulate_row_by_row
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -1694,9 +1695,7 @@ def test_cli_verify_lemmas_rejects_flags_it_would_ignore(flags, tmp_path, capsys
     assert not list(tmp_path.iterdir())
 
 
-def test_cli_builds_its_parser_once_and_reuses_it(tmp_path, capsys):
-    # a run of cli.main rebuilt the five subparsers each time, about 1.5 ms
-    assert cli._build_parser() is cli._build_parser()
+def test_cli_version_choice_error_and_a_run(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])
     assert exc.value.code == 0
@@ -1707,6 +1706,126 @@ def test_cli_builds_its_parser_once_and_reuses_it(tmp_path, capsys):
     assert "invalid choice: 'xml'" in capsys.readouterr().err
     assert cli.main(["tightness", "--out", str(tmp_path / "t")]) == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv", "t.json"]
+
+
+def _parse_outcome(parse, argv):
+    """``("ok", namespace dict)``, or the exit code with the error line (usage errors) or the
+    usage up to its first option (help and version)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = parse(list(argv))
+        except SystemExit as exc:
+            if exc.code == 0:
+                return 0, out.getvalue().split("[")[0]
+            assert err.getvalue().startswith("usage: adamftrl")
+            return exc.code, err.getvalue().splitlines()[-1]
+    return "ok", vars(args)
+
+
+CLI_OPTIONS = ["--out", "--config", "--seed", "--format", "--horizon", "--help", "-h", "--version",
+               "--o", "--conf", "--s", "--f", "--fo", "--h", "--ho", "--he", "--v", "--ver"]
+CLI_VALUES = ["x", "out/base", "", "a b", "0", "3", "-1", "-2.5", "-.5", " 7", "1_0", "csv", "json",
+              "both", "xml", "-h"]
+CLI_JUNK = ["--", "-", "---", "--bogus", "-x", "-hh", "-hx", "--=x", "-h=h", "-1e3", "٣"]
+# a token carries its value after '=' (never '--': see test_cli_keeps_a_double_dash_value)
+CLI_TOKENS = st.one_of(
+    st.sampled_from(CLI_OPTIONS + CLI_VALUES + CLI_JUNK + list(cli.COMMANDS)),
+    st.builds("{}={}".format, st.sampled_from(CLI_OPTIONS), st.sampled_from(CLI_VALUES)),
+    st.text(alphabet="-=hofsv1 .x", max_size=5))
+
+
+@given(before=st.lists(CLI_TOKENS, max_size=2), command=st.sampled_from([*cli.COMMANDS, None]),
+       after=st.lists(CLI_TOKENS, max_size=7))
+@example(before=[], command=None, after=[])
+@example(before=["x"], command=None, after=["--out", "o"])
+@example(before=["--bogus"], command="tightness", after=["-1"])
+@example(before=["--version"], command="simulate", after=["--bogus"])
+@example(before=[], command="simulate", after=["--conf", "c.json", "--seed", "-1", "--seed=4"])
+@example(before=[], command="simulate", after=["--seed", "1", "--", "--out", "x"])
+@example(before=["--"], command="simulate", after=[])
+@example(before=[], command="verify-lemmas", after=["--o=x", "--seed", "3"])
+@example(before=[], command="sweep", after=["--h", "3"])
+@settings(max_examples=400, deadline=None)
+def test_cli_reads_argv_as_argparse_did(before, command, after):
+    # the table parser against the argparse parser it replaced (tests/referees.py): the same
+    # namespace, or help or --version (exit 0), or a usage error (exit 2) with the same error line
+    argv = before + ([command] if command else []) + after
+    assert (_parse_outcome(cli.parse_args, argv)
+            == _parse_outcome(referees.build_parser().parse_args, argv)), argv
+
+
+def test_cli_keeps_a_double_dash_value():
+    # argparse drops a '--' from an option's values, so "--out=--" read as out=[] and the run
+    # wrote "[].csv"; the value is kept
+    assert vars(referees.build_parser().parse_args(["simulate", "--out=--"]))["out"] == []
+    assert cli.parse_args(["simulate", "--out=--", "--seed", "-2"]) == types.SimpleNamespace(
+        command="simulate", out=Path("--"), config=None, seed=-2, format=None, horizon=None)
+
+
+@pytest.mark.parametrize("command", [None, *cli.COMMANDS])
+def test_cli_help_lists_exactly_the_options_a_command_takes(command, capsys):
+    argv = ["-h"] if command is None else [command, "--help"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    referee = referees.build_parser()
+    if command is not None:
+        referee = referee._subparsers._group_actions[0].choices[command]
+        assert text.startswith(f"usage: adamftrl {command} [-h]")
+        assert cli.COMMANDS[command][0] in text
+    else:
+        assert all(name in text for name in cli.COMMANDS)
+    usage, options = text.splitlines()[0], text.split("\noptions:\n")[1]
+    listed = {word.rstrip(",") for line in options.splitlines() for word in line.split()[:2]
+              if word.startswith("-")}
+    assert listed == {"--help", *re.findall(r"(?<![\w-])--?[a-z]+", usage)}   # usage: [-h]
+    assert listed == set(referee._option_string_actions)
+    if command == "verify-lemmas":
+        assert listed == {"-h", "--help", "--out"}
+
+
+COLD_CLI = """
+import sys
+from adamftrl import cli
+assert cli.main(["tightness", "--out", sys.argv[1]]) == 0
+print(sorted({"argparse", "gettext", "locale"} & set(sys.modules)))
+"""
+
+
+def test_cli_never_imports_argparse(tmp_path):
+    # argparse, the gettext it imports and the locale its first message loads cost every run
+    # about 7 ms; a fresh process reads its command line and runs without them
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", COLD_CLI, str(tmp_path / "t")], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("command,raw,argv,shown", [
+    # exited 2 with "PosixPath('.') has an empty name"
+    ("simulate", CONFIG_BASE, ["--out", ""], "."),
+    ("simulate", CONFIG_BASE, ["--out", "."], "."),
+    ("tightness", None, ["--out="], "."),
+    ("verify-lemmas", None, ["--out", "."], "."),
+    # exited 0 and printed the JSON summary, even with format csv
+    ("simulate", {**CONFIG_BASE, "out": ""}, [], ""),
+    ("simulate", {**CONFIG_BASE, "out": "", "format": "csv"}, [], ""),
+    ("sweep", {**CONFIG_BASE, "out": "./", "grid": {"beta1": [0.5, 0.9]}}, [], "./"),
+], ids=["flag-empty", "flag-dot", "flag-equals-empty", "verify-lemmas", "config-empty",
+        "config-empty-csv", "sweep-config-dot"])
+def test_cli_rejects_an_output_base_that_names_no_file(command, raw, argv, shown, tmp_path,
+                                                       monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    if raw is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(raw))
+        argv = ["--config", "cfg.json", *argv]
+    assert cli.main([command, *argv]) == 2
+    assert capsys.readouterr() == (
+        "", f"config error: 'out': {shown!r} names no file; give a base path such as 'runs/a'\n")
+    assert [p.name for p in tmp_path.iterdir()] == (["cfg.json"] if raw is not None else [])
 
 
 @pytest.mark.parametrize("command", ["tightness", "nonoblivious", "verify-lemmas"])
