@@ -557,7 +557,7 @@ def run_nonoblivious_experiment(a: float, b: float, v: float, ratio: float, T: i
 # ---------------------------------------------------------------------------
 
 # Points per float64 block: a fixed amount of Python work per block, and little memory.
-_BLOCK = 1000
+_BLOCK = 4096
 
 
 class LemmaReport(NamedTuple):
@@ -567,7 +567,8 @@ class LemmaReport(NamedTuple):
 
 
 class LemmaGrid:
-    """A default grid, made block by block as float64 arrays with one point per row, in order."""
+    """A default grid, made block by block as tuples of float64 columns, one per coordinate, with
+    the points in order."""
 
     def __init__(self, blocks):
         self.blocks = blocks   # () -> an iterator over the blocks
@@ -575,12 +576,12 @@ class LemmaGrid:
     def __iter__(self):
         """The points, as tuples of floats."""
         for block in self.blocks():
-            yield from map(tuple, block.tolist())
+            yield from zip(*(column.tolist() for column in block))
 
 
 def _blocks(points, width: int):
-    """``points`` as float64 blocks of shape ``(n, width)``, each with its points as given for
-    naming a bad one (``None`` for a :class:`LemmaGrid`, whose rows are its points)."""
+    """``points`` as blocks of ``width`` float64 columns, each with its points as given for
+    naming a bad one (``None`` for a :class:`LemmaGrid`, whose blocks are its points)."""
     if isinstance(points, LemmaGrid):
         yield from ((block, None) for block in points.blocks())
         return
@@ -589,7 +590,7 @@ def _blocks(points, width: int):
         block = np.array(given, dtype=float)
         if block.shape != (len(given), width):
             raise ValueError(f"each point needs {width} coordinates")
-        yield block, given
+        yield block.T, given
 
 
 def _first(mask) -> int:
@@ -605,6 +606,19 @@ def _pow(base: np.ndarray, exp: np.ndarray) -> np.ndarray:
     return np.fromiter(map(pow, base.tolist(), exp.tolist()), float, len(base))
 
 
+def _one_minus_pow(base: np.ndarray, exp: np.ndarray) -> np.ndarray:
+    """``1 - base ** exp`` per entry, bit for bit as with Python's ``pow``, which runs only where
+    its last bit can reach the result.  Where ``np.power`` is below ``2**-60``, the true power
+    is below ``2**-54`` (``np.power`` is off by a few ulps, not a factor of 64), and so is
+    ``pow``'s; for any ``0 <= P <= 2**-54``, ``1 - P`` rounds to nearest (ties to even) to
+    exactly 1.0, whichever power is taken.  The test is ``~(power < 2**-60)``, so that a NaN
+    takes :func:`_pow`.  On the default a1 grid, 12,048 of the 39,900 powers take it."""
+    power = np.power(base, exp)
+    exact = ~(power < 2.0**-60)
+    power[exact] = _pow(base[exact], exp[exact])
+    return 1.0 - power
+
+
 def _lemma_a1_faults(x, y, t):
     """Per point: outside the domain, and singular (``x y <= 1``, as at the corner x = y = 1)."""
     outside = (x <= 0.0) | (x > 1.0) | (y < (1.0 - REGIME_TOL) / (x * x)) | (t < 1) | (
@@ -615,7 +629,7 @@ def _lemma_a1_faults(x, y, t):
 def _lemma_a1_values(x, y, t):
     # x^t (y^t - 1) / sqrt((x^2 y^2)^t - 1), rewritten with (xy)^(-t) factored
     # out so huge y^t never overflows: (1 - y^-t) / sqrt(1 - (xy)^(-2t)).
-    return (1.0 - _pow(y, -t)) / np.sqrt(1.0 - _pow(x * y, -2.0 * t))
+    return _one_minus_pow(y, -t) / np.sqrt(_one_minus_pow(x * y, -2.0 * t))
 
 
 def _lemma_a2_faults(x, y):
@@ -641,13 +655,14 @@ def _verify_on_grid(points, width: int, faults, values, bound: float, slack: flo
     best, count = -math.inf, 0
     for block, given in _blocks(points, width):
         with np.errstate(all="ignore"):   # as Python floats: overflow to inf, silently
-            outside, singular = faults(*block.T)
-            outside |= ~np.isfinite(block).all(axis=1)
+            outside, singular = faults(*block)
+            for column in block:
+                outside |= ~np.isfinite(column)
             n = _first(outside | singular)
-            vals = values(*block[:n].T)
+            vals = values(*(column[:n] for column in block))
         i = min(_first(vals > bound + slack), n)
-        if i < len(block):
-            point = tuple(block[i].tolist() if given is None else given[i])
+        if i < len(outside):
+            point = tuple([float(column[i]) for column in block] if given is None else given[i])
             if i < n:
                 raise ContractViolation(f"{name} inequality fails at {point}: "
                                         f"{float(vals[i])} > {bound:g} + {slack}")
@@ -698,12 +713,10 @@ def default_lemma_a1_grid() -> LemmaGrid:
         for x, y in _lemma_grid_xy(1.0, 0.01, _BLOCK // 200):
             keep = x * y > 1.0   # skips the singular corner x = y = 1
             x, y = x[keep], y[keep]
-            yield np.column_stack((np.repeat(x, len(t)), np.repeat(y, len(t)),
-                                   np.tile(t, len(x))))
+            yield np.repeat(x, len(t)), np.repeat(y, len(t)), np.tile(t, len(x))
     return LemmaGrid(blocks)
 
 
 def default_lemma_a2_grid() -> LemmaGrid:
     """In-domain (x, y) grid; the fine x step keeps it above 10^4 points (23,991)."""
-    return LemmaGrid(lambda: (np.column_stack(xy)
-                              for xy in _lemma_grid_xy(0.6, 0.0001, _BLOCK // 4)))
+    return LemmaGrid(lambda: _lemma_grid_xy(0.6, 0.0001, _BLOCK // 4))

@@ -226,9 +226,9 @@ def parse_args(argv=None) -> SimpleNamespace:
 
 
 def _check_out(out) -> None:
-    """Reject an output base that names no file (``''``, ``.``): each output is named by its
-    last part with ``.csv`` or ``.json`` added."""
-    if out is not None and not Path(out).name:
+    """Reject an output base that names no file (``''``, ``.``, ``..``): each output is named by
+    its last part with ``.csv`` or ``.json`` added."""
+    if out is not None and Path(out).name in ("", ".."):
         raise ConfigError(f"'out': {str(out)!r} names no file; give a base path such as 'runs/a'")
 
 

@@ -2,6 +2,7 @@ import json
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -597,13 +598,17 @@ def _lemma_outcome(verify, points, slack):
 
 
 _SLACKS = st.sampled_from([1e-12, 1e-12, 0.0, -1e-3, -0.2, -0.8])
-_MANY_BLOCKS = [(0.5, 4.0 + k, 1 + k % 50) for k in range(2500)]
+# three blocks, the last one short
+_MANY_BLOCKS = [(0.5, 4.0 + k, 1 + k % 50) for k in range(2 * adversaries._BLOCK + 500)]
+_AFTER_ONE_BLOCK = adversaries._BLOCK + 700
 
 
 @settings(max_examples=150, deadline=None)
 @given(points=_A1_POINTS, slack=_SLACKS)
 @example(points=_MANY_BLOCKS, slack=1e-12)
-@example(points=[*_MANY_BLOCKS[:1700], (0.5, 3.0, 1), *_MANY_BLOCKS[1700:]], slack=1e-12)
+@example(points=[*_MANY_BLOCKS[:_AFTER_ONE_BLOCK], (0.5, 3.0, 1),
+                 *_MANY_BLOCKS[_AFTER_ONE_BLOCK:]], slack=1e-12)
+@example(points=[(0.75, 1.9, t) for t in range(50, 75)], slack=1e-12)   # powers across 2**-60
 @example(points=[(0.5, 4.0, 1), (1.0, 1.0, 1), (0.5, 3.0, 1)], slack=1e-12)
 @example(points=[(0.5, 4.0, 1), (0.5, 4.0, 0)], slack=-0.2)
 def test_lemma_a1_matches_the_per_point_referee(points, slack):
@@ -614,7 +619,8 @@ def test_lemma_a1_matches_the_per_point_referee(points, slack):
 
 @settings(max_examples=150, deadline=None)
 @given(points=_A2_POINTS, slack=_SLACKS)
-@example(points=[(x, 1e6) for x in np.linspace(0.01, 0.6, 2200).tolist()], slack=1e-12)
+@example(points=[(x, 1e6) for x in np.linspace(0.01, 0.6, 2 * adversaries._BLOCK + 500).tolist()],
+         slack=1e-12)
 def test_lemma_a2_matches_the_per_point_referee(points, slack):
     assert _lemma_outcome(verify_lemma_a2, points, slack) == _outcome(
         literal_verify_lemma, points, literal_lemma_a2_value, 2.0, slack, "coefficient")
@@ -634,10 +640,40 @@ def test_default_lemma_grids_are_the_per_point_grids(grid, literal, size, values
     assert len(want) == size
     assert [tuple(map(float.hex, p)) for p in grid()] == [
         tuple(float(c).hex() for c in p) for p in want]
-    points = np.concatenate(list(grid().blocks()))
+    points = np.concatenate([np.column_stack(block) for block in grid().blocks()])
     assert [v.hex() for v in values(*points.T).tolist()] == [value(p).hex() for p in want]
     assert _lemma_outcome(verify, grid(), 1e-12) == _outcome(
         literal_verify_lemma, want, value, bound, 1e-12, name)
+
+
+def test_lemma_a1_takes_pythons_pow_only_where_it_can_change_a_bit(monkeypatch):
+    # each entry whose power is at least 2**-60 (x = 0.5, y = 4, t = 30 sits at it), no other
+    sizes, exact = [], adversaries._pow
+
+    def counted(base, exp):
+        sizes.append(len(base))
+        return exact(base, exp)
+
+    monkeypatch.setattr(adversaries, "_pow", counted)
+    verify_lemma_a1(default_lemma_a1_grid())
+    want = sum((y ** -int(t) >= 2**-60) + ((x * y) ** (-2 * int(t)) >= 2**-60)
+               for x, y, t in literal_lemma_a1_grid())
+    assert sum(sizes) == want == 12_048
+
+
+@pytest.mark.parametrize("verify,grid", [(verify_lemma_a1, default_lemma_a1_grid),
+                                         (verify_lemma_a2, default_lemma_a2_grid)],
+                         ids=["a1", "a2"])
+def test_default_lemma_checks_allocate_under_one_mib(verify, grid):
+    # peaks of about 420 KB (a1) and 260 KB (a2) with 4,096-point blocks, 137 KB and 82 KB
+    # with 1,000-point ones
+    tracemalloc.start()
+    try:
+        verify(grid())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_default_grids_are_large_and_pass():

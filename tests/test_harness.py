@@ -1814,8 +1814,17 @@ def test_cli_never_imports_argparse(tmp_path):
     ("simulate", {**CONFIG_BASE, "out": ""}, [], ""),
     ("simulate", {**CONFIG_BASE, "out": "", "format": "csv"}, [], ""),
     ("sweep", {**CONFIG_BASE, "out": "./", "grid": {"beta1": [0.5, 0.9]}}, [], "./"),
+    # exited 0 and wrote '...csv' and '...json' into the working directory
+    ("tightness", None, ["--out", ".."], ".."),
+    ("simulate", CONFIG_BASE, ["--out", "../"], ".."),
+    ("verify-lemmas", None, ["--out", "dir/.."], "dir/.."),
+    ("simulate", {**CONFIG_BASE, "out": ".."}, [], ".."),
+    ("simulate", {**CONFIG_BASE, "out": "../"}, [], "../"),
+    ("sweep", {**CONFIG_BASE, "out": "dir/..", "grid": {"beta1": [0.5, 0.9]}}, [], "dir/.."),
 ], ids=["flag-empty", "flag-dot", "flag-equals-empty", "verify-lemmas", "config-empty",
-        "config-empty-csv", "sweep-config-dot"])
+        "config-empty-csv", "sweep-config-dot", "flag-dotdot", "flag-dotdot-slash",
+        "verify-lemmas-dir-dotdot", "config-dotdot", "config-dotdot-slash",
+        "sweep-config-dir-dotdot"])
 def test_cli_rejects_an_output_base_that_names_no_file(command, raw, argv, shown, tmp_path,
                                                        monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
