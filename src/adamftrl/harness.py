@@ -14,6 +14,7 @@ sorted keys and round-trip floats.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -52,8 +53,6 @@ TRACE_COLUMNS = (
     "t", "alpha_t", "g_t", "m_t", "q_t", "delta_bar_t", "delta_t", "clipped",
     "loss_discounted", "regret_discounted", "maxV_t", "D_t",
 )
-_ALPHA, _DELTA_BAR, _DELTA, _CLIPPED, _D = map(
-    TRACE_COLUMNS.index, ("alpha_t", "delta_bar_t", "delta_t", "clipped", "D_t"))
 PAIR_COLUMNS = NonObliviousRound._fields
 
 
@@ -344,7 +343,8 @@ def _stream_summary(config: ExperimentConfig, r_disc: float, clip_count: int,
     }
 
 
-# CSV lines per chunk of text: the CSV of a long trace never exists whole.
+# CSV lines per chunk of text: the CSV of a long trace never exists whole.  A trace's chunk is
+# one block of the CSV kernel; at 256 rows its write peaks near 0.7 MiB, at 512 near 1.4 MiB.
 _CHUNK = 256
 
 
@@ -365,30 +365,23 @@ class TraceRows(Sequence):
         return len(self._columns[0])
 
     def __iter__(self):
-        return self._zip(self._columns)
+        return zip(*self._columns, *(itertools.chain((math.nan,), b) for b in self._bounds))
 
-    def _zip(self, columns):
-        return zip(*columns, *(itertools.chain((math.nan,), b) for b in self._bounds))
+    def csv_blocks(self):
+        """The rows' CSV text in newline-ended blocks of ``_CHUNK`` rows, each printed by
+        :func:`_csv_blocks` from slices of the columns: ``t`` as float64s, which print as its
+        ints do, and each bound after a NaN."""
+        t, *cells = self._columns
+        cells, bounds = [np.asarray(c) for c in cells], [np.asarray(b) for b in self._bounds]
+        nan = np.array([math.nan])
 
-    def csv_lines(self):
-        """The rows' CSV lines, as ``_format_cell`` prints each cell, by one %-format: ``%d`` for
-        ``t``, ``%.17g`` for a float, and ``%s`` for ``clipped``'s text and for a text made once:
-        ``alpha_t``'s and ``D_t``'s once per run of equal values (neither holds -0.0 or NaN, so
-        equal bits), and ``delta_bar_t``'s as ``delta_t``'s too on a round that did not clip."""
-        cells = ["%d"] + ["%.17g"] * (len(self._columns) + len(self._bounds) - 1)
-        for i in (_ALPHA, _DELTA_BAR, _DELTA, _CLIPPED, _D):
-            cells[i] = "%s"
-        columns = list(self._columns)
-        bar, columns[_DELTA_BAR] = itertools.tee(map("%.17g".__mod__, columns[_DELTA_BAR]))
-        # a clipped delta_t is +D or -D; an unclipped one is delta_bar_t
-        clips = {d: "%.17g" % d for d in set(itertools.compress(columns[_DELTA],
-                                                                 columns[_CLIPPED]))}
-        columns[_DELTA] = map(clips.get, columns[_DELTA], bar)
-        columns[_CLIPPED] = map(("false", "true").__getitem__, columns[_CLIPPED])
-        columns[_ALPHA], columns[_D] = ((text for value, run in itertools.groupby(column)
-                                         for text, _ in zip(itertools.repeat("%.17g" % value), run))
-                                        for column in (columns[_ALPHA], columns[_D]))
-        return map(",".join(cells).__mod__, self._zip(columns))
+        def block(lo):
+            hi, ts = lo + _CHUNK, t[lo:lo + _CHUNK]
+            return [np.arange(ts.start, ts.stop, ts.step, dtype=float),
+                    *(c[lo:hi] for c in cells),
+                    *(b[lo - 1:hi - 1] if lo else np.concatenate((nan, b[:hi - 1]))
+                      for b in bounds)]
+        return _csv_blocks(map(block, range(0, len(t), _CHUNK)))
 
     def __getitem__(self, i):
         i = range(len(self))[i]   # as a tuple reads i: from the end if negative, IndexError past it
@@ -775,14 +768,159 @@ def _format_cell(value) -> str:
     return text
 
 
+# The trace's CSV kernel.  Each cell of a block is printed in a row of _SLOTS bytes at fixed
+# places: a sign, the "0." and "000" of a fixed-notation number below 1, 17 digits each followed
+# by a point (none after the last), and the separator.  A cell's key picks the mask of the bytes
+# it prints: a fast float's key is (its exponent + 4, its sign, the number of digits it prints),
+# and a text written over the cell's first bytes (a bool's, a slow float's) has its length as
+# key.  A block prints as its byte matrix with every byte its cell does not print set to NUL, and
+# the NULs deleted.
+_SLOTS = 40
+_DIGITS, _POINTS = slice(6, 39, 2), slice(7, 38, 2)
+_TEXT_KEYS = 21 * 2 * 17
+
+
+class _CellTables(NamedTuple):
+    cell: np.ndarray        # a cell's bytes: "-0.000", 17 digits and 16 points, and ","
+    masks: np.ndarray       # (key, slot): 255 where the key prints the slot, else 0
+    flags: np.ndarray       # (2, 5): "false", and "true" with a byte it does not print
+    groups: np.ndarray      # uint32: 0..9999's four ASCII digits
+    scale: np.ndarray       # 10.0**k, exact, k = 0..20
+    pow5: np.ndarray        # uint64 5**k, below 2**47
+
+
+@functools.cache
+def _cell_tables() -> _CellTables:
+    """The kernel's tables, built on the first CSV block, by numpy arithmetic."""
+    x = np.arange(-4, 17)[:, None, None, None]       # the exponent
+    neg = np.arange(2)[:, None, None]
+    keep = np.arange(1, 18)[:, None]                  # 17 less the trailing zeros of the digits
+    fast = np.zeros((21, 2, 17, _SLOTS), bool)
+    fast[..., :1] = neg
+    fast[..., 1:3] = x < 0
+    fast[..., 3:6] = np.arange(3) < -1 - x
+    fast[..., _DIGITS] = np.arange(17) < np.maximum(keep, x + 1)   # all the integer's digits
+    fast[..., _POINTS] = (np.arange(16) == x) & (keep > x + 1)
+    masks = np.concatenate([fast.reshape(-1, _SLOTS),
+                            np.arange(_SLOTS) < np.arange(_SLOTS)[:, None]])
+    masks[:, -1] = True
+    masks = masks.view(np.uint8) * np.uint8(255)
+    group = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
+    k = np.arange(21)
+    return _CellTables(np.frombuffer(b"-0.000" + b"0." * 16 + b"0,", np.uint8), masks,
+                       np.frombuffer(b"falsetrue,", np.uint8).reshape(2, 5),
+                       group.astype(np.uint8).view(np.uint32)[:, 0], 10.0 ** k,
+                       5 ** k.astype(np.uint64))
+
+
+def _exact_digits(x: np.ndarray):
+    """``%.17g``'s digits of each float64 in ``x`` that prints in fixed notation, exactly.
+
+    Returns ``(n, e, fast)``: where ``fast``, ``'%.17g' % x`` is the 17 digits of the integer
+    ``n`` in [10**16, 10**17), the first at place ``10**e``, with the trailing zeros of its
+    decimals dropped.  ``n`` is ``|x| 10**k`` rounded half to even, ``k = 16 - e`` in 0..20 and
+    ``e = floor(log10 |x|)`` in -4..16.  Write ``|x| = f 2**e2`` with ``f`` the 53-bit
+    significand: then ``|x| 10**k = f 5**k / 2**s`` with ``s = -(e2 + k)``, and for ``s`` in
+    1..56 the wrapping ``uint64`` product ``f 5**k mod 2**64`` holds all ``s`` fraction bits and
+    ``floor(|x| 10**k) mod 2**(64 - s)``.  As ``log10`` is off by at most one, ``|x| 10**k`` is
+    below 10**18 < 2**60, so the float64 product ``|x| * 10.0**k`` (``10.0**k`` is exact) is
+    within 64 of it, and its truncation within 65 of the floor: with ``2**(64 - s) >= 256``, the
+    floor is the one integer of its residue within 128 of that truncation.  A cell outside all
+    this is not ``fast``: a zero, a subnormal, NaN, an infinity, ``e`` outside -4..16 (scientific
+    notation, or a ``log10`` off by one), ``s`` outside 1..56, or a rounded ``n`` outside
+    [10**16, 10**17).  Every lane is sanitized before a float is cast to an integer, so nothing
+    warns.
+    """
+    tables = _cell_tables()
+    a = np.abs(x)
+    fast = np.isfinite(a) & (a >= 2.2250738585072014e-308)
+    e = np.floor(np.log10(np.where(fast, a, 1.0))).astype(np.int64)
+    fast &= (e >= -4) & (e <= 16)
+    k = np.where(fast, 16 - e, 0)
+    estimate = (np.where(fast, a, 0.0) * tables.scale[k]).astype(np.uint64)
+    bits = a.view(np.uint64)
+    s = 1075 - (bits >> np.uint64(52)).astype(np.int64) - k
+    fast &= (s >= 1) & (s <= 56)
+    s = np.where(fast, s, 1).astype(np.uint64)
+    one = np.uint64(1)
+    product = ((bits & np.uint64(2**52 - 1)) | np.uint64(2**52)) * tables.pow5[k]
+    fraction, half, modulus = product & ((one << s) - one), one << (s - one), one << (64 - s)
+    step = ((product >> s) - estimate) & (modulus - one)
+    n = estimate + step - np.where(step >= modulus >> one, modulus, np.uint64(0))
+    n += (fraction > half) | ((fraction == half) & (n & one).astype(bool))
+    fast &= (n >= np.uint64(10**16)) & (n < np.uint64(10**17))
+    return n, e, fast
+
+
+def _print_digits(n: np.ndarray, cells: np.ndarray) -> None:
+    """Write each uint64 of ``n`` (below 10**17) as 17 zero-padded digits in its cell's slots."""
+    tables = _cell_tables()
+    top = n // np.uint64(10**16)
+    rest = n - top * np.uint64(10**16)
+    high = rest // np.uint64(10**8)
+    low = rest - high * np.uint64(10**8)
+    quads = np.empty(n.shape + (4,), np.intp)
+    quads[..., 0], quads[..., 1] = np.divmod(high, np.uint64(10**4))
+    quads[..., 2], quads[..., 3] = np.divmod(low, np.uint64(10**4))
+    digits = cells[..., _DIGITS]
+    digits[..., 0] = top + np.uint64(ord("0"))
+    digits[..., 1:] = np.take(tables.groups, quads).view(np.uint8)
+
+
+def _csv_blocks(blocks):
+    """Each block's CSV text, its rows newline-ended: ``blocks`` yields lists of equal-length
+    1-D columns, of bools (printed ``true``/``false``) or float64s (``%.17g``; an integer below
+    2**53 prints as ``%d`` prints it), the same kinds in every block and no block longer than
+    the first.
+
+    One matrix of bytes, made for the first block, prints every block.  A float that
+    :func:`_exact_digits` cannot prove is printed by ``_format_cell`` itself, so every cell reads
+    as ``_format_cell`` prints it."""
+    tables, matrix = _cell_tables(), None
+    for columns in blocks:
+        rows = len(columns[0])
+        if matrix is None:
+            width = len(columns)
+            flags = [j for j, c in enumerate(columns) if c.dtype.kind == "b"]
+            floats = np.array([c.dtype.kind == "f" for c in columns])
+            matrix, values = np.empty((rows, width, _SLOTS), np.uint8), np.empty((rows, width))
+            matrix[...] = tables.cell
+            matrix[:, -1, -1] = ord("\n")
+        cells, x = matrix[:rows], values[:rows]
+        for j, column in enumerate(columns):
+            x[:, j] = column
+        n, e, fast = _exact_digits(x)
+        n[~fast] = 10**16   # any 17 digits: the cell prints a text
+        _print_digits(n, cells)
+        keys = ((e + 4) * 2 + (x < 0)) * 17 + 16 - np.argmax(
+            cells[..., _DIGITS][..., ::-1] != ord("0"), axis=-1)    # its trailing zeros
+        for j in flags:
+            cells[:, j, :5] = np.take(tables.flags, columns[j], axis=0)
+            keys[:, j] = _TEXT_KEYS + 5 - columns[j]
+        slow = np.nonzero(~fast & floats)
+        if len(slow[0]):
+            texts = list(map(_format_cell, x[slow].tolist()))
+            lengths = np.fromiter(map(len, texts), np.intp, len(texts))
+            keys[slow] = _TEXT_KEYS + lengths
+            joined = np.frombuffer("".join(texts).encode("ascii"), np.uint8)
+            starts = (slow[0] * width + slow[1]) * _SLOTS - (np.cumsum(lengths) - lengths)
+            cells.reshape(-1)[np.arange(len(joined)) + np.repeat(starts, lengths)] = joined
+        text = np.take(tables.masks, keys, axis=0)
+        np.bitwise_and(text, cells, out=text)   # a NUL in each slot the cell does not print
+        yield text.tobytes().translate(None, b"\0").decode("ascii")
+        if len(slow[0]):
+            cells[slow[0], slow[1], :-1] = tables.cell[:-1]   # the separators were not written
+
+
 def _csv_chunks(result: ExperimentResult):
-    """The CSV text in newline-ended blocks of ``_CHUNK`` lines, the header first: a trace prints
-    its own lines, and every other row is its cells by ``_format_cell``."""
+    """The CSV text in newline-ended blocks of ``_CHUNK`` lines after the header's line: a trace
+    prints its own blocks, and every other row is its cells by ``_format_cell``."""
     rows = result.csv_rows
-    lines = itertools.chain(
-        (",".join(result.csv_header),),
-        rows.csv_lines() if isinstance(rows, TraceRows)
-        else (",".join(map(_format_cell, row)) for row in rows))
+    yield ",".join(result.csv_header) + "\n"
+    if isinstance(rows, TraceRows):
+        yield from rows.csv_blocks()
+        return
+    lines = (",".join(map(_format_cell, row)) for row in rows)
     while block := list(itertools.islice(lines, _CHUNK)):
         block.append("")   # the block's last newline
         yield "\n".join(block)

@@ -9,7 +9,8 @@ prove that the discounted path and the oracle experiments agree with the formula
   the discounted ledger value;
 * ``per_round_ftrl_inequality``: one round of the telescoping bound behind the regret bounds;
 * ``closed_form_prebar_delta`` and ``nonoblivious_per_round_regret``: the tightness run's
-  pre-clipping update and a non-oblivious instance's round regret, in closed form.
+  pre-clipping update and a non-oblivious instance's round regret, in closed form;
+* ``format_float``: a float's CSV cell, by Python's own ``'%.17g' %``, one cell at a time.
 
 ``build_parser`` is the argparse parser the command line was once read with; the CLI tests hold
 ``adamftrl.cli.parse_args`` to it.
@@ -204,6 +205,12 @@ def nonoblivious_per_round_regret(rate: float, v: float, K: float, ratio: float,
     frac = (1.0 - rate**t) / (1.0 - rate)
     root = math.sqrt((1.0 - rr * rr) / (1.0 - rr ** (2 * t)))
     return v * rate**t * (1.0 - ratio ** (t - 1) * root * frac / K)
+
+
+def format_float(value: float) -> str:
+    """A float's CSV cell as ``'%.17g' %`` prints it: the referee of the CSV kernel, which
+    prints a trace's float cells a block at a time."""
+    return "%.17g" % value
 
 
 @functools.cache   # built once per process: parsing leaves the parser as it was

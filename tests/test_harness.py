@@ -9,6 +9,7 @@ import math
 import os
 import random
 import re
+import struct
 import subprocess
 import sys
 import tempfile
@@ -37,6 +38,8 @@ from adamftrl.harness import (
     PAIR_COLUMNS,
     TRACE_COLUMNS,
     ExperimentResult,
+    TraceRows,
+    _csv_blocks,
     _format_cell,
     _run_gradient_stream,
     render_csv,
@@ -1283,16 +1286,15 @@ def test_simulate_matches_the_row_by_row_reference(raw):
 @example({"adversary": "random", "T": 1, "seed": 1, "beta1": 0.9, "beta2": 0.99,
           "alpha_kind": "constant", "alpha": 0.5, "domain": 1.0, "u": 0.5,
           "bounds": ["theorem1", "corollary1"]})
-# alpha_t's text is made once per run of equal values: an explicit schedule that repeats its
-# values and then drops, and a decaying one whose every value differs
+# an explicit schedule that repeats its values and then drops, and a decaying one whose every
+# value differs
 @example({"adversary": "random", "T": 40, "seed": 2, "beta1": 0.9, "beta2": 0.99,
           "alpha_kind": "explicit", "alpha_values": [0.5] * 15 + [0.25] * 20 + [0.125] * 6,
           "domain": 1.0, "u": 0.5, "bounds": ["theorem1"]})
 @example({"adversary": "random", "T": 40, "seed": 2, "beta1": 0.9, "beta2": 0.99,
           "alpha_kind": "exponential_decay", "alpha_ratio": 1.5, "alpha": 0.5, "domain": 1.0,
           "u": 0.5, "bounds": ["theorem1"]})
-# delta_t reuses delta_bar_t's text only where it did not clip: updates clipped to +D and -D,
-# next to unclipped ones, the first of which lands on -D exactly
+# updates clipped to +D and -D, next to unclipped ones, the first of which lands on -D exactly
 @example({"adversary": "fixed", "gradients": [1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0, 0.5, 0.0,
                                                2.0],
           "beta1": 0.5, "beta2": 0.25, "alpha_kind": "constant", "alpha": 1.0, "domain": 1.0,
@@ -1301,7 +1303,7 @@ def test_simulate_matches_the_row_by_row_reference(raw):
 def test_simulate_rows_read_as_the_reference_tuple(raw):
     # csv_rows is a read-only view over the trace's columns; it reads, indexes, compares and
     # renders as the row-by-row reference's tuple of row tuples, cell types included: the
-    # trace's own %-formatted lines equal a per-cell _format_cell join of the reference's rows
+    # trace's kernel-printed lines equal a per-cell _format_cell join of the reference's rows
     config = ExperimentConfig.from_dict(raw)
     try:
         expected = simulate_row_by_row(config)
@@ -1414,6 +1416,128 @@ def test_write_outputs_writes_a_long_csv_as_rendered(tmp_path):
     [path] = write_outputs(result, tmp_path / "long", "csv")
     text = render_csv(result)
     assert len(text) > 1 << 20 and path.read_bytes() == text.encode("utf-8")
+
+
+def _kernel_cells(values) -> list[str]:
+    # the CSV kernel's text of each value, from one call on a one-column block of them all
+    return "".join(_csv_blocks([[np.asarray(values, np.float64)]])).split("\n")[:-1]
+
+
+def _referee_cell(value) -> str:
+    if isinstance(value, float):
+        return referees.format_float(value)
+    return ("false", "true")[value] if isinstance(value, bool) else str(value)
+
+
+def _neighbours(*values) -> list[float]:
+    return [float(np.nextafter(v, side)) for v in values for side in (-math.inf, math.inf)]
+
+
+_BIT_PATTERNS = st.integers(0, 2**64 - 1).map(
+    lambda bits: struct.unpack("<d", bits.to_bytes(8, "little"))[0])
+
+
+@given(st.lists(st.one_of(st.floats(), _BIT_PATTERNS), min_size=1, max_size=30))
+# exact ties at the 17th digit round half to even: down, up, down, up
+@example([1000000000000.03125, 1000000000000.09375, 123456789012345.625, 123456789012345.375])
+# at and next to 10**17, where 17 digits print in scientific notation
+@example([99999999999999999.0, 99999999999999984.0, 1e17 - 8, 9.9999999999999999e16])
+# either side of the ends of fixed notation, and of 2**53's last odd integer
+@example(_neighbours(1e-5, 1e-4, 1e15, 1e16, 1e17) + [1e-4, 1e15, 1e16])
+@example([2.0**53 - 2, 2.0**53 + 2, -0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324,
+          1.7976931348623157e308, -2.2250738585072014e-308])
+# zeros of the integer part stay: this printed as 90504571011661 once
+@example([905045710116610.0, 100.0, 1e15, 10.5, 0.1, -0.001, 1.0])
+@settings(max_examples=150)
+def test_csv_kernel_prints_each_float_as_the_referee(values):
+    assert _kernel_cells(values) == list(map(referees.format_float, values))
+
+
+def test_csv_kernel_prints_random_bit_patterns_as_the_referee():
+    # one call on 10**5 bit patterns: about 3% print in fixed notation, nearly all the others in
+    # scientific notation
+    x = np.random.default_rng(27).integers(0, 2**64, 10**5, dtype=np.uint64).view(np.float64)
+    assert _kernel_cells(x) == list(map(referees.format_float, x.tolist()))
+
+
+# cells that take Python's format, next to ones that do not: no float-to-int cast may warn
+_EDGE_FLOATS = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072014e-308,
+                1.7976931348623157e308, -1.7e308, 9.9999999999999991e-05, 1e16, 1e17,
+                905045710116610.0]
+
+
+@pytest.mark.parametrize("n", [1, 2, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3])
+def test_trace_rows_print_edge_cells_as_the_referee(n):
+    # each block of _CHUNK rows is one kernel call, and row 1's bound cells are NaN
+    rng = np.random.default_rng(n)
+
+    def column(size):
+        values = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 20, size)
+        edge = rng.random(size) < 0.3
+        values[edge] = rng.choice(_EDGE_FLOATS, np.count_nonzero(edge))
+        return values
+
+    floats = [column(n) for _ in range(10)]
+    rows = TraceRows((range(1, n + 1), *map(memoryview, floats[:6]),
+                      memoryview(rng.random(n) < 0.5), *map(memoryview, floats[6:])),
+                     [memoryview(column(n - 1)) for _ in range(2)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        text = render_csv(ExperimentResult(csv_header=("h",), csv_rows=rows, summary={}))
+    assert text == "h\n" + "".join(",".join(map(_referee_cell, row)) + "\n" for row in rows)
+
+
+def _count_python_formats(monkeypatch) -> list:
+    calls = []
+
+    def counting(value):
+        calls.append(value)
+        return _format_cell(value)
+
+    monkeypatch.setattr(adamftrl.harness, "_format_cell", counting)
+    return calls
+
+
+def test_trace_csv_prints_few_float_cells_with_python_format(monkeypatch):
+    # the kernel proves the digits of all but a few cells: zeros, numbers in scientific notation
+    # and the first row's NaN bound take Python's %
+    T = 20000
+    result = run_experiment(ExperimentConfig.from_dict(
+        {"adversary": "random", "T": T, "seed": 1, "beta1": 0.9, "beta2": 0.99, "alpha": 0.5,
+         "domain": 1.0, "u": 0.5, "bounds": ["corollary1"]}))
+    calls = _count_python_formats(monkeypatch)
+    render_csv(result)
+    assert 0 < len(calls) <= 0.01 * T * 11
+
+
+def test_trace_csv_in_scientific_notation_matches_the_referee(monkeypatch):
+    # a tiny alpha puts the updates, losses and bounds in scientific notation: Python's % prints
+    # most float cells, byte for byte as the referee
+    T = 600
+    result = run_experiment(ExperimentConfig.from_dict(
+        {"adversary": "random", "T": T, "seed": 2, "beta1": 0.9, "beta2": 0.99,
+         "alpha": 1e-30, "domain": 1.0, "u": 1e-20, "bounds": ["corollary1"]}))
+    calls = _count_python_formats(monkeypatch)
+    text = render_csv(result)
+    assert len(calls) > T * 11 / 2
+    assert text == ",".join(result.csv_header) + "\n" + "".join(
+        ",".join(map(_referee_cell, row)) + "\n" for row in result.csv_rows)
+
+
+def test_simulate_writes_a_20000_row_csv_within_1_mib(tmp_path):
+    # the kernel prints _CHUNK rows at a time in one byte matrix, made once per CSV
+    result = run_experiment(ExperimentConfig.from_dict(
+        {"adversary": "random", "T": 20000, "seed": 1, "beta1": 0.9, "beta2": 0.99,
+         "alpha": 0.5, "domain": 1.0, "u": 0.5, "bounds": ["corollary1"]}))
+    write_outputs(result, tmp_path / "first", "csv")   # the first CSV also builds the tables
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        write_outputs(result, tmp_path / "trace", "csv")
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def _reject_constant(name):
@@ -1802,6 +1926,21 @@ def test_cli_never_imports_argparse(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+COLD_IMPORT = """
+from adamftrl import cli, harness
+print(harness._cell_tables.cache_info().currsize)
+"""
+
+
+def test_importing_the_cli_builds_no_csv_tables():
+    # the CSV kernel's tables are built by the first trace CSV, not by every run's import
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", COLD_IMPORT], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0"]
 
 
 @pytest.mark.parametrize("command,raw,argv,shown", [
