@@ -175,23 +175,33 @@ class Theorem1Coefficient:
     dropped for good; the rest (usually one) are re-evaluated as a full scan would, so
     ``coeff`` equals that scan bit for bit while the terms stay normal floats.  ``peak`` is
     the largest ``coeff`` at any T so far, as ``coeff`` falls while alpha decays at p < 1.
+
+    A constant alpha at ``p <= 1.0`` exactly is closed form, with no walk: at every ``T >= 1``,
+    ``alpha_{T+1}``, ``coeff`` and ``peak`` are ``alpha``.  The newest term is
+    ``alpha * p**0 = alpha``, and for ``k >= 1`` ``p**k <= 1.0``, so ``fl(alpha * p**k) <= alpha``:
+    the full scan's max is ``alpha`` bit for bit.  ``kept`` is then ``[(T, alpha)]``, which the
+    walk would price alike.  At ``p`` in ``(1, 1 + REGIME_TOL]`` the older terms lead, so the
+    gate is ``p <= 1.0``, not the regime check's slack.
     """
 
     def __init__(self, params: HyperParams):
         self.schedule, self.p, self.T, self.coeff, self.peak = params.alpha, params.p, 0, 0.0, 0.0
         self.alpha_next = alpha_at(params.alpha, 1)
         self.kept: list[tuple[int, float]] = []   # (t, alpha_t) that may still lead
+        self.closed = params.alpha.kind == "constant" and params.p <= 1.0
 
     def walk(self, rows, peak: bool, alphas: list, coeffs: list) -> None:
         """Walks to each round of ``rows`` (rising), its state in locals, appending ``alpha_{T+1}``
         to ``alphas`` and the coefficient at ``T``, or its peak if ``peak``, to ``coeffs``.  An
         error carries the row it was met on the way to as ``row``, after the rows before it."""
-        schedule, p, keep = self.schedule, self.p, 1.0 - _TIE_TOL
+        schedule, p, keep, closed = self.schedule, self.p, 1.0 - _TIE_TOL, self.closed
         T, a_next, coeff, top, kept = self.T, self.alpha_next, self.coeff, self.peak, self.kept
         try:
             for row in rows:
                 if row < T:
                     raise ValueError(f"cannot move back from T={T} to {row}")
+                if closed and row > T:   # see the class doc
+                    T, coeff, top = row, a_next, a_next
                 while T < row:
                     T += 1
                     a_t, a_next = a_next, alpha_at(schedule, T + 1)
@@ -210,6 +220,8 @@ class Theorem1Coefficient:
             exc.row = row
             raise
         finally:
+            if closed and T:
+                kept = [(T, a_next)]
             self.T, self.alpha_next, self.coeff, self.peak, self.kept = T, a_next, coeff, top, kept
 
     def advance_to(self, T: int) -> None:

@@ -49,6 +49,9 @@ from .learner import (DEFAULT_ORACLE_HORIZON, PREBAR_TOL, REGIME_TOL, AlphaSched
 from .regret import drive_batch, drive_trace
 
 RNG_NAME = "numpy-pcg64"
+# Largest T of a gradient stream: a run's peak memory grows about 150-220 bytes a round, so a
+# run at the cap stays under about 2 GB
+MAX_STREAM_T = 8_000_000
 TRACE_COLUMNS = (
     "t", "alpha_t", "g_t", "m_t", "q_t", "delta_bar_t", "delta_t", "clipped",
     "loss_discounted", "regret_discounted", "maxV_t", "D_t",
@@ -145,6 +148,8 @@ class ExperimentConfig(NamedTuple):
             warn_unless_separated(self.a, self.b)
 
     def _validate_gradient_run(self) -> None:
+        if self.T > MAX_STREAM_T:
+            raise ConfigError(f"T must be <= {MAX_STREAM_T} for a gradient stream, got {self.T}")
         params = self.hyper_params()
         if self.u == "negD":
             if self.domain is None:

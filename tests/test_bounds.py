@@ -126,6 +126,9 @@ def _near_tie_schedules():
             vals.append(min(vals[-1], 0.5 * p ** (t - 1) * (1 + rng.uniform(-1e-15, 1e-15))))
         cases.append((HyperParams(beta1=b1, beta2=b2, alpha=AlphaSchedule.explicit(vals)),
                       f"explicit near-tie, p={p}"))
+    # p = 1 + 2^-52 passes the regime check's slack, but each older term leads: the walk runs
+    cases.append((constant_params(math.nextafter(0.9, 1), 0.81, alpha=0.5),
+                  "just above 1, constant alpha"))
     return cases
 
 
@@ -139,6 +142,26 @@ def test_theorem1_coefficient_is_bit_identical_to_full_scan(params, label):
         assert running.alpha_next == alpha_at(params.alpha, T + 1)
         if label.startswith("constant"):   # only genuine near-ties are kept
             assert len(running.kept) == 1, (label, T)
+
+
+def test_theorem1_constant_alpha_is_closed_form_only_at_p_at_most_one():
+    # at p = 1.0 and below, a constant alpha is its own coefficient at every T, with no walk
+    for b1, b2 in ((0.9, 0.81), (0.5, 0.3)):
+        running = Theorem1Coefficient(constant_params(b1, b2, alpha=0.5))
+        running.advance_to(1000)
+        assert (running.T, running.alpha_next, running.coeff, running.peak) == (1000, 0.5, 0.5, 0.5)
+        assert running.kept == [(1000, 0.5)]
+        with pytest.raises(ValueError):
+            running.advance_to(999)
+    # at p = 1 + 2^-52 the older terms lead, so a closed form gated on the regime slack would
+    # change bits
+    params = constant_params(math.nextafter(0.9, 1), 0.81, alpha=0.5)
+    assert params.p == 1.0000000000000002
+    BOUNDS["theorem1"].check(params)
+    running = Theorem1Coefficient(params)
+    running.advance_to(1000)
+    assert running.coeff == 0.5000000000001109
+    assert len(running.kept) == 46
 
 
 def test_theorem1_carried_coefficient_matches_fresh_calls():

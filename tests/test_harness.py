@@ -356,6 +356,24 @@ def test_sweep_grid_cells_print_their_json_text():
         """skipped: 'beta1': {"x": "y"} is not a number"""]
 
 
+def test_gradient_stream_T_above_the_cap_is_a_config_error(monkeypatch):
+    # past the cap a gradient stream's T is a typed error, met before any gradient is drawn
+    drawn = []
+    monkeypatch.setattr(adamftrl.adversaries._Pcg64, "uniform",
+                        lambda self, n: drawn.append(n) or np.full(n, 0.5))
+    cap = adamftrl.harness.MAX_STREAM_T
+    for adversary in ({"adversary": "random"}, {"adversary": "fixed", "gradients": [1.0]}):
+        for T in (cap + 1, 10 ** 30):
+            with pytest.raises(ConfigError, match=f"^T must be <= {cap} for a gradient stream"):
+                ExperimentConfig.from_dict({**adversary, "beta1": 0.9, "beta2": 0.99, "T": T})
+    raw = {"adversary": "random", "beta1": 0.9, "beta2": 0.99, "T": 5, "seed": 1,
+           "bounds": ["theorem1"], "grid": {"T": [5, 10 ** 30]}}
+    rows = list(csv.reader(io.StringIO(render_csv(sweep(ExperimentConfig.from_dict(raw))))))
+    assert [row[1] for row in rows[1:]] == [
+        "ok", f"skipped: T must be <= {cap} for a gradient stream, got {10 ** 30}"]
+    assert drawn == [6]
+
+
 def _point_metrics(summary: dict, columns) -> tuple:
     """A point's sweep metrics, read off its own summary."""
     if "bounds" not in summary:   # an oracle point's
@@ -2030,7 +2048,9 @@ def test_sweep_golden_fixtures(stem):
     assert render_json(res) == (FIXTURES / f"{stem}.json").read_text()
 
 
-def test_theorem1_run_makes_linearly_many_alpha_calls(monkeypatch):
+@pytest.mark.parametrize("schedule", [{}, {"alpha_kind": "exponential_decay",
+                                           "alpha_ratio": 1.0001}], ids=["constant", "decay"])
+def test_theorem1_run_makes_linearly_many_alpha_calls(monkeypatch, schedule):
     calls = [0]
     original = adamftrl.learner.alpha_at
 
@@ -2040,15 +2060,23 @@ def test_theorem1_run_makes_linearly_many_alpha_calls(monkeypatch):
 
     for module in (adamftrl.learner, adamftrl.bounds, adamftrl.regret):
         monkeypatch.setattr(module, "alpha_at", counting)
-    counts = {}
+    base = {"adversary": "random", "beta1": 0.9, "beta2": 0.99, "alpha": 0.5, "seed": 1,
+            "bounds": ["theorem1"], **schedule}
+    counts, sweeps = {}, {}
     for T in (500, 1000):
         calls[0] = 0
-        run_experiment(ExperimentConfig.from_dict(
-            {"adversary": "random", "beta1": 0.9, "beta2": 0.99, "alpha": 0.5, "T": T,
-             "seed": 1, "bounds": ["theorem1"]}))
+        run_experiment(ExperimentConfig.from_dict({**base, "T": T}))
         counts[T] = calls[0]
-    assert counts[1000] <= 2 * counts[500] + 8
-    assert counts[1000] <= 4 * 1000
+        calls[0] = 0
+        sweep(ExperimentConfig.from_dict({**base, "T": T, "grid": {"beta1": [0.5, 0.7, 0.9]}}))
+        sweeps[T] = calls[0]
+    if not schedule:   # a constant alpha at p <= 1 prices theorem1 in closed form
+        assert counts[1000] == counts[500]
+        assert sweeps[1000] == sweeps[500]
+    else:
+        assert counts[1000] <= 2 * counts[500] + 8
+        assert counts[1000] <= 4 * 1000
+        assert sweeps[1000] <= 2 * sweeps[500] + 8
 
 
 COLD_RUNS = """
