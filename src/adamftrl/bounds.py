@@ -190,14 +190,14 @@ class Theorem1Coefficient:
         self.kept: list[tuple[int, float]] = []   # (t, alpha_t) that may still lead
         self.closed = params.alpha.kind == "constant" and params.p <= 1.0
 
-    def walk(self, rows, peak: bool, alphas: list, coeffs: list) -> None:
-        """Walks to each round of ``rows`` (rising), its state in locals, appending ``alpha_{T+1}``
-        to ``alphas`` and the coefficient at ``T``, or its peak if ``peak``, to ``coeffs``.  An
-        error carries the row it was met on the way to as ``row``, after the rows before it."""
+    def walk(self, rows, peak: bool, alphas, coeffs) -> None:
+        """Walks to each round ``rows[i]`` (rising), its state in locals, writing ``alpha_{T+1}``
+        to ``alphas[i]`` and the coefficient at ``T``, or its peak if ``peak``, to ``coeffs[i]``.
+        An error carries the row it was met on the way to as ``row``, after the rows before it."""
         schedule, p, keep, closed = self.schedule, self.p, 1.0 - _TIE_TOL, self.closed
         T, a_next, coeff, top, kept = self.T, self.alpha_next, self.coeff, self.peak, self.kept
         try:
-            for row in rows:
+            for i, row in enumerate(rows):
                 if row < T:
                     raise ValueError(f"cannot move back from T={T} to {row}")
                 if closed and row > T:   # see the class doc
@@ -214,8 +214,8 @@ class Theorem1Coefficient:
                     kept = [k for k, term in zip(kept, terms) if term >= coeff * keep]
                     if p == 1.0:  # each term is then its alpha at every T, and the first leads
                         del kept[1:]
-                alphas.append(a_next)
-                coeffs.append(top if peak else coeff)
+                alphas[i] = a_next
+                coeffs[i] = top if peak else coeff
         except AdamFtrlError as exc:
             exc.row = row
             raise
@@ -225,7 +225,7 @@ class Theorem1Coefficient:
             self.T, self.alpha_next, self.coeff, self.peak, self.kept = T, a_next, coeff, top, kept
 
     def advance_to(self, T: int) -> None:
-        self.walk((T,), False, [], [])
+        self.walk((T,), False, [0.0], [0.0])
 
 
 @_priced
@@ -237,22 +237,23 @@ def bound_theorem1_discounted(params: HyperParams, stats: TraceStats, u: float,
           + (sqrt(6 beta2) / (2 beta1)) (max_{1<=t<=T} alpha_t p^(T-t)) sqrt(q)
           + 7 d_max max_v
 
-    ``running`` carries the coefficient across a run's rows, a column in one walk; without it a
-    call costs O(T).  A schedule error at some row is raised once the rows before it are priced.
+    ``running`` carries the coefficient across a run's rows, a column in one walk, which writes
+    into two float64 arrays (no float object per row); without it a call costs O(T).  A schedule
+    error at some row is raised once the rows before it are priced.
     """
     check_theorem1(params)
-    running = running or Theorem1Coefficient(params)
-    alphas, coeffs, stop = [], [], None
+    running, stop = running or Theorem1Coefficient(params), None
     if not isinstance(T, np.ndarray):
+        alphas, coeffs = [0.0], [0.0]
         running.walk((T,), stats.peak, alphas, coeffs)
         (alpha_next,), (coeff,) = alphas, coeffs
     else:
+        alpha_next, coeff = np.empty(len(T)), np.empty(len(T))
         try:
-            running.walk(T.tolist(), stats.peak, alphas, coeffs)
-        except AdamFtrlError as exc:
-            stop, n = exc, len(alphas)
-            T, stats = T[:n], stats.head(n)
-        alpha_next, coeff = np.array(alphas, dtype=float), np.array(coeffs)
+            running.walk(T.tolist(), stats.peak, alpha_next, coeff)
+        except AdamFtrlError as exc:   # the rows before exc.row are written
+            stop, n = exc, int(np.searchsorted(T, exc.row))
+            T, stats, alpha_next, coeff = T[:n], stats.head(n), alpha_next[:n], coeff[:n]
     root_q = _sqrt(stats.q)
     comparator = u * u / alpha_next * root_q
     variance = math.sqrt(6.0 * params.beta2) / (2.0 * params.beta1) * coeff * root_q

@@ -49,8 +49,8 @@ from .learner import (DEFAULT_ORACLE_HORIZON, PREBAR_TOL, REGIME_TOL, AlphaSched
 from .regret import drive_batch, drive_trace
 
 RNG_NAME = "numpy-pcg64"
-# Largest T of a gradient stream: a run's peak memory grows about 150-220 bytes a round, so a
-# run at the cap stays under about 2 GB
+# Largest T of a gradient stream: a run's peak memory grows about 140-155 bytes a round, so a
+# run at the cap stays under about 1.5 GB
 MAX_STREAM_T = 8_000_000
 TRACE_COLUMNS = (
     "t", "alpha_t", "g_t", "m_t", "q_t", "delta_bar_t", "delta_t", "clipped",

@@ -20,8 +20,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AdamFtrlError, DegenerateStateError, InvalidGradientError, RegimeError
-from .learner import HyperParams, alpha_at, fill_alphas
+from .errors import AdamFtrlError, RegimeError
+from .learner import (HyperParams, LearnerState, alpha_at, fill_alphas, ingest_gradient,
+                      propose_update)
 
 
 class RegretLedger:
@@ -45,48 +46,26 @@ def accumulate_discounted_regret(ledger: RegretLedger, g: float, delta: float,
 
 
 def drive(gradients, params: HyperParams, u: float = 0.0):
-    """The stable learner's rounds ``t = 1..T``, ``T = len(gradients) - 1``: the one driver loop.
+    """The stable learner's rounds ``t = 1..T``, ``T = len(gradients) - 1``: the referee loop.
 
-    Ingests ``g_0``, then per round proposes the update, ingests ``g_t`` and folds the regret:
-    :func:`propose_update`, :func:`ingest_gradient` and :func:`accumulate_discounted_regret`
-    inlined on local floats, with the same operations and checks in the same order.  Yields
-    ``(t, alpha_t, m_t, q_t, delta_bar, delta, clipped, r_disc, max_v, d_max, m, q)``: the
-    accumulators the update used, the update, then the regret and the state after ``g_t``.
+    :func:`ingest_gradient` of ``g_0``, then per round :func:`propose_update`,
+    :func:`ingest_gradient` of ``g_t`` and :func:`accumulate_discounted_regret`, so every
+    per-round check is theirs; the one check of its own is that the regret stays finite.
+    Yields ``(t, alpha_t, m_t, q_t, delta_bar, delta, clipped, r_disc, max_v, d_max, m, q)``:
+    the accumulators the update used, the update, then the regret and the state after ``g_t``.
     """
-    b1, b2, schedule = params.beta1, params.beta2, params.alpha
-    D = math.inf if params.D is None else params.D   # a finite update never exceeds inf
-    isfinite, sqrt, copysign, inf = math.isfinite, math.sqrt, math.copysign, math.inf
-    if gradients[0] == 0.0:   # no zero fails the finiteness check, so this may come first
-        raise InvalidGradientError("first gradient must be nonzero")
-    m = q = max_v = d_max = r_disc = 0.0
-    for t, g in enumerate(gradients):
-        if t:   # propose the round-t update from g_0..g_{t-1}
-            if q <= 0.0:
-                raise DegenerateStateError(
-                    f"second-moment accumulator underflows to zero after g_{t - 1}")
-            a_t = alpha_at(schedule, t)
-            delta_bar = -a_t * m / sqrt(q)
-            if not isfinite(delta_bar):
-                raise DegenerateStateError(f"update delta_bar overflows at t={t}")
-            clipped = abs(delta_bar) > D
-            delta = copysign(D, delta_bar) if clipped else delta_bar
-            if abs(delta) > d_max:   # max() keeps its first argument on ties, and so does this
-                d_max = abs(delta)
-        if not isfinite(g):
-            raise InvalidGradientError(f"gradient must be finite, got {g}")
-        m_t, q_t = m, q
-        q = b2 * q + g * g
-        if q == inf:
-            raise DegenerateStateError(f"second-moment accumulator overflows at t={t}")
-        m = b1 * m + g
-        max_v *= b1
-        if abs(g) > max_v:
-            max_v = abs(g)
-        if t:   # fold round t into the regret
-            r_disc = b1 * r_disc + g * (delta - u)
-            if not isfinite(r_disc):
-                raise RegimeError(f"discounted regret overflows at t={t}")
-            yield t, a_t, m_t, q_t, delta_bar, delta, clipped, r_disc, max_v, d_max, m, q
+    state, ledger = LearnerState(), RegretLedger(u)
+    ingest_gradient(state, gradients[0], params)
+    for t in range(1, len(gradients)):
+        m_t, q_t = state.m, state.q
+        out = propose_update(state, params)
+        g = gradients[t]
+        ingest_gradient(state, g, params)
+        accumulate_discounted_regret(ledger, g, out.delta, params.beta1)
+        if not math.isfinite(ledger.r_disc):
+            raise RegimeError(f"discounted regret overflows at t={t}")
+        yield (t, out.alpha_t, m_t, q_t, out.delta_bar, out.delta, out.clipped, ledger.r_disc,
+               state.max_v, state.d_max, state.m, state.q)
 
 
 def drive_trace(gradients, params: HyperParams, u: float = 0.0):

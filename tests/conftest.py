@@ -3,13 +3,14 @@
 The oracles here recompute every bound exactly as displayed, with fresh
 ``beta1**-t`` / ``beta2**(T-t)`` power loops and no reuse of the package's
 discounted recurrences, so that stable-path results are checked against a
-genuinely independent evaluation.  ``simulate_row_by_row`` is the per-row
-reference for ``simulate``'s column pricing, and ``drive_one_step`` the one-step
-reference for ``regret.drive``'s inlined loop.  ``literal_tightness_run`` prices every
-tightness row from its own prefix of losses, ``literal_nonoblivious_run`` runs each instance
-of a pair through ``regret.drive`` on its own, ``literal_per_round_ftrl_inequality`` takes
-every update and objective from the literal FTRL forms, and the ``literal_lemma_*`` functions
-check the two lemmas and build their default grids one point at a time.
+genuinely independent evaluation.  ``drive`` collects the rounds of ``regret.drive``, which
+runs the one-step API in order and is the referee of the column and batch drivers, and
+``simulate_row_by_row`` is the per-row reference for ``simulate``'s column pricing.
+``literal_tightness_run`` prices every tightness row from its own prefix of losses,
+``literal_nonoblivious_run`` runs each instance of a pair through ``regret.drive`` on its own,
+``literal_per_round_ftrl_inequality`` takes every update and objective from the literal FTRL
+forms, and the ``literal_lemma_*`` functions check the two lemmas and build their default grids
+one point at a time.
 """
 
 from __future__ import annotations
@@ -26,11 +27,8 @@ from adamftrl import (
     LearnerState,
     RegretLedger,
     TraceStats,
-    accumulate_discounted_regret,
     alpha_at,
     drive as drive_rounds,
-    ingest_gradient,
-    propose_update,
 )
 from adamftrl.adversaries import (NonObliviousResult, NonObliviousRound, TightnessResult,
                                   TightnessRound, check_nonoblivious_regime,
@@ -71,28 +69,6 @@ def drive(gradients, params: HyperParams, u: float = 0.0) -> TraceRun:
     return TraceRun(gradients=list(gradients), deltas=list(deltas),
                     delta_bars=list(delta_bars), clipped=list(clipped),
                     state=state_after(rounds[-1]), ledger=RegretLedger(u=u, r_disc=r_disc[-1]))
-
-
-def drive_one_step(gradients, params: HyperParams, u: float = 0.0):
-    """``regret.drive`` rebuilt from the one-step API: the referee its inlined loop must match.
-
-    :func:`ingest_gradient` of ``g_0``, then per round :func:`propose_update`,
-    :func:`ingest_gradient` of ``g_t`` and :func:`accumulate_discounted_regret`, yielding the
-    same round tuples.
-    """
-    state = LearnerState()
-    ledger = RegretLedger(u=u)
-    ingest_gradient(state, gradients[0], params)
-    for t in range(1, len(gradients)):
-        m_t, q_t = state.m, state.q
-        out = propose_update(state, params)
-        g_t = gradients[t]
-        ingest_gradient(state, g_t, params)
-        accumulate_discounted_regret(ledger, g_t, out.delta, params.beta1)
-        if not math.isfinite(ledger.r_disc):
-            raise RegimeError(f"discounted regret overflows at t={t}")
-        yield (t, out.alpha_t, m_t, q_t, out.delta_bar, out.delta, out.clipped, ledger.r_disc,
-               state.max_v, state.d_max, state.m, state.q)
 
 
 def simulate_row_by_row(config: ExperimentConfig) -> ExperimentResult:

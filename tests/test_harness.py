@@ -865,14 +865,20 @@ def test_simulate_keeps_columns_and_writes_its_csv_in_chunks(schedule, tmp_path)
     assert write_large - write_small < (large - small) * 8
 
 
-def test_simulate_run_peaks_at_most_136_bytes_a_round():
+@pytest.mark.parametrize("extra,limit", [
+    ({"bounds": ["corollary1"]}, 136),
+    ({"bounds": ["theorem1"], "alpha_kind": "exponential_decay", "alpha_ratio": 1.0001}, 170),
+], ids=["corollary1", "theorem1-decay"])
+def test_simulate_run_peak_bytes_a_round(extra, limit):
     # the run holds the stream as a list of floats (32 bytes a round) and its columns, and its
     # recurrences read no list of all T floats; 136 bytes is what reading drive's rounds into
-    # the columns in chunks of tuples peaked at here
+    # the columns in chunks of tuples peaked at here.  theorem1's walk writes each row's
+    # alpha_{T+1} and coefficient into float64 arrays, so a decaying alpha, whose values are
+    # all distinct floats, holds no float object per row
     def peak(T):
         config = ExperimentConfig.from_dict({"adversary": "random", "T": T, "seed": 1,
                                              "beta1": 0.9, "beta2": 0.99, "alpha": 0.5,
-                                             "domain": 1.0, "u": 0.5, "bounds": ["corollary1"]})
+                                             "domain": 1.0, "u": 0.5, **extra})
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -883,7 +889,7 @@ def test_simulate_run_peaks_at_most_136_bytes_a_round():
 
     small, large = 5000, 20000
     peak(small)   # the first run also allocates what numpy and the package keep for later
-    assert (peak(large) - peak(small)) / (large - small) <= 136
+    assert (peak(large) - peak(small)) / (large - small) <= limit
 
 
 @pytest.mark.parametrize("raw,replays", [
@@ -1235,6 +1241,28 @@ def test_a_batch_rejects_a_grid_template(size):
                                            "T": 20, "grid": {"beta1": [0.5, 0.6]}})
     with pytest.raises(ConfigError, match="^a config with a 'grid' runs only as a sweep$"):
         run_experiment([template] * size)
+
+
+def test_a_batch_needs_points_that_differ_only_in_its_axes():
+    with pytest.raises(ConfigError, match="^a batch needs one or more points$"):
+        run_experiment([])
+    points = [ExperimentConfig.from_dict({"adversary": "random", "beta1": 0.9, "beta2": 0.99,
+                                          "T": 20, "seed": seed}) for seed in (1, 2)]
+    with pytest.raises(ConfigError, match="^points of a batch may differ only in beta1, beta2$"):
+        run_experiment(points)
+
+
+def test_negd_comparator_runs_as_minus_the_domain():
+    # "negD" is u = -D: the same run as u = -2.0 at domain 2.0, with "negD" echoed
+    base = {"adversary": "random", "beta1": 0.9, "beta2": 0.99, "alpha": 0.5, "T": 50,
+            "seed": 2, "domain": 2.0, "bounds": ["theorem1", "corollary1"]}
+    named, numeric = (run_experiment(ExperimentConfig.from_dict({**base, "u": u}))
+                      for u in ("negD", -2.0))
+    assert named.summary["u"] == -2.0
+    assert named.summary["config"]["u"] == "negD"
+    assert {**named.summary, "config": None} == {**numeric.summary, "config": None}
+    assert named.summary["config"] == {**numeric.summary["config"], "u": "negD"}
+    assert render_csv(named) == render_csv(numeric)
 
 
 def _outputs_or_error(run, config: ExperimentConfig):
