@@ -296,9 +296,6 @@ def main(argv=None) -> int:
             return _cmd_verify_lemmas(args)
         return _cmd_experiment(args, {"tightness": TIGHTNESS_PRESET,
                                       "nonoblivious": NONOBLIVIOUS_PRESET}.get(args.command))
-    except ContractViolation as exc:
-        print(f"contract violation: {exc}", file=sys.stderr)
-        return 1
     except (AdamFtrlError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -4,7 +4,8 @@ A configuration is a flat JSON object; one table, ``_KEYS``, parses each key's
 value (unknown keys are rejected), and regime coherence is checked before
 anything runs: the ``p <= 1`` bounds cannot be requested at ``p > 1``, the
 decaying-alpha bound requires the matching schedule, and the order-level bound
-requires a bounded domain within the oracle horizon.
+requires a bounded domain within the oracle horizon.  Another table, ``ADVERSARIES``,
+holds all that depends on the adversary kind: one row per kind.
 
 Outputs are byte-stable: identical config and seed produce identical files.
 Floats are serialized with 17 significant digits in CSV; JSON summaries use
@@ -18,7 +19,8 @@ import functools
 import itertools
 import json
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
 from typing import NamedTuple
@@ -38,7 +40,6 @@ from .adversaries import (
     check_nonoblivious_regime,
     check_tightness_regime,
     run_nonoblivious_pairs,
-    run_tightness_experiment,
     run_tightness_trace,
     warn_unless_separated,
 )
@@ -118,22 +119,7 @@ class ExperimentConfig(NamedTuple):
                 raise ConfigError(f"oracle_horizon must be >= 1, got {self.oracle_horizon}")
             if self.domain is not None and not self.domain > 0:
                 raise ConfigError(f"domain must be positive or 'unbounded', got {self.domain}")
-            if self.adversary in ("fixed", "random"):
-                self._validate_gradient_run()
-            elif self.adversary == "geometric":
-                if self.domain is None:
-                    raise ConfigError("tightness runs need a bounded domain")
-                if self.kappa is None or self.v0 is None:
-                    raise ConfigError("geometric adversary needs 'kappa' and 'v0'")
-                self.adversary_spec()
-                check_tightness_regime(self.ratio(), self.domain, self.kappa, self.v0, self.T,
-                                       self.oracle_horizon)
-            else:
-                for name in ("a", "b", "v"):
-                    if getattr(self, name) is None:
-                        raise ConfigError(f"nonoblivious adversary needs {name!r}")
-                check_nonoblivious_regime(self.a, self.b, self.v, self.ratio(), self.T,
-                                          self.beta1, self.oracle_horizon)
+            ADVERSARIES[self.adversary].check(self)
             if None not in (self.p, self.beta1, self.beta2):
                 # ratio() reads p and hyper_params() the betas: both must name one regime
                 derived = self.beta1 / math.sqrt(self.beta2) if self.beta2 > 0 else math.nan
@@ -172,19 +158,27 @@ class ExperimentConfig(NamedTuple):
                     f"bound 'B' is undiscounted and needs T <= horizon ({self.oracle_horizon})"
                 )
 
+    def _validate_geometric(self) -> None:
+        if self.domain is None:
+            raise ConfigError("tightness runs need a bounded domain")
+        if self.kappa is None or self.v0 is None:
+            raise ConfigError("geometric adversary needs 'kappa' and 'v0'")
+        self.adversary_spec()
+        check_tightness_regime(self.ratio(), self.domain, self.kappa, self.v0, self.T,
+                               self.oracle_horizon)
+
+    def _validate_pair(self) -> None:
+        for name in ("a", "b", "v"):
+            if getattr(self, name) is None:
+                raise ConfigError(f"nonoblivious adversary needs {name!r}")
+        check_nonoblivious_regime(self.a, self.b, self.v, self.ratio(), self.T, self.beta1,
+                                  self.oracle_horizon)
+
     # -- derived objects --------------------------------------------------
 
     def adversary_spec(self):
         """The adversary description object this config denotes."""
-        if self.adversary == "fixed":
-            if not self.gradients:
-                raise ValueError("fixed adversary needs a 'gradients' list")
-            return FixedSequence(self.gradients)
-        if self.adversary == "random":
-            return RandomUniform(seed=self.seed, distribution=self.distribution)
-        if self.adversary == "geometric":
-            return GeometricSequence(v0=self.v0, kappa=self.kappa)
-        return NonObliviousPair(a=self.a, b=self.b, v=self.v)
+        return ADVERSARIES[self.adversary].spec(self)
 
     def ratio(self) -> float:
         """Momentum ratio p, from the 'p' key or derived from the betas."""
@@ -230,86 +224,6 @@ class ExperimentConfig(NamedTuple):
         out["domain"] = "unbounded" if self.domain is None else self.domain
         out["rng"] = RNG_NAME
         return out
-
-
-def _need(ok: bool, key: str, value, what: str):
-    """``value`` if ``ok``, else a ConfigError: the JSON value of ``key`` is not ``what``."""
-    if not ok:
-        raise ConfigError(f"{key!r}: {json.dumps(value)} is not {what}")
-    return value
-
-
-def _number(key: str, value, what: str = "a number"):
-    """A finite number: checked, not converted, so the config's echo keeps its JSON text."""
-    _need(isinstance(value, (int, float)) and not isinstance(value, bool), key, value, what)
-    try:
-        return _need(math.isfinite(value), key, value, "a finite number")
-    except OverflowError as exc:
-        raise ConfigError(f"{key!r}: an integer too large for a float") from exc
-
-
-def _integer(key: str, value) -> int:
-    return _need(isinstance(value, int) and not isinstance(value, bool), key, value, "an integer")
-
-
-def _natural(key: str, value) -> int:
-    return _need(_integer(key, value) >= 0, key, value, "a non-negative integer")
-
-
-def _numbers(key: str, value) -> tuple[float, ...]:
-    _need(isinstance(value, (list, tuple)), key, value, "a list of numbers")
-    return tuple(float(_number(key, item)) for item in value)
-
-
-def _one_of(*words: str):
-    return lambda key, value: _need(isinstance(value, str) and value in words, key, value,
-                                    "|".join(words))
-
-
-def _bound_names(key: str, value) -> tuple[str, ...]:
-    if not isinstance(value, (list, tuple)) or not all(isinstance(b, str) for b in value):
-        raise ConfigError(f"'bounds' must be a list of bound names, got {value!r}")
-    unknown = set(value) - set(BOUNDS)
-    if unknown:
-        raise ConfigError(f"unknown bounds requested: {sorted(unknown)}")
-    return tuple(value)
-
-
-_GRID_KEYS = ("beta1", "beta2", "kappa", "a", "b", "p", "T")
-
-
-def _grid(key: str, value) -> dict:
-    """Grid keys mapped to value lists, each value parsed per point by :func:`sweep`."""
-    return _need(isinstance(value, dict) and all(k in _GRID_KEYS and isinstance(v, (list, tuple))
-                                                 and v for k, v in value.items()),
-                 key, value, f"a map of {'|'.join(_GRID_KEYS)} to non-empty value lists")
-
-
-# The config format, written once: for each field of ExperimentConfig, the parser that takes
-# its JSON value to its run-time value or raises a ConfigError (see _parse for null).
-# validate() then checks ranges and regime coherence.
-_KEYS = {
-    "adversary": _one_of("fixed", "random", "geometric", "nonoblivious"),
-    "alpha_kind": _one_of("constant", "exponential_decay", "explicit"),
-    "distribution": _one_of("uniform"),
-    "format": _one_of("csv", "json", "both"),
-    "T": _integer, "seed": _natural, "oracle_horizon": _integer,
-    "beta1": _number, "beta2": _number, "alpha": _number, "alpha_ratio": _number,
-    "v0": _number, "kappa": _number, "a": _number, "b": _number, "v": _number, "p": _number,
-    "gradients": _numbers, "alpha_values": _numbers,   # tuples of floats
-    "domain": lambda k, v: None if v == "unbounded" else _number(k, v, 'a number or "unbounded"'),
-    "u": lambda k, v: v if v == "negD" else _number(k, v, 'a number or "negD"'),   # see comparator
-    "bounds": _bound_names,
-    "out": lambda key, value: _need(isinstance(value, str), key, value, "a path"),
-    "grid": _grid,
-}
-_ECHO_KEYS = tuple(sorted(_KEYS.keys() - {"grid", "out"}))
-_NULLABLE = {key for key, value in ExperimentConfig._field_defaults.items() if value is None}
-
-
-def _parse(key: str, value):
-    """The run-time value of ``key``'s JSON value; a null is the key left out (``_NULLABLE``)."""
-    return None if value is None and key in _NULLABLE else _KEYS[key](key, value)
 
 
 class ExperimentResult(NamedTuple):
@@ -426,7 +340,7 @@ def _run_gradient_stream(config: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(csv_header=header, csv_rows=rows, summary=summary)
 
 
-def _run_stream_batch(points: list[ExperimentConfig]) -> ExperimentResult:
+def _run_stream_batch(points: list[ExperimentConfig]) -> list[dict]:
     """Gradient-stream points that differ only in ``beta1``/``beta2``, run on one learner axis.
 
     The stream is generated and checked once, then :func:`regret.drive_batch` runs every point
@@ -458,36 +372,44 @@ def _run_stream_batch(points: list[ExperimentConfig]) -> ExperimentResult:
                 evaluate(peak, T)
         summaries.append(_stream_summary(config, float(state.r_disc[i]), int(state.clips[i]),
                                          reports))
-    return _batch_result(first.adversary, summaries)
+    return summaries
 
 
-def _batch_result(adversary: str, summaries: list[dict]) -> ExperimentResult:
-    """A batch's result: its points' sweep metrics as rows, their summaries as ``"points"``."""
-    return ExperimentResult(
-        csv_header=_sweep_metric_columns(adversary),
-        csv_rows=tuple(_sweep_metrics(adversary, s) for s in summaries),
-        summary={"points": summaries, "contracts_ok": all(s["contracts_ok"] for s in summaries)})
+def _stream_cells(summary: dict) -> tuple:
+    bounds = summary["bounds"]
+    return (summary["regret_discounted"],
+            *(bounds[name]["total"] if bounds.get(name) else math.nan for name in BOUNDS),
+            summary["contracts_ok"])
 
 
-def _run_geometric(config: ExperimentConfig) -> ExperimentResult:
-    result = run_tightness_experiment(config.ratio(), config.domain, config.kappa, config.v0,
-                                      config.T, horizon=config.oracle_horizon)
-    return ExperimentResult(csv_header=TRACE_COLUMNS + ("bound_B",), csv_rows=result.rounds,
-                            summary=_geometric_summary(config, result))
+def _run_oracle(traces, header: tuple[str, ...], summarize, config: ExperimentConfig
+                ) -> ExperimentResult:
+    """An oracle kind's run: its batch of one, read with its rows by ``trace.result(T)``."""
+    ((_, trace),) = traces([config])
+    result = trace.result(config.T)
+    return ExperimentResult(csv_header=header, csv_rows=result.rounds,
+                            summary=summarize(config, result))
 
 
-def _run_geometric_batch(points: list[ExperimentConfig]) -> ExperimentResult:
-    """Geometric points that differ only in ``kappa`` and ``T``: each ``kappa`` runs once, to the
-    largest ``T`` of its points, and each point checks its regime and reads its totals at its T."""
-    first, longest = points[0], {}
-    ratio = first.ratio()
-    for c in points:
+def _run_oracle_batch(traces, summarize, points: list[ExperimentConfig]) -> list[dict]:
+    """Each point's summary, by ``trace.totals(T)`` at its ``T``: ``traces(points)`` checks every
+    point's regime, then yields each point's index with the trace it reads."""
+    summaries: list = [None] * len(points)
+    for i, trace in traces(points):   # each trace is read as soon as it is made, then dropped
+        summaries[i] = summarize(points[i], trace.totals(points[i].T))
+    return summaries
+
+
+def _geometric_traces(points: list[ExperimentConfig]):
+    """Each ``kappa`` runs once, to the largest ``T`` of its points."""
+    ratio, members = points[0].ratio(), {}
+    for i, c in enumerate(points):
         check_tightness_regime(ratio, c.domain, c.kappa, c.v0, c.T, c.oracle_horizon)
-        longest[c.kappa] = max(longest.get(c.kappa, 0), c.T)
-    traces = {kappa: run_tightness_trace(ratio, first.domain, kappa, first.v0, T)
-              for kappa, T in longest.items()}
-    return _batch_result("geometric", [_geometric_summary(c, traces[c.kappa].totals(c.T))
-                                       for c in points])
+        members.setdefault(c.kappa, []).append(i)
+    for kappa, indices in members.items():
+        trace = run_tightness_trace(ratio, points[0].domain, kappa, points[0].v0,
+                                    max(points[i].T for i in indices))
+        yield from ((i, trace) for i in indices)
 
 
 def _geometric_summary(config: ExperimentConfig, result: TightnessTotals) -> dict:
@@ -519,35 +441,18 @@ def _geometric_summary(config: ExperimentConfig, result: TightnessTotals) -> dic
     }
 
 
-def _run_nonoblivious(config: ExperimentConfig) -> ExperimentResult:
-    """A pair batch of one, read with its rows; the ``a >= b^2`` warning is validation's."""
-    ratio = config.ratio()
-    beta1 = check_nonoblivious_regime(config.a, config.b, config.v, ratio, config.T,
-                                      config.beta1, config.oracle_horizon)
-    (trace,) = run_nonoblivious_pairs([(config.a, config.b)], config.v, ratio, beta1, config.T)
-    result = trace.result(config.T)
-    return ExperimentResult(csv_header=PAIR_COLUMNS, csv_rows=result.rounds,
-                            summary=_pair_summary(config, result))
-
-
-def _run_pair_batch(points: list[ExperimentConfig]) -> ExperimentResult:
-    """Non-oblivious points that differ only in ``a``, ``b`` and ``T``: each distinct pair runs
-    once, to the largest ``T`` of its points, as two columns of one gradient matrix
-    (:func:`adversaries.run_nonoblivious_pairs`), and each point reads its first ``T`` rounds.
-    Like a point's own run, a batch does not warn when ``a >= b^2``: validation does."""
-    first = points[0]
-    ratio = first.ratio()
-    members: dict[tuple[float, float], list[int]] = {}
+def _pair_traces(points: list[ExperimentConfig]):
+    """Each distinct pair runs once, to the largest ``T`` of the points, as two columns of one
+    gradient matrix (:func:`adversaries.run_nonoblivious_pairs`).  Nothing warns when
+    ``a >= b^2``: validation does."""
+    ratio, members = points[0].ratio(), {}
     for i, c in enumerate(points):   # all share beta1
         beta1 = check_nonoblivious_regime(c.a, c.b, c.v, ratio, c.T, c.beta1, c.oracle_horizon)
         members.setdefault((c.a, c.b), []).append(i)
-    summaries: list = [None] * len(points)
-    runs = run_nonoblivious_pairs(list(members), first.v, ratio, beta1,
+    runs = run_nonoblivious_pairs(list(members), points[0].v, ratio, beta1,
                                   max(c.T for c in points))
     for indices, trace in zip(members.values(), runs):
-        for i in indices:   # each trace is read as soon as it is made, then dropped
-            summaries[i] = _pair_summary(points[i], trace.totals(points[i].T))
-    return _batch_result("nonoblivious", summaries)
+        yield from ((i, trace) for i in indices)
 
 
 def _pair_summary(config: ExperimentConfig, result: NonObliviousResult | PairTotals) -> dict:
@@ -575,41 +480,155 @@ def _pair_summary(config: ExperimentConfig, result: NonObliviousResult | PairTot
     }
 
 
-# Per adversary: the keys in which the points of one batch may differ, and the runner that
-# runs such points all at once.
-_BATCHES = {"fixed": (("beta1", "beta2"), _run_stream_batch),
-            "random": (("beta1", "beta2"), _run_stream_batch),
-            "geometric": (("kappa", "T"), _run_geometric_batch),
-            "nonoblivious": (("a", "b", "T"), _run_pair_batch)}
+def _fixed_spec(config: ExperimentConfig) -> FixedSequence:
+    if not config.gradients:
+        raise ValueError("fixed adversary needs a 'gradients' list")
+    return FixedSequence(config.gradients)
+
+
+class Adversary(NamedTuple):
+    """One adversary kind: everything the harness does that depends on the kind."""
+
+    check: Callable    # config -> None; raises if the config is not a valid run of this kind
+    spec: Callable     # config -> the adversary description object
+    axes: tuple        # the keys in which the points of one batch may differ
+    run: Callable      # config -> its ExperimentResult
+    batch: Callable    # points -> each point's summary, all run at once
+    columns: tuple     # a sweep row's metric columns
+    metrics: Callable  # summary -> its cells in those columns
+
+
+_STREAM_METRICS = ("regret_discounted", *(f"bound_{n}" for n in BOUNDS), "dominance_ok")
+_GEOMETRIC_METRICS = ("regret", "lower_bound", "b_total", "ratio_regret_to_b", "any_clipped")
+_PAIR_METRICS = ("regret_a", "regret_aprime", "per_round_strict", "any_clipped")
+
+# The adversary kinds, written once: a config's 'adversary' names its row.
+ADVERSARIES = {
+    "fixed": Adversary(
+        ExperimentConfig._validate_gradient_run, _fixed_spec, ("beta1", "beta2"),
+        _run_gradient_stream, _run_stream_batch, _STREAM_METRICS, _stream_cells),
+    "random": Adversary(
+        ExperimentConfig._validate_gradient_run,
+        lambda c: RandomUniform(seed=c.seed, distribution=c.distribution), ("beta1", "beta2"),
+        _run_gradient_stream, _run_stream_batch, _STREAM_METRICS, _stream_cells),
+    "geometric": Adversary(
+        ExperimentConfig._validate_geometric, lambda c: GeometricSequence(v0=c.v0, kappa=c.kappa),
+        ("kappa", "T"),
+        functools.partial(_run_oracle, _geometric_traces, TRACE_COLUMNS + ("bound_B",),
+                          _geometric_summary),
+        functools.partial(_run_oracle_batch, _geometric_traces, _geometric_summary),
+        _GEOMETRIC_METRICS, itemgetter(*_GEOMETRIC_METRICS)),
+    "nonoblivious": Adversary(
+        ExperimentConfig._validate_pair, lambda c: NonObliviousPair(a=c.a, b=c.b, v=c.v),
+        ("a", "b", "T"),
+        functools.partial(_run_oracle, _pair_traces, PAIR_COLUMNS, _pair_summary),
+        functools.partial(_run_oracle_batch, _pair_traces, _pair_summary),
+        _PAIR_METRICS, itemgetter(*_PAIR_METRICS)),
+}
+
+
+def _need(ok: bool, key: str, value, what: str):
+    """``value`` if ``ok``, else a ConfigError: the JSON value of ``key`` is not ``what``."""
+    if not ok:
+        raise ConfigError(f"{key!r}: {json.dumps(value)} is not {what}")
+    return value
+
+
+def _number(key: str, value, what: str = "a number"):
+    """A finite number: checked, not converted, so the config's echo keeps its JSON text."""
+    _need(isinstance(value, (int, float)) and not isinstance(value, bool), key, value, what)
+    try:
+        return _need(math.isfinite(value), key, value, "a finite number")
+    except OverflowError as exc:
+        raise ConfigError(f"{key!r}: an integer too large for a float") from exc
+
+
+def _integer(key: str, value) -> int:
+    return _need(isinstance(value, int) and not isinstance(value, bool), key, value, "an integer")
+
+
+def _natural(key: str, value) -> int:
+    return _need(_integer(key, value) >= 0, key, value, "a non-negative integer")
+
+
+def _numbers(key: str, value) -> tuple[float, ...]:
+    _need(isinstance(value, (list, tuple)), key, value, "a list of numbers")
+    return tuple(float(_number(key, item)) for item in value)
+
+
+def _one_of(*words: str):
+    return lambda key, value: _need(isinstance(value, str) and value in words, key, value,
+                                    "|".join(words))
+
+
+def _bound_names(key: str, value) -> tuple[str, ...]:
+    if not isinstance(value, (list, tuple)) or not all(isinstance(b, str) for b in value):
+        raise ConfigError(f"'bounds' must be a list of bound names, got {value!r}")
+    unknown = set(value) - set(BOUNDS)
+    if unknown:
+        raise ConfigError(f"unknown bounds requested: {sorted(unknown)}")
+    return tuple(value)
+
+
+_GRID_KEYS = ("beta1", "beta2", "kappa", "a", "b", "p", "T")
+
+
+def _grid(key: str, value) -> dict:
+    """Grid keys mapped to value lists, each value parsed per point by :func:`sweep`."""
+    return _need(isinstance(value, dict) and all(k in _GRID_KEYS and isinstance(v, (list, tuple))
+                                                 and v for k, v in value.items()),
+                 key, value, f"a map of {'|'.join(_GRID_KEYS)} to non-empty value lists")
+
+
+# The config format, written once: for each field of ExperimentConfig, the parser that takes
+# its JSON value to its run-time value or raises a ConfigError (see _parse for null).
+# validate() then checks ranges and regime coherence.
+_KEYS = {
+    "adversary": _one_of(*ADVERSARIES),
+    "alpha_kind": _one_of("constant", "exponential_decay", "explicit"),
+    "distribution": _one_of("uniform"),
+    "format": _one_of("csv", "json", "both"),
+    "T": _integer, "seed": _natural, "oracle_horizon": _integer,
+    "beta1": _number, "beta2": _number, "alpha": _number, "alpha_ratio": _number,
+    "v0": _number, "kappa": _number, "a": _number, "b": _number, "v": _number, "p": _number,
+    "gradients": _numbers, "alpha_values": _numbers,   # tuples of floats
+    "domain": lambda k, v: None if v == "unbounded" else _number(k, v, 'a number or "unbounded"'),
+    "u": lambda k, v: v if v == "negD" else _number(k, v, 'a number or "negD"'),   # see comparator
+    "bounds": _bound_names,
+    "out": lambda key, value: _need(isinstance(value, str), key, value, "a path"),
+    "grid": _grid,
+}
+_ECHO_KEYS = tuple(sorted(_KEYS.keys() - {"grid", "out"}))
+_NULLABLE = {key for key, value in ExperimentConfig._field_defaults.items() if value is None}
+
+
+def _parse(key: str, value):
+    """The run-time value of ``key``'s JSON value; a null is the key left out (``_NULLABLE``)."""
+    return None if value is None and key in _NULLABLE else _KEYS[key](key, value)
 
 
 def run_experiment(config: ExperimentConfig | list[ExperimentConfig]) -> ExperimentResult:
     """Drive one experiment to completion; deterministic given (config, seed).
 
     A config with a ``grid`` is a sweep template (see :func:`sweep`) and is rejected, alone or
-    in a list.  A list of configs of one adversary that differ only in its ``_BATCHES`` axes is
-    a batch run, whose rows hold each point's sweep metrics and ``summary["points"]`` each
-    point's summary: gradient-stream points that differ in ``beta1``/``beta2`` run on one
-    learner axis (``_run_stream_batch``), geometric points that differ in ``kappa`` and ``T``
-    read one tightness run per ``kappa`` (``_run_geometric_batch``), and non-oblivious points
-    that differ in ``a``, ``b`` and ``T`` run as columns of one gradient matrix
-    (``_run_pair_batch``).
+    in a list.  A list of configs of one adversary that differ only in its row's ``axes`` is a
+    batch run, whose rows hold each point's sweep metrics and ``summary["points"]`` each point's
+    summary, each equal to the point's own run's.
     """
     if any(c.grid for c in (config if isinstance(config, list) else [config])):
         raise ConfigError("a config with a 'grid' runs only as a sweep")
-    if isinstance(config, list):
-        if not config:
-            raise ConfigError("a batch needs one or more points")
-        axes, runner = _BATCHES[config[0].adversary]
-        shared = [v for k, v in config[0]._asdict().items() if k not in axes]
-        if any([v for k, v in c._asdict().items() if k not in axes] != shared for c in config):
-            raise ConfigError(f"points of a batch may differ only in {', '.join(axes)}")
-        return runner(config)
-    if config.adversary in ("fixed", "random"):
-        return _run_gradient_stream(config)
-    if config.adversary == "geometric":
-        return _run_geometric(config)
-    return _run_nonoblivious(config)
+    if not isinstance(config, list):
+        return ADVERSARIES[config.adversary].run(config)
+    if not config:
+        raise ConfigError("a batch needs one or more points")
+    row = ADVERSARIES[config[0].adversary]
+    shared = [v for k, v in config[0]._asdict().items() if k not in row.axes]
+    if any([v for k, v in c._asdict().items() if k not in row.axes] != shared for c in config):
+        raise ConfigError(f"points of a batch may differ only in {', '.join(row.axes)}")
+    summaries = row.batch(config)
+    return ExperimentResult(
+        csv_header=row.columns, csv_rows=tuple(map(row.metrics, summaries)),
+        summary={"points": summaries, "contracts_ok": all(s["contracts_ok"] for s in summaries)})
 
 
 # ---------------------------------------------------------------------------
@@ -622,23 +641,22 @@ def sweep(config: ExperimentConfig) -> ExperimentResult:
     Points whose derived config is invalid are reported as skipped with the
     reason, not errors.  Row order follows the cartesian product of the grid
     values in the order given, keyed by the sorted grid-field names.
-    Points that differ only in their adversary's ``_BATCHES`` axes run as one
-    batch; see :func:`_run_points`.  Each non-oblivious point with ``a >= b^2``
-    warns once, in row order, as it validates.
+    Points that differ only in their adversary's axes run as one batch; see
+    :func:`_run_points`.  Each non-oblivious point with ``a >= b^2`` warns
+    once, in row order, as it validates.
     """
     if not config.grid:
         raise ConfigError("sweep needs a non-empty 'grid'")
     keys = sorted(config.grid)
 
     base = {k: v for k, v in config._asdict().items() if k != "grid"}
-    stream = config.adversary in ("fixed", "random")
-    axes, _ = _BATCHES[config.adversary]
+    row = ADVERSARIES[config.adversary]
     # Checked once here, the gradients and an explicit alpha schedule are shared by every point
     # and not rescanned; if a check fails, each point is skipped with its own reason.
     if config.adversary == "fixed":
         with contextlib.suppress(ValueError):
             base["gradients"] = config.adversary_spec().gradients
-    if stream and config.alpha_kind == "explicit":
+    if config.alpha_kind == "explicit":
         with contextlib.suppress(AdamFtrlError):
             base["alpha_values"] = config.alpha_schedule().values
     combos = list(itertools.product(*(config.grid[k] for k in keys)))
@@ -652,21 +670,20 @@ def sweep(config: ExperimentConfig) -> ExperimentResult:
             outcomes[i] = exc
             continue
         # a batch's points agree in every grid value but the axes, and all else is ``base``
-        key = repr([v for k, v in zip(keys, combo) if k not in axes])
+        key = repr([v for k, v in zip(keys, combo) if k not in row.axes])
         batches.setdefault(key, []).append((i, derived))
     for members in batches.values():
         points = [point for _, point in members]
-        for (i, _), outcome in zip(members, _run_points(config.adversary, points)):
+        for (i, _), outcome in zip(members, _run_points(row, points)):
             outcomes[i] = outcome
 
-    metric_cols = _sweep_metric_columns(config.adversary)
-    header = tuple(keys) + ("status",) + metric_cols
+    header = tuple(keys) + ("status",) + row.columns
     rows = []
     ok_points = []
     for combo, outcome in zip(combos, outcomes):
         if isinstance(outcome, Exception):
             rows.append(tuple(combo) + (f"skipped: {outcome}",)
-                        + tuple(math.nan for _ in metric_cols))
+                        + tuple(math.nan for _ in row.columns))
             continue
         metrics, summary = outcome
         rows.append(tuple(combo) + ("ok",) + metrics)
@@ -686,15 +703,15 @@ def sweep(config: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(csv_header=header, csv_rows=tuple(rows), summary=summary)
 
 
-def _run_points(adversary: str, points: list[ExperimentConfig]) -> list:
+def _run_points(row: Adversary, points: list[ExperimentConfig]) -> list:
     """Each point's ``(metrics, summary)``, or the error that skips it.
 
-    The points, which differ only in their adversary's batch axes, run as one batch.  A batch
-    that raises is rerun one point at a time, each as its own ``run_experiment(point)``, so
-    every skip reason is the point's own: only a point's own run sees, e.g., the first row at
-    which a bound overflows.
+    The points, which differ only in ``row.axes``, run as one batch.  A batch that raises is
+    rerun one point at a time, each as its own ``run_experiment(point)``, so every skip reason
+    is the point's own: only a point's own run sees, e.g., the first row at which a bound
+    overflows.
     """
-    try:   # not a batch runner: the benchmark's tracer times a batch as run_experiment
+    try:   # not row.batch: the benchmark's tracer times a batch as run_experiment
         batch = run_experiment(points)
         return list(zip(batch.csv_rows, batch.summary["points"]))
     except (AdamFtrlError, ValueError):
@@ -706,28 +723,8 @@ def _run_points(adversary: str, points: list[ExperimentConfig]) -> list:
         except (AdamFtrlError, ValueError) as exc:
             outcomes.append(exc)
             continue
-        outcomes.append((_sweep_metrics(adversary, summary), summary))
+        outcomes.append((row.metrics(summary), summary))
     return outcomes
-
-
-def _sweep_metric_columns(adversary: str) -> tuple[str, ...]:
-    if adversary in ("fixed", "random"):
-        return ("regret_discounted",) + tuple(
-            f"bound_{n}" for n in BOUNDS) + ("dominance_ok",)
-    if adversary == "geometric":
-        return ("regret", "lower_bound", "b_total", "ratio_regret_to_b", "any_clipped")
-    return ("regret_a", "regret_aprime", "per_round_strict", "any_clipped")
-
-
-def _sweep_metrics(adversary: str, summary: dict) -> tuple:
-    if adversary in ("fixed", "random"):
-        vals = [summary["regret_discounted"]]
-        for name in BOUNDS:
-            entry = summary["bounds"].get(name)
-            vals.append(entry["total"] if entry else math.nan)
-        vals.append(summary["contracts_ok"])
-        return tuple(vals)
-    return tuple(summary[c] for c in _sweep_metric_columns(adversary))
 
 
 def _argmin_annotations(config: ExperimentConfig, keys, ok_points):

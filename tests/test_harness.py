@@ -31,10 +31,10 @@ import adamftrl.learner
 import adamftrl.regret
 from adamftrl import ExperimentConfig, run_experiment, sweep, write_outputs
 from adamftrl.bounds import BOUNDS
-from adamftrl.errors import AdamFtrlError, ConfigError
+from adamftrl.errors import AdamFtrlError, ConfigError, ContractViolation
 from adamftrl.harness import (
-    _BATCHES,
     _CHUNK,
+    ADVERSARIES,
     PAIR_COLUMNS,
     TRACE_COLUMNS,
     ExperimentResult,
@@ -400,7 +400,7 @@ def _check_sweep_matches_point_runs(raw) -> int:
             continue
         # the sweep's batches: one per value of the grid keys outside the adversary's axes
         members = batches.setdefault(tuple(
-            v for k, v in zip(keys, combo) if k not in _BATCHES[raw["adversary"]][0]), [])
+            v for k, v in zip(keys, combo) if k not in ADVERSARIES[raw["adversary"]].axes), [])
         try:
             single = run_experiment(point).summary
         except (AdamFtrlError, ValueError) as exc:
@@ -1019,6 +1019,48 @@ def test_cli_bad_config_file(tmp_path):
     assert cli.main(["simulate", "--config", str(bad)]) == 2
 
 
+_RANDOM = {"adversary": "random", "beta1": 0.9, "beta2": 0.99, "T": 5}
+_GEOMETRIC = {"adversary": "geometric", "p": 0.5, "domain": 1.0, "T": 2}
+
+
+@pytest.mark.parametrize("raw, err", [
+    ({**_RANDOM, "T": None}, "config needs a round count 'T'"),
+    ({**_RANDOM, "oracle_horizon": 0}, "oracle_horizon must be >= 1, got 0"),
+    ({**_RANDOM, "domain": 0.0}, "domain must be positive or 'unbounded', got 0.0"),
+    (_GEOMETRIC, "geometric adversary needs 'kappa' and 'v0'"),
+    ({**_GEOMETRIC, "p": None, "kappa": 4.0, "v0": 1.0},
+     "need either 'p' or both 'beta1' and 'beta2'"),
+    ({**_RANDOM, "alpha_kind": "explicit"}, "explicit alpha needs 'alpha_values'"),
+], ids=["no-T", "horizon-0", "domain-0", "geometric-no-kappa", "geometric-no-p",
+        "explicit-no-values"])
+def test_cli_missing_keys_exit_two_naming_them(raw, err, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({k: v for k, v in raw.items() if v is not None}))
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == f"config error: {err}\n"
+    assert not list(tmp_path.glob("x.*"))
+
+
+def test_cli_unreadable_config_exits_two(tmp_path, capsys):
+    assert cli.main(["simulate", "--config", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: cannot read config {tmp_path}: ")
+
+
+def test_cli_without_out_prints_the_summary_json(capsys):
+    assert cli.main(["tightness"]) == 0
+    expected = render_json(run_experiment(ExperimentConfig.from_dict(cli.TIGHTNESS_PRESET)))
+    assert capsys.readouterr().out == expected
+
+
+def test_cli_unwritable_output_exits_two_without_a_traceback(tmp_path, capsys):
+    (tmp_path / "x.csv").mkdir()
+    assert cli.main(["tightness", "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write outputs at {tmp_path / 'x'}: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_cli_config_error_exit_two(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"adversary": "geometric", "p": 0.9, "kappa": 4.0,
@@ -1250,6 +1292,28 @@ def test_a_batch_needs_points_that_differ_only_in_its_axes():
                                           "T": 20, "seed": seed}) for seed in (1, 2)]
     with pytest.raises(ConfigError, match="^points of a batch may differ only in beta1, beta2$"):
         run_experiment(points)
+
+
+def test_every_adversary_kind_the_config_accepts_has_one_row():
+    parse = adamftrl.harness._KEYS["adversary"]
+    assert [parse("adversary", kind) for kind in ADVERSARIES] == list(ADVERSARIES)
+    with pytest.raises(ConfigError) as exc:
+        parse("adversary", "box")
+    assert str(exc.value) == "'adversary': \"box\" is not fixed|random|geometric|nonoblivious"
+    for row in ADVERSARIES.values():
+        assert set(row.axes) <= set(ExperimentConfig._fields)
+        assert set(row.axes) <= set(adamftrl.harness._GRID_KEYS)
+
+
+@pytest.mark.parametrize("raw", [
+    SIMULATE_EXAMPLE, SIMULATE_GOLDENS["simulate_constant"], cli.TIGHTNESS_PRESET,
+    cli.NONOBLIVIOUS_PRESET,
+], ids=list(ADVERSARIES))
+def test_a_run_of_each_kind_is_its_batch_of_one(raw):
+    point = ExperimentConfig.from_dict(raw)
+    batch = run_experiment([point])
+    assert run_experiment(point).summary == batch.summary["points"][0]
+    assert batch.csv_header == ADVERSARIES[raw["adversary"]].columns
 
 
 def test_negd_comparator_runs_as_minus_the_domain():
@@ -1850,6 +1914,17 @@ def test_cli_verify_lemmas(tmp_path):
     assert report["lemma_a1"]["holds"] and report["lemma_a2"]["holds"]
     assert report["lemma_a1"]["points_checked"] >= 10_000
     assert report["lemma_a2"]["points_checked"] >= 10_000
+
+
+def test_cli_verify_lemmas_reports_a_failed_lemma_and_exits_one(monkeypatch, capsys):
+    def fails(grid):
+        raise ContractViolation("lemma A.1 fails at x = 0.5")
+
+    monkeypatch.setattr(cli, "verify_lemma_a1", fails)
+    assert cli.main(["verify-lemmas"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["lemma_a1"] == {"holds": False, "detail": "lemma A.1 fails at x = 0.5"}
+    assert report["lemma_a2"]["holds"]
 
 
 @pytest.mark.parametrize("flags", [
