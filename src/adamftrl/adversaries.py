@@ -84,6 +84,9 @@ class FixedSequence(_FixedSequenceFields):
             raise ValueError(f"T={T} needs {T + 1} gradients, got {len(self.gradients)}")
         return list(self.gradients[: T + 1])
 
+    def gradient_array(self, T: int) -> np.ndarray:
+        return np.array(self.gradient_stream(T), dtype=np.float64)
+
 
 # numpy's PCG64 (a 128-bit LCG with XSL-RR output, O'Neill 2014) seeded by its SeedSequence,
 # reproduced bit for bit: importing numpy.random costs a run about 20 ms and 6 MB.
@@ -91,6 +94,7 @@ _M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _PCG_BLOCK = 1024   # states stepped one at a time; later blocks jump ahead from them
 _PCG_JUMP = pow(_PCG_MULT, _PCG_BLOCK, 1 << 128)
+_PCG_GROUP = 8      # blocks drawn at once
 
 
 def _pcg64_seed(seed: int) -> tuple[int, int]:
@@ -143,28 +147,31 @@ class _Pcg64:
         lo, hi = np.frombuffer(b"".join(states), "<u8").reshape(-1, 2).T
         # block j is the first block jumped j L steps, s_{k+jL} = J_j s_k + C_j mod 2^128, on
         # uint64 limbs that wrap on purpose: J_j.lo * s.lo in full from 32-bit halves, plus the
-        # cross terms mod 2^64 and C_j with its carry
+        # cross terms mod 2^64 and C_j with its carry (J_0 = 1, C_0 = 0).  _PCG_GROUP blocks at
+        # a time are drawn into ``out``, so the temporaries stay O(group).
         jumps, a, b = [], 1, 0
         c = (s - _PCG_JUMP * self.state) & _M128
-        for _ in range(1, -(-n // _PCG_BLOCK)):
-            a, b = a * _PCG_JUMP & _M128, (b * _PCG_JUMP + c) & _M128
+        for _ in range(-(-n // _PCG_BLOCK)):
             jumps.append((a & _M64, a >> 64, b & _M64, b >> 64))
-        j_lo, j_hi, c_lo, c_hi = np.array(jumps, np.uint64).reshape(-1, 4, 1).transpose(1, 0, 2)
-        with np.errstate(over="ignore"):
-            s0, s1, j0, j1 = lo & _M32, lo >> 32, j_lo & _M32, j_lo >> 32
-            p01, p10 = j0 * s1, j1 * s0
-            mid = (j0 * s0 >> 32) + (p01 & _M32) + (p10 & _M32)
-            jhi = (j1 * s1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
-                   + j_hi * lo + j_lo * hi + c_hi)
-            jlo = j_lo * lo + c_lo
-            jhi += jlo < c_lo
-        lo = np.concatenate((lo, jlo.ravel()))[:n]
-        hi = np.concatenate((hi, jhi.ravel()))[:n]
-        self.state = int(hi[-1]) << 64 | int(lo[-1])
-        rot = hi >> 58   # XSL-RR, then the top 53 bits as a double in [0, 1)
-        x = hi ^ lo
-        x = (x >> rot) | (x << ((64 - rot) & 63))
-        return -1.0 + 2.0 * ((x >> 11).astype(np.float64) * 2.0**-53)
+            a, b = a * _PCG_JUMP & _M128, (b * _PCG_JUMP + c) & _M128
+        jumps, out = np.array(jumps, np.uint64).reshape(-1, 4, 1), np.empty(n)
+        for start in range(0, n, _PCG_GROUP * _PCG_BLOCK):
+            j_lo, j_hi, c_lo, c_hi = jumps[start // _PCG_BLOCK:][:_PCG_GROUP].transpose(1, 0, 2)
+            with np.errstate(over="ignore"):
+                s0, s1, j0, j1 = lo & _M32, lo >> 32, j_lo & _M32, j_lo >> 32
+                p01, p10 = j0 * s1, j1 * s0
+                mid = (j0 * s0 >> 32) + (p01 & _M32) + (p10 & _M32)
+                jhi = (j1 * s1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+                       + j_hi * lo + j_lo * hi + c_hi)
+                jlo = j_lo * lo + c_lo
+                jhi += jlo < c_lo
+            x_lo, x_hi = jlo.ravel()[:n - start], jhi.ravel()[:n - start]
+            rot = x_hi >> 58   # XSL-RR, then the top 53 bits as a double in [0, 1)
+            x = x_hi ^ x_lo
+            x = (x >> rot) | (x << ((64 - rot) & 63))
+            out[start:start + len(x)] = -1.0 + 2.0 * ((x >> 11).astype(np.float64) * 2.0**-53)
+        self.state = int(x_hi[-1]) << 64 | int(x_lo[-1])
+        return out
 
 
 class _RandomUniformFields(NamedTuple):
@@ -184,12 +191,15 @@ class RandomUniform(_RandomUniformFields):
             raise ValueError(f"need seed >= 0, got {seed}")
         return super().__new__(cls, seed, distribution)
 
-    def gradient_stream(self, T: int) -> list[float]:
+    def gradient_array(self, T: int) -> np.ndarray:   # gradient_stream's, without its list
         rng = _Pcg64(self.seed)
         g = rng.uniform(T + 1)
         while g[0] == 0.0:  # vanishingly unlikely, but the seed must be nonzero
             g[0] = rng.uniform(1)[0]
-        return g.tolist()
+        return g
+
+    def gradient_stream(self, T: int) -> list[float]:
+        return self.gradient_array(T).tolist()
 
 
 class _GeometricSequenceFields(NamedTuple):

@@ -17,9 +17,9 @@ Stable re-anchorings used here, all exact algebra:
 * exponential-decay bound, ``p >= 1``:
   ``sqrt(sum beta1^(2T) beta2^(-t) g_t^2) = p^T sqrt(q)``.
 
-Each bound from statistics prices one round ``T`` from float statistics, or every row of a run
-at once from columns: ``T`` is then a rising int array and the statistics are float64 arrays of
-the same length.  The same code does both.  numpy's elementwise ``+ * / sqrt`` round exactly as
+Each bound from statistics prices one round ``T`` from float statistics, or a block of a run's
+rows at once from columns: ``T`` is then a rising int array and the statistics are float64 arrays
+of the same length.  The same code does both.  numpy's elementwise ``+ * / sqrt`` round exactly as
 Python floats do, and the powers ``p^T`` and ``beta1^-T`` stay Python's ``pow``, so a column
 holds the per-row totals bit for bit.
 """

@@ -50,8 +50,8 @@ from .learner import (DEFAULT_ORACLE_HORIZON, PREBAR_TOL, REGIME_TOL, AlphaSched
 from .regret import drive_batch, drive_trace
 
 RNG_NAME = "numpy-pcg64"
-# Largest T of a gradient stream: a run's peak memory grows about 140-155 bytes a round, so a
-# run at the cap stays under about 1.5 GB
+# Largest T of a gradient stream: a run holds 48 bytes a round of state and 8 more per bound, so
+# a run at the cap with two bounds peaks near 0.52 GB
 MAX_STREAM_T = 8_000_000
 TRACE_COLUMNS = (
     "t", "alpha_t", "g_t", "m_t", "q_t", "delta_bar_t", "delta_t", "clipped",
@@ -268,76 +268,71 @@ _CHUNK = 256
 
 
 class TraceRows(Sequence):
-    """A ``simulate`` trace's CSV rows, built on demand from its columns: read-only.
-
-    ``columns`` are the cells of ``TRACE_COLUMNS`` in order, each indexable by row: ``t`` a
-    ``range``, the others memoryviews of float64 arrays (of a bool array for ``clipped``).  Each
-    of ``bounds`` covers the rows ``t >= 2``; row 1's bound cells are ``math.nan``.  Rows are
-    tuples of an int ``t``, float cells and a bool ``clipped``, and the whole equals the tuple of
-    those tuples.
+    """A ``simulate`` trace's CSV rows, built on demand from its :class:`regret.Trace` and each
+    bound's column of totals, row ``t``'s at ``t - 1``, a block of ``_CHUNK`` rows at a time:
+    read-only.  Rows are tuples of an int ``t``, float cells and a bool ``clipped`` (row 1's
+    bound cells are ``math.nan``), and the whole equals the tuple of those tuples.
     """
 
-    def __init__(self, columns, bounds):
-        self._columns, self._bounds = tuple(columns), tuple(bounds)
+    def __init__(self, trace, bounds):
+        self._trace, self._bounds = trace, tuple(bounds)
 
     def __len__(self) -> int:
-        return len(self._columns[0])
+        return len(self._trace.g) - 1
+
+    def blocks(self):
+        """Each block's first row index and its cells as the columns :func:`_csv_blocks` prints,
+        each bound's after ``TRACE_COLUMNS``': ``t`` as float64s, which print as its ints do."""
+        s = self._trace
+        for lo, hi, (delta_bar, clipped, delta, loss, d_max) in s.blocks(_CHUNK):
+            now = slice(lo + 1, hi + 1)
+            yield lo, [np.arange(lo + 1, hi + 1, dtype=float), s.alpha[now], s.g[now], s.m[lo:hi],
+                       s.q[lo:hi], delta_bar, delta, clipped, loss, s.r_disc[now], s.max_v[now],
+                       d_max, *(b[lo:hi] for b in self._bounds)]
 
     def __iter__(self):
-        return zip(*self._columns, *(itertools.chain((math.nan,), b) for b in self._bounds))
-
-    def csv_blocks(self):
-        """The rows' CSV text in newline-ended blocks of ``_CHUNK`` rows, each printed by
-        :func:`_csv_blocks` from slices of the columns: ``t`` as float64s, which print as its
-        ints do, and each bound after a NaN."""
-        t, *cells = self._columns
-        cells, bounds = [np.asarray(c) for c in cells], [np.asarray(b) for b in self._bounds]
-        nan = np.array([math.nan])
-
-        def block(lo):
-            hi, ts = lo + _CHUNK, t[lo:lo + _CHUNK]
-            return [np.arange(ts.start, ts.stop, ts.step, dtype=float),
-                    *(c[lo:hi] for c in cells),
-                    *(b[lo - 1:hi - 1] if lo else np.concatenate((nan, b[:hi - 1]))
-                      for b in bounds)]
-        return _csv_blocks(map(block, range(0, len(t), _CHUNK)))
+        for lo, (t, *cells) in self.blocks():
+            rows = zip(range(lo + 1, lo + 1 + len(t)), *(c.tolist() for c in cells))
+            # row 1's bound cells are math.nan itself, as a tuple compares a NaN by identity
+            for row in itertools.islice(rows, lo == 0):
+                yield row[:len(TRACE_COLUMNS)] + (math.nan,) * len(self._bounds)
+            yield from rows
 
     def __getitem__(self, i):
         i = range(len(self))[i]   # as a tuple reads i: from the end if negative, IndexError past it
         if isinstance(i, range):   # a slice: the tuple of its rows
             return tuple(map(self.__getitem__, i))
-        return (*(c[i] for c in self._columns),
-                *(b[i - 1] if i else math.nan for b in self._bounds))
+        lo, (_, *cells) = next(block for block in self.blocks() if i < block[0] + _CHUNK)
+        row = (i + 1, *(c[i - lo].item() for c in cells))
+        return row if i else row[:len(TRACE_COLUMNS)] + (math.nan,) * len(self._bounds)
 
-    def __eq__(self, other):
-        if isinstance(other, (tuple, TraceRows)):
-            return tuple(self) == tuple(other)
-        return NotImplemented
+    def __eq__(self, other):   # against a TraceRows, the reflected call compares the tuples
+        return tuple(self) == other if isinstance(other, (tuple, TraceRows)) else NotImplemented
 
 
 def _run_gradient_stream(config: ExperimentConfig) -> ExperimentResult:
-    """One learner's trace: :func:`regret.drive_trace` runs it as columns, then each requested
-    bound prices the rows ``t >= 2`` as one column, after one regime check."""
-    params = config.hyper_params()
-    u = config.comparator()
+    """One learner's trace: :func:`regret.drive_trace` runs it as its state, then each requested
+    bound prices the rows ``t >= 2``, a block of the trace at a time."""
+    params, u = config.hyper_params(), config.comparator()
     requested = [n for n in BOUNDS if n in config.bounds]
-    header = TRACE_COLUMNS + tuple(f"bound_{n}" for n in requested)
-    (alpha, g, m, q, delta_bar, delta, clipped, regret, max_v, d_max, q_after), stop = drive_trace(
-        config.adversary_spec().gradient_stream(config.T), params, u)
-    n = len(alpha)
-    # a bound at row t reads the statistics after g_t: q_after, not the row's q_t
-    stats = TraceStats(q_after[1:], max_v[1:], d_max[1:])
-    reports = price_columns([BOUNDS[name].per_run(params, u) for name in requested], stats,
-                            np.arange(2, n + 1), stop)
-
-    # memoryviews read their cells as Python floats and bools
-    rows = TraceRows((range(1, n + 1), *map(memoryview, (alpha, g, m, q, delta_bar, delta, clipped,
-                                                         g * delta, regret, max_v, d_max))),
-                     [memoryview(rep.total) for rep in reports])
-    summary = _stream_summary(config, float(regret[-1]) if n else 0.0,
-                              int(np.count_nonzero(clipped)),
+    trace, stop = drive_trace(config.adversary_spec().gradient_array(config.T), params, u)
+    evaluators = [BOUNDS[name].per_run(params, u) for name in requested]
+    n, clips = len(trace.g) - 1, 0
+    totals = [np.full(n, math.nan) for _ in requested]   # row t's at t - 1; row 1 has none
+    for lo, hi, (_, clipped, _, _, d_max) in trace.blocks():
+        # a bound at row t reads the statistics after g_t, q[t], not the row's q_t; the trace's
+        # error comes after the last row
+        t = max(lo, 1) + 1
+        reports = price_columns(evaluators, TraceStats(trace.q[t:hi + 1], trace.max_v[t:hi + 1],
+                                                       d_max[t - lo - 1:]),
+                                np.arange(t, hi + 1), stop if hi == n else None)
+        for total, report in zip(totals, reports):
+            total[t - 1:hi] = report.total
+        clips += int(np.count_nonzero(clipped))
+    summary = _stream_summary(config, float(trace.r_disc[-1]), clips,
                               [rep.row(-1) for rep in reports] if n >= 2 else [])
-    return ExperimentResult(csv_header=header, csv_rows=rows, summary=summary)
+    return ExperimentResult(csv_header=TRACE_COLUMNS + tuple(f"bound_{n}" for n in requested),
+                            csv_rows=TraceRows(trace, totals), summary=summary)
 
 
 def _run_stream_batch(points: list[ExperimentConfig]) -> list[dict]:
@@ -355,7 +350,7 @@ def _run_stream_batch(points: list[ExperimentConfig]) -> list[dict]:
     params = [c.hyper_params() for c in points]
     u, T = first.comparator(), first.T
     requested = [n for n in BOUNDS if n in first.bounds]
-    state = drive_batch(first.adversary_spec().gradient_stream(T), params, u)
+    state = drive_batch(first.adversary_spec().gradient_array(T), params, u)
     summaries = []
     for i, (config, hp) in enumerate(zip(points, params)):
         reports = []
@@ -920,7 +915,7 @@ def _csv_chunks(result: ExperimentResult):
     rows = result.csv_rows
     yield ",".join(result.csv_header) + "\n"
     if isinstance(rows, TraceRows):
-        yield from rows.csv_blocks()
+        yield from _csv_blocks(cells for _, cells in rows.blocks())
         return
     lines = (",".join(map(_format_cell, row)) for row in rows)
     while block := list(itertools.islice(lines, _CHUNK)):

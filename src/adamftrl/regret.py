@@ -15,7 +15,6 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
-import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -68,48 +67,82 @@ def drive(gradients, params: HyperParams, u: float = 0.0):
                state.max_v, state.d_max, state.m, state.q)
 
 
-def drive_trace(gradients, params: HyperParams, u: float = 0.0):
-    """:func:`drive`'s rounds as float64 columns of ``alpha_t``, ``g_t``, ``m_t``, ``q_t``,
-    ``delta_bar``, ``delta``, ``clipped`` (bool), ``r_disc``, ``max_v``, ``d_max`` and the ``q``
-    after ``g_t``, bit for bit, and the error that stopped it, or ``None``.  ``m``, ``q``, ``maxV``
-    and the regret each run as an ``itertools.accumulate`` of :func:`drive`'s float operations;
-    the rest is numpy elementwise, which rounds alike.  A failure is only flagged (a zero
-    ``g_0``, an ``alpha_at`` error, a non-finite update, as ``q = 0`` makes it, or a final ``q``
-    or regret not finite, as a non-finite gradient or an overflow leaves it), and :func:`drive`
-    replayed to count the rows it yields before its own error: every check is written once."""
-    b1, b2, T = params.beta1, params.beta2, len(gradients) - 1
-    D = math.inf if params.D is None else params.D
-    alpha = np.full(T, math.nan)
-    with contextlib.suppress(AdamFtrlError):   # keeps the values before an error; nan after
-        fill_alphas(alpha, params.alpha, 1, alpha_at)
+# Rounds per block: of a trace, whose scans, derivation and pricing read it a block at a time,
+# and of a batch, whose per-round loop fills (_BLOCK + 1) x 4n state rows.
+_SPAN, _BLOCK = 1024, 64
 
-    def scan(values, step, initial=None):   # T + 1 running values of one recurrence
+
+class Trace(NamedTuple):
+    """:func:`drive_trace`'s ``n`` rounds as the state after each: float64 columns of ``n + 1``
+    values, round ``t``'s at ``t`` (round 0 ingests ``g_0``; ``alpha_0`` is NaN and the regret
+    0).  Row ``t`` reads ``m_t`` and ``q_t`` at ``t - 1``, and all else at ``t``."""
+
+    g: np.ndarray
+    alpha: np.ndarray
+    m: np.ndarray
+    q: np.ndarray
+    max_v: np.ndarray
+    r_disc: np.ndarray
+    D: float   # inf for an unbounded domain
+
+    def blocks(self, size: int = _SPAN):
+        """``(lo, hi, cells)`` for each block of ``size`` rows ``lo + 1 .. hi``, at least one:
+        their ``delta_bar``, ``clipped``, ``delta``, loss ``g_t delta_t`` and ``D_t``, whose max
+        runs on from block to block, as :func:`drive` makes them (numpy rounds as Python does)."""
+        n, d_max = len(self.g) - 1, 0.0   # drive's starts at 0.0, and each abs >= +0.0
+        for lo in range(0, max(n, 1), size):
+            hi = min(lo + size, n)
+            with np.errstate(all="ignore"):   # Python floats overflow to inf silently too
+                delta_bar = -self.alpha[lo + 1:hi + 1] * self.m[lo:hi] / np.sqrt(self.q[lo:hi])
+                clipped = np.abs(delta_bar) > self.D
+                delta = np.where(clipped, np.copysign(self.D, delta_bar), delta_bar)
+                d_max = np.maximum(np.maximum.accumulate(np.abs(delta)), d_max)
+                loss = self.g[lo + 1:hi + 1] * delta
+            yield lo, hi, (delta_bar, clipped, delta, loss, d_max)
+            d_max = d_max[-1:]
+
+
+def drive_trace(gradients, params: HyperParams, u: float = 0.0):
+    """:func:`drive`'s rounds as a :class:`Trace`, bit for bit, and the error that stopped it, or
+    ``None``.  ``m``, ``q``, ``maxV`` and the regret each run as an ``itertools.accumulate`` of
+    :func:`drive`'s float operations over blocks: of the stream, and of the regret's terms from
+    :meth:`Trace.blocks`.  A failure is only flagged (a zero ``g_0``, an ``alpha_at`` error, a
+    non-finite update, as ``q = 0`` makes it, or a final ``q`` or regret not finite, as a bad
+    gradient or an overflow leaves it), and :func:`drive` replayed to count the rows it yields
+    before its own error: every check is written once."""
+    b1, b2, g = params.beta1, params.beta2, np.asarray(gradients, dtype=np.float64)
+    T = len(g) - 1
+    alpha = np.full(T + 1, math.nan)
+    with contextlib.suppress(AdamFtrlError):   # keeps the values before an error; nan after
+        fill_alphas(alpha[1:], params.alpha, 1, alpha_at)
+
+    def scan(blocks, step, initial=None):   # T + 1 running values of one recurrence
+        values = itertools.chain.from_iterable(block.tolist() for block in blocks)
         return np.fromiter(itertools.accumulate(values, step, initial=initial), np.float64, T + 1)
 
-    # the state after g_t, t = 0..T; the one after g_0 is g_0, g_0^2 and |g_0|, as b * 0 + g = g
-    M = scan(gradients, lambda m, g: b1 * m + g)
-    Q = scan(map(operator.mul, gradients, gradients), lambda q, g2: b2 * q + g2)
-    V = scan(map(abs, gradients), lambda v, a: a if a > (w := b1 * v) else w)   # |g| above b1 v
-    g = np.array(gradients, dtype=np.float64)[1:]
+    def terms():   # each block's regret terms, once it is known whether its updates are finite
+        for lo, hi, (delta_bar, _, delta, *_) in trace.blocks():
+            finite.append(np.isfinite(delta_bar).all())
+            yield (delta - u) * g[lo + 1:hi + 1]
+
+    blocks, finite = [g[i:i + _SPAN] for i in range(0, T + 1, _SPAN)], []
     with np.errstate(all="ignore"):   # Python floats overflow to inf silently too
-        delta_bar = -alpha * M[:-1] / np.sqrt(Q[:-1])
-        clipped = np.abs(delta_bar) > D
-        delta = np.where(clipped, np.copysign(D, delta_bar), delta_bar)
-        d_max = np.maximum.accumulate(np.abs(delta))   # as drive's from 0.0: each abs >= +0.0
-        terms = (delta - u) * g
-    blocks = (terms[i:i + _BLOCK].tolist() for i in range(0, T, _BLOCK))   # no list of T floats
-    r_disc = scan(itertools.chain.from_iterable(blocks), lambda r, c: b1 * r + c, 0.0)[1:]
+        # the state after g_0 is g_0, g_0^2 and |g_0|, as b * 0 + g = g; maxV: |g| above b1 v
+        trace = Trace(g, alpha, scan(blocks, lambda m, x: b1 * m + x),
+                      scan(map(np.square, blocks), lambda q, x2: b2 * q + x2),
+                      scan(map(np.abs, blocks), lambda v, a: a if a > (w := b1 * v) else w),
+                      None, math.inf if params.D is None else params.D)
+        trace = trace._replace(r_disc=scan(terms(), lambda r, c: b1 * r + c, 0.0))
     n, stop = T, None
-    if gradients[0] == 0.0 or not (math.isfinite(Q[-1]) and np.isfinite(delta_bar).all()
-                                   and np.isfinite(r_disc[-1:]).all()):
+    if g[0] == 0.0 or not (math.isfinite(trace.q[-1]) and all(finite)
+                           and math.isfinite(trace.r_disc[-1])):
         try:
             n = 0
-            for n, *_ in drive(gradients, params, u):
+            for n, *_ in drive(g.tolist(), params, u):
                 pass
         except AdamFtrlError as exc:
             stop = exc
-    columns = (alpha, g, M[:-1], Q[:-1], delta_bar, delta, clipped, r_disc, V[1:], d_max, Q[1:])
-    return tuple(column[:n] for column in columns), stop
+    return Trace(*(column[:n + 1] for column in trace[:-1]), trace.D), stop
 
 
 class BatchState(NamedTuple):
@@ -122,10 +155,6 @@ class BatchState(NamedTuple):
     clips: np.ndarray    # rounds whose update was clipped
     q_peak: np.ndarray   # the largest q after any g_t, t = 0..T
     v_peak: np.ndarray   # the largest maxV after any g_t
-
-
-# Rounds per block of a batch, whose per-round loop fills (_BLOCK + 1) x 4n state rows.
-_BLOCK = 64
 
 
 def drive_batch(gradients, params, u: float, trace=None) -> BatchState:

@@ -19,6 +19,8 @@ import math
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from adamftrl import (
     AlphaSchedule,
     ExperimentConfig,
@@ -69,6 +71,16 @@ def drive(gradients, params: HyperParams, u: float = 0.0) -> TraceRun:
     return TraceRun(gradients=list(gradients), deltas=list(deltas),
                     delta_bars=list(delta_bars), clipped=list(clipped),
                     state=state_after(rounds[-1]), ledger=RegretLedger(u=u, r_disc=r_disc[-1]))
+
+
+def trace_columns(trace, size: int) -> tuple:
+    """The columns of ``regret.drive``'s rounds from ``alpha_t`` to the ``q`` after ``g_t``, but
+    ``m``: a ``regret.Trace``'s state and the cells its blocks of ``size`` rows derive."""
+    delta_bar, clipped, delta, _, d_max = map(np.concatenate,
+                                              zip(*(cells for *_, cells in trace.blocks(size))))
+    n = len(trace.g) - 1
+    return (trace.alpha[1:], trace.g[1:], trace.m[:n], trace.q[:n], delta_bar, delta, clipped,
+            trace.r_disc[1:], trace.max_v[1:], d_max, trace.q[1:])
 
 
 def simulate_row_by_row(config: ExperimentConfig) -> ExperimentResult:

@@ -23,7 +23,7 @@ from adamftrl import (
 import adamftrl.adversaries as adversaries
 import adamftrl.cli as cli
 import adamftrl.learner as learner
-from adamftrl.adversaries import (_PAIR_CELLS, _PCG_BLOCK, _Pcg64,
+from adamftrl.adversaries import (_PAIR_CELLS, _PCG_BLOCK, _PCG_GROUP, _Pcg64,
                                   check_nonoblivious_regime, check_tightness_regime,
                                   default_lemma_a1_grid, default_lemma_a2_grid,
                                   run_nonoblivious_pairs, run_tightness_trace)
@@ -95,6 +95,31 @@ def test_pcg64_draws_continue_numpys_stream(n):
     assert rng.uniform(n).tolist() + rng.uniform(1).tolist() == _numpy_uniform(7, n + 1)
 
 
+# draw counts at, and on either side of, the edges of a block of _PCG_BLOCK draws and of a group
+# of _PCG_GROUP blocks, each split into two calls at the first, the middle and the last draw
+@pytest.mark.parametrize("total", [_PCG_BLOCK - 1, _PCG_BLOCK, _PCG_BLOCK + 1,
+                                   _PCG_GROUP * _PCG_BLOCK - 1, _PCG_GROUP * _PCG_BLOCK,
+                                   _PCG_GROUP * _PCG_BLOCK + 1])
+def test_pcg64_draws_split_into_two_calls_are_the_draws_of_one(total):
+    for a in (1, total // 2, total - 1):
+        rng = _Pcg64(11)
+        split = np.concatenate((rng.uniform(a), rng.uniform(total - a)))
+        assert split.tobytes() == _Pcg64(11).uniform(total).tobytes(), a
+
+
+def test_pcg64_draws_hold_their_output_and_one_group_of_temporaries():
+    # the draws go into one float64 array, a group of _PCG_GROUP blocks at a time, so the peak is
+    # 8 bytes a draw plus what one group's limb arithmetic allocates (about 0.8 MiB measured)
+    n = 200_000
+    tracemalloc.start()
+    try:
+        _Pcg64(1).uniform(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n + (1 << 20)
+
+
 def test_a_zero_first_gradient_is_redrawn_from_the_same_stream(monkeypatch):
     # a first draw of exactly 0.0 (probability 2^-53) becomes the stream's next draw
     draw = _Pcg64.uniform
@@ -135,6 +160,8 @@ def test_geometric_losses_examples():
     assert geometric_losses(1.0, 4.0, 2) == [1.0, 4.0, 16.0]
     assert geometric_losses(0.7, 1.0, 4) == [0.7] * 5
     assert geometric_losses(2.0, 0.5, 2) == [2.0, 1.0, 0.5]
+    with pytest.raises(ValueError, match="^need T >= 1, got 0$"):
+        geometric_losses(1.0, 4.0, 0)
 
 
 def test_closed_form_worked_values():
@@ -208,6 +235,9 @@ def test_tightness_regime_errors():
         run_tightness_experiment(0.5, 1.0, 4.0, 1.0, 1)
     with pytest.raises(OracleHorizonError):
         run_tightness_experiment(0.5, 1.0, 4.0, 1.0, 50, horizon=20)
+    for D, v0 in ((0.0, 1.0), (1.0, -1.0)):
+        with pytest.raises(RegimeError, match=f"^need v0 > 0 and D > 0, got v0={v0}, D={D}$"):
+            run_tightness_experiment(0.5, D, 4.0, v0, 2)
 
 
 def _hexed(value):
@@ -562,6 +592,13 @@ def test_lemmas_reject_an_empty_point_set(verify):
     # used to report max_value -inf over 0 points, and hold
     with pytest.raises(ValueError, match="no points"):
         verify([])
+
+
+@pytest.mark.parametrize("verify,width", [(verify_lemma_a1, 3), (verify_lemma_a2, 2)])
+def test_lemmas_reject_points_of_another_width(verify, width):
+    for point in ((0.5, 4.0, 1, 2)[:width + 1], (0.5,)):
+        with pytest.raises(ValueError, match=f"^each point needs {width} coordinates$"):
+            verify([point, point])
 
 
 def _lemma_y(x: float):

@@ -394,6 +394,19 @@ def test_b_formula_worked_tightness_value():
 def test_b_formula_regime_guard():
     with pytest.raises(RegimeError):
         bound_b_undiscounted([1.0, 2.0], 1.5, 0.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match="^need at least the round-0 loss$"):
+        bound_b_undiscounted([], 0.5, 0.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match="^domain half-width must be positive, got 0.0$"):
+        bound_b_undiscounted([1.0, 2.0], 0.5, 0.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("name", list(BOUNDS))
+def test_a_bound_priced_at_one_round_needs_a_round_of_one_or_more(name):
+    params = HyperParams(0.9, 0.99 if name != "theorem3" else 0.81,
+                         AlphaSchedule.exponential_decay(0.5, 1.0) if name == "theorem3"
+                         else AlphaSchedule.constant(0.5), 1.0)
+    with pytest.raises(ValueError, match="^need T >= 1, got 0$"):
+        BOUNDS[name].per_run(params, 0.5)(TraceStats(1.0, 1.0, 0.5), 0)
 
 
 def test_b_from_stats_matches_loss_space():

@@ -46,7 +46,7 @@ from adamftrl.harness import (
     render_json,
 )
 from adamftrl.learner import AlphaSchedule
-from adamftrl.regret import _BLOCK
+from adamftrl.regret import _BLOCK, _SPAN, Trace
 import referees
 from conftest import simulate_row_by_row
 
@@ -320,6 +320,9 @@ def test_sweep_beta2_argmin_annotation():
     ann = res.summary["beta2_argmin"]
     assert ann == [{"beta1": 0.7, "argmin_beta2": 0.49,
                     "bound_total": ann[0]["bound_total"]}]
+    # at T = 1 no point has a bound to compare
+    short = sweep(ExperimentConfig.from_dict({**raw, "grid": {"beta2": [0.49, 0.6], "T": [1]}}))
+    assert short.summary["points_ok"] == 2 and short.summary["beta2_argmin"] == []
 
 
 def test_sweep_skips_incoherent_points_with_reason():
@@ -784,9 +787,8 @@ def test_explicit_alpha_sweep_builds_its_schedule_once(monkeypatch):
 
 
 def test_batch_memory_grows_with_the_stream_not_with_rounds_times_points():
-    # a batch holds the O(T) stream (its float64 array, and briefly the list of floats it
-    # came from) and O(_BLOCK x n) state; a (T + 1) x n float64 matrix would take 8 n = 1024
-    # bytes a round
+    # a batch holds the O(T) stream, drawn into its float64 array, and O(_BLOCK x n) state; a
+    # (T + 1) x n float64 matrix would take 8 n = 1024 bytes a round
     betas = [0.05 * k for k in range(1, 17)], [0.1 * k for k in range(1, 9)]
     n = len(betas[0]) * len(betas[1])
 
@@ -838,8 +840,8 @@ def test_pair_batch_memory_grows_with_the_rounds_not_with_rounds_times_pairs():
     {"alpha_kind": "exponential_decay", "alpha_ratio": 1.0001, "bounds": ["theorem1"]},
 ], ids=["constant", "exponential_decay"])
 def test_simulate_keeps_columns_and_writes_its_csv_in_chunks(schedule, tmp_path):
-    # a trace keeps 11 float64 cells and a byte a row here (its row tuples took about 370
-    # bytes), and write_outputs formats and writes its CSV a chunk of lines at a time, so its
+    # a trace keeps six float64 state columns and a bound's totals (its row tuples took about
+    # 370 bytes), and write_outputs formats and writes its CSV a chunk of lines at a time, so its
     # own peak does not grow with T (the text rendered whole took some 220 bytes a row, twice),
     # nor do the texts it makes once per run of equal cells
     def measure(T):
@@ -865,16 +867,16 @@ def test_simulate_keeps_columns_and_writes_its_csv_in_chunks(schedule, tmp_path)
     assert write_large - write_small < (large - small) * 8
 
 
-@pytest.mark.parametrize("extra,limit", [
-    ({"bounds": ["corollary1"]}, 136),
-    ({"bounds": ["theorem1"], "alpha_kind": "exponential_decay", "alpha_ratio": 1.0001}, 170),
+@pytest.mark.parametrize("extra", [
+    {"bounds": ["corollary1"]},
+    {"bounds": ["theorem1"], "alpha_kind": "exponential_decay", "alpha_ratio": 1.0001},
 ], ids=["corollary1", "theorem1-decay"])
-def test_simulate_run_peak_bytes_a_round(extra, limit):
-    # the run holds the stream as a list of floats (32 bytes a round) and its columns, and its
-    # recurrences read no list of all T floats; 136 bytes is what reading drive's rounds into
-    # the columns in chunks of tuples peaked at here.  theorem1's walk writes each row's
-    # alpha_{T+1} and coefficient into float64 arrays, so a decaying alpha, whose values are
-    # all distinct floats, holds no float object per row
+def test_simulate_run_peak_bytes_a_round(extra):
+    # the run holds its state, six float64 columns, and a bound's totals: 56 bytes a round, as
+    # measured, and 8 bytes of headroom.  The stream is drawn into its column, and everything
+    # else (the scans' floats, the derived cells, the bound's pricing, theorem1's walk over a
+    # decaying alpha whose values are all distinct floats) is made one block at a time.  Both
+    # sizes are past a group of the generator's blocks, whose temporaries do not grow with T
     def peak(T):
         config = ExperimentConfig.from_dict({"adversary": "random", "T": T, "seed": 1,
                                              "beta1": 0.9, "beta2": 0.99, "alpha": 0.5,
@@ -887,9 +889,9 @@ def test_simulate_run_peak_bytes_a_round(extra, limit):
         finally:
             tracemalloc.stop()
 
-    small, large = 5000, 20000
+    small, large = 20000, 80000
     peak(small)   # the first run also allocates what numpy and the package keep for later
-    assert (peak(large) - peak(small)) / (large - small) <= limit
+    assert (peak(large) - peak(small)) / (large - small) <= 64
 
 
 @pytest.mark.parametrize("raw,replays", [
@@ -1031,8 +1033,9 @@ _GEOMETRIC = {"adversary": "geometric", "p": 0.5, "domain": 1.0, "T": 2}
     ({**_GEOMETRIC, "p": None, "kappa": 4.0, "v0": 1.0},
      "need either 'p' or both 'beta1' and 'beta2'"),
     ({**_RANDOM, "alpha_kind": "explicit"}, "explicit alpha needs 'alpha_values'"),
+    ({**_RANDOM, "adversary": "fixed"}, "fixed adversary needs a 'gradients' list"),
 ], ids=["no-T", "horizon-0", "domain-0", "geometric-no-kappa", "geometric-no-p",
-        "explicit-no-values"])
+        "explicit-no-values", "fixed-no-gradients"])
 def test_cli_missing_keys_exit_two_naming_them(raw, err, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({k: v for k, v in raw.items() if v is not None}))
@@ -1445,25 +1448,27 @@ def test_simulate_rows_slice_as_their_tuple():
         got = rows[s]
         assert type(got) is tuple and got == whole[s], s
     assert rows[1:3] == (rows[1], rows[2])
+    # a list is not a tuple: neither side claims the comparison, so the rows differ from it
+    assert rows.__eq__(list(whole)) is NotImplemented and rows != list(whole)
 
 
 # a fixed stream whose second moment overflows at round N (g_N = 1.7e308); with a spike at
 # round N - 1, corollary1's total u^2 sqrt(q) / alpha leaves the float range on row N - 1 first.
-# N sits at the edges of the CSV's chunks of _CHUNK lines.
+# N sits at the edges of the CSV's chunks of _CHUNK lines, and of the trace's blocks of _SPAN.
 def _chunk_edge_run(N: int, spike: bool) -> dict:
     return {"adversary": "fixed", "gradients": [1.0] * (N - 1) + [1e10 if spike else 1.0, 1.7e308],
             "beta1": 0.5, "beta2": 0.5, "alpha": 1e-300, "u": 2.0, "domain": 2.0,
             "bounds": ["corollary1"]}
 
 
-@pytest.mark.parametrize("N", [1, _CHUNK, _CHUNK + 1],
+@pytest.mark.parametrize("N", [1, _CHUNK, _CHUNK + 1, _SPAN + 2],
                          ids=["first-round-of-a-chunk", "last-round-of-a-chunk",
-                              "first-round-after-a-chunk"])
+                              "first-round-after-a-chunk", "second-round-after-a-block"])
 @pytest.mark.parametrize("spike", [False, True], ids=["driver-first", "bound-first"])
 def test_driver_errors_at_drive_chunk_edges(N, spike, tmp_path, capsys, monkeypatch):
     # regret.drive_trace flags the overflow and replays regret.drive to find its round; every
-    # round drive finished before its error is kept and priced, so a bound that fails on an
-    # earlier row still wins (at N = 1 no row is)
+    # round drive finished before its error is kept and priced, a block at a time in order, so
+    # a bound that fails on an earlier row still wins (at N = 1 no row is, in one empty block)
     raw = _chunk_edge_run(N, spike)
     err = (f"bound 'corollary1' overflows: its total leaves the float range at T = {N - 1}"
            if spike and N > 2 else f"second-moment accumulator overflows at t={N}")
@@ -1477,7 +1482,7 @@ def test_driver_errors_at_drive_chunk_edges(N, spike, tmp_path, capsys, monkeypa
     config = ExperimentConfig.from_dict(raw)
     assert _outputs_or_error(run_experiment, config) == _outputs_or_error(simulate_row_by_row,
                                                                           config)
-    assert priced == [list(range(2, N))]
+    assert sum(priced, []) == list(range(2, N)) and len(priced) == (2 if N > _SPAN + 1 else 1)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(raw))
     assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
@@ -1578,7 +1583,8 @@ _EDGE_FLOATS = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, -2.22507385850
 
 @pytest.mark.parametrize("n", [1, 2, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3])
 def test_trace_rows_print_edge_cells_as_the_referee(n):
-    # each block of _CHUNK rows is one kernel call, and row 1's bound cells are NaN
+    # each block of _CHUNK rows is one kernel call, and row 1's bound cells are NaN; the state
+    # holds edge floats, and so do the cells derived from it
     rng = np.random.default_rng(n)
 
     def column(size):
@@ -1587,10 +1593,8 @@ def test_trace_rows_print_edge_cells_as_the_referee(n):
         values[edge] = rng.choice(_EDGE_FLOATS, np.count_nonzero(edge))
         return values
 
-    floats = [column(n) for _ in range(10)]
-    rows = TraceRows((range(1, n + 1), *map(memoryview, floats[:6]),
-                      memoryview(rng.random(n) < 0.5), *map(memoryview, floats[6:])),
-                     [memoryview(column(n - 1)) for _ in range(2)])
+    rows = TraceRows(Trace(*(column(n + 1) for _ in range(6)), 1.0),
+                     [np.concatenate(([math.nan], column(n - 1))) for _ in range(2)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         text = render_csv(ExperimentResult(csv_header=("h",), csv_rows=rows, summary={}))

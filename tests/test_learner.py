@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from adamftrl.errors import (
     ScheduleError,
     ScheduleExhaustedError,
 )
+from adamftrl.learner import root_of_sum, root_sum_of_squares
 from conftest import constant_params, decaying_params, drive, random_gradients
 from referees import evaluate_objective, ftrl_oracle_update
 
@@ -319,3 +321,21 @@ def test_hyperparams_validation():
         HyperParams(beta1=0.5, beta2=0.5, alpha=AlphaSchedule.constant(1.0), D=0.0)
     params = HyperParams(beta1=0.5, beta2=0.16, alpha=AlphaSchedule.constant(1.0))
     assert math.isclose(params.p, 1.25, rel_tol=1e-15)
+
+
+def test_a_root_of_a_sum_past_the_float_range_is_infinite():
+    # fsum raises OverflowError where the exact sum leaves the float range; a square that
+    # overflows on its own is already inf, which fsum adds without raising
+    assert root_of_sum([1.7e308, 1.7e308]) == math.inf
+    assert root_sum_of_squares([1e200, 1.0], 1.0, 2) == math.inf
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: AlphaSchedule.exponential_decay(0.0, 2.0), "alpha must be positive, got 0.0"),
+    (lambda: AlphaSchedule.explicit([]), "explicit schedule needs at least one value"),
+    (lambda: AlphaSchedule.explicit([1.0, 0.0]), "explicit schedule values must be positive"),
+    (lambda: alpha_at(AlphaSchedule("cosine", 1.0), 1), "unknown schedule kind 'cosine'"),
+])
+def test_schedules_reject_what_they_cannot_run(make, message):
+    with pytest.raises(ScheduleError, match=f"^{re.escape(message)}$"):
+        make()

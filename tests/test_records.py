@@ -24,6 +24,7 @@ from adamftrl import (
     RandomUniform,
 )
 from adamftrl.regret import drive_batch
+from conftest import trace_columns
 
 SRC = Path(__file__).parents[1] / "src" / "adamftrl"
 
@@ -137,8 +138,8 @@ def test_a_constant_schedule_makes_no_alpha_call_in_either_driver(monkeypatch):
         assert clipped[:, j].tolist() == list(rest[4])
         assert (repr(float(state.r_disc[j])), repr(float(state.q[j]))) == (repr(rest[5][-1]),
                                                                            repr(q[-1]))
-        columns, stop = traces[j]
+        trace, stop = traces[j]
         assert stop is None
-        for column, values in zip(columns, [alpha, [gradients[i] for i in t], *rest, q],
-                                  strict=True):
+        for column, values in zip(trace_columns(trace, 64), [alpha, [gradients[i] for i in t],
+                                                             *rest, q], strict=True):
             assert list(map(repr, column.tolist())) == list(map(repr, values))

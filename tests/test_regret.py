@@ -18,8 +18,9 @@ import adamftrl.learner as learner
 import adamftrl.regret as regret
 from adamftrl.errors import AdamFtrlError, OracleHorizonError, ScheduleError
 from adamftrl.regret import _BLOCK, drive_batch, drive_trace
+from adamftrl.harness import _CHUNK
 from conftest import (constant_params, decaying_params, drive,
-                      literal_per_round_ftrl_inequality, random_gradients)
+                      literal_per_round_ftrl_inequality, random_gradients, trace_columns)
 import referees
 from referees import NotApplicableError, per_round_ftrl_inequality, undiscounted_regret
 
@@ -379,17 +380,19 @@ def test_drive_trace_matches_drive_column_by_column(case):
             rounds.append(round_)
     except AdamFtrlError as exc:
         error = type(exc), str(exc)
-    columns, stop = drive_trace(gradients, params, u)
+    trace, stop = drive_trace(gradients, params, u)
     assert (None if stop is None else (type(stop), str(stop))) == error
     t, alpha, *rest, _, q = list(zip(*rounds)) or [()] * 12   # rest: m_t .. d_max
     expected = [alpha, [gradients[i] for i in t], *rest, q]
-    assert len(columns) == len(expected)
-    for column, values in zip(columns, expected):
-        assert len(column) == len(rounds)
-        if column.dtype == bool:
-            assert column.tolist() == list(values)
-        else:
-            assert list(map(float.hex, column.tolist())) == [float(v).hex() for v in values]
+    for size in (3, _CHUNK):   # blocks that end within a run, and the CSV's
+        columns = trace_columns(trace, size)
+        assert len(columns) == len(expected)
+        for column, values in zip(columns, expected):
+            assert len(column) == len(rounds)
+            if column.dtype == bool:
+                assert column.tolist() == list(values)
+            else:
+                assert list(map(float.hex, column.tolist())) == [float(v).hex() for v in values]
 
 
 @pytest.mark.parametrize("domains", [(1.0, 2.0), (None, 1.0)])
