@@ -597,10 +597,9 @@ def _blocks(points, width: int):
         return
     points = iter(points)
     while given := list(itertools.islice(points, _BLOCK)):
-        block = np.array(given, dtype=float)
-        if block.shape != (len(given), width):
+        if any(np.shape(point) != (width,) for point in given):   # ragged points too
             raise ValueError(f"each point needs {width} coordinates")
-        yield block.T, given
+        yield np.array(given, dtype=float).T, given
 
 
 def _first(mask) -> int:

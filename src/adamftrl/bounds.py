@@ -26,6 +26,7 @@ holds the per-row totals bit for bit.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from typing import Callable, NamedTuple
@@ -57,10 +58,6 @@ class TraceStats(NamedTuple):
     def from_state(cls, state: LearnerState) -> "TraceStats":
         return cls(q=state.q, max_v=state.max_v, d_max=state.d_max)
 
-    def head(self, n: int) -> "TraceStats":
-        """The first ``n`` rows of column statistics."""
-        return self._replace(q=self.q[:n], max_v=self.max_v[:n], d_max=self.d_max[:n])
-
 
 class BoundReport(NamedTuple):
     """One evaluated bound: total plus its comparator/variance/max split.
@@ -81,26 +78,12 @@ class BoundReport(NamedTuple):
                            float(self.term_variance[i]), float(self.term_max[i]), self.scale)
 
 
-def _report(kind, T, comparator, variance, term_max, scale, stop=None) -> BoundReport:
-    """The one overflow rule: a total that is not finite raises, at the first row ``T`` priced
-    (one round, or a column of them).
-
-    ``stop`` is an error met at the row after the last one priced; it raises once the rows
-    before it are found finite.  Either error carries its row as ``row``, so that
-    :func:`price_columns` can order the errors of several bounds.
-    """
+def _report(kind, T, comparator, variance, term_max, scale) -> BoundReport:
+    """The one overflow rule: a round's total that is not finite raises.  A column's totals are
+    returned as they are; :func:`price_columns` flags one that is not finite."""
     total = comparator + variance + term_max
-    if isinstance(total, np.ndarray):
-        bad = np.flatnonzero(~np.isfinite(total))
-    else:   # math.isfinite: this runs once per row of a tightness run
-        bad = [] if math.isfinite(total) else [0]
-    if len(bad):
-        row = np.ravel(T)[bad[0]]
-        stop = RegimeError(
-            f"bound {kind!r} overflows: its total leaves the float range at T = {row}")
-        stop.row = row
-    if stop is not None:
-        raise stop
+    if not isinstance(total, np.ndarray) and not math.isfinite(total):
+        raise RegimeError(f"bound {kind!r} overflows: its total leaves the float range at T = {T}")
     return BoundReport(kind, total, comparator, variance, term_max, scale)
 
 
@@ -193,36 +176,31 @@ class Theorem1Coefficient:
     def walk(self, rows, peak: bool, alphas, coeffs) -> None:
         """Walks to each round ``rows[i]`` (rising), its state in locals, writing ``alpha_{T+1}``
         to ``alphas[i]`` and the coefficient at ``T``, or its peak if ``peak``, to ``coeffs[i]``.
-        An error carries the row it was met on the way to as ``row``, after the rows before it."""
+        After an error the walker is spent: a run that meets one stops."""
         schedule, p, keep, closed = self.schedule, self.p, 1.0 - _TIE_TOL, self.closed
         T, a_next, coeff, top, kept = self.T, self.alpha_next, self.coeff, self.peak, self.kept
-        try:
-            for i, row in enumerate(rows):
-                if row < T:
-                    raise ValueError(f"cannot move back from T={T} to {row}")
-                if closed and row > T:   # see the class doc
-                    T, coeff, top = row, a_next, a_next
-                while T < row:
-                    T += 1
-                    a_t, a_next = a_next, alpha_at(schedule, T + 1)
-                    if not a_next <= a_t:
-                        raise ScheduleError(f"alpha must be non-increasing, got {a_t} -> {a_next}")
-                    kept.append((T, a_t))
-                    terms = [a * p ** (T - t) for t, a in kept]
-                    coeff = max(terms)
-                    top = coeff if coeff > top else top
-                    kept = [k for k, term in zip(kept, terms) if term >= coeff * keep]
-                    if p == 1.0:  # each term is then its alpha at every T, and the first leads
-                        del kept[1:]
-                alphas[i] = a_next
-                coeffs[i] = top if peak else coeff
-        except AdamFtrlError as exc:
-            exc.row = row
-            raise
-        finally:
-            if closed and T:
-                kept = [(T, a_next)]
-            self.T, self.alpha_next, self.coeff, self.peak, self.kept = T, a_next, coeff, top, kept
+        for i, row in enumerate(rows):
+            if row < T:
+                raise ValueError(f"cannot move back from T={T} to {row}")
+            if closed and row > T:   # see the class doc
+                T, coeff, top = row, a_next, a_next
+            while T < row:
+                T += 1
+                a_t, a_next = a_next, alpha_at(schedule, T + 1)
+                if not a_next <= a_t:
+                    raise ScheduleError(f"alpha must be non-increasing, got {a_t} -> {a_next}")
+                kept.append((T, a_t))
+                terms = [a * p ** (T - t) for t, a in kept]
+                coeff = max(terms)
+                top = coeff if coeff > top else top
+                kept = [k for k, term in zip(kept, terms) if term >= coeff * keep]
+                if p == 1.0:  # each term is then its alpha at every T, and the first leads
+                    del kept[1:]
+            alphas[i] = a_next
+            coeffs[i] = top if peak else coeff
+        if closed and T:
+            kept = [(T, a_next)]
+        self.T, self.alpha_next, self.coeff, self.peak, self.kept = T, a_next, coeff, top, kept
 
     def advance_to(self, T: int) -> None:
         self.walk((T,), False, [0.0], [0.0])
@@ -239,26 +217,20 @@ def bound_theorem1_discounted(params: HyperParams, stats: TraceStats, u: float,
 
     ``running`` carries the coefficient across a run's rows, a column in one walk, which writes
     into two float64 arrays (no float object per row); without it a call costs O(T).  A schedule
-    error at some row is raised once the rows before it are priced.
+    error raises, for a column too.
     """
     check_theorem1(params)
-    running, stop = running or Theorem1Coefficient(params), None
-    if not isinstance(T, np.ndarray):
-        alphas, coeffs = [0.0], [0.0]
-        running.walk((T,), stats.peak, alphas, coeffs)
-        (alpha_next,), (coeff,) = alphas, coeffs
-    else:
-        alpha_next, coeff = np.empty(len(T)), np.empty(len(T))
-        try:
-            running.walk(T.tolist(), stats.peak, alpha_next, coeff)
-        except AdamFtrlError as exc:   # the rows before exc.row are written
-            stop, n = exc, int(np.searchsorted(T, exc.row))
-            T, stats, alpha_next, coeff = T[:n], stats.head(n), alpha_next[:n], coeff[:n]
+    running = running or Theorem1Coefficient(params)
+    column = isinstance(T, np.ndarray)
+    alpha_next, coeff = (np.empty(len(T)), np.empty(len(T))) if column else ([0.0], [0.0])
+    running.walk(T.tolist() if column else (T,), stats.peak, alpha_next, coeff)
+    if not column:
+        (alpha_next,), (coeff,) = alpha_next, coeff
     root_q = _sqrt(stats.q)
     comparator = u * u / alpha_next * root_q
     variance = math.sqrt(6.0 * params.beta2) / (2.0 * params.beta1) * coeff * root_q
     return _report("theorem1", T, comparator, variance, 7.0 * stats.d_max * stats.max_v,
-                   "discounted", stop)
+                   "discounted")
 
 
 @_priced
@@ -369,24 +341,24 @@ BOUNDS = {
 }
 
 
-def price_columns(evaluators, stats: TraceStats, T: np.ndarray, stop=None) -> list[BoundReport]:
+def price_columns(evaluators, stats: TraceStats, T: np.ndarray, fresh) -> list[BoundReport]:
     """Each per-run evaluator's column report over the rows ``T`` (a rising int column).
 
-    Raises what pricing row by row, every evaluator in turn at each row, would raise first:
-    the error at the earliest row, of the first evaluator at that row; else ``stop``, an
-    error met after the last row (the driver's).
+    A failure is only flagged: an evaluator that raises, or a total that is not finite.  A
+    flagged block is then priced row by row, every evaluator in turn at each row, by scalar
+    calls on ``fresh()``, a new list of the same per-run evaluators, so the first error those
+    raise is the run's: every per-row check is written once, in the scalar call.
     """
-    reports, n = [], len(T)
-    for evaluate in evaluators:
-        try:
-            reports.append(evaluate(stats.head(n), T[:n]))
-        except AdamFtrlError as exc:
-            # later evaluators lose at its row, so they price only the rows before it; an error
-            # with no row (a regime check) comes at the first row
-            stop, n = exc, int(np.searchsorted(T, exc.row)) if hasattr(exc, "row") else 0
-    if stop is not None:
-        raise stop
-    return reports
+    with contextlib.suppress(AdamFtrlError):
+        reports = [evaluate(stats, T) for evaluate in evaluators]
+        if all(np.isfinite(report.total).all() for report in reports):
+            return reports
+    evaluators = fresh()
+    for i, t in enumerate(T.tolist()):
+        row = TraceStats(*(float(column[i]) for column in stats[:3]), stats.peak)
+        for evaluate in evaluators:
+            evaluate(row, t)
+    raise AssertionError("a flagged block priced row by row raised no error")
 
 
 def dominance_holds(regret_discounted: float, report: BoundReport) -> bool:

@@ -290,8 +290,8 @@ class TraceRows(Sequence):
                        s.q[lo:hi], delta_bar, delta, clipped, loss, s.r_disc[now], s.max_v[now],
                        d_max, *(b[lo:hi] for b in self._bounds)]
 
-    def __iter__(self):
-        for lo, (t, *cells) in self.blocks():
+    def __iter__(self, first: int = 0):   # from the block of row first on, for a slice
+        for lo, (t, *cells) in itertools.islice(self.blocks(), first // _CHUNK, None):
             rows = zip(range(lo + 1, lo + 1 + len(t)), *(c.tolist() for c in cells))
             # row 1's bound cells are math.nan itself, as a tuple compares a NaN by identity
             for row in itertools.islice(rows, lo == 0):
@@ -300,11 +300,11 @@ class TraceRows(Sequence):
 
     def __getitem__(self, i):
         i = range(len(self))[i]   # as a tuple reads i: from the end if negative, IndexError past it
-        if isinstance(i, range):   # a slice: the tuple of its rows
-            return tuple(map(self.__getitem__, i))
-        lo, (_, *cells) = next(block for block in self.blocks() if i < block[0] + _CHUNK)
-        row = (i + 1, *(c[i - lo].item() for c in cells))
-        return row if i else row[:len(TRACE_COLUMNS)] + (math.nan,) * len(self._bounds)
+        if not isinstance(i, range):
+            return self[i:i + 1][0]
+        lo = min(i, default=0) // _CHUNK * _CHUNK   # a slice: its rows, read in one walk
+        rows = enumerate(itertools.islice(self.__iter__(lo), max(i, default=-1) + 1 - lo), lo)
+        return tuple(row for j, row in rows if j in i)[::1 if i.step > 0 else -1]
 
     def __eq__(self, other):   # against a TraceRows, the reflected call compares the tuples
         return tuple(self) == other if isinstance(other, (tuple, TraceRows)) else NotImplemented
@@ -316,19 +316,20 @@ def _run_gradient_stream(config: ExperimentConfig) -> ExperimentResult:
     params, u = config.hyper_params(), config.comparator()
     requested = [n for n in BOUNDS if n in config.bounds]
     trace, stop = drive_trace(config.adversary_spec().gradient_array(config.T), params, u)
-    evaluators = [BOUNDS[name].per_run(params, u) for name in requested]
-    n, clips = len(trace.g) - 1, 0
+    fresh = lambda: [BOUNDS[name].per_run(params, u) for name in requested]
+    evaluators, n, clips = fresh(), len(trace.g) - 1, 0
     totals = [np.full(n, math.nan) for _ in requested]   # row t's at t - 1; row 1 has none
     for lo, hi, (_, clipped, _, _, d_max) in trace.blocks():
-        # a bound at row t reads the statistics after g_t, q[t], not the row's q_t; the trace's
-        # error comes after the last row
+        # a bound at row t reads the statistics after g_t, q[t], not the row's q_t
         t = max(lo, 1) + 1
         reports = price_columns(evaluators, TraceStats(trace.q[t:hi + 1], trace.max_v[t:hi + 1],
                                                        d_max[t - lo - 1:]),
-                                np.arange(t, hi + 1), stop if hi == n else None)
+                                np.arange(t, hi + 1), fresh)
         for total, report in zip(totals, reports):
             total[t - 1:hi] = report.total
         clips += int(np.count_nonzero(clipped))
+    if stop is not None:   # the driver's error comes after its last row, once every row is priced
+        raise stop
     summary = _stream_summary(config, float(trace.r_disc[-1]), clips,
                               [rep.row(-1) for rep in reports] if n >= 2 else [])
     return ExperimentResult(csv_header=TRACE_COLUMNS + tuple(f"bound_{n}" for n in requested),

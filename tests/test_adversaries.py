@@ -596,9 +596,10 @@ def test_lemmas_reject_an_empty_point_set(verify):
 
 @pytest.mark.parametrize("verify,width", [(verify_lemma_a1, 3), (verify_lemma_a2, 2)])
 def test_lemmas_reject_points_of_another_width(verify, width):
-    for point in ((0.5, 4.0, 1, 2)[:width + 1], (0.5,)):
+    for points in ([(0.5, 4.0, 1, 2)[:width + 1]] * 2, [(0.5,)] * 2,
+                   [(0.5, 4.0, 1, 2)[:width], (0.5, 4.0, 1, 2)[:width + 1]]):   # ragged
         with pytest.raises(ValueError, match=f"^each point needs {width} coordinates$"):
-            verify([point, point])
+            verify(points)
 
 
 def _lemma_y(x: float):

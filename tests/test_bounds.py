@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -219,45 +220,95 @@ def _rising_at(k: int) -> HyperParams:
                        alpha=AlphaSchedule("explicit", values[0], values=tuple(values)))
 
 
-def _overflowing_at(j: int | None, n: int = 30) -> TraceStats:
-    """Column statistics of the rows ``2..n + 1`` whose ``q`` leaves the float range at row ``j``."""
-    q = np.linspace(1.0, 2.0, n)
-    if j is not None:
-        q[j - 2] = math.inf
-    return TraceStats(q, np.full(n, 0.5), np.full(n, 0.25))
+def _rises(k: int) -> str:
+    """The message of the schedule error that :func:`_rising_at` ``(k)`` meets at round ``k``."""
+    values = _rising_at(k).alpha.values
+    return f"^{re.escape(f'alpha must be non-increasing, got {values[k - 1]} -> {values[k]}')}$"
+
+
+def _overflows(kind: str, T: int) -> str:
+    message = f"bound {kind!r} overflows: its total leaves the float range at T = {T}"
+    return f"^{re.escape(message)}$"
+
+
+_ROWS = TraceStats(np.linspace(1.0, 2.0, 40), np.full(40, 0.5), np.full(40, 0.25))
+
+
+def _priced(evaluators, T):
+    """``price_columns`` over the rows ``T`` of ``_ROWS``, row ``t``'s statistics at ``t``; each
+    entry of ``evaluators`` makes one fresh per-run evaluator."""
+    stats = TraceStats(*(column[T] for column in _ROWS[:3]))
+    return price_columns([make() for make in evaluators], stats, T,
+                         lambda: [make() for make in evaluators])
+
+
+def _theorem1(k: int):
+    return lambda: BOUNDS["theorem1"].per_run(_rising_at(k), 0.7)
+
+
+def _overflowing(j: int):
+    """A corollary1 evaluator that reads its own statistics, ``_ROWS`` with ``q = inf`` at row
+    ``j``, at the rows it is given: one row, or a column of them."""
+    q = _ROWS.q.copy()
+    q[j] = math.inf
+
+    def make():
+        evaluate = BOUNDS["corollary1"].per_run(constant_params(0.5, 0.3), 0.7)
+        return lambda _, T: evaluate(TraceStats(q[T], _ROWS.max_v[T], _ROWS.d_max[T]), T)
+    return make
 
 
 @pytest.mark.parametrize("k", [2, 9, 31])
 def test_theorem1_column_stops_at_the_row_whose_schedule_rises(k):
     T = np.arange(2, 32)
-    with pytest.raises(ScheduleError, match="alpha must be non-increasing") as err:
-        bound_theorem1_discounted(_rising_at(k), _overflowing_at(None), 0.7, T)
-    assert err.value.row == k
-    # met on the way to a later row of a column that skips rounds, it carries that row
-    with pytest.raises(ScheduleError) as err:
-        bound_theorem1_discounted(_rising_at(k), _overflowing_at(None, 2), 0.7,
-                                  np.array([k - 1, k + 3]))
-    assert err.value.row == k + 3
-    if k == 2:   # no row before it
-        return
-    # the rows before it are priced: an overflow on one of them wins
-    with pytest.raises(RegimeError, match=f"at T = {k - 1}$") as err:
-        bound_theorem1_discounted(_rising_at(k), _overflowing_at(k - 1), 0.7, T)
-    assert err.value.row == k - 1
+    with pytest.raises(ScheduleError, match=_rises(k)):
+        bound_theorem1_discounted(_rising_at(k), _ROWS, 0.7, T)
+    with pytest.raises(ScheduleError, match=_rises(k)):
+        _priced([_theorem1(k)], T)
+    # met on the way to a later row of a column that skips rounds, it is that row's error: the
+    # first evaluator at that row wins, and an overflow on the row before it wins
+    skips = np.array([k - 1, k + 3])
+    with pytest.raises(ScheduleError, match=_rises(k)):
+        _priced([_theorem1(k)], skips)
+    with pytest.raises(ScheduleError, match=_rises(k)):
+        _priced([_theorem1(k), _overflowing(k + 3)], skips)
+    with pytest.raises(RegimeError, match=_overflows("corollary1", k + 3)):
+        _priced([_overflowing(k + 3), _theorem1(k)], skips)
+    with pytest.raises(RegimeError, match=_overflows("corollary1", k - 1)):
+        _priced([_theorem1(k), _overflowing(k - 1)], skips)
+    if k > 2:   # the rows before it are priced in a consecutive column too
+        with pytest.raises(RegimeError, match=_overflows("corollary1", k - 1)):
+            _priced([_theorem1(k), _overflowing(k - 1)], T)
 
 
 @pytest.mark.parametrize("j", [5, 12, 20])
 def test_price_columns_raises_the_earliest_theorem1_error(j):
     # the schedule error at row 12 and another evaluator's overflow at row j: the earlier wins,
     # and the first evaluator at a tie
-    T, stats = np.arange(2, 32), _overflowing_at(None)
-    evaluators = [BOUNDS["theorem1"].per_run(_rising_at(12), 0.7),
-                  lambda _, rows: BOUNDS["theorem1"].per_run(constant_params(0.5, 0.3), 0.7)(
-                      _overflowing_at(j).head(len(rows)), rows)]
-    with pytest.raises((ScheduleError, RegimeError)) as err:
-        price_columns(evaluators, stats, T)
-    assert err.value.row == min(j, 12)
-    assert isinstance(err.value, ScheduleError if j >= 12 else RegimeError)
+    T = np.arange(2, 32)
+    first = (ScheduleError, _rises(12)) if j >= 12 else (RegimeError, _overflows("corollary1", j))
+    with pytest.raises(first[0], match=first[1]):
+        _priced([_theorem1(12), _overflowing(j)], T)
+    first = (ScheduleError, _rises(12)) if j > 12 else (RegimeError, _overflows("corollary1", j))
+    with pytest.raises(first[0], match=first[1]):
+        _priced([_overflowing(j), _theorem1(12)], T)
+
+
+def test_price_columns_replays_only_a_flagged_block():
+    # a clean block returns its column reports, each row as the scalar call prices it, and
+    # builds no fresh evaluator
+    T, made = np.arange(2, 32), []
+    stats = TraceStats(*(column[T] for column in _ROWS[:3]))
+    corollary1 = BOUNDS["corollary1"].per_run(constant_params(0.5, 0.3), 0.7)
+    (report,) = price_columns([corollary1], stats, T, lambda: made.append(True) or [])
+    assert made == []
+    assert report.total.tolist() == [
+        corollary1(TraceStats(*(float(column[i]) for column in stats[:3])), t).total
+        for i, t in enumerate(T.tolist())]
+    # a flag that the scalar calls do not confirm is a fault, not a clean block
+    flagged = lambda _, rows: report._replace(total=np.full(len(rows), math.inf))
+    with pytest.raises(AssertionError):
+        price_columns([flagged], stats, T, lambda: [corollary1])
 
 
 def test_theorem1_wrong_regime():

@@ -1474,9 +1474,9 @@ def test_driver_errors_at_drive_chunk_edges(N, spike, tmp_path, capsys, monkeypa
            if spike and N > 2 else f"second-moment accumulator overflows at t={N}")
     priced = []
 
-    def record(evaluators, stats, T, stop=None):
+    def record(evaluators, stats, T, fresh):
         priced.append(T.tolist())
-        return adamftrl.bounds.price_columns(evaluators, stats, T, stop)
+        return adamftrl.bounds.price_columns(evaluators, stats, T, fresh)
 
     monkeypatch.setattr(adamftrl.harness, "price_columns", record)
     config = ExperimentConfig.from_dict(raw)
@@ -1488,6 +1488,90 @@ def test_driver_errors_at_drive_chunk_edges(N, spike, tmp_path, capsys, monkeypa
     assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
     assert capsys.readouterr().err == f"config error: {err}\n"
     assert not list(tmp_path.glob("x.*"))
+
+
+# theorem1 overflows on a row of the second pricing block: by the spike before the driver's own
+# overflow at row _SPAN + 50 (constant alpha), or by 1 / alpha_{T+1} as alpha decays (at T = 1105)
+_THEOREM1_IN_SECOND_BLOCK = {
+    "constant": {**_chunk_edge_run(_SPAN + 50, True), "bounds": ["theorem1"]},
+    "decaying": {"adversary": "random", "T": 1200, "seed": 1, "beta1": 0.9, "beta2": 0.99,
+                 "alpha_kind": "exponential_decay", "alpha_ratio": 1.9, "alpha": 0.5,
+                 "u": 0.5, "domain": 1.0, "bounds": ["theorem1"]},
+}
+
+
+@pytest.mark.parametrize("alpha", ["constant", "decaying"])
+def test_theorem1_overflow_in_a_later_block_is_its_row_s_error(alpha):
+    config = ExperimentConfig.from_dict(_THEOREM1_IN_SECOND_BLOCK[alpha])
+    got = _outputs_or_error(run_experiment, config)
+    assert got == _outputs_or_error(simulate_row_by_row, config)
+    assert got[0] is adamftrl.errors.RegimeError
+    assert int(got[1].rpartition(" = ")[2]) > _SPAN + 1
+
+
+def _counting_bounds(monkeypatch, names):
+    """Wraps each bound's ``per_run``: the names of the evaluators built, and the rows ``T`` of
+    the scalar calls made (a column call passes an array)."""
+    built, scalar = [], []
+    for name in names:
+        def per_run(params, u, spec=BOUNDS[name], name=name):
+            built.append(name)
+            evaluate = spec.per_run(params, u)
+
+            def counted(stats, T):
+                if not isinstance(T, np.ndarray):
+                    scalar.append(T)
+                return evaluate(stats, T)
+            return counted
+        monkeypatch.setitem(BOUNDS, name, BOUNDS[name]._replace(per_run=per_run))
+    return built, scalar
+
+
+@pytest.mark.parametrize("raw,error_row", [
+    ({"adversary": "random", "T": 2 * _SPAN + 7, "seed": 1, "beta1": 0.9, "beta2": 0.99,
+      "alpha": 0.5, "domain": 1.0, "u": 0.5}, None),
+    (_chunk_edge_run(_SPAN + 50, True), _SPAN + 49),
+], ids=["clean", "bound-overflow"])
+def test_simulate_prices_row_by_row_only_a_flagged_block(raw, error_row, monkeypatch):
+    # a clean run prices every block as columns, with the evaluators it built first; a run whose
+    # bound fails builds them once more, for the failing block, and prices its rows one at a
+    # time, every bound in turn at each row, up to the failing one
+    names = ["theorem1", "corollary1"]
+    built, scalar = _counting_bounds(monkeypatch, names)
+    config = ExperimentConfig.from_dict({**raw, "bounds": names})
+    assert _outputs_or_error(run_experiment, config) == _outputs_or_error(simulate_row_by_row,
+                                                                          config)
+    built.clear()   # the reference's own calls
+    scalar.clear()
+    with contextlib.suppress(AdamFtrlError):
+        run_experiment(config)
+    if error_row is None:
+        assert built == names and scalar == []
+    else:
+        assert built == names * 2
+        assert scalar == [t for t in range(_SPAN + 1, error_row) for _ in names] + [error_row]
+
+
+def test_trace_rows_slice_derives_each_block_at_most_once(monkeypatch):
+    config = ExperimentConfig.from_dict(
+        {"adversary": "random", "T": 3 * _CHUNK + 7, "seed": 3, "beta1": 0.9, "beta2": 0.99,
+         "alpha": 0.5, "domain": 1.0, "u": 0.5, "bounds": ["theorem1", "corollary1"]})
+    rows = run_experiment(config).csv_rows
+    whole, derived, blocks = tuple(rows), [], TraceRows.blocks
+
+    def counted(self):
+        for block in blocks(self):
+            derived.append(block[0])
+            yield block
+
+    monkeypatch.setattr(TraceRows, "blocks", counted)
+    for s, read in ((slice(-10, None), [0, 1, 2, 3]), (slice(_CHUNK - 5, _CHUNK + 5), [0, 1]),
+                    (slice(_CHUNK + 4, _CHUNK - 6, -1), [0, 1]), (slice(3, 13), [0]),
+                    (slice(None, None, 400), [0, 1])):
+        derived.clear()
+        assert rows[s] == whole[s], s
+        # one walk, up to the block of the slice's last row
+        assert derived == [k * _CHUNK for k in read], s
 
 
 _EDGE_CELLS = st.one_of(
