@@ -92,9 +92,8 @@ class FixedSequence(_FixedSequenceFields):
 # reproduced bit for bit: importing numpy.random costs a run about 20 ms and 6 MB.
 _M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_PCG_BLOCK = 1024   # states stepped one at a time; later blocks jump ahead from them
-_PCG_JUMP = pow(_PCG_MULT, _PCG_BLOCK, 1 << 128)
-_PCG_GROUP = 8      # blocks drawn at once
+_PCG_BLOCK = 1024   # the most states stepped one at a time; later blocks jump ahead
+_PCG_GROUP = 8      # _PCG_GROUP * _PCG_BLOCK draws are computed at once
 
 
 def _pcg64_seed(seed: int) -> tuple[int, int]:
@@ -140,23 +139,26 @@ class _Pcg64:
 
     def uniform(self, n: int) -> np.ndarray:
         """The next ``n >= 1`` draws, continuing the stream as numpy's next call would."""
+        # L = about sqrt(n) states, a power of two in [16, _PCG_BLOCK], are stepped one at a time
+        L = min(_PCG_BLOCK, max(16, 1 << (n.bit_length() + 1) // 2))
         states, s = [], self.state
-        for _ in range(min(n, _PCG_BLOCK)):
+        for _ in range(min(n, L)):
             s = (s * _PCG_MULT + self.inc) & _M128
             states.append(s.to_bytes(16, "little"))
         lo, hi = np.frombuffer(b"".join(states), "<u8").reshape(-1, 2).T
         # block j is the first block jumped j L steps, s_{k+jL} = J_j s_k + C_j mod 2^128, on
         # uint64 limbs that wrap on purpose: J_j.lo * s.lo in full from 32-bit halves, plus the
-        # cross terms mod 2^64 and C_j with its carry (J_0 = 1, C_0 = 0).  _PCG_GROUP blocks at
-        # a time are drawn into ``out``, so the temporaries stay O(group).
-        jumps, a, b = [], 1, 0
-        c = (s - _PCG_JUMP * self.state) & _M128
-        for _ in range(-(-n // _PCG_BLOCK)):
+        # cross terms mod 2^64 and C_j with its carry (J_0 = 1, C_0 = 0).  A group of draws at
+        # a time goes into ``out``, so the temporaries stay O(group).
+        jumps, a, b, jump = [], 1, 0, pow(_PCG_MULT, L, 1 << 128)
+        c = (s - jump * self.state) & _M128
+        for _ in range(-(-n // L)):
             jumps.append((a & _M64, a >> 64, b & _M64, b >> 64))
-            a, b = a * _PCG_JUMP & _M128, (b * _PCG_JUMP + c) & _M128
+            a, b = a * jump & _M128, (b * jump + c) & _M128
         jumps, out = np.array(jumps, np.uint64).reshape(-1, 4, 1), np.empty(n)
-        for start in range(0, n, _PCG_GROUP * _PCG_BLOCK):
-            j_lo, j_hi, c_lo, c_hi = jumps[start // _PCG_BLOCK:][:_PCG_GROUP].transpose(1, 0, 2)
+        group = _PCG_GROUP * _PCG_BLOCK
+        for start in range(0, n, group):
+            j_lo, j_hi, c_lo, c_hi = jumps[start // L:][:group // L].transpose(1, 0, 2)
             with np.errstate(over="ignore"):
                 s0, s1, j0, j1 = lo & _M32, lo >> 32, j_lo & _M32, j_lo >> 32
                 p01, p10 = j0 * s1, j1 * s0

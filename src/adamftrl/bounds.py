@@ -27,6 +27,7 @@ holds the per-row totals bit for bit.
 from __future__ import annotations
 
 import contextlib
+import copy
 import functools
 import math
 from typing import Callable, NamedTuple
@@ -162,9 +163,10 @@ class Theorem1Coefficient:
     A constant alpha at ``p <= 1.0`` exactly is closed form, with no walk: at every ``T >= 1``,
     ``alpha_{T+1}``, ``coeff`` and ``peak`` are ``alpha``.  The newest term is
     ``alpha * p**0 = alpha``, and for ``k >= 1`` ``p**k <= 1.0``, so ``fl(alpha * p**k) <= alpha``:
-    the full scan's max is ``alpha`` bit for bit.  ``kept`` is then ``[(T, alpha)]``, which the
-    walk would price alike.  At ``p`` in ``(1, 1 + REGIME_TOL]`` the older terms lead, so the
-    gate is ``p <= 1.0``, not the regime check's slack.
+    the full scan's max is ``alpha`` bit for bit.  A column is then one fill, and the state is set
+    once, with ``kept`` as ``[(T, alpha)]``, which the walk would price alike.  At ``p`` in
+    ``(1, 1 + REGIME_TOL]`` the older terms lead, so the gate is ``p <= 1.0``, not the regime
+    check's slack.
     """
 
     def __init__(self, params: HyperParams):
@@ -175,15 +177,17 @@ class Theorem1Coefficient:
 
     def walk(self, rows, peak: bool, alphas, coeffs) -> None:
         """Walks to each round ``rows[i]`` (rising), its state in locals, writing ``alpha_{T+1}``
-        to ``alphas[i]`` and the coefficient at ``T``, or its peak if ``peak``, to ``coeffs[i]``.
-        After an error the walker is spent: a run that meets one stops."""
-        schedule, p, keep, closed = self.schedule, self.p, 1.0 - _TIE_TOL, self.closed
-        T, a_next, coeff, top, kept = self.T, self.alpha_next, self.coeff, self.peak, self.kept
+        to ``alphas[i]`` and the coefficient at ``T``, or its peak if ``peak``, to ``coeffs[i]``
+        (float64 arrays).  An error leaves the walker as it was: a run that meets one stops."""
+        schedule, p, keep = self.schedule, self.p, 1.0 - _TIE_TOL
+        T, a_next, coeff, top = self.T, self.alpha_next, self.coeff, self.peak
+        kept = list(self.kept)   # a copy of the walker keeps its own
+        if self.closed and rows and rows[0] >= T:   # see the class doc
+            alphas[:] = coeffs[:] = a_next
+            T, coeff, top, kept, rows = rows[-1], a_next, a_next, [(rows[-1], a_next)], ()
         for i, row in enumerate(rows):
             if row < T:
                 raise ValueError(f"cannot move back from T={T} to {row}")
-            if closed and row > T:   # see the class doc
-                T, coeff, top = row, a_next, a_next
             while T < row:
                 T += 1
                 a_t, a_next = a_next, alpha_at(schedule, T + 1)
@@ -198,12 +202,10 @@ class Theorem1Coefficient:
                     del kept[1:]
             alphas[i] = a_next
             coeffs[i] = top if peak else coeff
-        if closed and T:
-            kept = [(T, a_next)]
         self.T, self.alpha_next, self.coeff, self.peak, self.kept = T, a_next, coeff, top, kept
 
     def advance_to(self, T: int) -> None:
-        self.walk((T,), False, [0.0], [0.0])
+        self.walk((T,), False, np.empty(1), np.empty(1))
 
 
 @_priced
@@ -222,10 +224,11 @@ def bound_theorem1_discounted(params: HyperParams, stats: TraceStats, u: float,
     check_theorem1(params)
     running = running or Theorem1Coefficient(params)
     column = isinstance(T, np.ndarray)
-    alpha_next, coeff = (np.empty(len(T)), np.empty(len(T))) if column else ([0.0], [0.0])
-    running.walk(T.tolist() if column else (T,), stats.peak, alpha_next, coeff)
+    rows = T.tolist() if column else [T]
+    alpha_next, coeff = np.empty(len(rows)), np.empty(len(rows))
+    running.walk(rows, stats.peak, alpha_next, coeff)
     if not column:
-        (alpha_next,), (coeff,) = alpha_next, coeff
+        alpha_next, coeff = float(alpha_next[0]), float(coeff[0])
     root_q = _sqrt(stats.q)
     comparator = u * u / alpha_next * root_q
     variance = math.sqrt(6.0 * params.beta2) / (2.0 * params.beta1) * coeff * root_q
@@ -317,16 +320,19 @@ def bound_b_from_stats(params: HyperParams, stats: TraceStats, u: float,
 class BoundSpec(NamedTuple):
     """A bound's regime check and its per-run evaluator ``(params, u) -> (stats, T) -> report``.
 
-    An evaluator prices one round, or a run's rows at once as columns (see the module doc).
+    An evaluator prices one round, or a run's rows at once as columns (see the module doc).  One
+    that carries state from row to row has a ``copy()``: a twin that resumes from that state.
     """
 
     check: Callable[[HyperParams], None]
     per_run: Callable[[HyperParams, float], Callable[[TraceStats, int], BoundReport]]
 
 
-def _theorem1_per_run(params: HyperParams, u: float):
-    running = Theorem1Coefficient(params)   # carried across the run's rows: O(1) per row
-    return lambda stats, T: bound_theorem1_discounted(params, stats, u, T, running)
+def _theorem1_per_run(params: HyperParams, u: float, running: Theorem1Coefficient | None = None):
+    running = running or Theorem1Coefficient(params)   # carried across the run's rows: O(1) per row
+    evaluate = lambda stats, T: bound_theorem1_discounted(params, stats, u, T, running)
+    evaluate.copy = lambda: _theorem1_per_run(params, u, copy.copy(running))
+    return evaluate
 
 
 # Every bound a run can request, in output column order.
@@ -341,22 +347,23 @@ BOUNDS = {
 }
 
 
-def price_columns(evaluators, stats: TraceStats, T: np.ndarray, fresh) -> list[BoundReport]:
+def price_columns(evaluators, stats: TraceStats, T: np.ndarray) -> list[BoundReport]:
     """Each per-run evaluator's column report over the rows ``T`` (a rising int column).
 
     A failure is only flagged: an evaluator that raises, or a total that is not finite.  A
     flagged block is then priced row by row, every evaluator in turn at each row, by scalar
-    calls on ``fresh()``, a new list of the same per-run evaluators, so the first error those
-    raise is the run's: every per-row check is written once, in the scalar call.
+    calls on the evaluators as they were before the block (copies, for those with state), so
+    the first error those raise is the run's: every per-row check is written once, in the
+    scalar call.
     """
+    before = [e.copy() if hasattr(e, "copy") else e for e in evaluators]
     with contextlib.suppress(AdamFtrlError):
         reports = [evaluate(stats, T) for evaluate in evaluators]
         if all(np.isfinite(report.total).all() for report in reports):
             return reports
-    evaluators = fresh()
     for i, t in enumerate(T.tolist()):
         row = TraceStats(*(float(column[i]) for column in stats[:3]), stats.peak)
-        for evaluate in evaluators:
+        for evaluate in before:
             evaluate(row, t)
     raise AssertionError("a flagged block priced row by row raised no error")
 

@@ -316,15 +316,14 @@ def _run_gradient_stream(config: ExperimentConfig) -> ExperimentResult:
     params, u = config.hyper_params(), config.comparator()
     requested = [n for n in BOUNDS if n in config.bounds]
     trace, stop = drive_trace(config.adversary_spec().gradient_array(config.T), params, u)
-    fresh = lambda: [BOUNDS[name].per_run(params, u) for name in requested]
-    evaluators, n, clips = fresh(), len(trace.g) - 1, 0
+    evaluators = [BOUNDS[name].per_run(params, u) for name in requested]
+    n, clips = len(trace.g) - 1, 0
     totals = [np.full(n, math.nan) for _ in requested]   # row t's at t - 1; row 1 has none
     for lo, hi, (_, clipped, _, _, d_max) in trace.blocks():
         # a bound at row t reads the statistics after g_t, q[t], not the row's q_t
         t = max(lo, 1) + 1
-        reports = price_columns(evaluators, TraceStats(trace.q[t:hi + 1], trace.max_v[t:hi + 1],
-                                                       d_max[t - lo - 1:]),
-                                np.arange(t, hi + 1), fresh)
+        stats = TraceStats(trace.q[t:hi + 1], trace.max_v[t:hi + 1], d_max[t - lo - 1:])
+        reports = price_columns(evaluators, stats, np.arange(t, hi + 1))
         for total, report in zip(totals, reports):
             total[t - 1:hi] = report.total
         clips += int(np.count_nonzero(clipped))

@@ -104,35 +104,42 @@ class Trace(NamedTuple):
 
 def drive_trace(gradients, params: HyperParams, u: float = 0.0):
     """:func:`drive`'s rounds as a :class:`Trace`, bit for bit, and the error that stopped it, or
-    ``None``.  ``m``, ``q``, ``maxV`` and the regret each run as an ``itertools.accumulate`` of
-    :func:`drive`'s float operations over blocks: of the stream, and of the regret's terms from
-    :meth:`Trace.blocks`.  A failure is only flagged (a zero ``g_0``, an ``alpha_at`` error, a
-    non-finite update, as ``q = 0`` makes it, or a final ``q`` or regret not finite, as a bad
-    gradient or an overflow leaves it), and :func:`drive` replayed to count the rows it yields
-    before its own error: every check is written once."""
+    ``None``.  ``m``, ``q`` and ``maxV`` run in one Python loop per block of ``_SPAN`` gradients,
+    each with :func:`drive`'s float operations in its order; the regret runs after them as an
+    ``itertools.accumulate`` over the terms that :meth:`Trace.blocks` derives from them.  A
+    failure is only flagged (a zero ``g_0``, an ``alpha_at`` error, a non-finite update, as
+    ``q = 0`` makes it, or a final ``q`` or regret not finite, as a bad gradient or an overflow
+    leaves it), and :func:`drive` replayed to count the rows it yields before its own error:
+    every check is written once."""
     b1, b2, g = params.beta1, params.beta2, np.asarray(gradients, dtype=np.float64)
     T = len(g) - 1
     alpha = np.full(T + 1, math.nan)
     with contextlib.suppress(AdamFtrlError):   # keeps the values before an error; nan after
         fill_alphas(alpha[1:], params.alpha, 1, alpha_at)
-
-    def scan(blocks, step, initial=None):   # T + 1 running values of one recurrence
-        values = itertools.chain.from_iterable(block.tolist() for block in blocks)
-        return np.fromiter(itertools.accumulate(values, step, initial=initial), np.float64, T + 1)
+    m, q, max_v = np.empty(T + 1), np.empty(T + 1), np.empty(T + 1)   # after fill's temporaries
 
     def terms():   # each block's regret terms, once it is known whether its updates are finite
         for lo, hi, (delta_bar, _, delta, *_) in trace.blocks():
             finite.append(np.isfinite(delta_bar).all())
             yield (delta - u) * g[lo + 1:hi + 1]
 
-    blocks, finite = [g[i:i + _SPAN] for i in range(0, T + 1, _SPAN)], []
+    finite = []
     with np.errstate(all="ignore"):   # Python floats overflow to inf silently too
         # the state after g_0 is g_0, g_0^2 and |g_0|, as b * 0 + g = g; maxV: |g| above b1 v
-        trace = Trace(g, alpha, scan(blocks, lambda m, x: b1 * m + x),
-                      scan(map(np.square, blocks), lambda q, x2: b2 * q + x2),
-                      scan(map(np.abs, blocks), lambda v, a: a if a > (w := b1 * v) else w),
-                      None, math.inf if params.D is None else params.D)
-        trace = trace._replace(r_disc=scan(terms(), lambda r, c: b1 * r + c, 0.0))
+        m[0], q[0], max_v[0] = g[0], g[0] * g[0], abs(g[0])
+        m_t, q_t, v_t = m[0].item(), q[0].item(), max_v[0].item()
+        for lo in range(1, T + 1, _SPAN):
+            x = g[lo:lo + _SPAN]
+            ms, qs, vs = [], [], []
+            for g_t, g2, a in zip(x.tolist(), np.square(x).tolist(), np.abs(x).tolist()):
+                ms.append(m_t := b1 * m_t + g_t)
+                qs.append(q_t := b2 * q_t + g2)
+                vs.append(v_t := a if a > (w := b1 * v_t) else w)
+            m[lo:lo + _SPAN], q[lo:lo + _SPAN], max_v[lo:lo + _SPAN] = ms, qs, vs
+        trace = Trace(g, alpha, m, q, max_v, None, math.inf if params.D is None else params.D)
+        r_disc = itertools.accumulate(itertools.chain.from_iterable(
+            c.tolist() for c in terms()), lambda r, c: b1 * r + c, initial=0.0)
+        trace = trace._replace(r_disc=np.fromiter(r_disc, np.float64, T + 1))
     n, stop = T, None
     if g[0] == 0.0 or not (math.isfinite(trace.q[-1]) and all(finite)
                            and math.isfinite(trace.r_disc[-1])):

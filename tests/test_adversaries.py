@@ -107,6 +107,19 @@ def test_pcg64_draws_split_into_two_calls_are_the_draws_of_one(total):
         assert split.tobytes() == _Pcg64(11).uniform(total).tobytes(), a
 
 
+# a call of n draws steps about sqrt(n) states one at a time, a power of two from 16 up to
+# _PCG_BLOCK: 16 -> 32 at n = 4^4 = 256, and so on to 512 -> 1024 at 4^9
+@pytest.mark.parametrize("edge", [4**k for k in range(4, 10)])
+def test_pcg64_draws_at_each_step_size_change_are_numpys(edge):
+    for total in (edge - 1, edge, edge + 1):
+        ref = np.random.Generator(np.random.PCG64(5)).uniform(-1.0, 1.0, total)
+        assert _Pcg64(5).uniform(total).tobytes() == ref.tobytes(), total
+        for a in (1, total // 2, edge // 4, total - 1):   # the second call at another size
+            rng = _Pcg64(5)
+            split = np.concatenate((rng.uniform(a), rng.uniform(total - a)))
+            assert split.tobytes() == ref.tobytes(), (total, a)
+
+
 def test_pcg64_draws_hold_their_output_and_one_group_of_temporaries():
     # the draws go into one float64 array, a group of _PCG_GROUP blocks at a time, so the peak is
     # 8 bytes a draw plus what one group's limb arithmetic allocates (about 0.8 MiB measured)

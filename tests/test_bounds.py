@@ -24,6 +24,7 @@ from adamftrl import (
 from adamftrl.bounds import BOUNDS, Theorem1Coefficient, price_columns
 from adamftrl.errors import RegimeError, ScheduleError
 from adamftrl.learner import alpha_at
+from adamftrl.regret import _SPAN
 from conftest import (
     constant_params,
     decaying_params,
@@ -165,6 +166,37 @@ def test_theorem1_constant_alpha_is_closed_form_only_at_p_at_most_one():
     assert len(running.kept) == 46
 
 
+def _walker_state(running: Theorem1Coefficient) -> tuple:
+    return running.T, running.alpha_next, running.coeff, running.peak, list(running.kept)
+
+
+@pytest.mark.parametrize("N", [2, 3, _SPAN, _SPAN + 1, 10**5])
+def test_theorem1_closed_column_is_the_row_by_row_walk(N):
+    # a closed-form column is one fill and its state is set once: the same bits as walking its
+    # rows 2..N one call at a time, and, but for kept, as the walk with the closed form off
+    rows = list(range(2, N + 1))
+    for b1, b2 in ((0.9, 0.99), (0.9, 0.81)):   # p < 1 and p = 1
+        params = constant_params(b1, b2, alpha=0.3)
+        for peak in (False, True):
+            column, by_row = Theorem1Coefficient(params), Theorem1Coefficient(params)
+            got = np.empty(len(rows)), np.empty(len(rows))
+            column.walk(rows, peak, *got)
+            want = np.empty((2, len(rows)))
+            for i, t in enumerate(rows):
+                by_row.walk([t], peak, want[0, i:i + 1], want[1, i:i + 1])
+            assert np.array_equal(got, want) and column.closed
+            assert _walker_state(column) == _walker_state(by_row) == (N, 0.3, 0.3, 0.3,
+                                                                      [(N, 0.3)])
+        walked = Theorem1Coefficient(params)
+        walked.closed = False
+        full = np.empty(len(rows)), np.empty(len(rows))
+        walked.walk(rows, True, *full)
+        assert np.array_equal(full, got) and _walker_state(walked)[:4] == (N, 0.3, 0.3, 0.3)
+        with pytest.raises(ValueError, match=f"^cannot move back from T={N} to {N - 1}$"):
+            column.advance_to(N - 1)
+        assert _walker_state(column) == (N, 0.3, 0.3, 0.3, [(N, 0.3)])
+
+
 def test_theorem1_carried_coefficient_matches_fresh_calls():
     params = HyperParams(beta1=0.5, beta2=0.3,
                          alpha=AlphaSchedule.explicit([1.0 / (1 + t // 7) for t in range(41)]))
@@ -236,10 +268,9 @@ _ROWS = TraceStats(np.linspace(1.0, 2.0, 40), np.full(40, 0.5), np.full(40, 0.25
 
 def _priced(evaluators, T):
     """``price_columns`` over the rows ``T`` of ``_ROWS``, row ``t``'s statistics at ``t``; each
-    entry of ``evaluators`` makes one fresh per-run evaluator."""
+    entry of ``evaluators`` makes one per-run evaluator."""
     stats = TraceStats(*(column[T] for column in _ROWS[:3]))
-    return price_columns([make() for make in evaluators], stats, T,
-                         lambda: [make() for make in evaluators])
+    return price_columns([make() for make in evaluators], stats, T)
 
 
 def _theorem1(k: int):
@@ -265,6 +296,13 @@ def test_theorem1_column_stops_at_the_row_whose_schedule_rises(k):
         bound_theorem1_discounted(_rising_at(k), _ROWS, 0.7, T)
     with pytest.raises(ScheduleError, match=_rises(k)):
         _priced([_theorem1(k)], T)
+    # an error leaves the walker as it was, though it walked rounds before the failing one
+    running = Theorem1Coefficient(_rising_at(k))
+    running.advance_to(max(k - 3, 0))
+    before = _walker_state(running)
+    with pytest.raises(ScheduleError, match=_rises(k)):
+        running.advance_to(k + 3)
+    assert _walker_state(running) == before
     # met on the way to a later row of a column that skips rounds, it is that row's error: the
     # first evaluator at that row wins, and an overflow on the row before it wins
     skips = np.array([k - 1, k + 3])
@@ -296,19 +334,45 @@ def test_price_columns_raises_the_earliest_theorem1_error(j):
 
 def test_price_columns_replays_only_a_flagged_block():
     # a clean block returns its column reports, each row as the scalar call prices it, and
-    # builds no fresh evaluator
-    T, made = np.arange(2, 32), []
+    # makes no scalar call
+    T, calls = np.arange(2, 32), []
     stats = TraceStats(*(column[T] for column in _ROWS[:3]))
     corollary1 = BOUNDS["corollary1"].per_run(constant_params(0.5, 0.3), 0.7)
-    (report,) = price_columns([corollary1], stats, T, lambda: made.append(True) or [])
-    assert made == []
+    (report,) = price_columns([lambda s, rows: calls.append(rows) or corollary1(s, rows)],
+                              stats, T)
+    assert len(calls) == 1 and calls[0] is T
     assert report.total.tolist() == [
         corollary1(TraceStats(*(float(column[i]) for column in stats[:3])), t).total
         for i, t in enumerate(T.tolist())]
     # a flag that the scalar calls do not confirm is a fault, not a clean block
-    flagged = lambda _, rows: report._replace(total=np.full(len(rows), math.inf))
+    flagged = lambda s, rows: (report._replace(total=np.full(len(rows), math.inf))
+                               if isinstance(rows, np.ndarray) else corollary1(s, rows))
     with pytest.raises(AssertionError):
-        price_columns([flagged], stats, T, lambda: [corollary1])
+        price_columns([flagged], stats, T)
+
+
+def test_a_flagged_block_replays_theorem1_from_the_walker_before_it(monkeypatch):
+    # a decaying alpha priced 16 rows at a time, as a run prices its blocks, with an overflow on
+    # row 1990: the replay resumes from the walker at the block's first row, so it makes O(block)
+    # alpha_at calls, not O(row), and raises the error a walk from row 1 raises
+    params = HyperParams(beta1=0.9, beta2=0.99, alpha=AlphaSchedule.exponential_decay(0.5, 1.001))
+    q = np.ones(2048)
+    q[1990] = math.inf
+    calls = []
+    monkeypatch.setattr("adamftrl.bounds.alpha_at", lambda *a: calls.append(a) or alpha_at(*a))
+    evaluate = BOUNDS["theorem1"].per_run(params, 0.7)
+    for lo in range(2, 1990, 16):
+        calls.clear()
+        T = np.arange(lo, lo + 16)
+        stats = TraceStats(q[T], np.full(16, 0.5), np.full(16, 0.25))
+        if lo + 16 <= 1990:
+            price_columns([evaluate], stats, T)
+            continue
+        with pytest.raises(RegimeError, match=_overflows("theorem1", 1990)):
+            price_columns([evaluate], stats, T)
+    assert 16 <= len(calls) <= 2 * 16
+    with pytest.raises(RegimeError, match=_overflows("theorem1", 1990)):
+        BOUNDS["theorem1"].per_run(params, 0.7)(TraceStats(math.inf, 0.5, 0.25), 1990)
 
 
 def test_theorem1_wrong_regime():

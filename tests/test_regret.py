@@ -17,7 +17,7 @@ from adamftrl import drive as drive_rounds
 import adamftrl.learner as learner
 import adamftrl.regret as regret
 from adamftrl.errors import AdamFtrlError, OracleHorizonError, ScheduleError
-from adamftrl.regret import _BLOCK, drive_batch, drive_trace
+from adamftrl.regret import _BLOCK, _SPAN, drive_batch, drive_trace
 from adamftrl.harness import _CHUNK
 from conftest import (constant_params, decaying_params, drive,
                       literal_per_round_ftrl_inequality, random_gradients, trace_columns)
@@ -369,6 +369,13 @@ def _trace_case(gradients, beta1, beta2, schedule, D=None, u=0.0):
 @example(_trace_case([1.0, 0.1, 0.1, 10.0, 1.0], 0.9, 0.99, AlphaSchedule.constant(1.0), None,
                      -1e308))
 @example(_trace_case([1.0, 5.0, 0.0, 3.0], 0.9, 0.99, AlphaSchedule.constant(1e308), 1.0, 0.5))
+# m, q and maxV run a block of _SPAN gradients at a time: T at and on either side of its edge
+@example(_trace_case([0.5 - t % 7 / 8 for t in range(_SPAN)], 0.9, 0.99,
+                     AlphaSchedule.constant(1.0), 1.0, 0.5))
+@example(_trace_case([0.5 - t % 7 / 8 for t in range(_SPAN + 1)], 0.9, 0.99,
+                     AlphaSchedule.exponential_decay(0.5, 1.001), None, -0.5))
+@example(_trace_case([0.5 - t % 7 / 8 for t in range(_SPAN + 2)], 0.5, 0.3,
+                     AlphaSchedule.constant(0.1), 0.05, 0.25))
 @settings(max_examples=400, deadline=None)
 def test_drive_trace_matches_drive_column_by_column(case):
     # each column holds its field of every round drive yields, bit for bit; the trace keeps
